@@ -7,6 +7,7 @@ which every fast path and every simulated run is checked.
 """
 
 from .errors import (
+    AcceptanceMismatch,
     AllZeroValues,
     DegenerateGrid,
     EmptyAcceptance,
@@ -18,6 +19,7 @@ from .errors import (
     NonConvexSlice,
     NotPowerOfTwo,
     OutOfRangeDual,
+    RecoveryFailed,
     ZeroSpacing,
     ZeroXi,
 )

@@ -12,17 +12,19 @@ import argparse
 import csv
 import io as _io
 import os
+import random
 import sys
 
 from . import fixtures
 from .errors import NonConvexInput, NotPowerOfTwo
-from .grids import FunctionSpec
+from .grids import DualGrid, FunctionSpec
 from .io import (
     ParseError,
     document_to_csv,
     dump_document,
     load_instance,
     serialize_instance,
+    step_records,
     transcript_jsonl,
     with_decimals,
 )
@@ -33,14 +35,22 @@ from .hardness import (
     rescale_instance,
     rescaling_checks,
 )
-from .multi import TensorSamples, canonical_nd_dual_grids, lft_nd_brute
+from .multi import (
+    TensorSamples,
+    canonical_nd_dual_grids,
+    lft_nd_adaptive,
+    lft_nd_brute,
+    lft_nd_regular,
+)
 from .qlft import (
     digital_to_analog,
     first_attempt_successes,
+    geometric_attempts,
     run_qlft_1d_adaptive,
     run_qlft_1d_regular,
 )
 from .qlft_nd import run_qlft_nd_adaptive, run_qlft_nd_regular
+from .qstate import BasisLabel
 from .rational import format_rational, frac
 from .transform import (
     discrete_gradients,
@@ -50,7 +60,6 @@ from .transform import (
     nontrivial_dual_range,
     regular_dual_grid,
 )
-from .grids import DualGrid
 from .witness import witness_params
 
 HARDNESS_DIM_CAP = 16
@@ -144,12 +153,8 @@ def _run_lft_nd(args, instance: TensorSamples) -> int:
             if len(ks) == 1:
                 ks = ks * instance.d
             duals = canonical_nd_dual_grids(instance, ks)
-            from .multi import lft_nd_regular
-
             result = lft_nd_regular(instance, duals)
         elif mode == "adaptive":
-            from .multi import lft_nd_adaptive
-
             result = lft_nd_adaptive(instance)
         else:
             return _fail(f"--dual {args.dual!r} unsupported for tensors", 1)
@@ -202,24 +207,16 @@ def cmd_qlft(args) -> int:
     return 0
 
 
-def _trace_records(run) -> list:
-    return [
-        {
-            "step": rec.name,
-            "labels": rec.label_count,
-            "norm": format_rational(rec.norm_sq),
-            "acceptance": None if rec.acceptance is None else format_rational(rec.acceptance),
-        }
-        for rec in run.step_trace
-    ]
+def _retry_stats(p, trials: int, seed: int) -> tuple[list[int], float]:
+    """Seeded post-selection tries per trial and the first-try success rate."""
+    attempts = [geometric_attempts(p, random.Random(seed + t)) for t in range(trials)]
+    return attempts, first_attempt_successes(p, trials, seed) / trials
 
 
 def _qlft_1d(args, instance: FunctionSpec, seed: int, trials: int) -> dict:
     if args.mode == "adaptive":
         run = run_qlft_1d_adaptive(instance, strict_pow2=args.strict_pow2)
-        values = [lab.get("fstar") for lab, _ in run.final_state.entries]
         classical = lft_adaptive(instance)
-        verification = "MATCH" if tuple(values) == classical.values else "MISMATCH"
         attempts = [1] * trials
         empirical = 1.0
     else:
@@ -228,18 +225,9 @@ def _qlft_1d(args, instance: FunctionSpec, seed: int, trials: int) -> dict:
         g = discrete_gradients(instance)
         dual = regular_dual_grid(nontrivial_dual_range(g), k)
         classical = lft_regular(instance, dual)
-        values = [lab.get("fstar") for lab, _ in run.final_state.entries]
-        verification = "MATCH" if tuple(values) == classical.values else "MISMATCH"
-        from .qlft import geometric_attempts
-        import random as _random
-
-        attempts = [
-            geometric_attempts(run.success_probability, _random.Random(seed + t))
-            for t in range(trials)
-        ]
-        empirical = (
-            first_attempt_successes(run.success_probability, trials, seed) / trials
-        )
+        attempts, empirical = _retry_stats(run.success_probability, trials, seed)
+    values = tuple(lab.get("fstar") for lab, _ in run.final_state.entries)
+    verification = "MATCH" if values == classical.values else "MISMATCH"
     doc = {
         "command": "qlft",
         "mode": args.mode,
@@ -251,7 +239,7 @@ def _qlft_1d(args, instance: FunctionSpec, seed: int, trials: int) -> dict:
         "mean_attempts": sum(attempts) / len(attempts),
         "empirical_acceptance": empirical,
         "verification": verification,
-        "step_trace": _trace_records(run),
+        "step_trace": step_records(run),
     }
     if args.omega:
         enc = digital_to_analog(run.final_state if args.mode == "regular" else _as_j_state(run))
@@ -262,8 +250,6 @@ def _qlft_1d(args, instance: FunctionSpec, seed: int, trials: int) -> dict:
 
 def _as_j_state(run):
     # adaptive runs label by i; rename for the analog conversion
-    from .qstate import BasisLabel
-
     return run.final_state.map_labels(
         lambda lab: BasisLabel(regs=(("j", lab.get("i")), ("fstar", lab.get("fstar"))))
     )
@@ -282,17 +268,8 @@ def _qlft_nd(args, instance: TensorSamples, seed: int, trials: int) -> dict:
         else:
             ks = list(instance.grid.shape)
         run = run_qlft_nd_regular(instance, ks=ks, rng_seed=seed, strict_pow2=args.strict_pow2)
-        from .qlft import geometric_attempts
-        import random as _random
-
         if run.success_probability > 0:
-            attempts = [
-                geometric_attempts(run.success_probability, _random.Random(seed + t))
-                for t in range(trials)
-            ]
-            empirical = (
-                first_attempt_successes(run.success_probability, trials, seed) / trials
-            )
+            attempts, empirical = _retry_stats(run.success_probability, trials, seed)
         else:
             attempts = [0] * trials
             empirical = 0.0
@@ -310,7 +287,7 @@ def _qlft_nd(args, instance: TensorSamples, seed: int, trials: int) -> dict:
         "verification": run.verification.status,
         "verification_missing": len(run.verification.missing),
         "verification_value_mismatches": len(run.verification.value_mismatches),
-        "step_trace": _trace_records(run),
+        "step_trace": step_records(run),
     }, run
 
 
@@ -336,7 +313,7 @@ def cmd_hardness(args) -> int:
             return _fail(f"dimension {args.d} exceeds cap {HARDNESS_DIM_CAP}", 2)
         seed = args.seed if args.seed is not None else _default_seed()
         z = _parse_z(args.z, args.d) if args.z else tuple(
-            __import__("random").Random(seed ^ 0x5EED).randint(0, 1) for _ in range(args.d)
+            random.Random(seed ^ 0x5EED).randint(0, 1) for _ in range(args.d)
         )
         if z is None:
             return _fail(f"--z must be a 0/1 string of length {args.d}", 1)

@@ -45,9 +45,17 @@ class EmptyAcceptance(LftError):
     """Acceptance set is empty; cannot happen for valid convex inputs."""
 
 
+class AcceptanceMismatch(LftError):
+    """Accepted (index, copy) pairs do not enumerate the dual grid."""
+
+
 class AllZeroValues(LftError):
     """Amplitude encoding undefined for an all-zero value vector."""
 
 
 class ZeroXi(LftError):
     """Rescaling undefined: the function is affine (no gradient jump)."""
+
+
+class RecoveryFailed(LftError):
+    """A hidden-string reduction did not reproduce its exact identity."""

@@ -7,7 +7,7 @@ list chosen from the gradient structure of the transformed function).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -152,23 +152,14 @@ class FunctionSpec:
 
 @dataclass(frozen=True)
 class GradientVector:
-    """Forward-difference gradients c_0..c_{n-2} with sentinel offsets.
-
-    The sentinels c_{-1} = c_0 - epsilon and c_{n-1} = c_{n-2} + epsilon
-    exist only as tie-break guards; every exported result is independent
-    of the chosen epsilon > 0.
-    """
+    """Forward-difference gradients c_0..c_{n-2}, nondecreasing."""
 
     c: tuple
-    epsilon: Fraction = field(default=Fraction(1))
     grid: Optional[RegularGrid] = None
 
     def __post_init__(self):
         vals = tuple(frac(v) if not isinstance(v, float) else v for v in self.c)
         object.__setattr__(self, "c", vals)
-        object.__setattr__(self, "epsilon", frac(self.epsilon))
-        if self.epsilon <= 0:
-            raise ValueError("sentinel offset epsilon must be positive")
         if len(vals) < 2:
             raise DegenerateGrid("need at least two discrete gradients")
         if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
@@ -178,16 +169,6 @@ class GradientVector:
     def n(self) -> int:
         """Number of primal points of the underlying function."""
         return len(self.c) + 1
-
-    @property
-    def below(self) -> Fraction:
-        """Sentinel c_{-1}."""
-        return self.c[0] - self.epsilon
-
-    @property
-    def above(self) -> Fraction:
-        """Sentinel c_{n-1}."""
-        return self.c[-1] + self.epsilon
 
     @property
     def lo(self) -> Fraction:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ZeroXi
+from .errors import RecoveryFailed, ZeroXi
 from .grids import DualGrid, FunctionSpec, RegularGrid
 from .multi import RatTensor, TensorSamples, lft_nd_brute
 from .fixtures import hypercube_grid
@@ -90,10 +90,12 @@ def recover_via_point_queries(inst: HiddenStringInstance) -> tuple[int, ...]:
         samples = inst.sample_tensor()
         res = lft_nd_brute(samples, [unit_vector(inst.d, j)])
         value = res.values.flat[0]
-        assert value in (0, 1), f"conjugate at e_j must be a bit, got {value}"
+        if value not in (0, 1):
+            raise RecoveryFailed(f"conjugate at e_{j} must be a bit, got {value}")
         bits.append(int(value))
     recovered = tuple(bits)
-    assert recovered == inst.z, "conjugate identity failed to reveal the string"
+    if recovered != inst.z:
+        raise RecoveryFailed("conjugate identity failed to reveal the string")
     return recovered
 
 
@@ -145,7 +147,8 @@ def _solve_binary_system(rows: list[tuple[int, ...]], rhs: list[Fraction], d: in
         pivots = [c for c in range(d) if row[c] != 0]
         if len(pivots) == 1 and row[pivots[0]] == 1:
             solution[pivots[0]] = row[d]
-    assert all(v is not None for v in solution)
+    if any(v is None for v in solution):
+        raise RecoveryFailed("full-rank system left a coordinate unsolved")
     return solution, rank
 
 

@@ -149,24 +149,22 @@ def dump_document(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def step_records(run) -> list[dict]:
+    """One JSON-ready record per simulator step."""
+    return [
+        {
+            "step": rec.name,
+            "labels": rec.label_count,
+            "norm": format_rational(rec.norm_sq),
+            "acceptance": None if rec.acceptance is None else format_rational(rec.acceptance),
+        }
+        for rec in run.step_trace
+    ]
+
+
 def transcript_jsonl(run) -> str:
     """Line-delimited step log: one record per simulator step."""
-    lines = []
-    for rec in run.step_trace:
-        lines.append(
-            json.dumps(
-                {
-                    "step": rec.name,
-                    "labels": rec.label_count,
-                    "norm": format_rational(rec.norm_sq),
-                    "acceptance": None
-                    if rec.acceptance is None
-                    else format_rational(rec.acceptance),
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join(json.dumps(rec, sort_keys=True) for rec in step_records(run)) + "\n"
 
 
 def document_to_csv(doc: dict) -> str:

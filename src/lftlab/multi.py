@@ -136,12 +136,7 @@ class TensorSamples:
             if self.grid.shape[axis] < 3:
                 continue
             for comp in self.values.complements(axis):
-                line = self.values.line(axis, comp)
-                for i in range(1, len(line) - 1):
-                    if line[i + 1] - 2 * line[i] + line[i - 1] < 0:
-                        raise NonConvexSlice(
-                            f"axis {axis} line at {comp} is not discretely convex"
-                        )
+                _require_line_convex(self.values.line(axis, comp), axis, comp)
 
 
 @dataclass(frozen=True)

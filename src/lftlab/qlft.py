@@ -19,9 +19,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .errors import (
+    AcceptanceMismatch,
     AllZeroValues,
     EmptyAcceptance,
     MalformedState,
@@ -123,7 +125,7 @@ def attach_gradients(state: QState) -> QState:
     return state.map_labels(add)
 
 
-def _gather_gradients(state: QState, epsilon: Fraction) -> GradientVector:
+def _gather_gradients(state: QState) -> GradientVector:
     """Reassemble c_0..c_{n-2} from the branch gradient registers."""
     state.require_regs("i", "c_hi")
     n = len(state)
@@ -134,7 +136,17 @@ def _gather_gradients(state: QState, epsilon: Fraction) -> GradientVector:
             c[i] = lab.get("c_hi")
     if any(v is None or v == UNDEFINED for v in c):
         raise MalformedState("gradient registers are incomplete")
-    return GradientVector(c=tuple(c), epsilon=epsilon)
+    return GradientVector(c=tuple(c))
+
+
+def centered_dual(c_lo, c_hi):
+    """A branch's centered adaptive dual point from its two local gradients;
+    a boundary branch, whose missing gradient is UNDEFINED, takes the other."""
+    if c_lo == UNDEFINED:
+        return c_hi
+    if c_hi == UNDEFINED:
+        return c_lo
+    return (c_lo + c_hi) / 2
 
 
 def geometric_attempts(p: Fraction, rng: random.Random) -> int:
@@ -156,21 +168,16 @@ def indicator_postselect(
     The success branch holds exactly K labels, renormalized to a uniform
     superposition and relabeled by dual index with optimizer registers.
     """
-    eps = dual.gamma_s if (dual.kind == "regular" and dual.gamma_s > 0) else frac(1)
-    g = _gather_gradients(state, eps)
-    counts = assignment_counts(g, dual)
-    w = max(counts)
-    firsts: dict[int, int] = {}
-    acc = 0
-    for i, cnt in enumerate(counts):
-        firsts[i] = acc
-        acc += cnt
-    if acc == 0:
+    counts = assignment_counts(_gather_gradients(state), dual)
+    firsts = list(accumulate(counts, initial=0))
+    accepted = firsts[-1]
+    if accepted == 0:
         raise EmptyAcceptance("no (index, copy) pair is accepted")
+    if accepted != dual.k:
+        raise AcceptanceMismatch(f"{accepted} accepted pairs for {dual.k} dual points")
+    w = max(counts)
     n = len(state)
     expanded = n * w
-    accepted = sum(counts)
-    assert accepted == dual.k, "acceptance set must enumerate the dual grid"
     success = Fraction(accepted, expanded)
 
     kept = []
@@ -243,7 +250,7 @@ def run_qlft_1d_regular(
     state = attach_gradients(state)
     _trace(steps, "gradients", state)
     if dual is None:
-        g = _gather_gradients(state, frac(1))
+        g = _gather_gradients(state)
         dual = regular_dual_grid(nontrivial_dual_range(g), k)
     state, post = indicator_postselect(state, dual, rng_seed=rng_seed)
     _trace(steps, "postselect", state, acceptance=post.success_probability)
@@ -273,13 +280,7 @@ def run_qlft_1d_adaptive(f: FunctionSpec, strict_pow2: bool = False) -> SimRun:
     _trace(steps, "gradients", state)
 
     def pick_dual(lab: BasisLabel) -> BasisLabel:
-        c_lo, c_hi = lab.get("c_lo"), lab.get("c_hi")
-        if c_lo == UNDEFINED:
-            s = c_hi
-        elif c_hi == UNDEFINED:
-            s = c_lo
-        else:
-            s = (c_lo + c_hi) / 2
+        s = centered_dual(lab.get("c_lo"), lab.get("c_hi"))
         return label(("i", lab.get("i")), ("x", lab.get("x")), ("f", lab.get("f")), ("s", s))
 
     state = state.map_labels(pick_dual)

@@ -26,11 +26,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, product
 from typing import Optional, Sequence
 
-from .errors import InvalidK
+from .errors import InvalidK, NonConvexSlice, NotPowerOfTwo
 from .grids import DualGrid
-from .errors import NonConvexSlice
 from .multi import (
     RatTensor,
     TensorSamples,
@@ -42,9 +42,10 @@ from .multi import (
     _assign_line,
     _line_gradients,
 )
-from .qlft import SimRun, StepRecord, geometric_attempts
+from .qlft import SimRun, StepRecord, centered_dual, geometric_attempts, is_power_of_two
 from .qstate import UNDEFINED, BasisLabel, QState
-from .transform import regular_dual_grid
+from .rational import over_common_denominator
+from .transform import _rule_counts, regular_dual_grid
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -107,20 +108,25 @@ def _initial_branches(f: TensorSamples) -> list[_Branch]:
 
 
 def _slice_counts(values: RatTensor, axis: int, gamma, dual: DualGrid):
-    """Acceptance counts and first dual indices per line of one axis."""
+    """Acceptance counts and first dual indices per line of one axis.
+
+    A nested pass can leave a line discretely nonconvex, where the 1D
+    rule's counts do not apply; such a line follows the point-by-point
+    assignment ``axis_transform`` makes.
+    """
     out = {}
     for comp in values.complements(axis):
         line = values.line(axis, comp)
-        c = _line_gradients(line, gamma)
-        counts = [0] * len(line)
-        for j in range(dual.k):
-            counts[_assign_line(c, dual.point(j))] += 1
-        firsts = []
-        acc = 0
-        for cnt in counts:
-            firsts.append(acc)
-            acc += cnt
-        out[comp] = (counts, firsts)
+        nums, den = over_common_denominator(line)
+        diffs = [b - a for a, b in zip(nums, nums[1:])]
+        if all(a <= b for a, b in zip(diffs, diffs[1:])):
+            counts = _rule_counts(diffs, 1 / (den * gamma), dual)
+        else:
+            c = _line_gradients(line, gamma)
+            counts = [0] * len(line)
+            for s in dual.points():
+                counts[_assign_line(c, s)] += 1
+        out[comp] = (counts, list(accumulate(counts, initial=0)))
     return out
 
 
@@ -197,22 +203,10 @@ def _run_nd(
             new_branches = []
             for br in branches:
                 i = br.coords[axis]
-                lo_v = br.row(axis, -1)
-                hi_v = br.row(axis, 1)
-                if lo_v == UNDEFINED:
-                    c_lo = None
-                else:
-                    c_lo = (br.center - lo_v) / gamma
-                if hi_v == UNDEFINED:
-                    c_hi = None
-                else:
-                    c_hi = (hi_v - br.center) / gamma
-                if c_lo is None:
-                    s = c_hi
-                elif c_hi is None:
-                    s = c_lo
-                else:
-                    s = (c_lo + c_hi) / 2
+                lo_v, hi_v = br.row(axis, -1), br.row(axis, 1)
+                c_lo = UNDEFINED if lo_v == UNDEFINED else (br.center - lo_v) / gamma
+                c_hi = UNDEFINED if hi_v == UNDEFINED else (hi_v - br.center) / gamma
+                s = centered_dual(c_lo, c_hi)
                 new_branches.append(_advance(br, axis, i, i, s, f, m=None))
             pass_accepts.append(Fraction(1))
             branches = sorted(new_branches, key=lambda b: b.coords)
@@ -309,14 +303,12 @@ def _verify(f, mode, duals, final_state, rng_seed) -> VerificationReport:
         # the brute evaluation over the same product dual set is the total
         # oracle (it equals the nested classical transform wherever that one
         # is defined, and never refuses an instance)
-        from itertools import product as _product
-
         shape = tuple(g.k for g in duals)
         pts = product_dual_points(duals)
         brute = lft_nd_brute(f, pts)
         expect = {
             idx: brute.values.flat[pos]
-            for pos, idx in enumerate(_product(*(range(s) for s in shape)))
+            for pos, idx in enumerate(product(*(range(s) for s in shape)))
         }
         got = {lab.get("j"): lab.get("fstar") for lab, _ in entries}
     else:
@@ -357,6 +349,12 @@ def _verify(f, mode, duals, final_state, rng_seed) -> VerificationReport:
     )
 
 
+def _require_pow2(sizes) -> None:
+    for n in sizes:
+        if not is_power_of_two(n):
+            raise NotPowerOfTwo(f"size {n} is not a power of two")
+
+
 def run_qlft_nd_regular(
     f: TensorSamples,
     ks: Sequence[int],
@@ -374,24 +372,12 @@ def run_qlft_nd_regular(
     if any(k < 2 for k in ks):
         raise InvalidK("need k >= 2 per axis")
     if strict_pow2:
-        from .qlft import is_power_of_two
-
-        for n in list(f.grid.shape) + list(ks):
-            if not is_power_of_two(n):
-                from .errors import NotPowerOfTwo
-
-                raise NotPowerOfTwo(f"size {n} is not a power of two")
+        _require_pow2((*f.grid.shape, *ks))
     return _run_nd(f, rng_seed, "regular", ks=tuple(ks))
 
 
 def run_qlft_nd_adaptive(f: TensorSamples, strict_pow2: bool = False) -> SimRun:
     """Deterministic nested adaptive passes with the same verification contract."""
     if strict_pow2:
-        from .qlft import is_power_of_two
-
-        for n in f.grid.shape:
-            if not is_power_of_two(n):
-                from .errors import NotPowerOfTwo
-
-                raise NotPowerOfTwo(f"size {n} is not a power of two")
+        _require_pow2(f.grid.shape)
     return _run_nd(f, 0, "adaptive")

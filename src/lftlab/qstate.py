@@ -61,9 +61,6 @@ class BasisLabel:
     def reg_names(self) -> tuple[str, ...]:
         return tuple(k for k, _ in self.regs)
 
-    def without_garbage(self) -> "BasisLabel":
-        return BasisLabel(regs=self.regs)
-
 
 def label(*regs: tuple[str, Word], garbage: tuple = ()) -> BasisLabel:
     return BasisLabel(regs=tuple(regs), garbage=tuple(garbage))

@@ -1,16 +1,18 @@
 """Exact rational helpers.
 
-All core computations run on ``fractions.Fraction`` so that optimizer
-selection, which compares gradients against dual points with a half-open
-rule, never suffers rounding. Serialized documents write rationals as
-"p/q" strings; floats are accepted only where a caller explicitly opts
-into the float mode (see ``FLOAT_ABS_TOL``).
+The 1D kernel holds samples and grids as Python ints over one shared
+denominator (``over_common_denominator``), so the half-open optimizer
+rule never suffers rounding; ``fractions.Fraction`` appears only at the
+API boundary. Serialized documents write rationals as "p/q" strings;
+floats are accepted only where a caller explicitly opts into the float
+mode (see ``FLOAT_ABS_TOL``) and enter the kernel by exact conversion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import Sequence, Union
 
 Rational = Union[Fraction, int]
 Number = Union[Fraction, int, float]
@@ -33,6 +35,14 @@ def frac(value: Number | str) -> Fraction:
         # pass a string instead
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def over_common_denominator(values: Sequence[Number]) -> tuple[list[int], int]:
+    """``(nums, den)`` with values[i] == nums[i] / den, den the lcm of the
+    denominators; floats convert exactly."""
+    exact = [Fraction(v) if isinstance(v, float) else v for v in values]
+    den = lcm(*[v.denominator for v in exact])
+    return [v.numerator * (den // v.denominator) for v in exact], den
 
 
 def format_rational(value: Number) -> str:

@@ -5,17 +5,25 @@ rule: x*_j is the grid point x_i whose gradient interval (c_{i-1}, c_i]
 contains s_j, with dual points at or below c_0 pinned to x_0 and points
 at or above c_{n-2} pinned to x_{n-1}. The brute-force evaluation of the
 defining maximum is kept alongside as the independent oracle.
+
+The fast path runs on ints over shared denominators (see ``rational``):
+one count function (``_rule_counts``) gives the rule's multiplicities
+without a sweep over the dual points, and each value s_j x_i - f_i is one
+integer numerator, made a ``Fraction`` only when the result is returned.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
+from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .errors import DegenerateGrid, InvalidK, OutOfRangeDual
+from .errors import DegenerateGrid, InvalidK, NonConvexInput, OutOfRangeDual
 from .grids import DualGrid, FunctionSpec, GradientVector, RegularGrid
-from .rational import Number, frac
+from .rational import Number, frac, over_common_denominator
 
 ADAPTIVE_VARIANTS = ("centered", "right", "left")
 
@@ -32,14 +40,29 @@ class ConjugateResult:
         return tuple(zip(self.dual.points(), self.values))
 
 
-def discrete_gradients(f: FunctionSpec, epsilon: Number = 1) -> GradientVector:
-    """Forward differences (f(x_{i+1}) - f(x_i)) / gamma_x for all i."""
+def _integer_core(f: FunctionSpec) -> tuple[list[int], int, list[int], Fraction]:
+    """Checked samples on ints: f_i = nums[i] / den, c_i = diffs[i] * unit.
+
+    Float samples pass the tolerance check on the floats first, then
+    convert exactly; the integer differences must be nondecreasing.
+    """
     if f.n < 3:
         raise DegenerateGrid(f"need n >= 3 primal points, got {f.n}")
-    f.require_convex()
-    gamma = f.grid.gamma
-    c = tuple((f.samples[i + 1] - f.samples[i]) / gamma for i in range(f.n - 1))
-    return GradientVector(c=c, epsilon=frac(epsilon), grid=f.grid)
+    if not f.exact:
+        f.require_convex()
+    nums, den = over_common_denominator(f.samples)
+    diffs = [b - a for a, b in zip(nums, nums[1:])]
+    bend = min(b - a for a, b in zip(diffs, diffs[1:]))
+    if bend < 0:
+        raise NonConvexInput(f"second differences go negative (min {Fraction(bend, den)})")
+    return nums, den, diffs, 1 / (den * f.grid.gamma)
+
+
+def discrete_gradients(f: FunctionSpec) -> GradientVector:
+    """Forward differences (f(x_{i+1}) - f(x_i)) / gamma_x for all i."""
+    _, _, diffs, unit = _integer_core(f)
+    u, w = unit.as_integer_ratio()
+    return GradientVector(c=tuple(Fraction(d * u, w) for d in diffs), grid=f.grid)
 
 
 def nontrivial_dual_range(g: GradientVector) -> tuple[Fraction, Fraction]:
@@ -62,21 +85,66 @@ def regular_dual_grid(rng: tuple[Number, Number], k: int) -> DualGrid:
     return DualGrid(s0=lo, gamma_s=gamma_s, k=k, kind="regular")
 
 
+def _dual_integers(dual: DualGrid) -> tuple[list[int], int]:
+    """Dual points as ints over one denominator: s_j = nums[j] / den."""
+    if dual.kind == "adaptive":
+        return over_common_denominator(dual.explicit)
+    (s0, step), den = over_common_denominator((dual.s0, dual.gamma_s))
+    return [s0 + j * step for j in range(dual.k)], den
+
+
+def _rule_counts(diffs: Sequence[int], unit: Fraction, dual: DualGrid) -> list[int]:
+    """Dual points per primal index under the clamped half-open gradient rule.
+
+    s goes to 0 when s <= c_0, else to n-1 when s >= c_{n-2}, else to the
+    i with c_{i-1} < s <= c_i, for nondecreasing c_i = diffs[i] * unit.
+    With N<=(t), N<(t) the numbers of dual points at most and below t and
+    top = max(N<(c_{n-2}), N<=(c_0)): index 0 gets N<=(c_0), index n-1
+    gets K - top, interior i gets min(N<=(c_i), top) - N<=(c_{i-1}) clamped
+    at 0. N<= and N< come by floor and ceil division on a regular grid with
+    positive spacing, else by a monotone merge with the sorted points.
+    """
+    k, u, w = dual.k, unit.numerator, unit.denominator
+    if dual.kind == "regular" and dual.gamma_s:
+        # s_j <= t  <=>  j <= (t - s0) / gamma_s; with t = d*u/w, s0 = a/b
+        # and gamma_s = p/q that quotient is (d*u*b*q - a*w*q) / (w*b*p)
+        (a, b), (p, q) = dual.s0.as_integer_ratio(), dual.gamma_s.as_integer_ratio()
+        scale, shift, div = u * b * q, a * w * q, w * b * p
+        at_most = [min(max((d * scale - shift) // div + 1, 0), k) for d in diffs]
+        below_top = min(max(-((shift - diffs[-1] * scale) // div), 0), k)
+    else:
+        # s_j <= t  <=>  nums[j] * w <= d * u * den
+        nums, den = _dual_integers(dual)
+        points = [s * w for s in nums]
+        at_most, pos = [], 0
+        for d in diffs:
+            pos = bisect_right(points, d * u * den, pos)
+            at_most.append(pos)
+        below_top = bisect_left(points, diffs[-1] * u * den)
+    top = max(below_top, at_most[0])
+    inner = [max(0, min(hi, top) - lo) for lo, hi in zip(at_most, at_most[1:])]
+    return [at_most[0], *inner, k - top]
+
+
+def _gradient_counts(c: Sequence, dual: DualGrid) -> list[int]:
+    """``_rule_counts`` for nondecreasing exact gradients ``c``."""
+    nums, den = over_common_denominator(c)
+    return _rule_counts(nums, Fraction(1, den), dual)
+
+
+def _repeat_indices(counts: Sequence[int]) -> tuple[int, ...]:
+    return tuple(chain.from_iterable(repeat(i, c) for i, c in enumerate(counts)))
+
+
+def _require_in_range(lo: Fraction, hi: Fraction, dual: DualGrid) -> None:
+    if dual.lo < lo or dual.hi > hi:
+        s = next(s for s in dual.points() if s < lo or s > hi)
+        raise OutOfRangeDual(f"dual point {s} outside [{lo}, {hi}]; clamp to proceed")
+
+
 def assign_optimizer(g: GradientVector, s: Fraction) -> int:
-    """Optimizer index for a single dual point inside [c_0, c_{n-2}]."""
-    if s <= g.lo:
-        return 0
-    if s >= g.hi:
-        return g.n - 1
-    # smallest i with s <= c_i; then c_{i-1} < s holds by minimality
-    lo, hi = 0, len(g.c) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if g.c[mid] >= s:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    """Optimizer index for a single dual point (pinned outside [c_0, c_{n-2}])."""
+    return optimizer_map(g, DualGrid.from_points([s]), clamp=True)[0]
 
 
 def optimizer_map(
@@ -88,89 +156,72 @@ def optimizer_map(
     unless ``clamp`` is set, in which case they pin to the boundary
     optimizers (the trivial dual region).
     """
-    points = dual.points()
     if not clamp:
-        for s in points:
-            if s < g.lo or s > g.hi:
-                raise OutOfRangeDual(
-                    f"dual point {s} outside [{g.lo}, {g.hi}]; clamp to proceed"
-                )
-    out = []
-    i = 0
-    top = len(g.c) - 1
-    for s in points:
-        if s <= g.lo:
-            out.append(0)
-            continue
-        if s >= g.hi:
-            out.append(g.n - 1)
-            continue
-        while i < top and g.c[i] < s:
-            i += 1
-        out.append(i)
-    return tuple(out)
+        _require_in_range(g.lo, g.hi, dual)
+    return _repeat_indices(_gradient_counts(g.c, dual))
 
 
-def _conjugate_from_assignment(
-    f: FunctionSpec, dual: DualGrid, idx: Sequence[int]
-) -> ConjugateResult:
-    xs = f.grid
-    values = tuple(
-        dual.point(j) * xs.point(i) - f.samples[i] for j, i in enumerate(idx)
-    )
-    return ConjugateResult(dual=dual, values=values, optimizer_index=tuple(idx))
+def _conjugate_values(f_nums, f_den, grid, s_nums, s_den, idx) -> tuple[Fraction, ...]:
+    """s_j x_i - f_i for i = idx[j], with f_i = f_nums[i] / f_den and
+    s_j = s_nums[j] / s_den: integer numerators over one shared denominator,
+    made Fractions only on return."""
+    (x0, step), x_den = over_common_denominator((grid.x0, grid.gamma))
+    den = lcm(s_den * x_den, f_den)
+    xa, fb = den // (s_den * x_den), den // f_den
+    xs = [(x0 + i * step) * xa for i in range(grid.n)]
+    fs = [v * fb for v in f_nums]
+    return tuple(Fraction(s * xs[i] - fs[i], den) for s, i in zip(s_nums, idx))
 
 
-def lft_regular(
-    f: FunctionSpec,
-    dual: DualGrid,
-    epsilon: Optional[Number] = None,
-    clamp: bool = False,
-) -> ConjugateResult:
+def lft_regular(f: FunctionSpec, dual: DualGrid, clamp: bool = False) -> ConjugateResult:
     """Linear-time transform on a sorted regular dual grid."""
-    eps = epsilon if epsilon is not None else (dual.gamma_s if dual.gamma_s > 0 else 1)
-    g = discrete_gradients(f, eps)
-    idx = optimizer_map(g, dual, clamp=clamp)
-    return _conjugate_from_assignment(f, dual, idx)
+    nums, den, diffs, unit = _integer_core(f)
+    if not clamp:
+        _require_in_range(diffs[0] * unit, diffs[-1] * unit, dual)
+    idx = _repeat_indices(_rule_counts(diffs, unit, dual))
+    values = _conjugate_values(nums, den, f.grid, *_dual_integers(dual), idx)
+    return ConjugateResult(dual=dual, values=values, optimizer_index=idx)
+
+
+def _adaptive_doubled(c: Sequence, variant: str) -> list:
+    """Twice the adaptive dual points, from gradients of any exact type."""
+    if variant not in ADAPTIVE_VARIANTS:
+        raise ValueError(f"unknown adaptive variant {variant!r}")
+    if variant == "centered":
+        return [2 * c[0], *(a + b for a, b in zip(c, c[1:])), 2 * c[-1]]
+    if variant == "right":
+        return [2 * v for v in (*c, c[-1])]
+    return [2 * v for v in (c[0], *c)]
 
 
 def adaptive_dual_points(g: GradientVector, variant: str = "centered") -> tuple:
     """Adaptive dual points with one point per primal index (k = n).
 
-    The boundary midpoints collapse onto c_0 and c_{n-2}; this keeps every
-    output independent of the sentinel offset.
+    The boundary midpoints collapse onto c_0 and c_{n-2}, so every point
+    lies in the nontrivial range.
     """
-    if variant not in ADAPTIVE_VARIANTS:
-        raise ValueError(f"unknown adaptive variant {variant!r}")
-    c = g.c
-    n = g.n
-    if variant == "centered":
-        pts = [c[0]]
-        pts += [(c[i - 1] + c[i]) / 2 for i in range(1, n - 1)]
-        pts.append(c[-1])
-    elif variant == "right":
-        pts = list(c) + [c[-1]]
-    else:  # left
-        pts = [c[0]] + list(c)
-    return tuple(pts)
+    return tuple(v / 2 for v in _adaptive_doubled(g.c, variant))
 
 
-def lft_adaptive(
-    f: FunctionSpec, variant: str = "centered", epsilon: Number = 1
-) -> ConjugateResult:
+def lft_adaptive(f: FunctionSpec, variant: str = "centered") -> ConjugateResult:
     """Adaptive-dual transform; each dual point's optimizer is its own index."""
-    g = discrete_gradients(f, epsilon)
-    pts = adaptive_dual_points(g, variant)
-    dual = DualGrid.from_points(pts, kind="adaptive")
+    nums, den, diffs, unit = _integer_core(f)
+    u, w = (unit / 2).as_integer_ratio()
+    s_nums = [d * u for d in _adaptive_doubled(diffs, variant)]
+    dual = DualGrid.from_points([Fraction(s, w) for s in s_nums], kind="adaptive")
     idx = tuple(range(f.n))
-    return _conjugate_from_assignment(f, dual, idx)
+    values = _conjugate_values(nums, den, f.grid, s_nums, w, idx)
+    return ConjugateResult(dual=dual, values=values, optimizer_index=idx)
 
 
 def lft_brute(f: FunctionSpec, dual: DualGrid) -> ConjugateResult:
     """Exhaustive max over all primal points; the oracle for everything else.
 
     Accepts nonconvex samples. Ties resolve to the smallest maximizing
-    index, matching the half-open gradient rule.
+    index. On convex samples that agrees with the half-open gradient rule
+    except at s = c_{n-2} > c_0: the rule pins n-1 there, while this
+    returns the first i with c_i = c_{n-2} (n-2 unless the top gradient
+    repeats). Both indices attain the same value.
     """
     xs = f.grid.points()
     values = []
@@ -211,9 +262,5 @@ def convergence_gap(
     dual: DualGrid,
 ) -> Fraction:
     """max_j |cc(s_j) - f*(s_j)| against a known closed-form conjugate."""
-    discrete = lft_regular(f, dual)
-    gap = Fraction(0)
-    for j in range(dual.k):
-        diff = continuous_conjugate(dual.point(j)) - discrete.values[j]
-        gap = max(gap, abs(diff))
-    return gap
+    pairs = lft_regular(f, dual).pairs()
+    return max(Fraction(0), *(abs(continuous_conjugate(s) - v) for s, v in pairs))

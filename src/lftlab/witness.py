@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 from typing import Optional
 
-from .errors import IndexOutOfRange, ZeroSpacing
+from .errors import EmptyAcceptance, IndexOutOfRange, ZeroSpacing
 from .grids import DualGrid, GradientVector
-from .transform import optimizer_map
+from .rational import over_common_denominator
+from .transform import _gradient_counts, _rule_counts
 
 
 @dataclass(frozen=True)
@@ -31,17 +31,7 @@ class WitnessReport:
 
 def assignment_counts(g: GradientVector, dual: DualGrid) -> tuple[int, ...]:
     """How many dual points each primal index optimizes (clamped rule)."""
-    counts = [0] * g.n
-    for i in optimizer_map(g, dual, clamp=True):
-        counts[i] += 1
-    return tuple(counts)
-
-
-def _first_dual_indices(g: GradientVector, dual: DualGrid) -> dict[int, int]:
-    first: dict[int, int] = {}
-    for j, i in enumerate(optimizer_map(g, dual, clamp=True)):
-        first.setdefault(i, j)
-    return first
+    return tuple(_gradient_counts(g.c, dual))
 
 
 def witness_params(
@@ -53,13 +43,15 @@ def witness_params(
     """Sharing parameter, slope ratio, and exact success probability K/(N W)."""
     if dual.kind == "regular" and dual.gamma_s == 0:
         raise ZeroSpacing("witness parameters need a positive dual spacing")
-    counts = assignment_counts(g, dual)
-    w = max(counts)
-    assert w >= 1
+    nums, den = over_common_denominator(g.c)
+    w = max(_rule_counts(nums, Fraction(1, den), dual))
+    if w < 1:
+        raise EmptyAcceptance("no primal index optimizes any dual point")
     w_floor = None
     if dual.kind == "regular":
-        jump = max(g.c[i] - g.c[i - 1] for i in range(1, len(g.c)))
-        w_floor = floor(jump / dual.gamma_s)
+        # floor((largest gradient jump) / gamma_s), the jump held over den
+        jump = max(b - a for a, b in zip(nums, nums[1:]))
+        w_floor = (jump * dual.gamma_s.denominator) // (den * dual.gamma_s.numerator)
     if g.grid is None:
         raise ValueError("gradient vector lacks its primal grid")
     span = g.grid.hi - g.grid.x0
@@ -73,6 +65,20 @@ def witness_params(
     )
 
 
+def _slot(i: int, m: int, g: GradientVector, dual: DualGrid) -> tuple[int, int]:
+    """First dual index and count of primal index i, in O(1) on a regular
+    grid: both depend only on c_0, c_{i-1}, c_i and c_{n-2}, so the rule
+    runs on that sub-vector, where index i sits at position 0, 2 or 4."""
+    if not 0 <= i < g.n:
+        raise IndexOutOfRange(f"index {i} outside [0, {g.n})")
+    if m < 0:
+        raise IndexOutOfRange(f"copy slot m must be nonnegative, got {m}")
+    c = g.c
+    pos = 0 if i == 0 else 4 if i == g.n - 1 else 2
+    counts = _gradient_counts((c[0], c[max(i - 1, 0)], c[min(i, len(c) - 1)], c[-1]), dual)
+    return sum(counts[:pos]), counts[pos]
+
+
 def in_acceptance_set(i: int, m: int, g: GradientVector, dual: DualGrid) -> bool:
     """True when copy m of index i corresponds to some dual point.
 
@@ -83,11 +89,7 @@ def in_acceptance_set(i: int, m: int, g: GradientVector, dual: DualGrid) -> bool
     floor((c_i - c_{i-1})/gamma_s) >= m+1 for interior i with the two
     boundary (m = 0) slots added.
     """
-    if not 0 <= i < g.n:
-        raise IndexOutOfRange(f"index {i} outside [0, {g.n})")
-    if m < 0:
-        raise IndexOutOfRange(f"copy slot m must be nonnegative, got {m}")
-    return m < assignment_counts(g, dual)[i]
+    return m < _slot(i, m, g, dual)[1]
 
 
 def dual_index(i: int, m: int, g: GradientVector, dual: DualGrid) -> Optional[int]:
@@ -97,12 +99,5 @@ def dual_index(i: int, m: int, g: GradientVector, dual: DualGrid) -> Optional[in
     copy of index i lands on the first dual point assigned to i, further
     copies on the following dual indices.
     """
-    if not 0 <= i < g.n:
-        raise IndexOutOfRange(f"index {i} outside [0, {g.n})")
-    if m < 0:
-        raise IndexOutOfRange(f"copy slot m must be nonnegative, got {m}")
-    counts = assignment_counts(g, dual)
-    if m >= counts[i]:
-        return None
-    first = _first_dual_indices(g, dual)
-    return first[i] + m
+    first, count = _slot(i, m, g, dual)
+    return first + m if m < count else None

@@ -1,9 +1,11 @@
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
 from lftlab import fixtures
-from lftlab.errors import ZeroXi
+from lftlab import hardness
+from lftlab.errors import RecoveryFailed, ZeroXi
 from lftlab.grids import FunctionSpec, RegularGrid
 from lftlab.hardness import (
     HiddenStringInstance,
@@ -47,6 +49,15 @@ class TestPointQueries:
         before = inst.query_counter
         inst.evaluate((0, 0))
         assert inst.query_counter == before + 1
+
+    @pytest.mark.parametrize("value", [F(1, 2), F(1)])
+    def test_broken_identity_raises(self, monkeypatch, value):
+        # a non-bit conjugate value, or a bit that disagrees with z, is an
+        # explicit error (it must not vanish under python -O)
+        fake = SimpleNamespace(values=SimpleNamespace(flat=(value,)))
+        monkeypatch.setattr(hardness, "lft_nd_brute", lambda samples, duals: fake)
+        with pytest.raises(RecoveryFailed):
+            recover_via_point_queries(HiddenStringInstance.for_point_queries((0,)))
 
 
 class TestSampling:

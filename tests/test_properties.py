@@ -104,22 +104,6 @@ def test_conjugate_discretely_convex(f, k):
         assert v[j + 1] - 2 * v[j] + v[j - 1] >= 0
 
 
-@given(
-    f=convex_specs(),
-    k=st.integers(2, 10),
-    eps_num=st.integers(1, 40),
-    eps_den=st.integers(1, 9),
-)
-@settings(max_examples=80, deadline=None)
-def test_sentinel_offset_never_changes_outputs(f, k, eps_num, eps_den):
-    _, dual = nondegenerate_dual(f, k)
-    eps = F(eps_num, eps_den)
-    assert lft_regular(f, dual, epsilon=eps) == lft_regular(f, dual, epsilon=F(1, 997))
-    assert lft_adaptive(f, "centered", epsilon=eps) == lft_adaptive(
-        f, "centered", epsilon=F(3)
-    )
-
-
 @given(f=convex_specs(), k=st.integers(2, 10))
 @settings(max_examples=80, deadline=None)
 def test_acceptance_bijection_and_composition(f, k):

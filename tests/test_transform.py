@@ -29,11 +29,6 @@ class TestDiscreteGradients:
         g = discrete_gradients(ex1)
         assert g.c == (F(-1, 2), F(0), F(1, 2), F(1))
 
-    def test_sentinels_track_epsilon(self, ex1):
-        g = discrete_gradients(ex1, epsilon=F(1, 7))
-        assert g.below == F(-1, 2) - F(1, 7)
-        assert g.above == F(1) + F(1, 7)
-
     def test_constant_function_all_zero(self):
         g = discrete_gradients(fixtures.constant(F(3, 4), n=5))
         assert g.c == (F(0),) * 4
@@ -137,12 +132,6 @@ class TestRegularTransform:
     def test_ex3_values(self, ex3):
         res = lft_regular(ex3, canonical_dual(ex3, 5))
         assert res.values == (F(0), F(1, 16), F(1, 8), F(5, 16), F(1, 2))
-
-    def test_epsilon_choice_never_changes_output(self, ex3):
-        dual = canonical_dual(ex3, 5)
-        a = lft_regular(ex3, dual, epsilon=F(1, 1000))
-        b = lft_regular(ex3, dual, epsilon=F(17))
-        assert a == b
 
     def test_constant_function_degenerate_dual(self):
         f = fixtures.constant(F(2, 3), n=4)

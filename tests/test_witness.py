@@ -59,8 +59,7 @@ def test_zero_spacing_rejected():
 def test_floor_formula_can_undercount_on_misaligned_gradients():
     # gradient jumps 0.9 / 1.2 / 0.9 against spacing 1: the middle interval
     # holds two dual points although floor(1.2/1) = 1
-    g = GradientVector(c=(F(0), F(9, 10), F(21, 10), F(3)), epsilon=F(1),
-                       grid=fixtures.unit_grid(5))
+    g = GradientVector(c=(F(0), F(9, 10), F(21, 10), F(3)), grid=fixtures.unit_grid(5))
     dual = regular_dual_grid((F(0), F(3)), 4)
     report = witness_params(g, dual)
     assert report.w_floor == 1
@@ -69,8 +68,7 @@ def test_floor_formula_can_undercount_on_misaligned_gradients():
 
 def test_floor_formula_can_overcount_on_flat_top():
     # top gradient repeats, so the last dual point is pinned to the boundary
-    g = GradientVector(c=(F(0), F(1), F(1)), epsilon=F(1),
-                       grid=fixtures.unit_grid(4))
+    g = GradientVector(c=(F(0), F(1), F(1)), grid=fixtures.unit_grid(4))
     dual = regular_dual_grid((F(0), F(1)), 3)
     report = witness_params(g, dual)
     assert report.w_floor == 2
