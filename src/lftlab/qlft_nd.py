@@ -44,8 +44,7 @@ from .multi import (
 )
 from .qlft import SimRun, StepRecord, centered_dual, geometric_attempts, is_power_of_two
 from .qstate import UNDEFINED, BasisLabel, QState
-from .rational import over_common_denominator
-from .transform import _rule_counts, regular_dual_grid
+from .transform import regular_dual_grid
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -108,24 +107,14 @@ def _initial_branches(f: TensorSamples) -> list[_Branch]:
 
 
 def _slice_counts(values: RatTensor, axis: int, gamma, dual: DualGrid):
-    """Acceptance counts and first dual indices per line of one axis.
-
-    A nested pass can leave a line discretely nonconvex, where the 1D
-    rule's counts do not apply; such a line follows the point-by-point
-    assignment ``axis_transform`` makes.
-    """
+    """Acceptance counts and first dual indices per line of one axis."""
     out = {}
     for comp in values.complements(axis):
         line = values.line(axis, comp)
-        nums, den = over_common_denominator(line)
-        diffs = [b - a for a, b in zip(nums, nums[1:])]
-        if all(a <= b for a, b in zip(diffs, diffs[1:])):
-            counts = _rule_counts(diffs, 1 / (den * gamma), dual)
-        else:
-            c = _line_gradients(line, gamma)
-            counts = [0] * len(line)
-            for s in dual.points():
-                counts[_assign_line(c, s)] += 1
+        c = _line_gradients(line, gamma)
+        counts = [0] * len(line)
+        for s in dual.points():
+            counts[_assign_line(c, s)] += 1
         out[comp] = (counts, list(accumulate(counts, initial=0)))
     return out
 

@@ -1,9 +1,10 @@
 """Exact rational helpers.
 
-The 1D kernel holds samples and grids as Python ints over one shared
-denominator (``over_common_denominator``), so the half-open optimizer
-rule never suffers rounding; ``fractions.Fraction`` appears only at the
-API boundary. Serialized documents write rationals as "p/q" strings;
+The 1D kernel holds samples, gradients and dual points as lists of
+numerators and denominators (``split``), so the half-open optimizer rule
+never suffers rounding and no integer grows with the number of elements;
+``fractions.Fraction`` appears only at the API boundary. Serialized
+documents write rationals as "p/q" strings;
 floats are accepted only where a caller explicitly opts into the float
 mode (see ``FLOAT_ABS_TOL``) and enter the kernel by exact conversion.
 """
@@ -11,10 +12,10 @@ mode (see ``FLOAT_ABS_TOL``) and enter the kernel by exact conversion.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Sequence, Union
+from typing import Iterable, Union
 
 Rational = Union[Fraction, int]
+Vec = tuple[list[int], list[int]]  # numerators, positive denominators
 Number = Union[Fraction, int, float]
 
 # Absolute tolerance used by the float mode when validating convexity of
@@ -37,12 +38,11 @@ def frac(value: Number | str) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def over_common_denominator(values: Sequence[Number]) -> tuple[list[int], int]:
-    """``(nums, den)`` with values[i] == nums[i] / den, den the lcm of the
-    denominators; floats convert exactly."""
-    exact = [Fraction(v) if isinstance(v, float) else v for v in values]
-    den = lcm(*[v.denominator for v in exact])
-    return [v.numerator * (den // v.denominator) for v in exact], den
+def split(values: Iterable[Number]) -> Vec:
+    """Numerators and positive denominators of the values; floats convert
+    exactly."""
+    exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    return [v.numerator for v in exact], [v.denominator for v in exact]
 
 
 def format_rational(value: Number) -> str:

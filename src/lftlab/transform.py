@@ -6,10 +6,12 @@ contains s_j, with dual points at or below c_0 pinned to x_0 and points
 at or above c_{n-2} pinned to x_{n-1}. The brute-force evaluation of the
 defining maximum is kept alongside as the independent oracle.
 
-The fast path runs on ints over shared denominators (see ``rational``):
-one count function (``_rule_counts``) gives the rule's multiplicities
-without a sweep over the dual points, and each value s_j x_i - f_i is one
-integer numerator, made a ``Fraction`` only when the result is returned.
+The fast path runs on Python ints: samples, gradients and dual points are
+held as lists of numerators and denominators (see ``rational.split``), so
+each integer is as wide as the element it holds. One count function (``_rule_counts``)
+gives the rule's multiplicities without a sweep over the dual points, and
+each value s_j x_i - f_i is one integer fraction, made a ``Fraction`` only
+when the result is returned.
 """
 
 from __future__ import annotations
@@ -17,13 +19,15 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import chain, repeat
-from math import lcm
-from typing import Callable, Optional, Sequence
+from math import gcd, lcm
+from operator import floordiv
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DegenerateGrid, InvalidK, NonConvexInput, OutOfRangeDual
 from .grids import DualGrid, FunctionSpec, GradientVector, RegularGrid
-from .rational import Number, frac, over_common_denominator
+from .rational import Number, Vec, frac, split
 
 ADAPTIVE_VARIANTS = ("centered", "right", "left")
 
@@ -40,29 +44,36 @@ class ConjugateResult:
         return tuple(zip(self.dual.points(), self.values))
 
 
-def _integer_core(f: FunctionSpec) -> tuple[list[int], int, list[int], Fraction]:
-    """Checked samples on ints: f_i = nums[i] / den, c_i = diffs[i] * unit.
+def _lowest(nums: list[int], dens: list[int]) -> Vec:
+    gs = list(map(gcd, nums, dens))
+    return list(map(floordiv, nums, gs)), list(map(floordiv, dens, gs))
 
-    Float samples pass the tolerance check on the floats first, then
-    convert exactly; the integer differences must be nondecreasing.
-    """
+
+def _slopes(v: Vec, step: Number) -> Vec:
+    """(v_{i+1} - v_i) / step in lowest terms, for step > 0."""
+    (p, q), (g, h) = v, step.as_integer_ratio()
+    nums = [(b * r - a * s) * h for a, r, b, s in zip(p, q, p[1:], q[1:])]
+    return _lowest(nums, [r * s * g for r, s in zip(q, q[1:])])
+
+
+def _gradients(f: FunctionSpec) -> Vec:
+    """The exact gradients c_i of ``f``, checked nondecreasing; float
+    samples pass the tolerance check on the floats first."""
     if f.n < 3:
         raise DegenerateGrid(f"need n >= 3 primal points, got {f.n}")
     if not f.exact:
         f.require_convex()
-    nums, den = over_common_denominator(f.samples)
-    diffs = [b - a for a, b in zip(nums, nums[1:])]
-    bend = min(b - a for a, b in zip(diffs, diffs[1:]))
-    if bend < 0:
-        raise NonConvexInput(f"second differences go negative (min {Fraction(bend, den)})")
-    return nums, den, diffs, 1 / (den * f.grid.gamma)
+    cn, cd = _slopes(split(f.samples), f.grid.gamma)
+    if any(a * d > b * e for a, e, b, d in zip(cn, cd, cn[1:], cd[1:])):
+        exact = [Fraction(v) for v in f.samples]
+        bad = min(u - 2 * v + w for u, v, w in zip(exact, exact[1:], exact[2:]))
+        raise NonConvexInput(f"second differences go negative (min {bad})")
+    return cn, cd
 
 
 def discrete_gradients(f: FunctionSpec) -> GradientVector:
     """Forward differences (f(x_{i+1}) - f(x_i)) / gamma_x for all i."""
-    _, _, diffs, unit = _integer_core(f)
-    u, w = unit.as_integer_ratio()
-    return GradientVector(c=tuple(Fraction(d * u, w) for d in diffs), grid=f.grid)
+    return GradientVector(c=tuple(map(Fraction, *_gradients(f))), grid=f.grid)
 
 
 def nontrivial_dual_range(g: GradientVector) -> tuple[Fraction, Fraction]:
@@ -85,66 +96,61 @@ def regular_dual_grid(rng: tuple[Number, Number], k: int) -> DualGrid:
     return DualGrid(s0=lo, gamma_s=gamma_s, k=k, kind="regular")
 
 
-def _dual_integers(dual: DualGrid) -> tuple[list[int], int]:
-    """Dual points as ints over one denominator: s_j = nums[j] / den."""
-    if dual.kind == "adaptive":
-        return over_common_denominator(dual.explicit)
-    (s0, step), den = over_common_denominator((dual.s0, dual.gamma_s))
-    return [s0 + j * step for j in range(dual.k)], den
+def _progression(start: Fraction, step: Fraction) -> tuple[int, int, int]:
+    """(a, p, den) with start + j*step == (a + j*p) / den for every j."""
+    (a, b), (p, q) = start.as_integer_ratio(), step.as_integer_ratio()
+    den = lcm(b, q)
+    return a * (den // b), p * (den // q), den
 
 
-def _rule_counts(diffs: Sequence[int], unit: Fraction, dual: DualGrid) -> list[int]:
+# orders (numerator, positive denominator) pairs by value
+_by_value = cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1])
+
+
+def _rule_counts(c: Vec, dual: DualGrid) -> list[int]:
     """Dual points per primal index under the clamped half-open gradient rule.
 
     s goes to 0 when s <= c_0, else to n-1 when s >= c_{n-2}, else to the
-    i with c_{i-1} < s <= c_i, for nondecreasing c_i = diffs[i] * unit.
-    With N<=(t), N<(t) the numbers of dual points at most and below t and
+    i with c_{i-1} < s <= c_i, for nondecreasing exact gradients c. With
+    N<=(t), N<(t) the numbers of dual points at most and below t and
     top = max(N<(c_{n-2}), N<=(c_0)): index 0 gets N<=(c_0), index n-1
     gets K - top, interior i gets min(N<=(c_i), top) - N<=(c_{i-1}) clamped
     at 0. N<= and N< come by floor and ceil division on a regular grid with
-    positive spacing, else by a monotone merge with the sorted points.
+    positive spacing, else by bisection over the sorted points.
     """
-    k, u, w = dual.k, unit.numerator, unit.denominator
-    if dual.kind == "regular" and dual.gamma_s:
-        # s_j <= t  <=>  j <= (t - s0) / gamma_s; with t = d*u/w, s0 = a/b
-        # and gamma_s = p/q that quotient is (d*u*b*q - a*w*q) / (w*b*p)
-        (a, b), (p, q) = dual.s0.as_integer_ratio(), dual.gamma_s.as_integer_ratio()
-        scale, shift, div = u * b * q, a * w * q, w * b * p
-        at_most = [min(max((d * scale - shift) // div + 1, 0), k) for d in diffs]
-        below_top = min(max(-((shift - diffs[-1] * scale) // div), 0), k)
+    (cn, cd), k = c, dual.k
+    a, p, b = _progression(dual.s0, dual.gamma_s)
+    if dual.kind == "regular" and p:
+        # s_j = (a + j*p) / b <= n/d  <=>  j <= (n*b - a*d) / (p*d)
+        at_most = [min(max((n * b - a * d) // (p * d) + 1, 0), k) for n, d in zip(cn, cd)]
+        n, d = cn[-1], cd[-1]
+        below_top = min(max(-((a * d - n * b) // (p * d)), 0), k)
     else:
-        # s_j <= t  <=>  nums[j] * w <= d * u * den
-        nums, den = _dual_integers(dual)
-        points = [s * w for s in nums]
-        at_most, pos = [], 0
-        for d in diffs:
-            pos = bisect_right(points, d * u * den, pos)
-            at_most.append(pos)
-        below_top = bisect_left(points, diffs[-1] * u * den)
+        points = list(zip(*split(dual.explicit or (dual.s0,) * k)))
+        at_most = [bisect_right(points, _by_value(t), key=_by_value) for t in zip(cn, cd)]
+        below_top = bisect_left(points, _by_value((cn[-1], cd[-1])), key=_by_value)
     top = max(below_top, at_most[0])
     inner = [max(0, min(hi, top) - lo) for lo, hi in zip(at_most, at_most[1:])]
     return [at_most[0], *inner, k - top]
-
-
-def _gradient_counts(c: Sequence, dual: DualGrid) -> list[int]:
-    """``_rule_counts`` for nondecreasing exact gradients ``c``."""
-    nums, den = over_common_denominator(c)
-    return _rule_counts(nums, Fraction(1, den), dual)
 
 
 def _repeat_indices(counts: Sequence[int]) -> tuple[int, ...]:
     return tuple(chain.from_iterable(repeat(i, c) for i, c in enumerate(counts)))
 
 
-def _require_in_range(lo: Fraction, hi: Fraction, dual: DualGrid) -> None:
-    if dual.lo < lo or dual.hi > hi:
+def _checked_counts(c: Vec, dual: DualGrid, clamp: bool) -> list[int]:
+    """``_rule_counts``; unless ``clamp``, every dual point must lie in
+    the closed nontrivial range [c_0, c_{n-2}]."""
+    lo, hi = Fraction(c[0][0], c[1][0]), Fraction(c[0][-1], c[1][-1])
+    if not clamp and (dual.lo < lo or dual.hi > hi):
         s = next(s for s in dual.points() if s < lo or s > hi)
         raise OutOfRangeDual(f"dual point {s} outside [{lo}, {hi}]; clamp to proceed")
+    return _rule_counts(c, dual)
 
 
 def assign_optimizer(g: GradientVector, s: Fraction) -> int:
     """Optimizer index for a single dual point (pinned outside [c_0, c_{n-2}])."""
-    return optimizer_map(g, DualGrid.from_points([s]), clamp=True)[0]
+    return 0 if s <= g.lo else g.n - 1 if s >= g.hi else bisect_left(g.c, s)
 
 
 def optimizer_map(
@@ -156,42 +162,49 @@ def optimizer_map(
     unless ``clamp`` is set, in which case they pin to the boundary
     optimizers (the trivial dual region).
     """
-    if not clamp:
-        _require_in_range(g.lo, g.hi, dual)
-    return _repeat_indices(_gradient_counts(g.c, dual))
+    return _repeat_indices(_checked_counts(split(g.c), dual, clamp))
 
 
-def _conjugate_values(f_nums, f_den, grid, s_nums, s_den, idx) -> tuple[Fraction, ...]:
-    """s_j x_i - f_i for i = idx[j], with f_i = f_nums[i] / f_den and
-    s_j = s_nums[j] / s_den: integer numerators over one shared denominator,
-    made Fractions only on return."""
-    (x0, step), x_den = over_common_denominator((grid.x0, grid.gamma))
-    den = lcm(s_den * x_den, f_den)
-    xa, fb = den // (s_den * x_den), den // f_den
-    xs = [(x0 + i * step) * xa for i in range(grid.n)]
-    fs = [v * fb for v in f_nums]
-    return tuple(Fraction(s * xs[i] - fs[i], den) for s, i in zip(s_nums, idx))
+def _conjugate_values(f: FunctionSpec, dual: DualGrid, idx: Sequence[int]) -> tuple:
+    """s_j x_i - f_i for i = idx[j], each one integer fraction made a
+    Fraction on return."""
+    fn, fd = split(f.samples)
+    a, dx, xd = _progression(f.grid.x0, f.grid.gamma)
+    # over ls[i] = lcm(xd, q_i): x_i = xs[i] / ls[i] and f_i = fs[i] / ls[i], so
+    # s x_i - f_i = (sn * xs[i] - fs[i] * sd) / (ls[i] * sd) for s = sn / sd
+    ls = [lcm(xd, q) for q in fd]
+    xs = [(a + i * dx) * (m // xd) for i, m in enumerate(ls)]
+    fs = [p * (m // q) for p, q, m in zip(fn, fd, ls)]
+    if dual.kind == "adaptive":
+        sn, sd = split(dual.explicit)
+        return tuple(Fraction(n * xs[i] - fs[i] * d, ls[i] * d) for n, d, i in zip(sn, sd, idx))
+    # one denominator sd for all points s_j = (s0 + j * step) / sd
+    s0, step, sd = _progression(dual.s0, dual.gamma_s)
+    fs, ls = [v * sd for v in fs], [m * sd for m in ls]
+    sn = range(s0, s0 + dual.k * step, step) if step else repeat(s0, dual.k)
+    return tuple(Fraction(n * xs[i] - fs[i], ls[i]) for n, i in zip(sn, idx))
 
 
 def lft_regular(f: FunctionSpec, dual: DualGrid, clamp: bool = False) -> ConjugateResult:
     """Linear-time transform on a sorted regular dual grid."""
-    nums, den, diffs, unit = _integer_core(f)
-    if not clamp:
-        _require_in_range(diffs[0] * unit, diffs[-1] * unit, dual)
-    idx = _repeat_indices(_rule_counts(diffs, unit, dual))
-    values = _conjugate_values(nums, den, f.grid, *_dual_integers(dual), idx)
+    idx = _repeat_indices(_checked_counts(_gradients(f), dual, clamp))
+    values = _conjugate_values(f, dual, idx)
     return ConjugateResult(dual=dual, values=values, optimizer_index=idx)
 
 
-def _adaptive_doubled(c: Sequence, variant: str) -> list:
-    """Twice the adaptive dual points, from gradients of any exact type."""
+def _adaptive_points(c: Vec, variant: str) -> Vec:
+    """The adaptive dual points, exact, from the exact gradients."""
     if variant not in ADAPTIVE_VARIANTS:
         raise ValueError(f"unknown adaptive variant {variant!r}")
+    cn, cd = c
     if variant == "centered":
-        return [2 * c[0], *(a + b for a, b in zip(c, c[1:])), 2 * c[-1]]
+        # the midpoint of a/d and b/e is (a*e + b*d) / (2*d*e)
+        mn = [a * e + b * d for a, d, b, e in zip(cn, cd, cn[1:], cd[1:])]
+        mn, md = _lowest(mn, [2 * d * e for d, e in zip(cd, cd[1:])])
+        return [cn[0], *mn, cn[-1]], [cd[0], *md, cd[-1]]
     if variant == "right":
-        return [2 * v for v in (*c, c[-1])]
-    return [2 * v for v in (c[0], *c)]
+        return cn + cn[-1:], cd + cd[-1:]
+    return cn[:1] + cn, cd[:1] + cd
 
 
 def adaptive_dual_points(g: GradientVector, variant: str = "centered") -> tuple:
@@ -200,18 +213,15 @@ def adaptive_dual_points(g: GradientVector, variant: str = "centered") -> tuple:
     The boundary midpoints collapse onto c_0 and c_{n-2}, so every point
     lies in the nontrivial range.
     """
-    return tuple(v / 2 for v in _adaptive_doubled(g.c, variant))
+    return tuple(map(Fraction, *_adaptive_points(split(g.c), variant)))
 
 
 def lft_adaptive(f: FunctionSpec, variant: str = "centered") -> ConjugateResult:
     """Adaptive-dual transform; each dual point's optimizer is its own index."""
-    nums, den, diffs, unit = _integer_core(f)
-    u, w = (unit / 2).as_integer_ratio()
-    s_nums = [d * u for d in _adaptive_doubled(diffs, variant)]
-    dual = DualGrid.from_points([Fraction(s, w) for s in s_nums], kind="adaptive")
+    points = list(map(Fraction, *_adaptive_points(_gradients(f), variant)))
+    dual = DualGrid.from_points(points, kind="adaptive")
     idx = tuple(range(f.n))
-    values = _conjugate_values(nums, den, f.grid, s_nums, w, idx)
-    return ConjugateResult(dual=dual, values=values, optimizer_index=idx)
+    return ConjugateResult(dual=dual, values=_conjugate_values(f, dual, idx), optimizer_index=idx)
 
 
 def lft_brute(f: FunctionSpec, dual: DualGrid) -> ConjugateResult:

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import floordiv
 from typing import Optional
 
 from .errors import EmptyAcceptance, IndexOutOfRange, ZeroSpacing
 from .grids import DualGrid, GradientVector
-from .rational import over_common_denominator
-from .transform import _gradient_counts, _rule_counts
+from .rational import split
+from .transform import _rule_counts, _slopes
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,7 @@ class WitnessReport:
 
 def assignment_counts(g: GradientVector, dual: DualGrid) -> tuple[int, ...]:
     """How many dual points each primal index optimizes (clamped rule)."""
-    return tuple(_gradient_counts(g.c, dual))
+    return tuple(_rule_counts(split(g.c), dual))
 
 
 def witness_params(
@@ -43,15 +44,14 @@ def witness_params(
     """Sharing parameter, slope ratio, and exact success probability K/(N W)."""
     if dual.kind == "regular" and dual.gamma_s == 0:
         raise ZeroSpacing("witness parameters need a positive dual spacing")
-    nums, den = over_common_denominator(g.c)
-    w = max(_rule_counts(nums, Fraction(1, den), dual))
+    c = split(g.c)
+    w = max(_rule_counts(c, dual))
     if w < 1:
         raise EmptyAcceptance("no primal index optimizes any dual point")
     w_floor = None
     if dual.kind == "regular":
-        # floor((largest gradient jump) / gamma_s), the jump held over den
-        jump = max(b - a for a, b in zip(nums, nums[1:]))
-        w_floor = (jump * dual.gamma_s.denominator) // (den * dual.gamma_s.numerator)
+        # floor((largest gradient jump) / gamma_s), the largest floor
+        w_floor = max(map(floordiv, *_slopes(c, dual.gamma_s)))
     if g.grid is None:
         raise ValueError("gradient vector lacks its primal grid")
     span = g.grid.hi - g.grid.x0
@@ -75,7 +75,8 @@ def _slot(i: int, m: int, g: GradientVector, dual: DualGrid) -> tuple[int, int]:
         raise IndexOutOfRange(f"copy slot m must be nonnegative, got {m}")
     c = g.c
     pos = 0 if i == 0 else 4 if i == g.n - 1 else 2
-    counts = _gradient_counts((c[0], c[max(i - 1, 0)], c[min(i, len(c) - 1)], c[-1]), dual)
+    sub = (c[0], c[max(i - 1, 0)], c[min(i, len(c) - 1)], c[-1])
+    counts = _rule_counts(split(sub), dual)
     return sum(counts[:pos]), counts[pos]
 
 

@@ -2,6 +2,7 @@
 half-open gradient rule written out here, and the brute oracle."""
 
 from fractions import Fraction as F
+from math import floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from lftlab.errors import DegenerateGrid, NonConvexInput, OutOfRangeDual
 from lftlab.grids import DualGrid, FunctionSpec, RegularGrid
 from lftlab.transform import (
+    adaptive_dual_points,
+    assign_optimizer,
     discrete_gradients,
     lft_adaptive,
     lft_brute,
@@ -24,6 +27,7 @@ from lftlab.witness import (
 )
 
 rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 9))
+primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
 
 
 @st.composite
@@ -36,10 +40,15 @@ def primal_grids(draw, n):
 @st.composite
 def convex_instances(draw, min_n=3, max_n=12):
     """Exact convex samples: repeated gradients, non-unit spacing, nonzero
-    x0, or high-bit quadratics."""
+    x0, high-bit quadratics, or samples over distinct prime denominators."""
     n = draw(st.integers(min_n, max_n))
     grid = draw(primal_grids(n))
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["quadratic", "steps", "coprime"]))
+    if shape == "coprime":
+        # 2 i^2 keeps every second difference >= 3 under the 1/p terms
+        ps = draw(st.lists(st.sampled_from(primes), min_size=n, max_size=n))
+        samples = tuple(2 * i * i + F(1, p) for i, p in enumerate(ps))
+    elif shape == "quadratic":
         a = F(draw(st.integers(1, 2**40)), draw(st.integers(1, 2**30)))
         b = F(draw(st.integers(-(2**40), 2**40)), draw(st.integers(1, 2**30)))
         c = F(draw(st.integers(-(2**40), 2**40)), draw(st.integers(1, 2**30)))
@@ -104,11 +113,14 @@ def check_against_references(f, exact, dual):
 
     g = discrete_gradients(f)
     assert optimizer_map(g, dual, clamp=True) == idx
+    assert tuple(assign_optimizer(g, s) for s in dual.points()) == idx
     assert assignment_counts(g, dual) == counts
     if dual.kind == "adaptive" or dual.gamma_s > 0:
         report = witness_params(g, dual)
         assert report.w == max(counts)
         assert report.success_probability == F(dual.k, f.n * max(counts))
+        jump = max(b - a for a, b in zip(g.c, g.c[1:]))
+        assert report.w_floor == (floor(jump / dual.gamma_s) if dual.kind == "regular" else None)
     first = 0
     for i, cnt in enumerate(counts):
         for m in range(max(counts) + 1):
@@ -149,7 +161,7 @@ def test_adaptive_kernel_matches_references(f, variant):
     }[variant]
     xs = f.grid.points()
     res = lft_adaptive(f, variant)
-    assert res.dual.points() == tuple(pts)
+    assert res.dual.points() == tuple(pts) == adaptive_dual_points(discrete_gradients(f), variant)
     assert res.optimizer_index == tuple(range(f.n))
     assert res.values == tuple(s * x - v for s, x, v in zip(pts, xs, f.samples))
     assert res.values == lft_brute(f, res.dual).values
