@@ -1,9 +1,11 @@
 """Command-line surface: transforms, simulator runs, hardness reductions,
 and fixture emission with plot-ready CSV.
 
-Exit codes: 0 success; 1 parse or usage errors (diagnostic on stderr);
-2 domain rejections (nonconvex input, power-of-two violation under
---strict-pow2, hardness dimension cap).
+Exit codes: 0 success; 1 parse or usage errors (any ``ValueError``,
+``ParseError`` included, or an ``OSError`` on an output path); 2 domain rejections (any ``LftError``, such as
+nonconvex input, a power-of-two violation under --strict-pow2 or the
+hardness dimension cap). ``main`` maps both once and writes one
+``error: ...`` line to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import random
 import sys
 
 from . import fixtures
-from .errors import NonConvexInput, NotPowerOfTwo
+from .errors import LftError, NonConvexInput
 from .grids import DualGrid, FunctionSpec
 from .io import (
     ParseError,
@@ -107,22 +109,14 @@ def _parse_dual_option(spec: str, f: FunctionSpec):
 
 
 def cmd_lft(args) -> int:
-    try:
-        instance = load_instance(args.instance)
-    except ParseError as exc:
-        return _fail(str(exc), 1)
+    instance = load_instance(args.instance)
     if not isinstance(instance, FunctionSpec):
         return _run_lft_nd(args, instance)
-    try:
-        parsed = _parse_dual_option(args.dual, instance)
-        if parsed[0] == "adaptive":
-            result = lft_adaptive(instance, parsed[1])
-        else:
-            result = lft_regular(instance, parsed[1], clamp=args.clamp)
-    except ParseError as exc:
-        return _fail(str(exc), 1)
-    except NonConvexInput as exc:
-        return _fail(f"nonconvex input: {exc}", 2)
+    parsed = _parse_dual_option(args.dual, instance)
+    if parsed[0] == "adaptive":
+        result = lft_adaptive(instance, parsed[1])
+    else:
+        result = lft_regular(instance, parsed[1], clamp=args.clamp)
     doc = {
         "command": "lft",
         "dual": [format_rational(s) for s in result.dual.points()],
@@ -147,19 +141,16 @@ def cmd_lft(args) -> int:
 
 def _run_lft_nd(args, instance: TensorSamples) -> int:
     mode, _, arg = args.dual.partition(":")
-    try:
-        if mode == "regular":
-            ks = [int(p) for p in arg.split(",")]
-            if len(ks) == 1:
-                ks = ks * instance.d
-            duals = canonical_nd_dual_grids(instance, ks)
-            result = lft_nd_regular(instance, duals)
-        elif mode == "adaptive":
-            result = lft_nd_adaptive(instance)
-        else:
-            return _fail(f"--dual {args.dual!r} unsupported for tensors", 1)
-    except NonConvexInput as exc:
-        return _fail(f"nonconvex input: {exc}", 2)
+    if mode == "regular":
+        ks = [int(p) for p in arg.split(",")]
+        if len(ks) == 1:
+            ks = ks * instance.d
+        duals = canonical_nd_dual_grids(instance, ks)
+        result = lft_nd_regular(instance, duals)
+    elif mode == "adaptive":
+        result = lft_nd_adaptive(instance)
+    else:
+        return _fail(f"--dual {args.dual!r} unsupported for tensors", 1)
     doc = {
         "command": "lft",
         "shape": list(result.values.shape),
@@ -181,25 +172,15 @@ def _run_lft_nd(args, instance: TensorSamples) -> int:
 
 
 def cmd_qlft(args) -> int:
-    try:
-        instance = load_instance(args.instance)
-    except ParseError as exc:
-        return _fail(str(exc), 1)
+    instance = load_instance(args.instance)
     seed = args.seed if args.seed is not None else _default_seed()
     trials = args.trials
     if trials < 1:
         return _fail("--trials must be at least 1", 1)
-    try:
-        if isinstance(instance, FunctionSpec):
-            doc, run = _qlft_1d(args, instance, seed, trials)
-        else:
-            doc, run = _qlft_nd(args, instance, seed, trials)
-    except NotPowerOfTwo as exc:
-        return _fail(str(exc), 2)
-    except NonConvexInput as exc:
-        return _fail(f"nonconvex input: {exc}", 2)
-    except ValueError as exc:
-        return _fail(f"bad arguments: {exc}", 1)
+    if isinstance(instance, FunctionSpec):
+        doc, run = _qlft_1d(args, instance, seed, trials)
+    else:
+        doc, run = _qlft_nd(args, instance, seed, trials)
     if args.transcript:
         with open(args.transcript, "w", encoding="utf-8") as fh:
             fh.write(transcript_jsonl(run))
@@ -331,18 +312,12 @@ def cmd_hardness(args) -> int:
             "rank": out.rank,
         }
     else:  # rescale
-        try:
-            instance = load_instance(args.instance)
-        except ParseError as exc:
-            return _fail(str(exc), 1)
+        instance = load_instance(args.instance)
         if not isinstance(instance, FunctionSpec):
             return _fail("rescale expects a one-dimensional instance", 1)
-        try:
-            g = discrete_gradients(instance)
-            dual = regular_dual_grid(nontrivial_dual_range(g), args.k or instance.n)
-            checks = rescaling_checks(rescale_instance(instance, dual))
-        except NonConvexInput as exc:
-            return _fail(f"nonconvex input: {exc}", 2)
+        g = discrete_gradients(instance)
+        dual = regular_dual_grid(nontrivial_dual_range(g), args.k or instance.n)
+        checks = rescaling_checks(rescale_instance(instance, dual))
         doc = {
             "command": "hardness",
             "sub": "rescale",
@@ -399,8 +374,15 @@ def _write_plot_csv(path: str, spec, name: str) -> None:
         fh.write(buf.getvalue())
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ParseError, so they reach stderr as one line."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lftlab",
         description="Discrete Legendre-Fenchel transforms, simulator runs, and hardness reductions",
     )
@@ -409,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--precision", type=int, default=None, help="add decimal renderings")
     # the same flags are accepted after the subcommand; SUPPRESS keeps a
     # subcommand-side absence from clobbering a top-level value
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
     common.add_argument("--precision", type=int, default=argparse.SUPPRESS)
@@ -461,13 +443,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; the contract wants 1
-        return 1 if exc.code not in (0, None) else 0
-    return args.fn(args)
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
+    except SystemExit:  # --help prints and exits 0; usage errors raise ParseError
+        return 0
+    except NonConvexInput as exc:
+        return _fail(f"nonconvex input: {exc}", 2)
+    except LftError as exc:
+        return _fail(str(exc), 2)
+    except (ValueError, OSError) as exc:
+        return _fail(str(exc), 1)
 
 
 if __name__ == "__main__":

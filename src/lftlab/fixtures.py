@@ -17,6 +17,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .errors import DegenerateGrid
 from .grids import FunctionSpec, RegularGrid
 from .multi import RatTensor, TensorGrid, TensorSamples
 from .rational import frac
@@ -26,6 +27,8 @@ F = Fraction
 
 def unit_grid(n: int) -> RegularGrid:
     """n equispaced points covering [0, 1]."""
+    if n < 2:
+        raise DegenerateGrid(f"need at least 2 grid points, got {n}")
     return RegularGrid(x0=F(0), gamma=F(1, n - 1), n=n)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import DegenerateGrid, InvalidK, NonConvexInput
@@ -80,6 +81,8 @@ class DualGrid:
     @classmethod
     def from_points(cls, points: Sequence[Number], kind: str = "adaptive") -> "DualGrid":
         pts = tuple(frac(p) for p in points)
+        if not pts:
+            raise InvalidK("dual grid needs at least one point, got none")
         return cls(s0=pts[0], gamma_s=Fraction(0), k=len(pts), kind=kind, explicit=pts)
 
     def point(self, j: int) -> Fraction:
@@ -133,8 +136,9 @@ class FunctionSpec:
     def n(self) -> int:
         return self.grid.n
 
-    @property
+    @cached_property
     def exact(self) -> bool:
+        """No float samples; computed once, outside equality."""
         return all(is_exact(v) for v in self.samples)
 
     def value(self, i: int) -> Fraction:

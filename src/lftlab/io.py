@@ -75,7 +75,7 @@ def serialize_instance(instance: Instance) -> dict:
 def _parse_axis(doc: dict) -> RegularGrid:
     try:
         return RegularGrid(x0=frac(doc["x0"]), gamma=frac(doc["gamma_x"]), n=int(doc["n"]))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
         raise ParseError(f"bad grid axis {doc!r}: {exc}") from exc
 
 
@@ -90,7 +90,7 @@ def parse_instance(doc: dict) -> Instance:
         grids = [_parse_axis(a) for a in axes]
         try:
             samples = [frac(v) for v in doc["samples"]]
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
             raise ParseError(f"bad samples: {exc}") from exc
         if len(grids) == 1:
             return FunctionSpec(
@@ -101,7 +101,13 @@ def parse_instance(doc: dict) -> Instance:
         tgrid = TensorGrid(axes=tuple(grids))
         return TensorSamples(grid=tgrid, values=RatTensor(tgrid.shape, tuple(samples)))
     if kind == "builtin":
-        return _build(doc.get("name"), doc.get("params") or {})
+        params = doc.get("params") or {}
+        if not isinstance(params, dict):
+            raise ParseError("builtin 'params' must be an object")
+        try:
+            return _build(doc.get("name"), params)
+        except (KeyError, TypeError, ArithmeticError) as exc:
+            raise ParseError(f"bad builtin parameters {params!r}: {exc}") from exc
     raise ParseError(f"unknown instance kind {kind!r}")
 
 

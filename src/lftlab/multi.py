@@ -9,6 +9,7 @@ evaluation over all primal points is the oracle for everything here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -16,8 +17,8 @@ from typing import Callable, Optional, Sequence
 
 from .errors import NonConvexSlice
 from .grids import DualGrid, RegularGrid
-from .rational import frac
-from .transform import regular_dual_grid
+from .rational import frac, split
+from .transform import _adaptive_points, _rule_index, _slopes, regular_dual_grid
 
 MAX_BRUTE_POINTS = 1 << 20
 
@@ -30,9 +31,7 @@ class RatTensor:
     flat: tuple
 
     def __post_init__(self):
-        size = 1
-        for s in self.shape:
-            size *= s
+        size = math.prod(self.shape)
         if size != len(self.flat):
             raise ValueError(f"shape {self.shape} needs {size} values, got {len(self.flat)}")
 
@@ -62,12 +61,9 @@ class RatTensor:
         ``complement`` lists the fixed coordinates in axis order, skipping
         the varying axis.
         """
-        idx = list(complement[:axis]) + [0] + list(complement[axis:])
-        out = []
-        for i in range(self.shape[axis]):
-            idx[axis] = i
-            out.append(self.get(tuple(idx)))
-        return tuple(out)
+        start = self.offset((*complement[:axis], 0, *complement[axis:]))
+        stride = math.prod(self.shape[axis + 1 :])
+        return self.flat[start : start + self.shape[axis] * stride : stride]
 
     def complements(self, axis: int):
         ranges = [range(s) for a, s in enumerate(self.shape) if a != axis]
@@ -101,10 +97,7 @@ class TensorGrid:
 
     @property
     def total(self) -> int:
-        size = 1
-        for g in self.axes:
-            size *= g.n
-        return size
+        return math.prod(self.shape)
 
     def point(self, idx: tuple[int, ...]) -> tuple[Fraction, ...]:
         return tuple(g.point(i) for g, i in zip(self.axes, idx))
@@ -168,20 +161,12 @@ def _require_line_convex(line, axis, comp) -> None:
             raise NonConvexSlice(f"axis {axis} line at {comp} is not discretely convex")
 
 
-def _assign_line(c: Sequence[Fraction], s: Fraction) -> int:
-    """Clamped half-open gradient rule for one line."""
-    if s <= c[0]:
-        return 0
-    if s >= c[-1]:
-        return len(c)
-    lo, hi = 0, len(c) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if c[mid] >= s:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def _line_starts(shape: tuple[int, ...], axis: int) -> list[int]:
+    """Flat offset of the first element of every line along ``axis``, in
+    ``complements`` order; a line's elements lie prod(shape[axis+1:]) apart."""
+    stride = math.prod(shape[axis + 1 :])
+    block = shape[axis] * stride
+    return [b + r for b in range(0, math.prod(shape), block) for r in range(stride)]
 
 
 def axis_transform(
@@ -202,26 +187,24 @@ def axis_transform(
     rule then still runs but its result is only meaningful for callers that
     verify the outcome independently.
     """
-    new_shape = list(values.shape)
-    new_shape[axis] = dual.k
+    shape, k = values.shape, dual.k
+    new_shape = (*shape[:axis], k, *shape[axis + 1 :])
+    stride = math.prod(shape[axis + 1 :])
     duals = dual.points()
-    xs = [x_axis.point(i) for i in range(x_axis.n)]
-    flat = [None] * _size(new_shape)
-    for comp in values.complements(axis):
-        line = values.line(axis, comp)
+    xs = x_axis.points()
+    flat = [None] * math.prod(new_shape)
+    lines = zip(values.complements(axis), _line_starts(shape, axis), _line_starts(new_shape, axis))
+    for comp, a, b in lines:
+        line = values.flat[a : a + shape[axis] * stride : stride]
         if check_convex:
             _require_line_convex(line, axis, comp)
         c = _line_gradients(line, x_axis.gamma)
-        for j, s in enumerate(duals):
-            i = _assign_line(c, s)
-            val = s * xs[i] - line[i]
-            if negate:
-                val = -val
-            idx = list(comp[:axis]) + [j] + list(comp[axis:])
-            flat[_offset(new_shape, tuple(idx))] = val
-            if assignments is not None:
-                assignments[(comp, j)] = i
-    return RatTensor(tuple(new_shape), tuple(flat))
+        opt = [_rule_index(c, s) for s in duals]
+        vals = [s * xs[i] - line[i] for s, i in zip(duals, opt)]
+        flat[b : b + k * stride : stride] = [-v for v in vals] if negate else vals
+        if assignments is not None:
+            assignments.update(((comp, j), i) for j, i in enumerate(opt))
+    return RatTensor(new_shape, tuple(flat))
 
 
 def _shrink(v):
@@ -229,20 +212,6 @@ def _shrink(v):
     if isinstance(v, Fraction) and v.denominator == 1:
         return v.numerator
     return v
-
-
-def _size(shape) -> int:
-    size = 1
-    for s in shape:
-        size *= s
-    return size
-
-
-def _offset(shape, idx) -> int:
-    pos = 0
-    for axis, i in enumerate(idx):
-        pos = pos * shape[axis] + i
-    return pos
 
 
 @dataclass(frozen=True)
@@ -287,13 +256,7 @@ def canonical_nd_dual_grids(f: TensorSamples, ks: Sequence[int]) -> tuple[DualGr
     """
     if len(ks) != f.d:
         raise ValueError("need one dual size per axis")
-    t = f.values
-    grids: list[Optional[DualGrid]] = [None] * f.d
-    for axis in range(f.d - 1, -1, -1):
-        lo, hi = axis_bracket(t, axis, f.grid.gamma)
-        grids[axis] = regular_dual_grid((lo, hi), ks[axis])
-        t = axis_transform(t, axis, f.grid.axes[axis], grids[axis], negate=True)
-    return tuple(grids)
+    return _cascade(f, ks=ks)[0]
 
 
 def lft_nd_regular(f: TensorSamples, duals: Sequence[DualGrid]) -> TensorConjugate:
@@ -305,15 +268,38 @@ def lft_nd_regular(f: TensorSamples, duals: Sequence[DualGrid]) -> TensorConjuga
     """
     if len(duals) != f.d:
         raise ValueError("need one dual grid per axis")
-    t = f.values
-    assign: list[dict] = [dict() for _ in range(f.d)]
-    for axis in range(f.d - 1, -1, -1):
-        t = axis_transform(
-            t, axis, f.grid.axes[axis], duals[axis], negate=True, assignments=assign[axis]
-        )
+    _, assign, t = _cascade(f, duals=duals)
     values = RatTensor(t.shape, tuple(-v for v in t.flat))
     optimizer = _reconstruct_optimizers(t.shape, assign)
     return TensorConjugate(values=values, optimizer=optimizer, duals=tuple(duals))
+
+
+def _cascade(
+    f: TensorSamples,
+    ks: Optional[Sequence[int]] = None,
+    duals: Optional[Sequence[DualGrid]] = None,
+    check_convex: bool = True,
+) -> tuple[tuple[DualGrid, ...], list[dict], RatTensor]:
+    """The classical nested passes, last axis first.
+
+    Each pass runs over ``duals[axis]`` when grids are given, else over the
+    canonical grid of ``ks[axis]`` points spanning ``axis_bracket`` of the
+    tensor that pass receives. Returns the per-axis grids, the per-axis
+    assignments recorded by ``axis_transform`` and the final g tensor.
+    """
+    t = f.values
+    grids: list[Optional[DualGrid]] = [None] * f.d
+    assign: list[dict] = [dict() for _ in range(f.d)]
+    for axis in range(f.d - 1, -1, -1):
+        if duals is not None:
+            grids[axis] = duals[axis]
+        else:
+            grids[axis] = regular_dual_grid(axis_bracket(t, axis, f.grid.gamma), ks[axis])
+        t = axis_transform(
+            t, axis, f.grid.axes[axis], grids[axis],
+            assignments=assign[axis], check_convex=check_convex,
+        )
+    return tuple(grids), assign, t
 
 
 def _reconstruct_optimizers(shape, assign) -> tuple[tuple[int, ...], ...]:
@@ -342,44 +328,29 @@ def lft_nd_adaptive(f: TensorSamples) -> TensorConjugate:
     """Nested per-slice centered adaptive passes; K = N and the optimizer of
     each dual multi-point is the identically indexed primal point."""
     t = f.values
-    d = f.d
-    s_parts: list[dict[tuple[int, ...], Fraction]] = [dict() for _ in range(d)]
-    for axis in range(d - 1, -1, -1):
-        gamma = f.grid.gamma
-        n = t.shape[axis]
-        flat: list = [None] * _size(t.shape)
-        for comp in t.complements(axis):
-            line = t.line(axis, comp)
+    # K = N keeps every flat position fixed, so each axis's dual components
+    # line up with the final multi-indices
+    s_parts: list = [None] * f.d
+    for axis in range(f.d - 1, -1, -1):
+        stride = math.prod(t.shape[axis + 1 :])
+        xs = f.grid.axes[axis].points()
+        flat = [None] * len(t.flat)
+        s_parts[axis] = s_flat = [None] * len(t.flat)
+        for comp, a in zip(t.complements(axis), _line_starts(t.shape, axis)):
+            run = slice(a, a + len(xs) * stride, stride)
+            line = t.flat[run]
             _require_line_convex(line, axis, comp)
-            c = _line_gradients(line, gamma)
-            pts = [c[0]]
-            pts += [(c[i - 1] + c[i]) / 2 for i in range(1, n - 1)]
-            pts.append(c[-1])
-            for i in range(n):
-                s = pts[i]
-                val = -(s * f.grid.axes[axis].point(i) - line[i])
-                idx = tuple(list(comp[:axis]) + [i] + list(comp[axis:]))
-                flat[_offset(t.shape, idx)] = val
-                s_parts[axis][idx] = s
+            c = _slopes(split(line), f.grid.gamma)
+            pts = list(map(Fraction, *_adaptive_points(c, "centered")))
+            s_flat[run] = pts
+            flat[run] = [-(s * x - v) for s, x, v in zip(pts, xs, line)]
         t = RatTensor(t.shape, tuple(flat))
     values = RatTensor(t.shape, tuple(-v for v in t.flat))
-    dual_points = []
-    optimizer = []
-    for idx in values.indices():
-        dual_points.append(tuple(_adaptive_component(s_parts, axis, idx) for axis in range(d)))
-        optimizer.append(idx)
     return TensorConjugate(
         values=values,
-        optimizer=tuple(optimizer),
-        dual_points=tuple(dual_points),
+        optimizer=tuple(values.indices()),
+        dual_points=tuple(zip(*s_parts)),
     )
-
-
-def _adaptive_component(s_parts, axis, idx):
-    # The axis-a dual component was fixed during the axis-a pass, when axes
-    # > a were already transformed and axes < a still primal; the recorded
-    # key coincides with the final multi-index in both regimes.
-    return s_parts[axis][idx]
 
 
 def lft_nd_brute(

@@ -15,9 +15,10 @@ over in-range neighbors). Because of this shortcut the multidimensional
 results are VERIFIED against the classical nested transform and the
 outcome is reported, never assumed: a MISMATCH is a finding, not a crash.
 
-Pass structure (shared dual grids, per-slice acceptance counts) is
-computed classically from the exact intermediate tensors; branch values
-flow through the stated register arithmetic only.
+Pass structure (shared dual grids, per-slice acceptance counts and first
+dual indices) comes from one classical cascade of the nested passes, run
+before the passes over the exact intermediate tensors; branch values flow
+through the stated register arithmetic only.
 """
 
 from __future__ import annotations
@@ -30,21 +31,9 @@ from itertools import accumulate, product
 from typing import Optional, Sequence
 
 from .errors import InvalidK, NonConvexSlice, NotPowerOfTwo
-from .grids import DualGrid
-from .multi import (
-    RatTensor,
-    TensorSamples,
-    axis_bracket,
-    axis_transform,
-    lft_nd_adaptive,
-    lft_nd_brute,
-    product_dual_points,
-    _assign_line,
-    _line_gradients,
-)
+from .multi import TensorSamples, lft_nd_adaptive, lft_nd_brute, product_dual_points, _cascade
 from .qlft import SimRun, StepRecord, centered_dual, geometric_attempts, is_power_of_two
 from .qstate import UNDEFINED, BasisLabel, QState
-from .transform import regular_dual_grid
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -106,19 +95,6 @@ def _initial_branches(f: TensorSamples) -> list[_Branch]:
     return branches
 
 
-def _slice_counts(values: RatTensor, axis: int, gamma, dual: DualGrid):
-    """Acceptance counts and first dual indices per line of one axis."""
-    out = {}
-    for comp in values.complements(axis):
-        line = values.line(axis, comp)
-        c = _line_gradients(line, gamma)
-        counts = [0] * len(line)
-        for s in dual.points():
-            counts[_assign_line(c, s)] += 1
-        out[comp] = (counts, list(accumulate(counts, initial=0)))
-    return out
-
-
 def _comp_of(coords: tuple[int, ...], axis: int) -> tuple[int, ...]:
     return tuple(v for a, v in enumerate(coords) if a != axis)
 
@@ -135,20 +111,24 @@ def _run_nd(
     steps: list[StepRecord] = []
     branches = _initial_branches(f)
     steps.append(StepRecord("superposition", len(branches), Fraction(1)))
-    true_t = f.values
     gamma = f.grid.gamma
     pass_accepts: list[Fraction] = []
     aborted = False
-    duals: list[Optional[DualGrid]] = [None] * d
-    applied: set[int] = set()  # axes whose classical transform ran
+    duals = None
+    if mode == "regular":
+        # the pass structure; intermediate lines may be discretely nonconvex,
+        # where the cascade's rule still defines the counts the passes gate on
+        duals, assigns, _ = _cascade(f, ks=ks, check_convex=False)
 
     for axis in range(d - 1, -1, -1):
         if mode == "regular":
-            lo, hi = axis_bracket(true_t, axis, gamma)
-            dual = regular_dual_grid((lo, hi), ks[axis])
-            duals[axis] = dual
-            structure = _slice_counts(true_t, axis, gamma, dual)
-            w = max(max(counts) for counts, _ in structure.values())
+            dual = duals[axis]
+            n_axis = f.grid.shape[axis]
+            counts_of: dict = {}
+            for (comp, _), i in assigns[axis].items():
+                counts_of.setdefault(comp, [0] * n_axis)[i] += 1
+            structure = {c: (k, list(accumulate(k, initial=0))) for c, k in counts_of.items()}
+            w = max(map(max, counts_of.values()))
             new_branches = []
             accepted = 0
             three_point = axis > 0  # neighbor rows are still needed downstream
@@ -156,7 +136,6 @@ def _run_nd(
                 comp = _comp_of(br.coords, axis)
                 counts, firsts = structure[comp]
                 i = br.coords[axis]
-                n_axis = true_t.shape[axis]
                 for m in range(w):
                     if m >= counts[i]:
                         continue
@@ -184,10 +163,6 @@ def _run_nd(
                 # not raised: the verification marks every label missing.
                 aborted = True
                 break
-            true_t = axis_transform(
-                true_t, axis, f.grid.axes[axis], dual, negate=True, check_convex=False
-            )
-            applied.add(axis)
         else:  # adaptive
             new_branches = []
             for br in branches:
@@ -201,22 +176,6 @@ def _run_nd(
             branches = sorted(new_branches, key=lambda b: b.coords)
             steps.append(
                 StepRecord(f"pass-axis{axis}", len(branches), Fraction(1), Fraction(1))
-            )
-            # exact reference for the next pass's structure is not needed in
-            # adaptive mode; branches carry everything locally
-
-    if aborted and mode == "regular":
-        # finish the classical cascade so the verification target exists;
-        # the aborted axis already has its dual grid but was never applied
-        for axis in range(d - 1, -1, -1):
-            if axis in applied:
-                continue
-            if duals[axis] is None:
-                lo, hi = axis_bracket(true_t, axis, gamma)
-                duals[axis] = regular_dual_grid((lo, hi), ks[axis])
-            true_t = axis_transform(
-                true_t, axis, f.grid.axes[axis], duals[axis],
-                negate=True, check_convex=False,
             )
 
     success = Fraction(1)
@@ -242,9 +201,7 @@ def _run_nd(
         steps.append(StepRecord("negate", len(labels), Fraction(1)))
         expected_aa = math.ceil((math.pi / 4) * math.sqrt(1 / float(success)))
 
-    verification = _verify(
-        f, mode, duals if mode == "regular" else None, final_state, rng_seed
-    )
+    verification = _verify(f, mode, duals, final_state, rng_seed)
     return SimRun(
         final_state=final_state,
         success_probability=success,

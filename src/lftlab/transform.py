@@ -148,9 +148,17 @@ def _checked_counts(c: Vec, dual: DualGrid, clamp: bool) -> list[int]:
     return _rule_counts(c, dual)
 
 
+def _rule_index(c: Sequence, s) -> int:
+    """The clamped half-open gradient rule for one dual point: 0 when
+    s <= c_0, n-1 when s >= c_{n-2}, else the bisection for the first
+    c_i >= s over c_0..c_{n-3}. The nested nD passes also run it on
+    intermediate lines whose gradients are not sorted."""
+    return 0 if s <= c[0] else len(c) if s >= c[-1] else bisect_left(c, s, 0, len(c) - 1)
+
+
 def assign_optimizer(g: GradientVector, s: Fraction) -> int:
     """Optimizer index for a single dual point (pinned outside [c_0, c_{n-2}])."""
-    return 0 if s <= g.lo else g.n - 1 if s >= g.hi else bisect_left(g.c, s)
+    return _rule_index(g.c, s)
 
 
 def optimizer_map(

@@ -113,6 +113,37 @@ class TestCli:
         assert main(["lft", str(missing)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @staticmethod
+    def _rejects(argv, code, capsys):
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @staticmethod
+    def _samples(path, n, samples):
+        grid = [{"x0": "0", "gamma_x": "1", "n": n}]
+        path.write_text(json.dumps({"kind": "samples", "grid": grid, "samples": samples}))
+        return str(path)
+
+    def test_degenerate_grid_exit_2(self, tmp_path, capsys):
+        inst = self._samples(tmp_path / "two.json", 2, ["0", "1"])
+        self._rejects(["lft", inst], 2, capsys)
+
+    def test_out_of_range_dual_exit_2(self, fixture_dir, capsys):
+        ex1 = str(fixture_dir / "ex1.json")
+        self._rejects(["lft", ex1, "--dual", "list:-1,0,1/2,2"], 2, capsys)
+
+    def test_invalid_k_exit_2(self, fixture_dir, capsys):
+        self._rejects(["lft", str(fixture_dir / "ex1.json"), "--dual", "regular:1"], 2, capsys)
+
+    def test_sample_count_mismatch_exit_1(self, tmp_path, capsys):
+        inst = self._samples(tmp_path / "short.json", 3, ["0", "1"])
+        self._rejects(["lft", inst], 1, capsys)
+
+    def test_rescale_affine_exit_2(self, tmp_path, capsys):
+        inst = self._samples(tmp_path / "affine.json", 3, ["0", "1", "2"])
+        self._rejects(["hardness", "rescale", inst], 2, capsys)
+
     def test_qlft_ex3_acceptance(self, fixture_dir, tmp_path):
         out = tmp_path / "res.json"
         code = main(

@@ -1,6 +1,9 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lftlab import fixtures
 from lftlab.errors import NonConvexSlice
@@ -9,6 +12,7 @@ from lftlab.multi import (
     RatTensor,
     TensorGrid,
     TensorSamples,
+    axis_transform,
     canonical_nd_dual_grids,
     lft_nd_adaptive,
     lft_nd_brute,
@@ -213,3 +217,83 @@ class TestNdBrute:
         f = TensorSamples(grid=grid, values=RatTensor((2, 2), (F(0),) * 4))
         res = lft_nd_brute(f, [(F(0), F(0))])
         assert res.optimizer == ((0, 0),)
+
+
+@st.composite
+def tensors(draw):
+    """Row-major tensors with d = 1..4 distinct sides and small rationals."""
+    shape = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4, unique=True)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    flat = (F(rng.randint(-32, 32), rng.randint(1, 4)) for _ in range(math.prod(shape)))
+    return RatTensor(shape, tuple(flat))
+
+
+def _reference_rule(c, s):
+    """The clamped rule as a plain loop: pinned outside [c_0, c_{n-2}],
+    else a bisection for the first c_i >= s, also on unsorted c."""
+    if s <= c[0]:
+        return 0
+    if s >= c[-1]:
+        return len(c)
+    lo, hi = 0, len(c) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if c[mid] >= s:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+class TestStridedLines:
+    @settings(max_examples=60, deadline=None)
+    @given(t=tensors())
+    def test_line_equals_per_element_reference(self, t):
+        for axis in range(len(t.shape)):
+            for comp in t.complements(axis):
+                ref = tuple(
+                    t.get((*comp[:axis], i, *comp[axis:])) for i in range(t.shape[axis])
+                )
+                assert t.line(axis, comp) == ref
+            if len(t.shape) > 1:
+                outside = tuple(t.shape[a] for a in range(len(t.shape)) if a != axis)
+                with pytest.raises(IndexError):
+                    t.line(axis, outside)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t=tensors(),
+        data=st.data(),
+        negate=st.booleans(),
+        x0=st.fractions(-2, 2, max_denominator=3),
+        gamma=st.sampled_from([F(1), F(1, 2), F(3)]),
+        points=st.lists(st.fractions(-30, 30, max_denominator=3), min_size=1, max_size=5),
+        regular=st.booleans(),
+    )
+    def test_axis_transform_equals_per_element_reference(
+        self, t, data, negate, x0, gamma, points, regular
+    ):
+        axis = data.draw(st.integers(0, len(t.shape) - 1))
+        x_axis = RegularGrid(x0=x0, gamma=gamma, n=t.shape[axis])
+        points = sorted(points)
+        if regular:
+            dual = DualGrid(s0=points[0], gamma_s=abs(points[-1] - points[0]) / 3, k=len(points))
+        else:
+            dual = DualGrid.from_points(points)
+        got_assign = {}
+        got = axis_transform(
+            t, axis, x_axis, dual, negate=negate, assignments=got_assign, check_convex=False
+        )
+        new_shape = (*t.shape[:axis], dual.k, *t.shape[axis + 1 :])
+        ref, ref_assign = {}, {}
+        for comp in t.complements(axis):
+            line = [t.get((*comp[:axis], i, *comp[axis:])) for i in range(t.shape[axis])]
+            c = [(b - a) / gamma for a, b in zip(line, line[1:])]
+            for j in range(dual.k):
+                s = dual.point(j)
+                i = _reference_rule(c, s)
+                v = s * x_axis.point(i) - line[i]
+                ref[(*comp[:axis], j, *comp[axis:])] = -v if negate else v
+                ref_assign[(comp, j)] = i
+        assert got == RatTensor.build(new_shape, ref.__getitem__)
+        assert got_assign == ref_assign

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from lftlab import fixtures
 from lftlab.multi import canonical_nd_dual_grids
 from lftlab.qlft import conjugate_pairs, run_qlft_1d_adaptive, run_qlft_1d_regular
@@ -138,6 +140,35 @@ class TestVerificationReporting:
         assert run.verification.dual_grids[0].points() == (F(2), F(4))
         # the untransformed tensor would have given (0, 4) instead
         assert axis_bracket(f.values, 0, grid.gamma) == (F(0), F(4))
+
+    def test_nonconvex_intermediate_line_runs_unchecked(self):
+        # a coupled quadratic whose axis-1 pass leaves axis-0 lines discretely
+        # nonconvex: the checked cascade refuses it, while the simulator runs
+        # the same cascade unchecked and reports what the gate culled
+        from lftlab.errors import NonConvexSlice
+        from lftlab.multi import RatTensor, TensorGrid, TensorSamples
+
+        vals = (
+            "0 1/16 5/4 57/16 7 7/16 1 43/16 11/2 151/16 5/4 37/16 9/2 125/16 "
+            "49/4 39/16 4 107/16 21/2 247/16 4 97/16 37/4 217/16 19"
+        ).split()
+        grid = TensorGrid(axes=(fixtures.unit_grid(5), fixtures.unit_grid(5)))
+        f = TensorSamples(grid=grid, values=RatTensor((5, 5), tuple(map(F, vals))))
+        f.require_convex_axes()
+        with pytest.raises(NonConvexSlice, match=r"axis 0 line at \(2,\)"):
+            canonical_nd_dual_grids(f, (5, 5))
+        run = run_qlft_nd_regular(f, ks=(5, 5), rng_seed=0)
+        v = run.verification
+        assert v.status == MISMATCH
+        assert not v.extra and not v.value_mismatches
+        assert v.missing == (
+            (0, 0), (0, 1), (0, 4), (1, 0), (1, 4), (2, 1),
+            (2, 4), (3, 1), (3, 4), (4, 1), (4, 3), (4, 4),
+        )
+        assert run.pass_acceptances == (F(13, 50), F(1, 3))
+        axis0 = (F(7, 4), F(39, 8), F(8), F(89, 8), F(57, 4))
+        axis1 = (F(1, 4), F(45, 8), F(11), F(131, 8), F(87, 4))
+        assert tuple(g.points() for g in v.dual_grids) == (axis0, axis1)
 
 
 class TestAdaptiveNd:
