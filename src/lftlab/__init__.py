@@ -9,6 +9,7 @@ which every fast path and every simulated run is checked.
 from .errors import (
     AcceptanceMismatch,
     AllZeroValues,
+    BruteCapExceeded,
     DegenerateGrid,
     EmptyAcceptance,
     IndexOutOfRange,

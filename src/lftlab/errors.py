@@ -59,3 +59,7 @@ class ZeroXi(LftError):
 
 class RecoveryFailed(LftError):
     """A hidden-string reduction did not reproduce its exact identity."""
+
+
+class BruteCapExceeded(LftError):
+    """Too many primal points for the exhaustive brute-force oracle."""

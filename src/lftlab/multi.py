@@ -5,6 +5,9 @@ transforms: each pass replaces one primal axis by a dual axis, carrying
 the negated partial transform g = -(max over that axis), and the final
 negation restores f*. Row-major layout with axis 0 slowest; the brute
 evaluation over all primal points is the oracle for everything here.
+It assumes no convexity and no gradient rule: every primal point enters
+the max, taken one axis at a time from the last, and each axis keeps its
+first maximum, so ties go to the lexicographically smallest multi-index.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add
 from typing import Callable, Optional, Sequence
 
-from .errors import NonConvexSlice
+from .errors import BruteCapExceeded, NonConvexSlice
 from .grids import DualGrid, RegularGrid
 from .rational import frac, split
 from .transform import _adaptive_points, _rule_index, _slopes, regular_dual_grid
@@ -353,36 +357,69 @@ def lft_nd_adaptive(f: TensorSamples) -> TensorConjugate:
     )
 
 
+def _axis_max(inner: list, terms: list) -> tuple[list, list[int]]:
+    """Row maxima of terms + row over the rows of ``inner`` (len(terms)
+    entries each), with the first index attaining each maximum."""
+    n = len(terms)
+    maxima, firsts = [], []
+    for row in range(0, len(inner), n):
+        cands = list(map(add, terms, inner[row : row + n]))
+        best = max(cands)
+        maxima.append(best)
+        firsts.append(cands.index(best))
+    return maxima, firsts
+
+
 def lft_nd_brute(
     f: TensorSamples, dual_points: Sequence[tuple]
 ) -> TensorConjugate:
     """Exhaustive max over all primal points for each dual multi-point.
 
-    Ties resolve to the lexicographically smallest primal multi-index.
-    Accepts arbitrary (also nonconvex) samples.
+    Every primal point enters the max, taken one axis at a time from the
+    last: max_x (s.x - f(x)) = max_{x_0} (s_0 x_0 + max_{x_1} (s_1 x_1 +
+    ... - f(x))). Each axis keeps its first maximum, so ties resolve to
+    the lexicographically smallest primal multi-index. Dual points that
+    share a suffix s[a:] share its table, which is built once. Accepts
+    arbitrary (also nonconvex) samples and any list of dual points with
+    d components each.
     """
     if f.grid.total > MAX_BRUTE_POINTS:
-        raise ValueError(f"brute force capped at {MAX_BRUTE_POINTS} primal points")
+        raise BruteCapExceeded(f"brute force capped at {MAX_BRUTE_POINTS} primal points")
+    d = f.d
     pts = [tuple(_shrink(frac(c)) for c in p) for p in dual_points]
-    values = []
-    optimizer = []
-    # plain ints where values allow: exact and much faster on 0/1 grids
-    axis_pts = [[_shrink(p) for p in g.points()] for g in f.grid.axes]
-    flat_vals = [_shrink(v) for v in f.values.flat]
-    primal = [
-        (idx, tuple(axis_pts[a][i] for a, i in enumerate(idx)), flat_vals[pos])
-        for pos, idx in enumerate(f.values.indices())
-    ]
     for s in pts:
-        best = None
-        best_idx = None
-        for idx, x, fv in primal:
-            cand = sum(si * xi for si, xi in zip(s, x)) - fv
-            if best is None or cand > best:
-                best = cand
-                best_idx = idx
-        values.append(frac(best))
-        optimizer.append(best_idx)
+        if len(s) != d:
+            raise ValueError(f"dual point {s} has {len(s)} components; the samples have {d} axes")
+    # s_a x_a for each axis and each distinct s_a (n_a products apiece);
+    # plain ints where values allow: exact and much faster on 0/1 grids
+    ids = [{} for _ in range(d)]
+    keys = [tuple(ids[a].setdefault(c, len(ids[a])) for a, c in enumerate(s)) for s in pts]
+    axis_pts = [[_shrink(x) for x in g.points()] for g in f.grid.axes]
+    terms = [[[c * x for x in xs] for c in ids[a]] for a, xs in enumerate(axis_pts)]
+    # tables[a] holds the max over axes a.. for every primal prefix
+    # x_0..x_{a-1} and depends on s[a:] only. Sorted by their components
+    # from the last axis, points sharing a suffix come one after another,
+    # so each suffix's table is built once and only one table per axis
+    # is alive at a time.
+    tables = [None] * d + [([-_shrink(v) for v in f.values.flat], None)]
+    values = [None] * len(pts)
+    optimizer = [None] * len(pts)
+    prev = (-1,) * d
+    for j in sorted(range(len(pts)), key=lambda j: keys[j][::-1]):
+        key = keys[j]
+        top = d
+        while top and key[top - 1] == prev[top - 1]:
+            top -= 1
+        for a in reversed(range(top)):
+            tables[a] = _axis_max(tables[a + 1][0], terms[a][key[a]])
+        prev = key
+        row, idx = 0, []
+        for a in range(d):
+            i = tables[a][1][row]
+            idx.append(i)
+            row = row * len(axis_pts[a]) + i
+        values[j] = frac(tables[0][0][0])
+        optimizer[j] = tuple(idx)
     shape = (len(pts),)
     return TensorConjugate(
         values=RatTensor(shape, tuple(values)),

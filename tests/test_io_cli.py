@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from lftlab import fixtures
+from lftlab import fixtures, multi
 from lftlab.cli import main
 from lftlab.io import ParseError, dump_document, parse_instance, serialize_instance
 from lftlab.multi import TensorSamples
@@ -143,6 +143,15 @@ class TestCli:
     def test_rescale_affine_exit_2(self, tmp_path, capsys):
         inst = self._samples(tmp_path / "affine.json", 3, ["0", "1", "2"])
         self._rejects(["hardness", "rescale", inst], 2, capsys)
+
+    @pytest.mark.parametrize("command", [["qlft"], ["lft", "--brute"]])
+    def test_brute_cap_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(multi, "MAX_BRUTE_POINTS", 10)
+        inst = tmp_path / "sep.json"
+        inst.write_text(
+            json.dumps({"kind": "builtin", "name": "separable-sum", "params": {"d": 2, "n": 4}})
+        )
+        self._rejects([command[0], str(inst), *command[1:]], 2, capsys)
 
     def test_qlft_ex3_acceptance(self, fixture_dir, tmp_path):
         out = tmp_path / "res.json"

@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,6 +220,27 @@ class TestNdBrute:
         res = lft_nd_brute(f, [(F(0), F(0))])
         assert res.optimizer == ((0, 0),)
 
+    @pytest.mark.parametrize("point", [(F(1),), (F(1), F(0), F(0))])
+    def test_rejects_dual_points_of_wrong_length(self, point):
+        f = fixtures.separable_sum("quadratic-ex1", d=2, n=4)
+        with pytest.raises(ValueError, match=f"has {len(point)} components; the samples have 2"):
+            lft_nd_brute(f, [(F(0), F(0)), point])
+
+    def test_leaves_no_cyclic_garbage(self):
+        # perfbench pauses the cyclic GC during a pass: tables kept alive by
+        # a reference cycle would stay until the next collection
+        f = fixtures.separable_sum("quadratic-ex1", d=2, n=4)
+        pts = product_dual_points(canonical_nd_dual_grids(f, (4, 4)))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            lft_nd_brute(f, pts)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
 
 @st.composite
 def tensors(draw):
@@ -297,3 +320,63 @@ class TestStridedLines:
                 ref_assign[(comp, j)] = i
         assert got == RatTensor.build(new_shape, ref.__getitem__)
         assert got_assign == ref_assign
+
+
+def _reference_brute(f, dual_points):
+    """The exhaustive max as one flat loop over (dual point, primal point)
+    pairs in row-major order, keeping the first strict maximum."""
+    values, optimizer = [], []
+    for s in dual_points:
+        best = best_idx = None
+        for idx in f.values.indices():
+            x = f.grid.point(idx)
+            cand = sum(si * xi for si, xi in zip(s, x)) - f.values.get(idx)
+            if best is None or cand > best:
+                best, best_idx = cand, idx
+        values.append(best)
+        optimizer.append(best_idx)
+    return tuple(values), tuple(optimizer)
+
+
+# small alphabets make ties between primal points common
+SAMPLE_ALPHABET = [F(0), F(1), F(-1), F(1, 2), F(-3, 2)]
+DUAL_ALPHABET = [0, 1, -1, F(1, 2), F(-2, 3), F(2), F(3)]
+
+
+@st.composite
+def brute_cases(draw):
+    """Nonconvex samples on d = 1..4 axes with one non-unit spacing and
+    per-axis offsets, and either a product dual set or an arbitrary list
+    (repeated points and the empty list included)."""
+    shape = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
+    gamma = draw(st.sampled_from([F(1), F(1, 2), F(2, 3), F(3)]))
+    axes = tuple(
+        RegularGrid(x0=draw(st.fractions(-2, 2, max_denominator=3)), gamma=gamma, n=n)
+        for n in shape
+    )
+    size = math.prod(shape)
+    flat = draw(st.lists(st.sampled_from(SAMPLE_ALPHABET), min_size=size, max_size=size))
+    f = TensorSamples(grid=TensorGrid(axes=axes), values=RatTensor(shape, tuple(flat)))
+    comp = st.sampled_from(DUAL_ALPHABET)
+    if draw(st.booleans()):
+        per_axis = [draw(st.lists(comp, min_size=1, max_size=3)) for _ in shape]
+        pts = list(product(*per_axis))
+    else:
+        pts = draw(st.lists(st.tuples(*(comp for _ in shape)), max_size=8))
+        if pts:
+            pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    return f, pts
+
+
+class TestBruteAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(case=brute_cases())
+    def test_equals_flat_reference_loop(self, case):
+        f, pts = case
+        res = lft_nd_brute(f, pts)
+        values, optimizer = _reference_brute(f, pts)
+        assert res.values.shape == (len(pts),)
+        assert res.values.flat == values
+        assert all(isinstance(v, F) for v in res.values.flat)
+        assert res.optimizer == optimizer
+        assert res.dual_points == tuple(pts)
