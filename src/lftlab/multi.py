@@ -396,12 +396,13 @@ def lft_nd_brute(
     keys = [tuple(ids[a].setdefault(c, len(ids[a])) for a, c in enumerate(s)) for s in pts]
     axis_pts = [[_shrink(x) for x in g.points()] for g in f.grid.axes]
     terms = [[[c * x for x in xs] for c in ids[a]] for a, xs in enumerate(axis_pts)]
-    # tables[a] holds the max over axes a.. for every primal prefix
-    # x_0..x_{a-1} and depends on s[a:] only. Sorted by their components
-    # from the last axis, points sharing a suffix come one after another,
-    # so each suffix's table is built once and only one table per axis
-    # is alive at a time.
-    tables = [None] * d + [([-_shrink(v) for v in f.values.flat], None)]
+    # maxima[a] holds the max over axes a.. for every primal prefix
+    # x_0..x_{a-1}, firsts[a] the first index on axis a attaining it; both
+    # depend on s[a:] only. Sorted by their components from the last axis,
+    # points sharing a suffix come one after another, so each suffix's
+    # table is built once and only one table per axis is alive at a time.
+    maxima = [None] * d + [[-_shrink(v) for v in f.values.flat]]
+    firsts = [None] * d
     values = [None] * len(pts)
     optimizer = [None] * len(pts)
     prev = (-1,) * d
@@ -411,14 +412,14 @@ def lft_nd_brute(
         while top and key[top - 1] == prev[top - 1]:
             top -= 1
         for a in reversed(range(top)):
-            tables[a] = _axis_max(tables[a + 1][0], terms[a][key[a]])
+            maxima[a], firsts[a] = _axis_max(maxima[a + 1], terms[a][key[a]])
         prev = key
         row, idx = 0, []
         for a in range(d):
-            i = tables[a][1][row]
+            i = firsts[a][row]
             idx.append(i)
             row = row * len(axis_pts[a]) + i
-        values[j] = frac(tables[0][0][0])
+        values[j] = frac(maxima[0][0])
         optimizer[j] = tuple(idx)
     shape = (len(pts),)
     return TensorConjugate(
