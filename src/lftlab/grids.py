@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import DegenerateGrid, InvalidK, NonConvexInput
-from .rational import FLOAT_ABS_TOL, Number, frac, is_exact
+from .rational import FLOAT_ABS_TOL, Number, frac, is_exact, progression
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,8 @@ class RegularGrid:
         return self.x0 + i * self.gamma
 
     def points(self) -> tuple[Fraction, ...]:
-        return tuple(self.point(i) for i in range(self.n))
+        a, p, den = progression(self.x0, self.gamma)
+        return tuple(Fraction(a + i * p, den) for i in range(self.n))
 
     @property
     def hi(self) -> Fraction:
@@ -91,7 +92,10 @@ class DualGrid:
         return self.s0 + j * self.gamma_s
 
     def points(self) -> tuple[Fraction, ...]:
-        return tuple(self.point(j) for j in range(self.k))
+        if self.kind == "adaptive":
+            return self.explicit
+        a, p, den = progression(self.s0, self.gamma_s)
+        return tuple(Fraction(a + j * p, den) for j in range(self.k))
 
     @property
     def lo(self) -> Fraction:

@@ -11,6 +11,9 @@ simulated at gate level.
 
 The adaptive pipeline is deterministic: each branch derives its own dual
 point from its local gradient registers and finishes garbage-free.
+
+Register arithmetic runs on the words' integer ratios (``as_integer_ratio``,
+exact for float samples too) and makes one ``Fraction`` per word written.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from .errors import (
     NotPowerOfTwo,
 )
 from .grids import DualGrid, FunctionSpec, GradientVector
-from .qstate import UNDEFINED, Amplitude, BasisLabel, QState, label
-from .rational import frac
-from .transform import nontrivial_dual_range, regular_dual_grid
+from .qstate import UNDEFINED, Amplitude, BasisLabel, QState, is_undefined, label
+from .rational import Vec, exact_sum, frac, progression, split
+from .transform import _gradients, nontrivial_dual_range, regular_dual_grid
 from .witness import assignment_counts
 
 AA_MODEL = "ceil(pi/4 * sqrt(N*W/K))"
@@ -82,7 +85,8 @@ def _check_pow2(n: int, what: str, strict: bool) -> None:
 def prepare_superposition(f: FunctionSpec, strict_pow2: bool = False) -> QState:
     """Uniform superposition over i with three adjacent points per branch."""
     _check_pow2(f.n, "N", strict_pow2)
-    f.require_convex()
+    if f.n > 2:  # two points are always convex; the kernel needs three
+        _gradients(f)
     xs = f.grid.points()
     labels = []
     for i in range(f.n):
@@ -112,17 +116,39 @@ def attach_gradients(state: QState) -> QState:
         x, fv = lab.get("x"), lab.get("f")
         x_prev, f_prev = lab.get("x_prev"), lab.get("f_prev")
         x_next, f_next = lab.get("x_next"), lab.get("f_next")
-        if x_prev == UNDEFINED:
+        if is_undefined(x_prev):
             c_lo = UNDEFINED
         else:
-            c_lo = (fv - f_prev) / (x - x_prev)
-        if x_next == UNDEFINED:
+            c_lo = _slope(x_prev, f_prev, x, fv)
+        if is_undefined(x_next):
             c_hi = UNDEFINED
         else:
-            c_hi = (f_next - fv) / (x_next - x)
+            c_hi = _slope(x, fv, x_next, f_next)
         return BasisLabel(regs=lab.regs + (("c_lo", c_lo), ("c_hi", c_hi)))
 
     return state.map_labels(add)
+
+
+def _slope(x0, y0, x1, y1) -> Fraction:
+    """(y1 - y0) / (x1 - x0) on the words' integer ratios."""
+    (a, b), (c, d) = x0.as_integer_ratio(), x1.as_integer_ratio()
+    (e, g), (h, k) = y0.as_integer_ratio(), y1.as_integer_ratio()
+    return Fraction((h * g - e * k) * b * d, g * k * (c * b - a * d))
+
+
+def _dual_value(s: tuple[int, int], x, f) -> Fraction:
+    """s*x - f for s = sn/sd on the words' integer ratios."""
+    (sn, sd), (xn, xd), (fn, fd) = s, x.as_integer_ratio(), f.as_integer_ratio()
+    return Fraction(sn * xn * fd - fn * sd * xd, sd * xd * fd)
+
+
+def _dual_ratios(dual: DualGrid) -> Vec:
+    """Numerators and denominators of every dual point; a regular grid's
+    come from its integer progression."""
+    if dual.kind == "adaptive":
+        return split(dual.explicit)
+    a, p, den = progression(dual.s0, dual.gamma_s)
+    return [a + j * p for j in range(dual.k)], [den] * dual.k
 
 
 def _gather_gradients(state: QState) -> GradientVector:
@@ -134,7 +160,7 @@ def _gather_gradients(state: QState) -> GradientVector:
         i = lab.get("i")
         if i < n - 1:
             c[i] = lab.get("c_hi")
-    if any(v is None or v == UNDEFINED for v in c):
+    if any(v is None or is_undefined(v) for v in c):
         raise MalformedState("gradient registers are incomplete")
     return GradientVector(c=tuple(c))
 
@@ -142,11 +168,12 @@ def _gather_gradients(state: QState) -> GradientVector:
 def centered_dual(c_lo, c_hi):
     """A branch's centered adaptive dual point from its two local gradients;
     a boundary branch, whose missing gradient is UNDEFINED, takes the other."""
-    if c_lo == UNDEFINED:
+    if is_undefined(c_lo):
         return c_hi
-    if c_hi == UNDEFINED:
+    if is_undefined(c_hi):
         return c_lo
-    return (c_lo + c_hi) / 2
+    (a, b), (c, d) = c_lo.as_integer_ratio(), c_hi.as_integer_ratio()
+    return Fraction(a * d + c * b, 2 * b * d)
 
 
 def geometric_attempts(p: Fraction, rng: random.Random) -> int:
@@ -210,14 +237,14 @@ def indicator_postselect(
 def finalize_conjugate(state: QState, dual: DualGrid) -> QState:
     """Compute f*(s_j) = s_j x*_j - f(x*_j), uncompute f, keep garbage."""
     state.require_regs("j", "x_star", "f_at_star", "m", "i")
+    sn, sd = _dual_ratios(dual)
 
     def fin(lab: BasisLabel) -> BasisLabel:
-        j = lab.get("j")
-        s = dual.point(j)
-        fstar = s * lab.get("x_star") - lab.get("f_at_star")
+        j, x = lab.get("j"), lab.get("x_star")
+        fstar = _dual_value((sn[j], sd[j]), x, lab.get("f_at_star"))
         return BasisLabel(
             regs=(("j", j), ("fstar", fstar)),
-            garbage=(("x_star", lab.get("x_star")), ("m", lab.get("m")), ("i", lab.get("i"))),
+            garbage=(("x_star", x), ("m", lab.get("m")), ("i", lab.get("i"))),
         )
 
     return state.map_labels(fin)
@@ -288,7 +315,7 @@ def run_qlft_1d_adaptive(f: FunctionSpec, strict_pow2: bool = False) -> SimRun:
 
     def fin(lab: BasisLabel) -> BasisLabel:
         s, x = lab.get("s"), lab.get("x")
-        fstar = s * x - lab.get("f")
+        fstar = _dual_value(s.as_integer_ratio(), x, lab.get("f"))
         return label(("i", lab.get("i")), ("x", x), ("s", s), ("fstar", fstar))
 
     state = state.map_labels(fin)
@@ -317,8 +344,9 @@ def digital_to_analog(
 ) -> AnalogEncoding:
     """Move register values into amplitudes: (1/sqrt(a)) sum_j v_j |j>.
 
-    omega = (1/K) sum_j (v_j / max|v|)^2 is the per-try success weight;
-    the expected repetition count is modeled as sqrt(1/omega).
+    omega = (1/K) sum_j (v_j / max|v|)^2 = alpha / (K max|v|^2) is the
+    per-try success weight; the expected repetition count is modeled as
+    sqrt(1/omega).
     """
     state.require_regs("j", value_reg)
     values = [frac(v) for v in state.reg_values(value_reg)]
@@ -326,13 +354,17 @@ def digital_to_analog(
     vmax = max(abs(v) for v in values)
     if vmax == 0:
         raise AllZeroValues("cannot amplitude-encode the zero vector")
-    omega = sum((v / vmax) ** 2 for v in values) / k
-    alpha = sum(v * v for v in values)
+    nums, dens = split(values)
+    sq_nums, sq_dens = [p * p for p in nums], [q * q for q in dens]
+    alpha = exact_sum(sq_nums, sq_dens)
+    omega = alpha / (k * vmax * vmax)
+    an, ad = alpha.as_integer_ratio()
     entries = []
-    for (lab, _), v in zip(state.entries, values):
-        if v == 0:
+    for (lab, _), p, p2, q2 in zip(state.entries, nums, sq_nums, sq_dens):
+        if p == 0:
             continue  # zero-amplitude branches drop out of the support
-        amp = Amplitude(sign=1 if v > 0 else -1, sq=v * v / alpha)
+        # v^2 / alpha for v = p/q
+        amp = Amplitude(sign=1 if p > 0 else -1, sq=Fraction(p2 * ad, q2 * an))
         entries.append((label(("j", lab.get("j"))), amp))
     encoded = QState(entries=tuple(entries))
     rng = random.Random(rng_seed)

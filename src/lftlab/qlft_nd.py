@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 from .errors import InvalidK, NonConvexSlice, NotPowerOfTwo
 from .multi import TensorSamples, lft_nd_adaptive, lft_nd_brute, product_dual_points, _cascade
 from .qlft import SimRun, StepRecord, centered_dual, geometric_attempts, is_power_of_two
-from .qstate import UNDEFINED, BasisLabel, QState
+from .qstate import UNDEFINED, BasisLabel, QState, is_undefined
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -168,8 +168,8 @@ def _run_nd(
             for br in branches:
                 i = br.coords[axis]
                 lo_v, hi_v = br.row(axis, -1), br.row(axis, 1)
-                c_lo = UNDEFINED if lo_v == UNDEFINED else (br.center - lo_v) / gamma
-                c_hi = UNDEFINED if hi_v == UNDEFINED else (hi_v - br.center) / gamma
+                c_lo = UNDEFINED if is_undefined(lo_v) else (br.center - lo_v) / gamma
+                c_hi = UNDEFINED if is_undefined(hi_v) else (hi_v - br.center) / gamma
                 s = centered_dual(c_lo, c_hi)
                 new_branches.append(_advance(br, axis, i, i, s, f, m=None))
             pass_accepts.append(Fraction(1))
@@ -222,7 +222,7 @@ def _advance(br: _Branch, axis: int, i: int, j: int, s, f: TensorSamples, m):
     coords = list(br.coords)
     coords[axis] = j
     rows = tuple(
-        (key, (UNDEFINED if value == UNDEFINED else value - shift))
+        (key, (UNDEFINED if is_undefined(value) else value - shift))
         for key, value in br.rows
         if key[0] < axis
     )

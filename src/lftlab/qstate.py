@@ -8,6 +8,13 @@ squared magnitude and norms are checked with equality, not tolerance.
 Register words are exact rationals or integers; out-of-grid neighbor
 slots hold the tagged UNDEFINED word, which any arithmetic use would
 raise on rather than silently absorb.
+
+A state's labels must be pairwise distinct. Every state the simulators
+build leads each label with an index register (``i`` or ``j``) that is
+already unique, so the check compares first registers, which hash as
+small ints or int tuples, and hashes whole labels (every rational word)
+only when two first registers collide. Equal labels have equal first
+registers, so the check stays exact.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from math import sqrt
 from typing import Callable, Iterable, Union
 
 from .errors import MalformedState
+from .rational import exact_sum
 
 UNDEFINED = "undef"
 Word = Union[Fraction, int, str]
@@ -62,6 +70,11 @@ class BasisLabel:
         return tuple(k for k, _ in self.regs)
 
 
+def is_undefined(word: Word) -> bool:
+    """``word == UNDEFINED``, without comparing a rational with a str."""
+    return isinstance(word, str) and word == UNDEFINED
+
+
 def label(*regs: tuple[str, Word], garbage: tuple = ()) -> BasisLabel:
     return BasisLabel(regs=tuple(regs), garbage=tuple(garbage))
 
@@ -71,11 +84,9 @@ class QState:
     entries: tuple[tuple[BasisLabel, Amplitude], ...]
 
     def __post_init__(self):
-        seen = set()
-        for lab, _ in self.entries:
-            if lab in seen:
-                raise MalformedState("duplicate basis label")
-            seen.add(lab)
+        labs = [lab for lab, _ in self.entries]
+        if len({lab.regs[:1] for lab in labs}) < len(labs) and len(set(labs)) < len(labs):
+            raise MalformedState("duplicate basis label")
 
     @classmethod
     def uniform(cls, labels: Iterable[BasisLabel]) -> "QState":
@@ -86,7 +97,8 @@ class QState:
         return cls(entries=tuple((lab, amp) for lab in labs))
 
     def norm_sq(self) -> Fraction:
-        return sum((a.sq for _, a in self.entries), Fraction(0))
+        sqs = [a.sq for _, a in self.entries]
+        return exact_sum((v.numerator for v in sqs), (v.denominator for v in sqs))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -99,10 +111,12 @@ class QState:
         return QState(entries=tuple((fn(lab), amp) for lab, amp in self.entries))
 
     def require_regs(self, *names: str) -> None:
+        need = frozenset(names)
         for lab, _ in self.entries:
-            for name in names:
-                if not lab.has(name):
-                    raise MalformedState(f"state lacks register {name!r}")
+            if not need <= {k for k, _ in lab.regs}:
+                missing = [name for name in names if not lab.has(name)]
+                if missing:
+                    raise MalformedState(f"state lacks register {missing[0]!r}")
 
     def reg_values(self, name: str) -> tuple[Word, ...]:
         return tuple(lab.get(name) for lab, _ in self.entries)

@@ -12,6 +12,7 @@ mode (see ``FLOAT_ABS_TOL``) and enter the kernel by exact conversion.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 Rational = Union[Fraction, int]
@@ -43,6 +44,26 @@ def split(values: Iterable[Number]) -> Vec:
     exactly."""
     exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     return [v.numerator for v in exact], [v.denominator for v in exact]
+
+
+def progression(start: Fraction, step: Fraction) -> tuple[int, int, int]:
+    """(a, p, den) with start + j*step == (a + j*p) / den for every j."""
+    (a, b), (p, q) = start.as_integer_ratio(), step.as_integer_ratio()
+    den = lcm(b, q)
+    return a * (den // b), p * (den // q), den
+
+
+def exact_sum(nums: Iterable[int], dens: Iterable[int]) -> Fraction:
+    """The sum of nums[i] / dens[i], on ints over the lcm of the
+    denominators seen so far; a repeated denominator adds a bare numerator."""
+    num, den = 0, 1
+    for p, q in zip(nums, dens):
+        if q == den:
+            num += p
+        else:
+            m = lcm(den, q)
+            num, den = num * (m // den) + p * (m // q), m
+    return Fraction(num, den)
 
 
 def format_rational(value: Number) -> str:

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DegenerateGrid, InvalidK, NonConvexInput, OutOfRangeDual
 from .grids import DualGrid, FunctionSpec, GradientVector, RegularGrid
-from .rational import Number, Vec, frac, split
+from .rational import Number, Vec, frac, progression, split
 
 ADAPTIVE_VARIANTS = ("centered", "right", "left")
 
@@ -96,13 +96,6 @@ def regular_dual_grid(rng: tuple[Number, Number], k: int) -> DualGrid:
     return DualGrid(s0=lo, gamma_s=gamma_s, k=k, kind="regular")
 
 
-def _progression(start: Fraction, step: Fraction) -> tuple[int, int, int]:
-    """(a, p, den) with start + j*step == (a + j*p) / den for every j."""
-    (a, b), (p, q) = start.as_integer_ratio(), step.as_integer_ratio()
-    den = lcm(b, q)
-    return a * (den // b), p * (den // q), den
-
-
 # orders (numerator, positive denominator) pairs by value
 _by_value = cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1])
 
@@ -119,7 +112,7 @@ def _rule_counts(c: Vec, dual: DualGrid) -> list[int]:
     positive spacing, else by bisection over the sorted points.
     """
     (cn, cd), k = c, dual.k
-    a, p, b = _progression(dual.s0, dual.gamma_s)
+    a, p, b = progression(dual.s0, dual.gamma_s)
     if dual.kind == "regular" and p:
         # s_j = (a + j*p) / b <= n/d  <=>  j <= (n*b - a*d) / (p*d)
         at_most = [min(max((n * b - a * d) // (p * d) + 1, 0), k) for n, d in zip(cn, cd)]
@@ -177,7 +170,7 @@ def _conjugate_values(f: FunctionSpec, dual: DualGrid, idx: Sequence[int]) -> tu
     """s_j x_i - f_i for i = idx[j], each one integer fraction made a
     Fraction on return."""
     fn, fd = split(f.samples)
-    a, dx, xd = _progression(f.grid.x0, f.grid.gamma)
+    a, dx, xd = progression(f.grid.x0, f.grid.gamma)
     # over ls[i] = lcm(xd, q_i): x_i = xs[i] / ls[i] and f_i = fs[i] / ls[i], so
     # s x_i - f_i = (sn * xs[i] - fs[i] * sd) / (ls[i] * sd) for s = sn / sd
     ls = [lcm(xd, q) for q in fd]
@@ -187,7 +180,7 @@ def _conjugate_values(f: FunctionSpec, dual: DualGrid, idx: Sequence[int]) -> tu
         sn, sd = split(dual.explicit)
         return tuple(Fraction(n * xs[i] - fs[i] * d, ls[i] * d) for n, d, i in zip(sn, sd, idx))
     # one denominator sd for all points s_j = (s0 + j * step) / sd
-    s0, step, sd = _progression(dual.s0, dual.gamma_s)
+    s0, step, sd = progression(dual.s0, dual.gamma_s)
     fs, ls = [v * sd for v in fs], [m * sd for m in ls]
     sn = range(s0, s0 + dual.k * step, step) if step else repeat(s0, dual.k)
     return tuple(Fraction(n * xs[i] - fs[i], ls[i]) for n, i in zip(sn, idx))

@@ -3,7 +3,13 @@ from fractions import Fraction as F
 import pytest
 
 from lftlab import fixtures
-from lftlab.errors import AllZeroValues, MalformedState, NotPowerOfTwo
+from lftlab.errors import (
+    AllZeroValues,
+    DegenerateGrid,
+    MalformedState,
+    NonConvexInput,
+    NotPowerOfTwo,
+)
 from lftlab.grids import DualGrid, FunctionSpec, RegularGrid
 from lftlab.qlft import (
     attach_gradients,
@@ -67,6 +73,48 @@ class TestPrepare:
         with pytest.raises(NotPowerOfTwo):
             prepare_superposition(ex1, strict_pow2=True)
         prepare_superposition(ex1_first_four(), strict_pow2=True)
+
+
+class TestConvexityCheck:
+    @pytest.mark.parametrize("run", [run_qlft_1d_adaptive, lambda f: run_qlft_1d_regular(f, 4)])
+    def test_nonconvex_rejected_with_second_differences(self, run):
+        f = FunctionSpec(RegularGrid(0, 1, 4), (F(0), F(2), F(1), F(5)))
+        with pytest.raises(NonConvexInput, match=r"^second differences go negative \(min -3\)$"):
+            run(f)
+
+    def test_float_nonconvex_keeps_float_message(self):
+        f = FunctionSpec(RegularGrid(0, 1, 4), (0.0, 2.0, 1.0, 5.0))
+        with pytest.raises(NonConvexInput, match=r"^second differences go negative \(min -3\.0\)$"):
+            prepare_superposition(f)
+
+    def test_two_points(self):
+        f = FunctionSpec(RegularGrid(0, 1, 2), (F(1), F(3)))
+        run = run_qlft_1d_adaptive(f)
+        assert [(lab.get("s"), lab.get("fstar")) for lab, _ in run.final_state.entries] == [
+            (F(2), F(-1)),
+            (F(2), F(-1)),
+        ]
+        with pytest.raises(DegenerateGrid):
+            run_qlft_1d_regular(f, 4)
+
+
+class TestFloatSamples:
+    def floats(self):
+        return FunctionSpec(RegularGrid(0, 1 / 3, 4), (0.0, 0.1, 0.3, 0.7))
+
+    def test_regular_run_equals_kernel(self):
+        f = self.floats()
+        pairs = conjugate_pairs(run_qlft_1d_regular(f, 4))
+        assert tuple(v for _, v in pairs) == lft_regular(f, canonical_dual(f, 4)).values
+        assert pairs[-1] == (3, F(9007199254740991, 18014398509481984))
+        assert all(type(v) is F for _, v in pairs)
+
+    def test_adaptive_run_equals_kernel(self):
+        f = self.floats()
+        labs = run_qlft_1d_adaptive(f).final_state.labels()
+        ref = lft_adaptive(f)
+        assert tuple(lab.get("fstar") for lab in labs) == ref.values
+        assert tuple(lab.get("s") for lab in labs) == ref.dual.points()
 
 
 class TestAttachGradients:
