@@ -25,7 +25,7 @@ from math import sqrt
 from typing import Callable, Iterable, Union
 
 from .errors import MalformedState
-from .rational import exact_sum
+from .rational import exact_sum, split
 
 UNDEFINED = "undef"
 Word = Union[Fraction, int, str]
@@ -97,8 +97,7 @@ class QState:
         return cls(entries=tuple((lab, amp) for lab in labs))
 
     def norm_sq(self) -> Fraction:
-        sqs = [a.sq for _, a in self.entries]
-        return exact_sum((v.numerator for v in sqs), (v.denominator for v in sqs))
+        return exact_sum(*split(a.sq for _, a in self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -114,9 +113,9 @@ class QState:
         need = frozenset(names)
         for lab, _ in self.entries:
             if not need <= {k for k, _ in lab.regs}:
-                missing = [name for name in names if not lab.has(name)]
-                if missing:
-                    raise MalformedState(f"state lacks register {missing[0]!r}")
+                for name in names:
+                    if not lab.has(name):
+                        raise MalformedState(f"state lacks register {name!r}")
 
     def reg_values(self, name: str) -> tuple[Word, ...]:
         return tuple(lab.get(name) for lab, _ in self.entries)
