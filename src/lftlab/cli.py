@@ -52,7 +52,7 @@ from .qlft import (
     run_qlft_1d_regular,
 )
 from .qlft_nd import run_qlft_nd_adaptive, run_qlft_nd_regular
-from .qstate import BasisLabel
+from .qstate import label
 from .rational import format_rational, frac
 from .transform import (
     discrete_gradients,
@@ -232,7 +232,7 @@ def _qlft_1d(args, instance: FunctionSpec, seed: int, trials: int) -> dict:
 def _as_j_state(run):
     # adaptive runs label by i; rename for the analog conversion
     return run.final_state.map_labels(
-        lambda lab: BasisLabel(regs=(("j", lab.get("i")), ("fstar", lab.get("fstar"))))
+        lambda lab: label(("j", lab.get("i")), ("fstar", lab.get("fstar")))
     )
 
 

@@ -124,7 +124,7 @@ def attach_gradients(state: QState) -> QState:
             c_hi = UNDEFINED
         else:
             c_hi = _slope(x, fv, x_next, f_next)
-        return BasisLabel(regs=lab.regs + (("c_lo", c_lo), ("c_hi", c_hi)))
+        return label(*lab.regs, ("c_lo", c_lo), ("c_hi", c_hi))
 
     return state.map_labels(add)
 
@@ -242,8 +242,9 @@ def finalize_conjugate(state: QState, dual: DualGrid) -> QState:
     def fin(lab: BasisLabel) -> BasisLabel:
         j, x = lab.get("j"), lab.get("x_star")
         fstar = _dual_value((sn[j], sd[j]), x, lab.get("f_at_star"))
-        return BasisLabel(
-            regs=(("j", j), ("fstar", fstar)),
+        return label(
+            ("j", j),
+            ("fstar", fstar),
             garbage=(("x_star", x), ("m", lab.get("m")), ("i", lab.get("i"))),
         )
 
@@ -272,7 +273,7 @@ def run_qlft_1d_regular(
     _check_pow2(f.n, "N", strict_pow2)
     _check_pow2(k, "K", strict_pow2)
     steps: list[StepRecord] = []
-    state = prepare_superposition(f, strict_pow2=strict_pow2)
+    state = prepare_superposition(f)
     _trace(steps, "superposition", state)
     state = attach_gradients(state)
     _trace(steps, "gradients", state)
@@ -301,7 +302,7 @@ def run_qlft_1d_adaptive(f: FunctionSpec, strict_pow2: bool = False) -> SimRun:
     """Deterministic adaptive pipeline; no garbage registers remain."""
     _check_pow2(f.n, "N", strict_pow2)
     steps: list[StepRecord] = []
-    state = prepare_superposition(f, strict_pow2=strict_pow2)
+    state = prepare_superposition(f)
     _trace(steps, "superposition", state)
     state = attach_gradients(state)
     _trace(steps, "gradients", state)
@@ -339,17 +340,15 @@ class AnalogEncoding:
     attempts: int
 
 
-def digital_to_analog(
-    state: QState, rng_seed: int = 0, value_reg: str = "fstar"
-) -> AnalogEncoding:
+def digital_to_analog(state: QState, rng_seed: int = 0) -> AnalogEncoding:
     """Move register values into amplitudes: (1/sqrt(a)) sum_j v_j |j>.
 
     omega = (1/K) sum_j (v_j / max|v|)^2 = alpha / (K max|v|^2) is the
     per-try success weight; the expected repetition count is modeled as
     sqrt(1/omega).
     """
-    state.require_regs("j", value_reg)
-    values = [frac(v) for v in state.reg_values(value_reg)]
+    state.require_regs("j", "fstar")
+    values = [frac(v) for v in state.reg_values("fstar")]
     k = len(values)
     vmax = max(abs(v) for v in values)
     if vmax == 0:

@@ -19,6 +19,11 @@ Pass structure (shared dual grids, per-slice acceptance counts and first
 dual indices) comes from one classical cascade of the nested passes, run
 before the passes over the exact intermediate tensors; branch values flow
 through the stated register arithmetic only.
+
+Branches are the labels of one ``QState`` per step: registers j (the
+coordinates), f (the center value), f_prev{axis}/f_next{axis} per axis not
+yet passed and s{axis} per passed axis, garbage i{axis} (and m{axis} in
+regular mode). Each step records its computed norm, 0 if nothing survives.
 """
 
 from __future__ import annotations
@@ -30,10 +35,11 @@ from fractions import Fraction
 from itertools import accumulate, product
 from typing import Optional, Sequence
 
-from .errors import InvalidK, NonConvexSlice, NotPowerOfTwo
+from .errors import InvalidK, NonConvexSlice
+from .grids import DualGrid
 from .multi import TensorSamples, lft_nd_adaptive, lft_nd_brute, product_dual_points, _cascade
-from .qlft import SimRun, StepRecord, centered_dual, geometric_attempts, is_power_of_two
-from .qstate import UNDEFINED, BasisLabel, QState, is_undefined
+from .qlft import SimRun, StepRecord, _check_pow2, _trace, centered_dual, geometric_attempts
+from .qstate import UNDEFINED, BasisLabel, QState, is_undefined, label
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -55,48 +61,21 @@ class VerificationReport:
         return self.status == MATCH
 
 
-@dataclass(frozen=True)
-class _Branch:
-    coords: tuple[int, ...]
-    center: Fraction
-    rows: tuple  # ((axis, step), value) for untransformed-axis neighbors
-    s_regs: tuple
-    garbage: tuple
-
-    def row(self, axis: int, step: int):
-        for key, value in self.rows:
-            if key == (axis, step):
-                return value
-        return UNDEFINED
-
-
-def _initial_branches(f: TensorSamples) -> list[_Branch]:
-    branches = []
-    d = f.d
+def _superposition(f: TensorSamples) -> QState:
+    """Uniform superposition over the grid indices j; each branch carries its
+    center value f and, per axis, the rows f_prev{axis} and f_next{axis}."""
+    names = [(f"f_prev{axis}", f"f_next{axis}") for axis in range(f.d)]
+    labels = []
     for idx in f.values.indices():
         rows = []
-        for axis in range(d):
-            for step in (-1, 1):
+        for axis, pair in enumerate(names):
+            for name, step in zip(pair, (-1, 1)):
                 nb = list(idx)
                 nb[axis] += step
-                if 0 <= nb[axis] < f.grid.shape[axis]:
-                    rows.append(((axis, step), f.values.get(tuple(nb))))
-                else:
-                    rows.append(((axis, step), UNDEFINED))
-        branches.append(
-            _Branch(
-                coords=idx,
-                center=f.values.get(idx),
-                rows=tuple(rows),
-                s_regs=(),
-                garbage=(),
-            )
-        )
-    return branches
-
-
-def _comp_of(coords: tuple[int, ...], axis: int) -> tuple[int, ...]:
-    return tuple(v for a, v in enumerate(coords) if a != axis)
+                inside = 0 <= nb[axis] < f.grid.shape[axis]
+                rows.append((name, f.values.get(tuple(nb)) if inside else UNDEFINED))
+        labels.append(label(("j", idx), ("f", f.values.get(idx)), *rows))
+    return QState.uniform(labels)
 
 
 def _run_nd(
@@ -105,100 +84,49 @@ def _run_nd(
     mode: str,
     ks: Optional[Sequence[int]] = None,
 ) -> SimRun:
-    d = f.d
     f.require_convex_axes()
     rng = random.Random(rng_seed)
     steps: list[StepRecord] = []
-    branches = _initial_branches(f)
-    steps.append(StepRecord("superposition", len(branches), Fraction(1)))
-    gamma = f.grid.gamma
+    state = _superposition(f)
+    _trace(steps, "superposition", state)
     pass_accepts: list[Fraction] = []
-    aborted = False
     duals = None
     if mode == "regular":
         # the pass structure; intermediate lines may be discretely nonconvex,
         # where the cascade's rule still defines the counts the passes gate on
         duals, assigns, _ = _cascade(f, ks=ks, check_convex=False)
 
-    for axis in range(d - 1, -1, -1):
+    for axis in range(f.d - 1, -1, -1):
         if mode == "regular":
-            dual = duals[axis]
-            n_axis = f.grid.shape[axis]
-            counts_of: dict = {}
-            for (comp, _), i in assigns[axis].items():
-                counts_of.setdefault(comp, [0] * n_axis)[i] += 1
-            structure = {c: (k, list(accumulate(k, initial=0))) for c, k in counts_of.items()}
-            w = max(map(max, counts_of.values()))
-            new_branches = []
-            accepted = 0
-            three_point = axis > 0  # neighbor rows are still needed downstream
-            for br in branches:
-                comp = _comp_of(br.coords, axis)
-                counts, firsts = structure[comp]
-                i = br.coords[axis]
-                for m in range(w):
-                    if m >= counts[i]:
-                        continue
-                    if three_point:
-                        hs = [h for h in (i - 1, i, i + 1) if 0 <= h < n_axis]
-                        if any(m >= counts[h] for h in hs):
-                            continue
-                    accepted += 1
-                    j = firsts[i] + m
-                    new_branches.append(
-                        _advance(br, axis, i, j, dual.point(j), f, m)
-                    )
-            total = len(branches) * w
-            acceptance = Fraction(accepted, total)
-            pass_accepts.append(acceptance)
-            branches = sorted(new_branches, key=lambda b: b.coords)
-            steps.append(
-                StepRecord(
-                    f"pass-axis{axis}", len(branches), Fraction(1), acceptance
-                )
-            )
-            if accepted == 0:
-                # The neighbor-slot condition rejected every branch; the
-                # stated measurement can never show outcome 1. Reported,
-                # not raised: the verification marks every label missing.
-                aborted = True
-                break
-        else:  # adaptive
-            new_branches = []
-            for br in branches:
-                i = br.coords[axis]
-                lo_v, hi_v = br.row(axis, -1), br.row(axis, 1)
-                c_lo = UNDEFINED if is_undefined(lo_v) else (br.center - lo_v) / gamma
-                c_hi = UNDEFINED if is_undefined(hi_v) else (hi_v - br.center) / gamma
-                s = centered_dual(c_lo, c_hi)
-                new_branches.append(_advance(br, axis, i, i, s, f, m=None))
-            pass_accepts.append(Fraction(1))
-            branches = sorted(new_branches, key=lambda b: b.coords)
-            steps.append(
-                StepRecord(f"pass-axis{axis}", len(branches), Fraction(1), Fraction(1))
-            )
+            state, acceptance = _regular_pass(state, f, axis, duals[axis], assigns[axis])
+        else:
+            state, acceptance = _adaptive_pass(state, f, axis), Fraction(1)
+        pass_accepts.append(acceptance)
+        _trace(steps, f"pass-axis{axis}", state, acceptance)
+        if not state.entries:
+            # The neighbor-slot condition rejected every branch; the
+            # stated measurement can never show outcome 1. Reported,
+            # not raised: the verification marks every label missing.
+            break
 
-    success = Fraction(1)
-    for p in pass_accepts:
-        success *= p
+    success = math.prod(pass_accepts, start=Fraction(1))
 
-    if aborted:
+    if not state.entries:
         final_state = None
         attempts = 0
         expected_aa = 0
     else:
         attempts = geometric_attempts(success, rng) if success < 1 else 1
-        labels = []
-        for br in branches:
-            fstar = -br.center
-            regs = (
-                ("j", br.coords),
-                ("fstar", fstar),
-                ("s", tuple(v for _, v in sorted(br.s_regs))),
+        s_names = [f"s{axis}" for axis in range(f.d)]
+        final_state = state.map_labels(
+            lambda lab: label(
+                ("j", lab.get("j")),
+                ("fstar", -lab.get("f")),
+                ("s", tuple(lab.get(name) for name in s_names)),
+                garbage=lab.garbage,
             )
-            labels.append(BasisLabel(regs=regs, garbage=br.garbage))
-        final_state = QState.uniform(labels)
-        steps.append(StepRecord("negate", len(labels), Fraction(1)))
+        )
+        _trace(steps, "negate", final_state)
         expected_aa = math.ceil((math.pi / 4) * math.sqrt(1 / float(success)))
 
     verification = _verify(f, mode, duals, final_state, rng_seed)
@@ -214,26 +142,74 @@ def _run_nd(
     )
 
 
-def _advance(br: _Branch, axis: int, i: int, j: int, s, f: TensorSamples, m):
-    """Relabel one branch after a pass, mapping every carried row with the
-    center optimizer: value -> value - s * x_i."""
-    x_i = f.grid.axes[axis].point(i)
+def _regular_pass(
+    state: QState, f: TensorSamples, axis: int, dual: DualGrid, assign: dict
+) -> tuple[QState, Fraction]:
+    """Expand w copy slots per branch, keep the (branch, slot m) pairs the
+    gates accept (slots m >= counts[i] fail membership and are not built),
+    and renormalize over the survivors, sorted by j."""
+    n_axis = f.grid.shape[axis]
+    counts_of: dict = {}
+    for (comp, _), i in assign.items():
+        counts_of.setdefault(comp, [0] * n_axis)[i] += 1
+    structure = {c: (k, list(accumulate(k, initial=0))) for c, k in counts_of.items()}
+    w = max(map(max, counts_of.values()))
+    three_point = axis > 0  # neighbor rows are still needed downstream
+    kept = []
+    for lab, _ in state.entries:
+        coords = lab.get("j")
+        counts, firsts = structure[coords[:axis] + coords[axis + 1 :]]
+        i = coords[axis]
+        x_i = f.grid.axes[axis].point(i)
+        for m in range(counts[i]):
+            if three_point and any(m >= counts[h] for h in (i - 1, i + 1) if 0 <= h < n_axis):
+                continue
+            j = firsts[i] + m
+            kept.append(_advance(lab, axis, i, j, dual.point(j), x_i, m))
+    kept.sort(key=lambda lab: lab.get("j"))
+    acceptance = Fraction(len(kept), len(state) * w)
+    return (QState.uniform(kept) if kept else QState(entries=())), acceptance
+
+
+def _adaptive_pass(state: QState, f: TensorSamples, axis: int) -> QState:
+    """Each branch takes the centered dual point of its own axis rows."""
+    gamma = f.grid.gamma
+    lo_name, hi_name = f"f_prev{axis}", f"f_next{axis}"
+
+    def step(lab: BasisLabel) -> BasisLabel:
+        i = lab.get("j")[axis]
+        center, lo_v, hi_v = lab.get("f"), lab.get(lo_name), lab.get(hi_name)
+        c_lo = UNDEFINED if is_undefined(lo_v) else (center - lo_v) / gamma
+        c_hi = UNDEFINED if is_undefined(hi_v) else (hi_v - center) / gamma
+        s = centered_dual(c_lo, c_hi)
+        return _advance(lab, axis, i, i, s, f.grid.axes[axis].point(i))
+
+    return state.map_labels(step)
+
+
+def _advance(lab: BasisLabel, axis: int, i: int, j: int, s, x_i, m=None) -> BasisLabel:
+    """Relabel one branch after the pass along ``axis``: the axis coordinate
+    of j becomes the dual index, s{axis} holds the dual point, the axis' own
+    rows are dropped, and f and every row still carried map with the center
+    optimizer: value -> value - s * x_i.
+
+    Registers run j, f, the rows of axes 0..axis in pairs, then the s of the
+    axes already passed, so the rows kept are regs[2 : 2 + 2 * axis].
+    """
     shift = s * x_i
-    coords = list(br.coords)
+    regs = lab.regs
+    coords = list(lab.get("j"))
     coords[axis] = j
-    rows = tuple(
-        (key, (UNDEFINED if is_undefined(value) else value - shift))
-        for key, value in br.rows
-        if key[0] < axis
-    )
-    garbage = br.garbage + ((f"i{axis}", i),)
+    rows = [(name, v if is_undefined(v) else v - shift) for name, v in regs[2 : 2 + 2 * axis]]
+    garbage = lab.garbage + ((f"i{axis}", i),)
     if m is not None:
         garbage = garbage + ((f"m{axis}", m),)
-    return _Branch(
-        coords=tuple(coords),
-        center=br.center - shift,
-        rows=rows,
-        s_regs=br.s_regs + ((axis, s),),
+    return label(
+        ("j", tuple(coords)),
+        ("f", lab.get("f") - shift),
+        *rows,
+        (f"s{axis}", s),
+        *regs[4 + 2 * axis :],
         garbage=garbage,
     )
 
@@ -295,12 +271,6 @@ def _verify(f, mode, duals, final_state, rng_seed) -> VerificationReport:
     )
 
 
-def _require_pow2(sizes) -> None:
-    for n in sizes:
-        if not is_power_of_two(n):
-            raise NotPowerOfTwo(f"size {n} is not a power of two")
-
-
 def run_qlft_nd_regular(
     f: TensorSamples,
     ks: Sequence[int],
@@ -317,13 +287,15 @@ def run_qlft_nd_regular(
         raise ValueError("need one dual size per axis")
     if any(k < 2 for k in ks):
         raise InvalidK("need k >= 2 per axis")
-    if strict_pow2:
-        _require_pow2((*f.grid.shape, *ks))
+    for axis, n in enumerate(f.grid.shape):
+        _check_pow2(n, f"N{axis}", strict_pow2)
+    for axis, k in enumerate(ks):
+        _check_pow2(k, f"K{axis}", strict_pow2)
     return _run_nd(f, rng_seed, "regular", ks=tuple(ks))
 
 
 def run_qlft_nd_adaptive(f: TensorSamples, strict_pow2: bool = False) -> SimRun:
     """Deterministic nested adaptive passes with the same verification contract."""
-    if strict_pow2:
-        _require_pow2(f.grid.shape)
+    for axis, n in enumerate(f.grid.shape):
+        _check_pow2(n, f"N{axis}", strict_pow2)
     return _run_nd(f, 0, "adaptive")

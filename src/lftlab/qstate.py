@@ -9,19 +9,27 @@ Register words are exact rationals or integers; out-of-grid neighbor
 slots hold the tagged UNDEFINED word, which any arithmetic use would
 raise on rather than silently absorb.
 
-A state's labels must be pairwise distinct. Every state the simulators
-build leads each label with an index register (``i`` or ``j``) that is
-already unique, so the check compares first registers, which hash as
-small ints or int tuples, and hashes whole labels (every rational word)
-only when two first registers collide. Equal labels have equal first
-registers, so the check stays exact.
+A label holds one value per register; the register names live once, in a
+schema that every label of a state shares: the names in order, how many of
+them are registers rather than garbage, and a name -> position index, so a
+register read is one dict lookup. Schemas are interned (one object per
+layout, re-interned on unpickling), so labels compare and hash their
+schemas by identity, and a pickled state writes its schema once, as the
+state in memory holds it once.
+
+A state's labels must share one schema and be pairwise distinct. Every
+state the simulators build leads each label with an index register (``i``
+or ``j``) that is already unique, so the check compares first values, which
+hash as small ints or int tuples, and hashes whole labels (every rational
+word) only when two first values collide. Under one schema, equal labels
+have equal first values, so the check stays exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import sqrt
+from functools import cache
 from typing import Callable, Iterable, Union
 
 from .errors import MalformedState
@@ -42,32 +50,47 @@ class Amplitude:
         if self.sq < 0:
             raise ValueError("squared magnitude must be nonnegative")
 
-    @property
-    def value(self) -> float:
-        return self.sign * sqrt(float(self.sq))
+
+@dataclass(frozen=True, eq=False)
+class Schema:
+    names: tuple[str, ...]
+    n_regs: int  # names[:n_regs] are registers, the rest garbage
+    index: dict[str, int] = field(repr=False)
+
+    def __reduce__(self):
+        return _schema, (self.names, self.n_regs)
+
+
+@cache
+def _schema(names: tuple[str, ...], n_regs: int) -> Schema:
+    index: dict[str, int] = {}
+    for pos, name in enumerate(names):
+        index.setdefault(name, pos)  # a repeated name reads its first slot
+    return Schema(names, n_regs, index)
 
 
 @dataclass(frozen=True)
 class BasisLabel:
-    regs: tuple[tuple[str, Word], ...]
-    garbage: tuple[tuple[str, Word], ...] = ()
+    schema: Schema
+    values: tuple[Word, ...]
 
     def get(self, name: str) -> Word:
-        for key, value in self.regs:
-            if key == name:
-                return value
-        for key, value in self.garbage:
-            if key == name:
-                return value
-        raise MalformedState(f"label has no register {name!r}")
+        try:
+            return self.values[self.schema.index[name]]
+        except KeyError:
+            raise MalformedState(f"label has no register {name!r}") from None
 
-    def has(self, name: str) -> bool:
-        return any(k == name for k, _ in self.regs) or any(
-            k == name for k, _ in self.garbage
-        )
+    @property
+    def regs(self) -> tuple[tuple[str, Word], ...]:
+        return tuple(zip(self.schema.names, self.values[: self.schema.n_regs]))
+
+    @property
+    def garbage(self) -> tuple[tuple[str, Word], ...]:
+        n = self.schema.n_regs
+        return tuple(zip(self.schema.names[n:], self.values[n:]))
 
     def reg_names(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.regs)
+        return self.schema.names[: self.schema.n_regs]
 
 
 def is_undefined(word: Word) -> bool:
@@ -76,7 +99,9 @@ def is_undefined(word: Word) -> bool:
 
 
 def label(*regs: tuple[str, Word], garbage: tuple = ()) -> BasisLabel:
-    return BasisLabel(regs=tuple(regs), garbage=tuple(garbage))
+    pairs = (*regs, *garbage)
+    names, values = zip(*pairs) if pairs else ((), ())
+    return BasisLabel(_schema(names, len(regs)), values)
 
 
 @dataclass(frozen=True)
@@ -85,7 +110,9 @@ class QState:
 
     def __post_init__(self):
         labs = [lab for lab, _ in self.entries]
-        if len({lab.regs[:1] for lab in labs}) < len(labs) and len(set(labs)) < len(labs):
+        if len({lab.schema for lab in labs}) > 1:
+            raise MalformedState("labels of one state must share one register schema")
+        if len({lab.values[:1] for lab in labs}) < len(labs) and len(set(labs)) < len(labs):
             raise MalformedState("duplicate basis label")
 
     @classmethod
@@ -110,12 +137,12 @@ class QState:
         return QState(entries=tuple((fn(lab), amp) for lab, amp in self.entries))
 
     def require_regs(self, *names: str) -> None:
-        need = frozenset(names)
-        for lab, _ in self.entries:
-            if not need <= {k for k, _ in lab.regs}:
-                for name in names:
-                    if not lab.has(name):
-                        raise MalformedState(f"state lacks register {name!r}")
+        if not self.entries:
+            return
+        index = self.entries[0][0].schema.index
+        for name in names:
+            if name not in index:
+                raise MalformedState(f"state lacks register {name!r}")
 
     def reg_values(self, name: str) -> tuple[Word, ...]:
         return tuple(lab.get(name) for lab, _ in self.entries)

@@ -204,6 +204,7 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["verification"] == "MATCH"
         assert doc["pass_acceptances"] == ["1", "1"]
+        assert [r["norm"] for r in doc["step_trace"]] == ["1"] * 4
 
     def test_lft_tensor_adaptive_route(self, tmp_path):
         inst = tmp_path / "sep.json"

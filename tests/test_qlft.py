@@ -22,7 +22,7 @@ from lftlab.qlft import (
     run_qlft_1d_adaptive,
     run_qlft_1d_regular,
 )
-from lftlab.qstate import UNDEFINED
+from lftlab.qstate import UNDEFINED, label
 from lftlab.transform import (
     discrete_gradients,
     lft_adaptive,
@@ -147,7 +147,7 @@ class TestAttachGradients:
 
     def test_requires_prepared_state(self, ex1):
         mangled = prepare_superposition(ex1).map_labels(
-            lambda lab: lab.__class__(regs=lab.regs[:2])
+            lambda lab: label(*lab.regs[:2])
         )
         with pytest.raises(MalformedState):
             attach_gradients(mangled)
@@ -341,9 +341,7 @@ class TestDigitalToAnalog:
     def test_constant_values_omega_one(self):
         run = run_qlft_1d_adaptive(fixtures.constant(F(1, 2), n=4))
         state = run.final_state.map_labels(
-            lambda lab: lab.__class__(
-                regs=(("j", lab.get("i")), ("fstar", lab.get("fstar")))
-            )
+            lambda lab: label(("j", lab.get("i")), ("fstar", lab.get("fstar")))
         )
         enc = digital_to_analog(state)
         assert enc.omega == 1
@@ -361,9 +359,7 @@ class TestDigitalToAnalog:
     def test_all_zero_rejected(self):
         run = run_qlft_1d_adaptive(fixtures.constant(0, n=4))
         state = run.final_state.map_labels(
-            lambda lab: lab.__class__(
-                regs=(("j", lab.get("i")), ("fstar", lab.get("fstar")))
-            )
+            lambda lab: label(("j", lab.get("i")), ("fstar", lab.get("fstar")))
         )
         with pytest.raises(AllZeroValues):
             digital_to_analog(state)

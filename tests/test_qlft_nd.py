@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from lftlab import fixtures
-from lftlab.multi import canonical_nd_dual_grids
+from lftlab.errors import NotPowerOfTwo
+from lftlab.grids import FunctionSpec
+from lftlab.multi import TensorGrid, TensorSamples, canonical_nd_dual_grids
 from lftlab.qlft import conjugate_pairs, run_qlft_1d_adaptive, run_qlft_1d_regular
 from lftlab.qlft_nd import MATCH, MISMATCH, run_qlft_nd_adaptive, run_qlft_nd_regular
 
@@ -30,6 +32,73 @@ class TestSeparableRegular:
         got = {lab.get("j"): lab.get("fstar") for lab, _ in run.final_state.entries}
         for idx in classical.values.indices():
             assert got[idx] == classical.values.get(idx)
+
+
+def _separable_4x4():
+    """x^2 + 3y^2 on the 4x4 unit grid: the axes have different dual points."""
+    grid = TensorGrid(axes=(fixtures.unit_grid(4), fixtures.unit_grid(4)))
+    return TensorSamples.from_function(grid, lambda x, y: x * x + 3 * y * y)
+
+
+class TestRegisterLayout:
+    STEPS = (("superposition", 16), ("pass-axis1", 16), ("pass-axis0", 16), ("negate", 16))
+
+    def test_regular_final_registers(self):
+        run = run_qlft_nd_regular(_separable_4x4(), ks=(4, 4), rng_seed=3)
+        assert tuple((s.name, s.label_count) for s in run.step_trace) == self.STEPS
+        duals = run.verification.dual_grids
+        assert duals[0].points() != duals[1].points()
+        for lab, _ in run.final_state.entries:
+            assert lab.reg_names() == ("j", "fstar", "s")
+            assert tuple(k for k, _ in lab.garbage) == ("i1", "m1", "i0", "m0")
+            j = lab.get("j")
+            assert lab.get("s") == (duals[0].point(j[0]), duals[1].point(j[1]))
+
+    def test_adaptive_final_registers(self):
+        run = run_qlft_nd_adaptive(_separable_4x4())
+        assert tuple((s.name, s.label_count) for s in run.step_trace) == self.STEPS
+        xs = fixtures.unit_grid(4).points()
+        per_axis = [
+            run_qlft_1d_adaptive(FunctionSpec(fixtures.unit_grid(4), tuple(c * x * x for x in xs)))
+            for c in (1, 3)
+        ]
+        s_of = [tuple(lab.get("s") for lab, _ in one.final_state.entries) for one in per_axis]
+        assert s_of[0] != s_of[1]
+        for lab, _ in run.final_state.entries:
+            assert lab.reg_names() == ("j", "fstar", "s")
+            assert tuple(k for k, _ in lab.garbage) == ("i1", "i0")
+            j = lab.get("j")
+            assert lab.get("s") == (s_of[0][j[0]], s_of[1][j[1]])
+
+
+class TestStepNorms:
+    def test_every_step_of_a_completed_run_has_norm_one(self):
+        runs = [run_qlft_nd_adaptive(_separable_4x4())]
+        for seed in range(12):
+            local = random.Random(seed)
+            f = fixtures.random_convex_quadratic_nd(local, d=local.choice([2, 3]), n=4, coupling=2)
+            runs.append(run_qlft_nd_adaptive(f))
+            runs.append(run_qlft_nd_regular(f, ks=(4,) * f.d, rng_seed=seed))
+        completed = [run for run in runs if run.final_state is not None]
+        assert len(completed) > len(runs) // 2
+        for run in completed:
+            assert run.step_trace[-1].name == "negate"
+            assert all(s.norm_sq == 1 for s in run.step_trace)
+
+
+class TestStrictPow2:
+    def test_rejects_non_power_of_two_grid_and_dual_sizes(self):
+        five = fixtures.separable_sum("quadratic-ex1", d=2, n=5)
+        four = fixtures.separable_sum("quadratic-ex1", d=2, n=4)
+        with pytest.raises(NotPowerOfTwo, match="N0 = 5"):
+            run_qlft_nd_regular(five, ks=(4, 4), strict_pow2=True)
+        with pytest.raises(NotPowerOfTwo, match="N0 = 5"):
+            run_qlft_nd_adaptive(five, strict_pow2=True)
+        with pytest.raises(NotPowerOfTwo, match="K1 = 6"):
+            run_qlft_nd_regular(four, ks=(4, 6), strict_pow2=True)
+        assert run_qlft_nd_regular(five, ks=(4, 6)).verification is not None
+        assert run_qlft_nd_regular(four, ks=(4, 4), strict_pow2=True).verification.status == MATCH
+        assert run_qlft_nd_adaptive(four, strict_pow2=True).verification.status == MATCH
 
 
 class TestD1Reduction:
@@ -108,6 +177,10 @@ class TestVerificationReporting:
                 break
         assert aborted is not None
         assert aborted.success_probability == 0
+        last = aborted.step_trace[-1]
+        assert last.name.startswith("pass-axis") and last.acceptance == 0
+        assert last.label_count == 0 and last.norm_sq == 0
+        assert all(s.norm_sq == 1 for s in aborted.step_trace[:-1])
         assert aborted.verification.status == MISMATCH
         assert aborted.verification.missing  # everything is missing
 

@@ -1,9 +1,10 @@
+import pickle
 from fractions import Fraction as F
 
 import pytest
 
 from lftlab.errors import MalformedState
-from lftlab.qstate import UNDEFINED, Amplitude, BasisLabel, QState, is_undefined, label
+from lftlab.qstate import UNDEFINED, Amplitude, QState, is_undefined, label
 
 
 def amp(sq):
@@ -34,11 +35,11 @@ class TestDistinctLabels:
             QState.uniform([label(("i", 1)), label(("i", F(1)))])
 
     def test_empty_regs(self):
-        assert len(QState.uniform([BasisLabel(regs=())])) == 1
-        distinct = [BasisLabel(regs=(), garbage=(("m", m),)) for m in range(3)]
+        assert len(QState.uniform([label()])) == 1
+        distinct = [label(garbage=(("m", m),)) for m in range(3)]
         assert len(QState.uniform(distinct)) == 3
         with pytest.raises(MalformedState):
-            QState.uniform([BasisLabel(regs=()), BasisLabel(regs=())])
+            QState.uniform([label(), label()])
 
     def test_map_labels_that_merges_branches_raises(self):
         state = QState.uniform([label(("i", i), ("x", F(i, 7))) for i in range(4)])
@@ -72,7 +73,9 @@ class TestNorm:
 
 class TestRegisters:
     def test_require_regs_names_the_missing_register(self):
-        state = QState.uniform([label(("i", 0), ("x", F(0))), label(("i", 1))])
+        with pytest.raises(MalformedState, match="one register schema"):
+            QState.uniform([label(("i", 0), ("x", F(0))), label(("i", 1))])
+        state = QState.uniform([label(("i", 0)), label(("i", 1))])
         state.require_regs("i")
         with pytest.raises(MalformedState, match="'x'"):
             state.require_regs("i", "x")
@@ -84,6 +87,15 @@ class TestRegisters:
         state.require_regs("j", "m")
         with pytest.raises(MalformedState, match="'i'"):
             state.require_regs("m", "i")
+
+    def test_schema_is_shared_and_survives_pickling(self):
+        a, b = label(("j", 0), garbage=(("m", 0),)), label(("j", 1), garbage=(("m", 1),))
+        assert a.schema is b.schema and a.reg_names() == ("j",) and a.garbage == (("m", 0),)
+        with pytest.raises(MalformedState, match="'x'"):
+            a.get("x")
+        state = QState.uniform([a, b])
+        copy = pickle.loads(pickle.dumps(state))
+        assert copy == state and copy.entries[0][0].schema is a.schema
 
     def test_is_undefined(self):
         assert is_undefined(UNDEFINED) and is_undefined("".join("undef"))

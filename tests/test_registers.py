@@ -32,7 +32,7 @@ from lftlab.qlft import (
     run_qlft_1d_adaptive,
     run_qlft_1d_regular,
 )
-from lftlab.qstate import UNDEFINED, Amplitude, BasisLabel, QState, label
+from lftlab.qstate import UNDEFINED, Amplitude, QState, label
 from lftlab.transform import discrete_gradients
 
 from conftest import canonical_dual
@@ -63,7 +63,7 @@ def ref_gradients(state):
         x_next, f_next = lab.get("x_next"), lab.get("f_next")
         c_lo = UNDEFINED if x_prev == UNDEFINED else (fv - f_prev) / (x - x_prev)
         c_hi = UNDEFINED if x_next == UNDEFINED else (f_next - fv) / (x_next - x)
-        return BasisLabel(regs=lab.regs + (("c_lo", c_lo), ("c_hi", c_hi)))
+        return label(*lab.regs, ("c_lo", c_lo), ("c_hi", c_hi))
 
     return state.map_labels(add)
 
@@ -84,8 +84,9 @@ def ref_finalize(state, dual):
     def fin(lab):
         j = lab.get("j")
         fstar = ref_point(dual, j) * lab.get("x_star") - lab.get("f_at_star")
-        return BasisLabel(
-            regs=(("j", j), ("fstar", fstar)),
+        return label(
+            ("j", j),
+            ("fstar", fstar),
             garbage=(("x_star", lab.get("x_star")), ("m", lab.get("m")), ("i", lab.get("i"))),
         )
 
