@@ -179,6 +179,8 @@ def cmd_qlft(args) -> int:
         return _fail("--trials must be at least 1", 1)
     if isinstance(instance, FunctionSpec):
         doc, run = _qlft_1d(args, instance, seed, trials)
+    elif args.omega:
+        return _fail("--omega needs a one-dimensional instance", 1)
     else:
         doc, run = _qlft_nd(args, instance, seed, trials)
     if args.transcript:
@@ -410,7 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--dual-size", default=None, help="K (or per-axis K0,K1,...)")
     p_q.add_argument("--seed", type=int, default=None)
     p_q.add_argument("--trials", type=int, default=1)
-    p_q.add_argument("--omega", action="store_true", help="report the analog-encoding weight")
+    p_q.add_argument(
+        "--omega", action="store_true", help="report the analog-encoding weight (1D instances only)"
+    )
     p_q.add_argument("--strict-pow2", action="store_true", help="reject non-power-of-two sizes")
     p_q.add_argument("--transcript", default=None, help="write the step log here, one JSON record per line")
     p_q.set_defaults(fn=cmd_qlft)

@@ -8,6 +8,14 @@ evaluation over all primal points is the oracle for everything here.
 It assumes no convexity and no gradient rule: every primal point enters
 the max, taken one axis at a time from the last, and each axis keeps its
 first maximum, so ties go to the lexicographically smallest multi-index.
+
+Every route computes on exact ints over a shared denominator, Fractions on
+return: samples, grid points and dual components are scaled to Python ints
+over one common denominator D, which each nested pass widens by an lcm
+rescale once its dual grid is known. A gradient rule compares the integer
+differences line[i+1] - line[i] with s * gamma * D, which orders them as
+the gradients would, sorted or not. Where D would be wider than
+``MAX_SHARED_BITS`` the same loops run on Fraction scalars over D = 1.
 """
 
 from __future__ import annotations
@@ -15,16 +23,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import add
+from itertools import islice, product
+from operator import add, floordiv, gt, sub
 from typing import Callable, Optional, Sequence
 
 from .errors import BruteCapExceeded, NonConvexSlice
 from .grids import DualGrid, RegularGrid
-from .rational import frac, split
-from .transform import _adaptive_points, _rule_index, _slopes, regular_dual_grid
+from .rational import frac, progression, split
+from .transform import _adaptive_points, _rule_index, regular_dual_grid
 
 MAX_BRUTE_POINTS = 1 << 20
+# Widest shared denominator, in bits, that the loops run on as ints. Past
+# it, ints that wide cost more than Fractions of the per-element ratios:
+# lft_nd_adaptive crosses over first, near 4 kbit (see CHANGES.md).
+MAX_SHARED_BITS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -129,11 +141,10 @@ class TensorSamples:
 
     def require_convex_axes(self) -> None:
         """Second differences nonnegative along every axis-aligned line."""
+        flat = _lift(self.values.flat)[0]
         for axis in range(self.d):
-            if self.grid.shape[axis] < 3:
-                continue
-            for comp in self.values.complements(axis):
-                _require_line_convex(self.values.line(axis, comp), axis, comp)
+            for _ in _lines(self.grid.shape, flat, axis, check_convex=True):
+                pass
 
 
 @dataclass(frozen=True)
@@ -155,14 +166,46 @@ class TensorConjugate:
         return self.dual_points[self.values.offset(idx)]
 
 
-def _line_gradients(line: Sequence[Fraction], gamma: Fraction) -> list[Fraction]:
-    return [(line[i + 1] - line[i]) / gamma for i in range(len(line) - 1)]
+# Scalars over a shared denominator: (values, D, make) with value_i =
+# values[i] / D. make(num, den) builds the scalar num / den: exact floor
+# division of ints while D fits MAX_SHARED_BITS, else a Fraction with D = 1.
+# A scalar that met a Fraction (dual points past the guard) stays one.
+Scaled = tuple[list, int, Callable]
 
 
-def _require_line_convex(line, axis, comp) -> None:
-    for i in range(1, len(line) - 1):
-        if line[i + 1] - 2 * line[i] + line[i - 1] < 0:
-            raise NonConvexSlice(f"axis {axis} line at {comp} is not discretely convex")
+def _guard(D: int, make: Callable = floordiv) -> tuple[int, Callable]:
+    """D with exact int division, or D = 1 with Fractions once D is too
+    wide or the scalars are Fractions already."""
+    if make is floordiv and D.bit_length() <= MAX_SHARED_BITS:
+        return D, floordiv
+    return 1, Fraction
+
+
+def _lift(values: Sequence, den: int = 1) -> Scaled:
+    """The values over the lcm of ``den`` and their denominators, which is
+    not built past the guard."""
+    nums, dens = split(values)
+    D, distinct = den, set(dens)
+    for q in distinct:
+        D = math.lcm(D, q)
+        if D.bit_length() > MAX_SHARED_BITS:
+            break
+    D, make = _guard(D)
+    per = {q: make(D, q) for q in distinct}
+    return [a * per[q] for a, q in zip(nums, dens)], D, make
+
+
+def _widen(flat: list, D: int, make: Callable, den: int) -> Scaled:
+    """The same scalars over lcm(D, den), or over 1 past the guard."""
+    D2, make = _guard(math.lcm(D, den), make)
+    if D2 != D:
+        scale = make(D2, D)
+        flat = [v * scale for v in flat]
+    return flat, D2, make
+
+
+def _fractions(flat: Sequence, D: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(v, D) for v in flat)
 
 
 def _line_starts(shape: tuple[int, ...], axis: int) -> list[int]:
@@ -171,6 +214,20 @@ def _line_starts(shape: tuple[int, ...], axis: int) -> list[int]:
     stride = math.prod(shape[axis + 1 :])
     block = shape[axis] * stride
     return [b + r for b in range(0, math.prod(shape), block) for r in range(stride)]
+
+
+def _lines(shape: tuple[int, ...], flat: Sequence, axis: int, check_convex: bool):
+    """Each line along ``axis`` in ``complements`` order: its fixed
+    coordinates, its values and their differences. With ``check_convex``
+    the differences must never decrease."""
+    n, stride = shape[axis], math.prod(shape[axis + 1 :])
+    comps = product(*(range(s) for a, s in enumerate(shape) if a != axis))
+    for comp, a in zip(comps, _line_starts(shape, axis)):
+        line = flat[a : a + n * stride : stride]
+        diffs = list(map(sub, line[1:], line))
+        if check_convex and any(map(gt, diffs, diffs[1:])):
+            raise NonConvexSlice(f"axis {axis} line at {comp} is not discretely convex")
+        yield comp, line, diffs
 
 
 def axis_transform(
@@ -191,28 +248,44 @@ def axis_transform(
     rule then still runs but its result is only meaningful for callers that
     verify the outcome independently.
     """
-    shape, k = values.shape, dual.k
+    shape, flat, D, _ = _pass(
+        values.shape, _lift(values.flat), axis, x_axis, dual, negate, assignments, check_convex
+    )
+    return RatTensor(shape, _fractions(flat, D))
+
+
+def _pass(shape, scaled: Scaled, axis, x_axis, dual, negate, assignments, check_convex):
+    """``axis_transform`` on scalars over D; returns the new shape and the
+    output over lcm(D, ds * dx), with ds and dx the denominators of the
+    dual points and of the axis points."""
+    n, k = shape[axis], dual.k
     new_shape = (*shape[:axis], k, *shape[axis + 1 :])
     stride = math.prod(shape[axis + 1 :])
-    duals = dual.points()
-    xs = x_axis.points()
-    flat = [None] * math.prod(new_shape)
-    lines = zip(values.complements(axis), _line_starts(shape, axis), _line_starts(new_shape, axis))
-    for comp, a, b in lines:
-        line = values.flat[a : a + shape[axis] * stride : stride]
-        if check_convex:
-            _require_line_convex(line, axis, comp)
-        c = _line_gradients(line, x_axis.gamma)
-        opt = [_rule_index(c, s) for s in duals]
-        vals = [s * xs[i] - line[i] for s, i in zip(duals, opt)]
-        flat[b : b + k * stride : stride] = [-v for v in vals] if negate else vals
+    duals, ds, _ = _lift(dual.points())
+    a0, p, dx = progression(x_axis.x0, x_axis.gamma)
+    flat, D, make = _widen(*scaled, ds * dx)
+    # s_j * gamma and s_j * x_i as scalars over D, for gamma = p / dx and
+    # x_i = (a0 + i * p) / dx
+    unit = make(D, ds * dx)
+    s_unit = [s * unit for s in duals]
+    thresholds = [s * p for s in s_unit]
+    sx = [[s * (a0 + i * p) for i in range(n)] for s in s_unit]
+    out = [None] * math.prod(new_shape)
+    lines = zip(_lines(shape, flat, axis, check_convex), _line_starts(new_shape, axis))
+    for (comp, line, diffs), b in lines:
+        opt = [_rule_index(diffs, t) for t in thresholds]
+        if negate:
+            vals = [line[i] - row[i] for row, i in zip(sx, opt)]
+        else:
+            vals = [row[i] - line[i] for row, i in zip(sx, opt)]
+        out[b : b + k * stride : stride] = vals
         if assignments is not None:
             assignments.update(((comp, j), i) for j, i in enumerate(opt))
-    return RatTensor(new_shape, tuple(flat))
+    return new_shape, out, D, make
 
 
 def _shrink(v):
-    """Integral Fractions as plain ints; exact and cheaper to combine."""
+    """Integral Fractions as plain ints, the form of returned dual points."""
     if isinstance(v, Fraction) and v.denominator == 1:
         return v.numerator
     return v
@@ -240,16 +313,14 @@ def partial_transform_g(
 def axis_bracket(values: RatTensor, axis: int, gamma: Fraction) -> tuple[Fraction, Fraction]:
     """Shared dual range for one axis: the minimum first gradient over all
     lines up to the maximum last gradient, read off the boundary faces."""
-    lo = None
-    hi = None
-    n = values.shape[axis]
-    for comp in values.complements(axis):
-        line = values.line(axis, comp)
-        first = (line[1] - line[0]) / gamma
-        last = (line[n - 1] - line[n - 2]) / gamma
-        lo = first if lo is None else min(lo, first)
-        hi = last if hi is None else max(hi, last)
-    return lo, hi
+    return _bracket(values.shape, _lift(values.flat), axis, gamma)
+
+
+def _bracket(shape, scaled: Scaled, axis, gamma) -> tuple[Fraction, Fraction]:
+    flat, D, _ = scaled
+    ends = [(d[0], d[-1]) for _, _, d in _lines(shape, flat, axis, check_convex=False)]
+    lo, hi = min(e[0] for e in ends), max(e[1] for e in ends)
+    return Fraction(lo) / (gamma * D), Fraction(hi) / (gamma * D)
 
 
 def canonical_nd_dual_grids(f: TensorSamples, ks: Sequence[int]) -> tuple[DualGrid, ...]:
@@ -272,9 +343,9 @@ def lft_nd_regular(f: TensorSamples, duals: Sequence[DualGrid]) -> TensorConjuga
     """
     if len(duals) != f.d:
         raise ValueError("need one dual grid per axis")
-    _, assign, t = _cascade(f, duals=duals)
-    values = RatTensor(t.shape, tuple(-v for v in t.flat))
-    optimizer = _reconstruct_optimizers(t.shape, assign)
+    _, assign, (shape, flat, D, _) = _cascade(f, duals=duals)
+    values = RatTensor(shape, _fractions([-v for v in flat], D))
+    optimizer = _reconstruct_optimizers(shape, assign)
     return TensorConjugate(values=values, optimizer=optimizer, duals=tuple(duals))
 
 
@@ -283,27 +354,28 @@ def _cascade(
     ks: Optional[Sequence[int]] = None,
     duals: Optional[Sequence[DualGrid]] = None,
     check_convex: bool = True,
-) -> tuple[tuple[DualGrid, ...], list[dict], RatTensor]:
+) -> tuple[tuple[DualGrid, ...], list[dict], tuple]:
     """The classical nested passes, last axis first.
 
     Each pass runs over ``duals[axis]`` when grids are given, else over the
     canonical grid of ``ks[axis]`` points spanning ``axis_bracket`` of the
     tensor that pass receives. Returns the per-axis grids, the per-axis
-    assignments recorded by ``axis_transform`` and the final g tensor.
+    assignments recorded by ``axis_transform`` and the final g tensor as
+    (shape, scalars, D, make).
     """
-    t = f.values
+    shape, scaled = f.values.shape, _lift(f.values.flat)
     grids: list[Optional[DualGrid]] = [None] * f.d
     assign: list[dict] = [dict() for _ in range(f.d)]
     for axis in range(f.d - 1, -1, -1):
         if duals is not None:
             grids[axis] = duals[axis]
         else:
-            grids[axis] = regular_dual_grid(axis_bracket(t, axis, f.grid.gamma), ks[axis])
-        t = axis_transform(
-            t, axis, f.grid.axes[axis], grids[axis],
-            assignments=assign[axis], check_convex=check_convex,
+            grids[axis] = regular_dual_grid(_bracket(shape, scaled, axis, f.grid.gamma), ks[axis])
+        shape, *scaled = _pass(
+            shape, scaled, axis, f.grid.axes[axis], grids[axis],
+            True, assign[axis], check_convex,
         )
-    return tuple(grids), assign, t
+    return tuple(grids), assign, (shape, *scaled)
 
 
 def _reconstruct_optimizers(shape, assign) -> tuple[tuple[int, ...], ...]:
@@ -331,25 +403,30 @@ def _reconstruct_optimizers(shape, assign) -> tuple[tuple[int, ...], ...]:
 def lft_nd_adaptive(f: TensorSamples) -> TensorConjugate:
     """Nested per-slice centered adaptive passes; K = N and the optimizer of
     each dual multi-point is the identically indexed primal point."""
-    t = f.values
+    shape = f.values.shape
+    flat, D, make = _lift(f.values.flat)
     # K = N keeps every flat position fixed, so each axis's dual components
     # line up with the final multi-indices
     s_parts: list = [None] * f.d
     for axis in range(f.d - 1, -1, -1):
-        stride = math.prod(t.shape[axis + 1 :])
-        xs = f.grid.axes[axis].points()
-        flat = [None] * len(t.flat)
-        s_parts[axis] = s_flat = [None] * len(t.flat)
-        for comp, a in zip(t.complements(axis), _line_starts(t.shape, axis)):
-            run = slice(a, a + len(xs) * stride, stride)
-            line = t.flat[run]
-            _require_line_convex(line, axis, comp)
-            c = _slopes(split(line), f.grid.gamma)
-            pts = list(map(Fraction, *_adaptive_points(c, "centered")))
-            s_flat[run] = pts
-            flat[run] = [-(s * x - v) for s, x, v in zip(pts, xs, line)]
-        t = RatTensor(t.shape, tuple(flat))
-    values = RatTensor(t.shape, tuple(-v for v in t.flat))
+        n, stride = shape[axis], math.prod(shape[axis + 1 :])
+        a0, p, dx = progression(f.grid.axes[axis].x0, f.grid.gamma)
+        # with gamma = p / dx, a centered point is u * dx / (w * p * D), w
+        # 1 or 2 on ints, so s * x_i is an int over 2 * p * D
+        lines = _lines(shape, flat, axis, check_convex=True)
+        flat, D2, make = _widen(flat, D, make, 2 * p * D)
+        out = [None] * len(flat)
+        s_parts[axis] = s_flat = [None] * len(flat)
+        for (_, _, diffs), a in zip(lines, _line_starts(shape, axis)):
+            run = slice(a, a + n * stride, stride)
+            us, ws = _adaptive_points(split(diffs), "centered")
+            s_flat[run] = [Fraction(u * dx, w * p * D) for u, w in zip(us, ws)]
+            out[run] = [
+                v - u * (a0 + i * p) * make(D2, w * p * D)
+                for i, (v, u, w) in enumerate(zip(flat[run], us, ws))
+            ]
+        flat, D = out, D2
+    values = RatTensor(shape, _fractions([-v for v in flat], D))
     return TensorConjugate(
         values=values,
         optimizer=tuple(values.indices()),
@@ -390,22 +467,31 @@ def lft_nd_brute(
     for s in pts:
         if len(s) != d:
             raise ValueError(f"dual point {s} has {len(s)} components; the samples have {d} axes")
-    # s_a x_a for each axis and each distinct s_a (n_a products apiece);
-    # plain ints where values allow: exact and much faster on 0/1 grids
+    # s_a x_a for each axis and each distinct s_a (n_a products apiece),
+    # as scalars over one D that the samples' denominators and ds * dx divide
     ids = [{} for _ in range(d)]
     keys = [tuple(ids[a].setdefault(c, len(ids[a])) for a, c in enumerate(s)) for s in pts]
-    axis_pts = [[_shrink(x) for x in g.points()] for g in f.grid.axes]
-    terms = [[[c * x for x in xs] for c in ids[a]] for a, xs in enumerate(axis_pts)]
+    # x_i = (a0 + i * p) / dx on every axis, each distinct s_a over ds
+    dx = math.lcm(*(q for g in f.grid.axes for q in (g.x0.denominator, g.gamma.denominator)))
+    axis_pts = [(int(g.x0 * dx), int(g.gamma * dx), g.n) for g in f.grid.axes]
+    comps, ds, _ = _lift([c for axis_ids in ids for c in axis_ids])
+    flat, D, make = _lift(f.values.flat, ds * dx)
+    unit = make(D, ds * dx)
+    comps = iter(comps)
+    terms = [
+        [[s * unit * (a0 + i * p) for i in range(n)] for s in islice(comps, len(ids[a]))]
+        for a, (a0, p, n) in enumerate(axis_pts)
+    ]
     # maxima[a] holds the max over axes a.. for every primal prefix
     # x_0..x_{a-1}, firsts[a] the first index on axis a attaining it; both
     # depend on s[a:] only. Sorted by their components from the last axis,
     # points sharing a suffix come one after another, so each suffix's
     # table is built once and only one table per axis is alive at a time.
-    maxima = [None] * d + [[-_shrink(v) for v in f.values.flat]]
+    maxima = [None] * d + [[-v for v in flat]]
     firsts = [None] * d
     values = [None] * len(pts)
     optimizer = [None] * len(pts)
-    prev = (-1,) * d
+    prev, last = (-1,) * d, None
     for j in sorted(range(len(pts)), key=lambda j: keys[j][::-1]):
         key = keys[j]
         top = d
@@ -418,9 +504,11 @@ def lft_nd_brute(
         for a in range(d):
             i = firsts[a][row]
             idx.append(i)
-            row = row * len(axis_pts[a]) + i
-        values[j] = frac(maxima[0][0])
+            row = row * axis_pts[a][2] + i
+        # a repeated point shares its value
+        values[j] = values[last] if not top else Fraction(maxima[0][0], D)
         optimizer[j] = tuple(idx)
+        last = j
     shape = (len(pts),)
     return TensorConjugate(
         values=RatTensor(shape, tuple(values)),

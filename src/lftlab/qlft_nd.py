@@ -39,7 +39,7 @@ from .errors import InvalidK, NonConvexSlice
 from .grids import DualGrid
 from .multi import TensorSamples, lft_nd_adaptive, lft_nd_brute, product_dual_points, _cascade
 from .qlft import SimRun, StepRecord, _check_pow2, _trace, centered_dual, geometric_attempts
-from .qstate import UNDEFINED, BasisLabel, QState, is_undefined, label
+from .qstate import UNDEFINED, BasisLabel, QState, Schema, _schema, is_undefined, label
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -117,15 +117,15 @@ def _run_nd(
         expected_aa = 0
     else:
         attempts = geometric_attempts(success, rng) if success < 1 else 1
-        s_names = [f"s{axis}" for axis in range(f.d)]
-        final_state = state.map_labels(
-            lambda lab: label(
-                ("j", lab.get("j")),
-                ("fstar", -lab.get("f")),
-                ("s", tuple(lab.get(name) for name in s_names)),
-                garbage=lab.garbage,
-            )
-        )
+        # registers j, f, s0..s{d-1}, then the garbage
+        schema = state.entries[0][0].schema
+        final = _schema(("j", "fstar", "s", *schema.names[2 + f.d :]), 3)
+
+        def negate(lab: BasisLabel) -> BasisLabel:
+            v = lab.values
+            return BasisLabel(final, (v[0], -v[1], v[2 : 2 + f.d], *v[2 + f.d :]))
+
+        final_state = state.map_labels(negate)
         _trace(steps, "negate", final_state)
         expected_aa = math.ceil((math.pi / 4) * math.sqrt(1 / float(success)))
 
@@ -155,6 +155,7 @@ def _regular_pass(
     structure = {c: (k, list(accumulate(k, initial=0))) for c, k in counts_of.items()}
     w = max(map(max, counts_of.values()))
     three_point = axis > 0  # neighbor rows are still needed downstream
+    schema = _pass_schema(state.entries[0][0].schema, axis, regular=True)
     kept = []
     for lab, _ in state.entries:
         coords = lab.get("j")
@@ -165,7 +166,7 @@ def _regular_pass(
             if three_point and any(m >= counts[h] for h in (i - 1, i + 1) if 0 <= h < n_axis):
                 continue
             j = firsts[i] + m
-            kept.append(_advance(lab, axis, i, j, dual.point(j), x_i, m))
+            kept.append(_advance(schema, lab, axis, i, j, dual.point(j), x_i, m))
     kept.sort(key=lambda lab: lab.get("j"))
     acceptance = Fraction(len(kept), len(state) * w)
     return (QState.uniform(kept) if kept else QState(entries=())), acceptance
@@ -175,6 +176,7 @@ def _adaptive_pass(state: QState, f: TensorSamples, axis: int) -> QState:
     """Each branch takes the centered dual point of its own axis rows."""
     gamma = f.grid.gamma
     lo_name, hi_name = f"f_prev{axis}", f"f_next{axis}"
+    schema = _pass_schema(state.entries[0][0].schema, axis, regular=False)
 
     def step(lab: BasisLabel) -> BasisLabel:
         i = lab.get("j")[axis]
@@ -182,35 +184,39 @@ def _adaptive_pass(state: QState, f: TensorSamples, axis: int) -> QState:
         c_lo = UNDEFINED if is_undefined(lo_v) else (center - lo_v) / gamma
         c_hi = UNDEFINED if is_undefined(hi_v) else (hi_v - center) / gamma
         s = centered_dual(c_lo, c_hi)
-        return _advance(lab, axis, i, i, s, f.grid.axes[axis].point(i))
+        return _advance(schema, lab, axis, i, i, s, f.grid.axes[axis].point(i))
 
     return state.map_labels(step)
 
 
-def _advance(lab: BasisLabel, axis: int, i: int, j: int, s, x_i, m=None) -> BasisLabel:
-    """Relabel one branch after the pass along ``axis``: the axis coordinate
-    of j becomes the dual index, s{axis} holds the dual point, the axis' own
-    rows are dropped, and f and every row still carried map with the center
-    optimizer: value -> value - s * x_i.
+def _pass_schema(schema: Schema, axis: int, regular: bool) -> Schema:
+    """The register layout after the pass along ``axis``: its two rows give
+    way to s{axis}, and the garbage gains i{axis} (and m{axis} when regular).
 
     Registers run j, f, the rows of axes 0..axis in pairs, then the s of the
-    axes already passed, so the rows kept are regs[2 : 2 + 2 * axis].
+    axes already passed, and the garbage follows them.
     """
+    names, n = schema.names, schema.n_regs
+    added = (f"i{axis}", f"m{axis}") if regular else (f"i{axis}",)
+    out = ("j", "f", *names[2 : 2 + 2 * axis], f"s{axis}", *names[4 + 2 * axis :], *added)
+    return _schema(out, n - 1)
+
+
+def _advance(
+    schema: Schema, lab: BasisLabel, axis: int, i: int, j: int, s, x_i, m=None
+) -> BasisLabel:
+    """Relabel one branch after the pass along ``axis`` into ``schema``: the
+    axis coordinate of j becomes the dual index, s{axis} holds the dual
+    point, the axis' own rows are dropped, and f and every row still
+    carried map with the center optimizer: value -> value - s * x_i."""
     shift = s * x_i
-    regs = lab.regs
-    coords = list(lab.get("j"))
+    values = lab.values
+    coords = list(values[0])
     coords[axis] = j
-    rows = [(name, v if is_undefined(v) else v - shift) for name, v in regs[2 : 2 + 2 * axis]]
-    garbage = lab.garbage + ((f"i{axis}", i),)
-    if m is not None:
-        garbage = garbage + ((f"m{axis}", m),)
-    return label(
-        ("j", tuple(coords)),
-        ("f", lab.get("f") - shift),
-        *rows,
-        (f"s{axis}", s),
-        *regs[4 + 2 * axis :],
-        garbage=garbage,
+    rows = [v if is_undefined(v) else v - shift for v in values[2 : 2 + 2 * axis]]
+    added = (i,) if m is None else (i, m)
+    return BasisLabel(
+        schema, (tuple(coords), values[1] - shift, *rows, s, *values[4 + 2 * axis :], *added)
     )
 
 

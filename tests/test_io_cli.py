@@ -194,6 +194,13 @@ class TestCli:
         ) == 0
         assert json.loads(out.read_text())["omega"] == "15/32"
 
+    def test_qlft_omega_nd_exit_1(self, tmp_path, capsys):
+        inst = tmp_path / "sep.json"
+        inst.write_text(
+            json.dumps({"kind": "builtin", "name": "separable-sum", "params": {"d": 2, "n": 4}})
+        )
+        self._rejects(["qlft", str(inst), "--omega"], 1, capsys)
+
     def test_qlft_2d_separable_verification(self, tmp_path):
         inst = tmp_path / "sep.json"
         inst.write_text(

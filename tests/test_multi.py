@@ -3,11 +3,12 @@ import math
 import random
 from fractions import Fraction as F
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lftlab import fixtures
+from lftlab import fixtures, multi
 from lftlab.errors import NonConvexSlice
 from lftlab.grids import DualGrid, RegularGrid
 from lftlab.multi import (
@@ -242,12 +243,39 @@ class TestNdBrute:
                 gc.enable()
 
 
+# pairwise coprime prime denominators: the shared denominator of the integer
+# core is their product, past MAX_SHARED_BITS once 2**4423 - 1 is among them
+WIDE_PRIMES = [1009, 1013, 2**61 - 1, 2**89 - 1, 2**127 - 1, 2**4423 - 1]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NonConvexSlice as exc:
+        return NonConvexSlice, str(exc)
+
+
+def on_both_sides_of_the_guard(fn, t):
+    """fn()'s result or NonConvexSlice message, equal with the module's
+    guard, with every shared denominator past it (Fraction scalars) and with
+    the guard at the width of tensor t's own denominators, where the passes
+    start on ints and move to Fractions once a pass widens the denominator."""
+    got = _outcome(fn)
+    own = math.lcm(*(v.denominator for v in t.flat)).bit_length()
+    for bits in (0, own):
+        with mock.patch.object(multi, "MAX_SHARED_BITS", bits):
+            assert _outcome(fn) == got
+    return got
+
+
 @st.composite
 def tensors(draw):
-    """Row-major tensors with d = 1..4 distinct sides and small rationals."""
+    """Row-major tensors with d = 1..4 distinct sides and small rationals,
+    some over wide coprime prime denominators."""
     shape = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4, unique=True)))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    flat = (F(rng.randint(-32, 32), rng.randint(1, 4)) for _ in range(math.prod(shape)))
+    dens = [1, 2, 3, 4] + (WIDE_PRIMES if draw(st.booleans()) else [])
+    flat = (F(rng.randint(-32, 32), rng.choice(dens)) for _ in range(math.prod(shape)))
     return RatTensor(shape, tuple(flat))
 
 
@@ -303,10 +331,14 @@ class TestStridedLines:
             dual = DualGrid(s0=points[0], gamma_s=abs(points[-1] - points[0]) / 3, k=len(points))
         else:
             dual = DualGrid.from_points(points)
-        got_assign = {}
-        got = axis_transform(
-            t, axis, x_axis, dual, negate=negate, assignments=got_assign, check_convex=False
-        )
+        def run():
+            assign = {}
+            out = axis_transform(
+                t, axis, x_axis, dual, negate=negate, assignments=assign, check_convex=False
+            )
+            return out, assign
+
+        got, got_assign = on_both_sides_of_the_guard(run, t)
         new_shape = (*t.shape[:axis], dual.k, *t.shape[axis + 1 :])
         ref, ref_assign = {}, {}
         for comp in t.complements(axis):
@@ -338,16 +370,41 @@ def _reference_brute(f, dual_points):
     return tuple(values), tuple(optimizer)
 
 
-# small alphabets make ties between primal points common
-SAMPLE_ALPHABET = [F(0), F(1), F(-1), F(1, 2), F(-3, 2)]
-DUAL_ALPHABET = [0, 1, -1, F(1, 2), F(-2, 3), F(2), F(3)]
+def _reference_adaptive(f):
+    """The nested centered passes per element on Fractions, last axis first:
+    each line must have nonnegative second differences; its points are c_0,
+    the midpoints of neighboring gradients and c_{n-2}; g = v - s * x."""
+    t = dict(zip(f.values.indices(), f.values.flat))
+    s = {idx: [None] * f.d for idx in t}
+    for axis in reversed(range(f.d)):
+        for comp in f.values.complements(axis):
+            idxs = [(*comp[:axis], i, *comp[axis:]) for i in range(f.grid.shape[axis])]
+            line = [t[idx] for idx in idxs]
+            if any(u - 2 * v + w < 0 for u, v, w in zip(line, line[1:], line[2:])):
+                raise NonConvexSlice(f"axis {axis} line at {comp} is not discretely convex")
+            c = [(b - a) / f.grid.gamma for a, b in zip(line, line[1:])]
+            pts = [c[0], *((a + b) / 2 for a, b in zip(c, c[1:])), c[-1]]
+            for i, (idx, p) in enumerate(zip(idxs, pts)):
+                s[idx][axis] = p
+                t[idx] = line[i] - p * f.grid.axes[axis].point(i)
+    order = list(f.values.indices())
+    return tuple(-t[idx] for idx in order), tuple(tuple(s[idx]) for idx in order)
+
+
+# small alphabets make ties between primal points common; the prime
+# denominators make the shared denominator wide
+SAMPLE_ALPHABET = [F(0), F(1), F(-1), F(1, 2), F(-3, 2)] + [
+    F(1, 1009), F(-1, 2**61 - 1), F(1, 2**127 - 1), F(-1, 2**4423 - 1)
+]
+DUAL_ALPHABET = [0, 1, -1, F(1, 2), F(-2, 3), F(2), F(3), F(1, 1013), F(-1, 2**89 - 1)]
 
 
 @st.composite
 def brute_cases(draw):
-    """Nonconvex samples on d = 1..4 axes with one non-unit spacing and
-    per-axis offsets, and either a product dual set or an arbitrary list
-    (repeated points and the empty list included)."""
+    """Samples on d = 1..4 axes with one non-unit spacing and per-axis
+    offsets, nonconvex or a convex bowl plus the same perturbations, and
+    either a product dual set or an arbitrary list (repeated points and the
+    empty list included)."""
     shape = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
     gamma = draw(st.sampled_from([F(1), F(1, 2), F(2, 3), F(3)]))
     axes = tuple(
@@ -356,6 +413,10 @@ def brute_cases(draw):
     )
     size = math.prod(shape)
     flat = draw(st.lists(st.sampled_from(SAMPLE_ALPHABET), min_size=size, max_size=size))
+    # second differences of 8 outweigh any perturbation of the alphabet
+    bowl = draw(st.sampled_from([0, 0, 4]))
+    idxs = product(*(range(n) for n in shape))
+    flat = [v + bowl * sum(i * i for i in idx) for v, idx in zip(flat, idxs)]
     f = TensorSamples(grid=TensorGrid(axes=axes), values=RatTensor(shape, tuple(flat)))
     comp = st.sampled_from(DUAL_ALPHABET)
     if draw(st.booleans()):
@@ -373,10 +434,17 @@ class TestBruteAgainstReference:
     @given(case=brute_cases())
     def test_equals_flat_reference_loop(self, case):
         f, pts = case
-        res = lft_nd_brute(f, pts)
+        res = on_both_sides_of_the_guard(lambda: lft_nd_brute(f, pts), f.values)
         values, optimizer = _reference_brute(f, pts)
         assert res.values.shape == (len(pts),)
         assert res.values.flat == values
         assert all(isinstance(v, F) for v in res.values.flat)
         assert res.optimizer == optimizer
         assert res.dual_points == tuple(pts)
+
+        def adaptive():
+            res = lft_nd_adaptive(f)
+            return res.values.flat, res.dual_points
+
+        want = _outcome(lambda: _reference_adaptive(f))
+        assert on_both_sides_of_the_guard(adaptive, f.values) == want
