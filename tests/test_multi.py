@@ -331,6 +331,7 @@ class TestStridedLines:
             dual = DualGrid(s0=points[0], gamma_s=abs(points[-1] - points[0]) / 3, k=len(points))
         else:
             dual = DualGrid.from_points(points)
+
         def run():
             assign = {}
             out = axis_transform(
