@@ -91,18 +91,19 @@ def _fail(message: str, code: int) -> int:
 
 
 def _parse_dual_option(spec: str, f: FunctionSpec):
-    """regular:K | adaptive:centered|right|left | list:p,q,r"""
+    """regular:K | adaptive:centered|right|left | list:p,q,r, as (mode,
+    dual grid or adaptive variant, gradients); only regular:K computes the
+    gradients, which its grid and diagnostics need."""
     try:
         mode, _, arg = spec.partition(":")
         if mode == "regular":
             g = discrete_gradients(f)
-            return "regular", regular_dual_grid(nontrivial_dual_range(g), int(arg))
+            return "regular", regular_dual_grid(nontrivial_dual_range(g), int(arg)), g
         if mode == "adaptive":
-            variant = arg or "centered"
-            return ("adaptive", variant)
+            return "adaptive", arg or "centered", None
         if mode == "list":
             pts = [frac(p) for p in arg.split(",") if p]
-            return "list", DualGrid.from_points(pts)
+            return "list", DualGrid.from_points(pts), None
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad --dual option {spec!r}: {exc}") from exc
     raise ParseError(f"bad --dual option {spec!r}")
@@ -112,19 +113,18 @@ def cmd_lft(args) -> int:
     instance = load_instance(args.instance)
     if not isinstance(instance, FunctionSpec):
         return _run_lft_nd(args, instance)
-    parsed = _parse_dual_option(args.dual, instance)
-    if parsed[0] == "adaptive":
-        result = lft_adaptive(instance, parsed[1])
+    mode, arg, g = _parse_dual_option(args.dual, instance)
+    if mode == "adaptive":
+        result = lft_adaptive(instance, arg)
     else:
-        result = lft_regular(instance, parsed[1], clamp=args.clamp)
+        result = lft_regular(instance, arg, clamp=args.clamp)
     doc = {
         "command": "lft",
         "dual": [format_rational(s) for s in result.dual.points()],
         "values": [format_rational(v) for v in result.values],
         "optimizer_index": list(result.optimizer_index),
     }
-    g = discrete_gradients(instance)
-    if result.dual.kind == "regular" and result.dual.gamma_s > 0:
+    if g is not None and result.dual.gamma_s > 0:
         w = witness_params(g, result.dual)
         doc["diagnostics"] = {
             "w": w.w,

@@ -7,13 +7,12 @@ list chosen from the gradient structure of the transformed function).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import DegenerateGrid, InvalidK, NonConvexInput
-from .rational import FLOAT_ABS_TOL, Number, frac, is_exact, progression
+from .rational import Number, Vec, frac, nondecreasing, progression, split
 
 
 @dataclass(frozen=True)
@@ -80,11 +79,12 @@ class DualGrid:
             object.__setattr__(self, "explicit", pts)
 
     @classmethod
-    def from_points(cls, points: Sequence[Number], kind: str = "adaptive") -> "DualGrid":
+    def from_points(cls, points: Sequence[Number]) -> "DualGrid":
+        """An explicit (adaptive-kind) grid over the sorted points."""
         pts = tuple(frac(p) for p in points)
         if not pts:
             raise InvalidK("dual grid needs at least one point, got none")
-        return cls(s0=pts[0], gamma_s=Fraction(0), k=len(pts), kind=kind, explicit=pts)
+        return cls(s0=pts[0], gamma_s=Fraction(0), k=len(pts), kind="adaptive", explicit=pts)
 
     def point(self, j: int) -> Fraction:
         if self.kind == "adaptive":
@@ -104,13 +104,6 @@ class DualGrid:
     @property
     def hi(self) -> Fraction:
         return self.point(self.k - 1)
-
-
-def _second_differences(samples: Sequence) -> list:
-    return [
-        samples[i + 1] - 2 * samples[i] + samples[i - 1]
-        for i in range(1, len(samples) - 1)
-    ]
 
 
 @dataclass(frozen=True)
@@ -140,38 +133,32 @@ class FunctionSpec:
     def n(self) -> int:
         return self.grid.n
 
-    @cached_property
-    def exact(self) -> bool:
-        """No float samples; computed once, outside equality."""
-        return all(is_exact(v) for v in self.samples)
-
     def value(self, i: int) -> Fraction:
         return self.samples[i]
-
-    def is_convex(self, tol: float = FLOAT_ABS_TOL) -> bool:
-        threshold = 0 if self.exact else -tol
-        return all(d >= threshold for d in _second_differences(self.samples))
-
-    def require_convex(self, tol: float = FLOAT_ABS_TOL) -> None:
-        if not self.is_convex(tol):
-            bad = min(_second_differences(self.samples))
-            raise NonConvexInput(f"second differences go negative (min {bad})")
 
 
 @dataclass(frozen=True)
 class GradientVector:
-    """Forward-difference gradients c_0..c_{n-2}, nondecreasing."""
+    """Forward-difference gradients c_0..c_{n-2}, nondecreasing.
+
+    ``ratios`` holds the numerators and denominators of ``c`` (floats
+    convert exactly), the form the integer kernel reads; it is derived, so
+    it stays out of the constructor, equality, hashing and the repr.
+    """
 
     c: tuple
     grid: Optional[RegularGrid] = None
+    ratios: Vec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = tuple(frac(v) if not isinstance(v, float) else v for v in self.c)
         object.__setattr__(self, "c", vals)
         if len(vals) < 2:
             raise DegenerateGrid("need at least two discrete gradients")
-        if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
+        ratios = split(vals)
+        if not nondecreasing(ratios):
             raise NonConvexInput("gradients must be nondecreasing")
+        object.__setattr__(self, "ratios", ratios)
 
     @property
     def n(self) -> int:

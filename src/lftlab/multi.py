@@ -235,26 +235,25 @@ def axis_transform(
     axis: int,
     x_axis: RegularGrid,
     dual: DualGrid,
-    negate: bool = True,
     assignments: Optional[dict] = None,
     check_convex: bool = True,
 ) -> RatTensor:
     """One-axis transform of a tensor; dual points clamp to each line's range.
 
-    With ``negate`` the output holds g = -(max over the axis), the form
-    carried between nested passes. ``assignments`` (if given) records the
-    chosen optimizer index per (complement, j) for later reconstruction.
+    The output holds g = -(max over the axis), the form carried between
+    nested passes. ``assignments`` (if given) records the chosen optimizer
+    index per (complement, j) for later reconstruction.
     ``check_convex=False`` skips the per-line convexity guard; the gradient
     rule then still runs but its result is only meaningful for callers that
     verify the outcome independently.
     """
     shape, flat, D, _ = _pass(
-        values.shape, _lift(values.flat), axis, x_axis, dual, negate, assignments, check_convex
+        values.shape, _lift(values.flat), axis, x_axis, dual, assignments, check_convex
     )
     return RatTensor(shape, _fractions(flat, D))
 
 
-def _pass(shape, scaled: Scaled, axis, x_axis, dual, negate, assignments, check_convex):
+def _pass(shape, scaled: Scaled, axis, x_axis, dual, assignments, check_convex):
     """``axis_transform`` on scalars over D; returns the new shape and the
     output over lcm(D, ds * dx), with ds and dx the denominators of the
     dual points and of the axis points."""
@@ -274,11 +273,7 @@ def _pass(shape, scaled: Scaled, axis, x_axis, dual, negate, assignments, check_
     lines = zip(_lines(shape, flat, axis, check_convex), _line_starts(new_shape, axis))
     for (comp, line, diffs), b in lines:
         opt = [_rule_index(diffs, t) for t in thresholds]
-        if negate:
-            vals = [line[i] - row[i] for row, i in zip(sx, opt)]
-        else:
-            vals = [row[i] - line[i] for row, i in zip(sx, opt)]
-        out[b : b + k * stride : stride] = vals
+        out[b : b + k * stride : stride] = [line[i] - row[i] for row, i in zip(sx, opt)]
         if assignments is not None:
             assignments.update(((comp, j), i) for j, i in enumerate(opt))
     return new_shape, out, D, make
@@ -306,7 +301,7 @@ def partial_transform_g(
     """Negated one-axis transform g(..., s, ...) = -max_x {s x - f(..., x, ...)}."""
     if not 0 <= axis < f.d:
         raise IndexError(f"axis {axis} out of range for d={f.d}")
-    values = axis_transform(f.values, axis, f.grid.axes[axis], dual_axis, negate=True)
+    values = axis_transform(f.values, axis, f.grid.axes[axis], dual_axis)
     return PartialTransform(values=values, axis=axis, dual=dual_axis)
 
 
@@ -372,8 +367,7 @@ def _cascade(
         else:
             grids[axis] = regular_dual_grid(_bracket(shape, scaled, axis, f.grid.gamma), ks[axis])
         shape, *scaled = _pass(
-            shape, scaled, axis, f.grid.axes[axis], grids[axis],
-            True, assign[axis], check_convex,
+            shape, scaled, axis, f.grid.axes[axis], grids[axis], assign[axis], check_convex
         )
     return tuple(grids), assign, (shape, *scaled)
 

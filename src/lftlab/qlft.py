@@ -35,7 +35,7 @@ from .errors import (
 from .grids import DualGrid, FunctionSpec, GradientVector
 from .qstate import UNDEFINED, Amplitude, BasisLabel, QState, is_undefined, label
 from .rational import Vec, exact_sum, frac, progression, split
-from .transform import _gradients, nontrivial_dual_range, regular_dual_grid
+from .transform import _gradients, regular_dual_grid
 from .witness import assignment_counts
 
 AA_MODEL = "ceil(pi/4 * sqrt(N*W/K))"
@@ -278,8 +278,9 @@ def run_qlft_1d_regular(
     state = attach_gradients(state)
     _trace(steps, "gradients", state)
     if dual is None:
-        g = _gather_gradients(state)
-        dual = regular_dual_grid(nontrivial_dual_range(g), k)
+        # the range [c_0, c_{n-2}] is in the c_hi registers of branches 0 and n-2
+        lo, hi = (state.entries[i][0].get("c_hi") for i in (0, f.n - 2))
+        dual = regular_dual_grid((lo, hi), k)
     state, post = indicator_postselect(state, dual, rng_seed=rng_seed)
     _trace(steps, "postselect", state, acceptance=post.success_probability)
     state = finalize_conjugate(state, dual)

@@ -64,17 +64,19 @@ class VerificationReport:
 def _superposition(f: TensorSamples) -> QState:
     """Uniform superposition over the grid indices j; each branch carries its
     center value f and, per axis, the rows f_prev{axis} and f_next{axis}."""
-    names = [(f"f_prev{axis}", f"f_next{axis}") for axis in range(f.d)]
+    shape, flat = f.values.shape, f.values.flat
+    # per axis: the row names, the last index and the flat stride
+    axes = [
+        (f"f_prev{axis}", f"f_next{axis}", n - 1, math.prod(shape[axis + 1 :]))
+        for axis, n in enumerate(shape)
+    ]
     labels = []
-    for idx in f.values.indices():
+    for pos, idx in enumerate(f.values.indices()):
         rows = []
-        for axis, pair in enumerate(names):
-            for name, step in zip(pair, (-1, 1)):
-                nb = list(idx)
-                nb[axis] += step
-                inside = 0 <= nb[axis] < f.grid.shape[axis]
-                rows.append((name, f.values.get(tuple(nb)) if inside else UNDEFINED))
-        labels.append(label(("j", idx), ("f", f.values.get(idx)), *rows))
+        for i, (prev, nxt, last, stride) in zip(idx, axes):
+            rows.append((prev, flat[pos - stride] if i > 0 else UNDEFINED))
+            rows.append((nxt, flat[pos + stride] if i < last else UNDEFINED))
+        labels.append(label(("j", idx), ("f", flat[pos]), *rows))
     return QState.uniform(labels)
 
 

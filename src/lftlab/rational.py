@@ -4,9 +4,8 @@ The 1D kernel holds samples, gradients and dual points as lists of
 numerators and denominators (``split``), so the half-open optimizer rule
 never suffers rounding and no integer grows with the number of elements;
 ``fractions.Fraction`` appears only at the API boundary. Serialized
-documents write rationals as "p/q" strings;
-floats are accepted only where a caller explicitly opts into the float
-mode (see ``FLOAT_ABS_TOL``) and enter the kernel by exact conversion.
+documents write rationals as "p/q" strings. Float samples enter the kernel
+by exact conversion and face the same exact checks as rationals.
 """
 
 from __future__ import annotations
@@ -18,10 +17,6 @@ from typing import Iterable, Union
 Rational = Union[Fraction, int]
 Vec = tuple[list[int], list[int]]  # numerators, positive denominators
 Number = Union[Fraction, int, float]
-
-# Absolute tolerance used by the float mode when validating convexity of
-# float-valued samples. Exact (Fraction/int) inputs are validated at 0.
-FLOAT_ABS_TOL = 1e-9
 
 
 def frac(value: Number | str) -> Fraction:
@@ -44,6 +39,12 @@ def split(values: Iterable[Number]) -> Vec:
     exactly."""
     exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     return [v.numerator for v in exact], [v.denominator for v in exact]
+
+
+def nondecreasing(v: Vec) -> bool:
+    """v_0 <= v_1 <= ..., compared by integer cross products."""
+    p, q = v
+    return all(a * s <= b * r for a, r, b, s in zip(p, q, p[1:], q[1:]))
 
 
 def progression(start: Fraction, step: Fraction) -> tuple[int, int, int]:
@@ -72,7 +73,3 @@ def format_rational(value: Number) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-def is_exact(value: Number) -> bool:
-    return isinstance(value, (int, Fraction))

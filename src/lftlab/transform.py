@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DegenerateGrid, InvalidK, NonConvexInput, OutOfRangeDual
 from .grids import DualGrid, FunctionSpec, GradientVector, RegularGrid
-from .rational import Number, Vec, frac, progression, split
+from .rational import Number, Vec, frac, nondecreasing, progression, split
 
 ADAPTIVE_VARIANTS = ("centered", "right", "left")
 
@@ -57,18 +57,18 @@ def _slopes(v: Vec, step: Number) -> Vec:
 
 
 def _gradients(f: FunctionSpec) -> Vec:
-    """The exact gradients c_i of ``f``, checked nondecreasing; float
-    samples pass the tolerance check on the floats first."""
+    """The exact gradients c_i of ``f``, checked nondecreasing. The error
+    names the least exact second difference, as a float for float samples."""
     if f.n < 3:
         raise DegenerateGrid(f"need n >= 3 primal points, got {f.n}")
-    if not f.exact:
-        f.require_convex()
-    cn, cd = _slopes(split(f.samples), f.grid.gamma)
-    if any(a * d > b * e for a, e, b, d in zip(cn, cd, cn[1:], cd[1:])):
+    c = _slopes(split(f.samples), f.grid.gamma)
+    if not nondecreasing(c):
         exact = [Fraction(v) for v in f.samples]
         bad = min(u - 2 * v + w for u, v, w in zip(exact, exact[1:], exact[2:]))
+        if any(isinstance(v, float) for v in f.samples):
+            bad = float(bad)
         raise NonConvexInput(f"second differences go negative (min {bad})")
-    return cn, cd
+    return c
 
 
 def discrete_gradients(f: FunctionSpec) -> GradientVector:
@@ -163,7 +163,7 @@ def optimizer_map(
     unless ``clamp`` is set, in which case they pin to the boundary
     optimizers (the trivial dual region).
     """
-    return _repeat_indices(_checked_counts(split(g.c), dual, clamp))
+    return _repeat_indices(_checked_counts(g.ratios, dual, clamp))
 
 
 def _conjugate_values(f: FunctionSpec, dual: DualGrid, idx: Sequence[int]) -> tuple:
@@ -214,13 +214,13 @@ def adaptive_dual_points(g: GradientVector, variant: str = "centered") -> tuple:
     The boundary midpoints collapse onto c_0 and c_{n-2}, so every point
     lies in the nontrivial range.
     """
-    return tuple(map(Fraction, *_adaptive_points(split(g.c), variant)))
+    return tuple(map(Fraction, *_adaptive_points(g.ratios, variant)))
 
 
 def lft_adaptive(f: FunctionSpec, variant: str = "centered") -> ConjugateResult:
     """Adaptive-dual transform; each dual point's optimizer is its own index."""
     points = list(map(Fraction, *_adaptive_points(_gradients(f), variant)))
-    dual = DualGrid.from_points(points, kind="adaptive")
+    dual = DualGrid.from_points(points)
     idx = tuple(range(f.n))
     return ConjugateResult(dual=dual, values=_conjugate_values(f, dual, idx), optimizer_index=idx)
 

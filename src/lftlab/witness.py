@@ -17,7 +17,6 @@ from typing import Optional
 
 from .errors import EmptyAcceptance, IndexOutOfRange, ZeroSpacing
 from .grids import DualGrid, GradientVector
-from .rational import split
 from .transform import _rule_counts, _slopes
 
 
@@ -32,7 +31,7 @@ class WitnessReport:
 
 def assignment_counts(g: GradientVector, dual: DualGrid) -> tuple[int, ...]:
     """How many dual points each primal index optimizes (clamped rule)."""
-    return tuple(_rule_counts(split(g.c), dual))
+    return tuple(_rule_counts(g.ratios, dual))
 
 
 def witness_params(
@@ -44,7 +43,7 @@ def witness_params(
     """Sharing parameter, slope ratio, and exact success probability K/(N W)."""
     if dual.kind == "regular" and dual.gamma_s == 0:
         raise ZeroSpacing("witness parameters need a positive dual spacing")
-    c = split(g.c)
+    c = g.ratios
     w = max(_rule_counts(c, dual))
     if w < 1:
         raise EmptyAcceptance("no primal index optimizes any dual point")
@@ -73,10 +72,10 @@ def _slot(i: int, m: int, g: GradientVector, dual: DualGrid) -> tuple[int, int]:
         raise IndexOutOfRange(f"index {i} outside [0, {g.n})")
     if m < 0:
         raise IndexOutOfRange(f"copy slot m must be nonnegative, got {m}")
-    c = g.c
+    cn, cd = g.ratios
     pos = 0 if i == 0 else 4 if i == g.n - 1 else 2
-    sub = (c[0], c[max(i - 1, 0)], c[min(i, len(c) - 1)], c[-1])
-    counts = _rule_counts(split(sub), dual)
+    at = (0, max(i - 1, 0), min(i, len(cn) - 1), -1)
+    counts = _rule_counts(([cn[t] for t in at], [cd[t] for t in at]), dual)
     return sum(counts[:pos]), counts[pos]
 
 

@@ -3,12 +3,14 @@ half-open gradient rule written out here, and the brute oracle."""
 
 from fractions import Fraction as F
 from math import floor
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lftlab.errors import DegenerateGrid, NonConvexInput, OutOfRangeDual
-from lftlab.grids import DualGrid, FunctionSpec, RegularGrid
+from lftlab.grids import DualGrid, FunctionSpec, GradientVector, RegularGrid
+from lftlab.rational import split
 from lftlab.transform import (
     adaptive_dual_points,
     assign_optimizer,
@@ -140,9 +142,10 @@ def test_kernel_matches_sweep_and_brute(data, f):
 def test_float_samples_convert_exactly(data, f):
     floats = FunctionSpec(grid=f.grid, samples=tuple(float(v) for v in f.samples))
     exact = FunctionSpec(grid=f.grid, samples=tuple(F(v) for v in floats.samples))
-    if not (floats.is_convex() and exact.is_convex()):
-        # rounding can bend the samples; the float tolerance check or the
-        # exact gradient check then rejects them
+    s = exact.samples
+    if any(u - 2 * v + w < 0 for u, v, w in zip(s, s[1:], s[2:])):
+        # rounding can bend the samples; the exact check, which has no
+        # tolerance, then rejects them
         with pytest.raises(NonConvexInput):
             lft_regular(floats, DualGrid.from_points([F(0)]), clamp=True)
         return
@@ -202,3 +205,30 @@ def test_brute_tie_at_top_gradient_differs_from_rule_in_index_only(ex1):
     assert rule.optimizer_index == (ex1.n - 1,)
     assert brute.optimizer_index == (ex1.n - 2,)
     assert rule.values == brute.values == (F(1, 4),)
+
+
+# floats, small ints and rationals over wide coprime prime denominators
+gradient_words = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.integers(-50, 50),
+    st.builds(F, st.integers(-(2**70), 2**70), st.sampled_from([1009, 1013, 2**61 - 1])),
+)
+
+
+@given(words=st.lists(gradient_words, min_size=2, max_size=8), presort=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_gradient_vector_carries_the_kernel_ratios(words, presort):
+    if presort:
+        words = sorted(words, key=F)
+    c = tuple(words)
+    if any(F(a) > F(b) for a, b in zip(c, c[1:])):
+        with pytest.raises(NonConvexInput):
+            GradientVector(c=c)
+        return
+    g = GradientVector(c=c)
+    assert g.ratios == split(g.c)
+    # the ratios are derived: equality, hashing and the repr see only c and grid
+    assert g == GradientVector(c=c) and hash(g) == hash((g.c, None))
+    assert repr(g) == f"GradientVector(c={g.c!r}, grid=None)"
+    again = pickle.loads(pickle.dumps(g))
+    assert again == g and again.ratios == g.ratios

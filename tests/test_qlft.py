@@ -117,6 +117,26 @@ class TestFloatSamples:
         assert tuple(lab.get("s") for lab in labs) == ref.dual.points()
 
 
+class TestCanonicalDual:
+    def test_default_dual_is_the_canonical_grid(self, rng):
+        specs = [
+            fixtures.constant(1, n=4),
+            FunctionSpec(RegularGrid(0, 1 / 3, 4), (0.0, 0.1, 0.3, 0.7)),
+        ]
+        for n in (3, 5, 8):
+            coprime = [i * i + F(1, p) for i, p in zip(range(n), [1009, 1013, 2**61 - 1] * n)]
+            specs += [
+                fixtures.random_convex_spec(rng, n),
+                FunctionSpec(RegularGrid(0, 0.75, n), tuple(i * i / 3 for i in range(n))),
+                FunctionSpec(RegularGrid(F(1, 3), F(2, 7), n), tuple(coprime)),
+            ]
+        for f in specs:
+            for k in (2, f.n, 2 * f.n + 1):
+                assert run_qlft_1d_regular(f, k, rng_seed=k) == run_qlft_1d_regular(
+                    f, k, rng_seed=k, dual=canonical_dual(f, k)
+                )
+
+
 class TestAttachGradients:
     def test_ex1_label_i2(self, ex1):
         state = attach_gradients(prepare_superposition(ex1))

@@ -205,10 +205,7 @@ class TestVerificationReporting:
         for axis in (1, 0):
             bracket = axis_bracket(t, axis, grid.gamma)
             expected[axis] = regular_dual_grid(bracket, 2)
-            t = axis_transform(
-                t, axis, grid.axes[axis], expected[axis],
-                negate=True, check_convex=False,
-            )
+            t = axis_transform(t, axis, grid.axes[axis], expected[axis], check_convex=False)
         assert run.verification.dual_grids == tuple(expected)
         assert run.verification.dual_grids[0].points() == (F(2), F(4))
         # the untransformed tensor would have given (0, 4) instead

@@ -222,11 +222,11 @@ class TestDoubleTransform:
 
 
 class TestFloatMode:
-    def test_float_samples_validate_with_tolerance(self):
-        vals = [0.0, 0.5000000000001, 1.0]  # curvature -2e-13, within 1e-9
+    def test_float_samples_get_no_tolerance(self):
+        vals = [0.0, 0.5000000000001, 1.0]  # curvature about -2e-13
         f = FunctionSpec(grid=fixtures.unit_grid(3), samples=tuple(vals))
-        assert not f.exact
-        f.require_convex()
+        with pytest.raises(NonConvexInput):
+            discrete_gradients(f)
 
     def test_float_transform_tracks_exact(self, ex1):
         dual = canonical_dual(ex1, 4)
