@@ -2,10 +2,15 @@
 and fixture emission with plot-ready CSV.
 
 Exit codes: 0 success; 1 parse or usage errors (any ``ValueError``,
-``ParseError`` included, or an ``OSError`` on an output path); 2 domain rejections (any ``LftError``, such as
-nonconvex input, a power-of-two violation under --strict-pow2 or the
-hardness dimension cap). ``main`` maps both once and writes one
-``error: ...`` line to stderr.
+``ParseError`` included, or an ``OSError`` on an output path; also
+``qlft --dual-size`` without ``--mode regular``, ``qlft --omega`` on an nD
+instance and ``hardness sampling --t`` below 0); 2 domain rejections (any
+``LftError``, such as nonconvex input, a power-of-two violation under
+--strict-pow2 or the hardness dimension cap). ``main`` maps both once and
+writes one ``error: ...`` line to stderr.
+
+``lft`` and ``qlft`` each build one result document for 1D and nD
+instances; only running the transform or the simulator differs by kind.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from .multi import (
 )
 from .qlft import (
     digital_to_analog,
-    first_attempt_successes,
     geometric_attempts,
     run_qlft_1d_adaptive,
     run_qlft_1d_regular,
@@ -111,8 +115,17 @@ def _parse_dual_option(spec: str, f: FunctionSpec):
 
 def cmd_lft(args) -> int:
     instance = load_instance(args.instance)
-    if not isinstance(instance, FunctionSpec):
-        return _run_lft_nd(args, instance)
+    one_d = isinstance(instance, FunctionSpec)
+    doc, values, duals = (_lft_1d if one_d else _lft_nd)(args, instance)
+    if args.brute:
+        brute = lft_brute(instance, duals) if one_d else lft_nd_brute(instance, duals)
+        brute_values = brute.values if one_d else brute.values.flat
+        doc["brute_check"] = "MATCH" if brute_values == values else "MISMATCH"
+    _emit(doc, args)
+    return 0
+
+
+def _lft_1d(args, instance: FunctionSpec):
     mode, arg, g = _parse_dual_option(args.dual, instance)
     if mode == "adaptive":
         result = lft_adaptive(instance, arg)
@@ -132,43 +145,33 @@ def cmd_lft(args) -> int:
             "nu": format_rational(w.nu),
             "success_probability": format_rational(w.success_probability),
         }
-    if args.brute:
-        brute = lft_brute(instance, result.dual)
-        doc["brute_check"] = "MATCH" if brute.values == result.values else "MISMATCH"
-    _emit(doc, args)
-    return 0
+    return doc, result.values, result.dual
 
 
-def _run_lft_nd(args, instance: TensorSamples) -> int:
+def _lft_nd(args, instance: TensorSamples):
     mode, _, arg = args.dual.partition(":")
     if mode == "regular":
-        ks = [int(p) for p in arg.split(",")]
-        if len(ks) == 1:
-            ks = ks * instance.d
-        duals = canonical_nd_dual_grids(instance, ks)
+        duals = canonical_nd_dual_grids(instance, _axis_sizes(arg, instance))
         result = lft_nd_regular(instance, duals)
     elif mode == "adaptive":
         result = lft_nd_adaptive(instance)
     else:
-        return _fail(f"--dual {args.dual!r} unsupported for tensors", 1)
+        raise ParseError(f"--dual {args.dual!r} unsupported for tensors")
+    points = [result.dual_point(idx) for idx in result.values.indices()]
     doc = {
         "command": "lft",
         "shape": list(result.values.shape),
-        "dual_points": [
-            [format_rational(c) for c in result.dual_point(idx)]
-            for idx in result.values.indices()
-        ],
+        "dual_points": [[format_rational(c) for c in p] for p in points],
         "values": [format_rational(v) for v in result.values.flat],
         "optimizer_index": [list(o) for o in result.optimizer],
     }
-    if args.brute:
-        pts = [result.dual_point(idx) for idx in result.values.indices()]
-        brute = lft_nd_brute(instance, pts)
-        doc["brute_check"] = (
-            "MATCH" if list(brute.values.flat) == list(result.values.flat) else "MISMATCH"
-        )
-    _emit(doc, args)
-    return 0
+    return doc, result.values.flat, points
+
+
+def _axis_sizes(spec: str, instance: TensorSamples) -> list[int]:
+    """K per axis from "K" (every axis) or "K0,K1,..."."""
+    ks = [int(p) for p in spec.split(",")]
+    return ks * instance.d if len(ks) == 1 else ks
 
 
 def cmd_qlft(args) -> int:
@@ -177,12 +180,47 @@ def cmd_qlft(args) -> int:
     trials = args.trials
     if trials < 1:
         return _fail("--trials must be at least 1", 1)
-    if isinstance(instance, FunctionSpec):
-        doc, run = _qlft_1d(args, instance, seed, trials)
-    elif args.omega:
+    one_d = isinstance(instance, FunctionSpec)
+    if args.omega and not one_d:
         return _fail("--omega needs a one-dimensional instance", 1)
-    else:
-        doc, run = _qlft_nd(args, instance, seed, trials)
+    if args.dual_size and args.mode == "adaptive":
+        return _fail("--dual-size needs --mode regular", 1)
+    run, verification = (_qlft_1d if one_d else _qlft_nd)(args, instance, seed)
+    p = run.success_probability
+    if args.mode == "adaptive":  # no post-selection: every trial succeeds at once
+        attempts = [1] * trials
+    elif p > 0:
+        attempts = [geometric_attempts(p, random.Random(seed + t)) for t in range(trials)]
+    else:  # a pass rejected every branch
+        attempts = [0] * trials
+    doc = {
+        "command": "qlft",
+        "mode": args.mode,
+        "seed": seed,
+        "trials": trials,
+        "n": [instance.n] if one_d else list(instance.grid.shape),
+        "success_probability": format_rational(p),
+        "expected_aa_repetitions": run.expected_aa_repetitions,
+        "mean_attempts": sum(attempts) / trials,
+        # a trial's first draw decides whether it succeeds at once, so this
+        # is the first-try success rate over the same seeds, not an estimate
+        "empirical_acceptance": attempts.count(1) / trials,
+        "verification": verification,
+        "step_trace": step_records(run),
+    }
+    if not one_d:
+        doc["pass_acceptances"] = [format_rational(q) for q in run.pass_acceptances]
+        doc["verification_missing"] = len(run.verification.missing)
+        doc["verification_value_mismatches"] = len(run.verification.value_mismatches)
+    elif args.omega:
+        state = run.final_state
+        if args.mode == "adaptive":  # adaptive runs label by i; the encoding reads j
+            state = state.map_labels(
+                lambda lab: label(("j", lab.get("i")), ("fstar", lab.get("fstar")))
+            )
+        enc = digital_to_analog(state)
+        doc["omega"] = format_rational(enc.omega)
+        doc["omega_expected_attempts"] = enc.expected_attempts
     if args.transcript:
         with open(args.transcript, "w", encoding="utf-8") as fh:
             fh.write(transcript_jsonl(run))
@@ -190,94 +228,33 @@ def cmd_qlft(args) -> int:
     return 0
 
 
-def _retry_stats(p, trials: int, seed: int) -> tuple[list[int], float]:
-    """Seeded post-selection tries per trial and the first-try success rate."""
-    attempts = [geometric_attempts(p, random.Random(seed + t)) for t in range(trials)]
-    return attempts, first_attempt_successes(p, trials, seed) / trials
-
-
-def _qlft_1d(args, instance: FunctionSpec, seed: int, trials: int) -> dict:
+def _qlft_1d(args, instance: FunctionSpec, seed: int):
+    """Run the 1D simulator, then check its values against the classical transform."""
     if args.mode == "adaptive":
         run = run_qlft_1d_adaptive(instance, strict_pow2=args.strict_pow2)
         classical = lft_adaptive(instance)
-        attempts = [1] * trials
-        empirical = 1.0
     else:
         k = int(args.dual_size) if args.dual_size else instance.n
         run = run_qlft_1d_regular(instance, k, rng_seed=seed, strict_pow2=args.strict_pow2)
-        g = discrete_gradients(instance)
-        dual = regular_dual_grid(nontrivial_dual_range(g), k)
+        dual = regular_dual_grid(nontrivial_dual_range(discrete_gradients(instance)), k)
         classical = lft_regular(instance, dual)
-        attempts, empirical = _retry_stats(run.success_probability, trials, seed)
     values = tuple(lab.get("fstar") for lab, _ in run.final_state.entries)
-    verification = "MATCH" if values == classical.values else "MISMATCH"
-    doc = {
-        "command": "qlft",
-        "mode": args.mode,
-        "seed": seed,
-        "trials": trials,
-        "n": [instance.n],
-        "success_probability": format_rational(run.success_probability),
-        "expected_aa_repetitions": run.expected_aa_repetitions,
-        "mean_attempts": sum(attempts) / len(attempts),
-        "empirical_acceptance": empirical,
-        "verification": verification,
-        "step_trace": step_records(run),
-    }
-    if args.omega:
-        enc = digital_to_analog(run.final_state if args.mode == "regular" else _as_j_state(run))
-        doc["omega"] = format_rational(enc.omega)
-        doc["omega_expected_attempts"] = enc.expected_attempts
-    return doc, run
+    return run, "MATCH" if values == classical.values else "MISMATCH"
 
 
-def _as_j_state(run):
-    # adaptive runs label by i; rename for the analog conversion
-    return run.final_state.map_labels(
-        lambda lab: label(("j", lab.get("i")), ("fstar", lab.get("fstar")))
-    )
-
-
-def _qlft_nd(args, instance: TensorSamples, seed: int, trials: int) -> dict:
+def _qlft_nd(args, instance: TensorSamples, seed: int):
     if args.mode == "adaptive":
         run = run_qlft_nd_adaptive(instance, strict_pow2=args.strict_pow2)
-        attempts = [1] * trials
-        empirical = 1.0
     else:
-        if args.dual_size:
-            ks = [int(p) for p in args.dual_size.split(",")]
-            if len(ks) == 1:
-                ks = ks * instance.d
-        else:
-            ks = list(instance.grid.shape)
+        ks = _axis_sizes(args.dual_size, instance) if args.dual_size else list(instance.grid.shape)
         run = run_qlft_nd_regular(instance, ks=ks, rng_seed=seed, strict_pow2=args.strict_pow2)
-        if run.success_probability > 0:
-            attempts, empirical = _retry_stats(run.success_probability, trials, seed)
-        else:
-            attempts = [0] * trials
-            empirical = 0.0
-    return {
-        "command": "qlft",
-        "mode": args.mode,
-        "seed": seed,
-        "trials": trials,
-        "n": list(instance.grid.shape),
-        "success_probability": format_rational(run.success_probability),
-        "pass_acceptances": [format_rational(p) for p in run.pass_acceptances],
-        "expected_aa_repetitions": run.expected_aa_repetitions,
-        "mean_attempts": sum(attempts) / len(attempts) if attempts else 0,
-        "empirical_acceptance": empirical,
-        "verification": run.verification.status,
-        "verification_missing": len(run.verification.missing),
-        "verification_value_mismatches": len(run.verification.value_mismatches),
-        "step_trace": step_records(run),
-    }, run
+    return run, run.verification.status
 
 
 def cmd_hardness(args) -> int:
+    if args.sub != "rescale" and args.d > HARDNESS_DIM_CAP:
+        return _fail(f"dimension {args.d} exceeds cap {HARDNESS_DIM_CAP}", 2)
     if args.sub == "point-queries":
-        if args.d > HARDNESS_DIM_CAP:
-            return _fail(f"dimension {args.d} exceeds cap {HARDNESS_DIM_CAP}", 2)
         z = _parse_z(args.z, args.d)
         if z is None:
             return _fail(f"--z must be a 0/1 string of length {args.d}", 1)
@@ -292,8 +269,6 @@ def cmd_hardness(args) -> int:
             "queries": inst.query_counter,
         }
     elif args.sub == "sampling":
-        if args.d > HARDNESS_DIM_CAP:
-            return _fail(f"dimension {args.d} exceeds cap {HARDNESS_DIM_CAP}", 2)
         seed = args.seed if args.seed is not None else _default_seed()
         z = _parse_z(args.z, args.d) if args.z else tuple(
             random.Random(seed ^ 0x5EED).randint(0, 1) for _ in range(args.d)

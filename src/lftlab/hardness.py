@@ -159,8 +159,10 @@ def recover_via_sampling(
 
     Full rank over the rationals recovers z; rank deficiency is a failure
     outcome, not an exception. With t extra equations the empirical
-    success rate is at least about 1 - 2^-t.
+    success rate is at least about 1 - 2^-t; t must be nonnegative.
     """
+    if t < 0:
+        raise ValueError(f"need t >= 0 extra equations, got {t}")
     d = inst.d
     count = d + t
     rows, rhs = [], []

@@ -43,33 +43,22 @@ class ParseError(ValueError):
 
 
 def serialize_instance(instance: Instance) -> dict:
-    if isinstance(instance, FunctionSpec):
-        doc = {
-            "kind": "samples",
-            "grid": [
-                {
-                    "x0": format_rational(instance.grid.x0),
-                    "gamma_x": format_rational(instance.grid.gamma),
-                    "n": instance.grid.n,
-                }
-            ],
-            "samples": [format_rational(v) for v in instance.samples],
-        }
-        if instance.closed_form:
-            doc["closed_form"] = instance.closed_form
-        return doc
-    return {
+    one_d = isinstance(instance, FunctionSpec)
+    if one_d:
+        axes, samples = (instance.grid,), instance.samples
+    else:
+        axes, samples = instance.grid.axes, instance.values.flat
+    doc = {
         "kind": "samples",
         "grid": [
-            {
-                "x0": format_rational(g.x0),
-                "gamma_x": format_rational(g.gamma),
-                "n": g.n,
-            }
-            for g in instance.grid.axes
+            {"x0": format_rational(g.x0), "gamma_x": format_rational(g.gamma), "n": g.n}
+            for g in axes
         ],
-        "samples": [format_rational(v) for v in instance.values.flat],
+        "samples": [format_rational(v) for v in samples],
     }
+    if one_d and instance.closed_form:
+        doc["closed_form"] = instance.closed_form
+    return doc
 
 
 def _parse_axis(doc: dict) -> RegularGrid:

@@ -128,6 +128,12 @@ class TestSampling:
                 assert not out.success and out.rank == 0
         assert saw == {(0,), (1,)}
 
+    @pytest.mark.parametrize("t", [-1, -10])
+    def test_negative_t_rejected(self, t):
+        inst = HiddenStringInstance.for_sampling((1, 0, 1, 1))
+        with pytest.raises(ValueError, match="t >= 0"):
+            recover_via_sampling(inst, t=t)
+
     def test_rank_deficient_is_failure_outcome(self):
         inst = HiddenStringInstance.for_sampling((1, 0))
         # t=0 with d=2: some seeds draw dependent rows

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from lftlab import fixtures, multi
 from lftlab.cli import main
 from lftlab.io import ParseError, dump_document, parse_instance, serialize_instance
 from lftlab.multi import TensorSamples
+from lftlab.qlft import first_attempt_successes, geometric_attempts
 
 
 class TestInstanceDocuments:
@@ -201,6 +203,36 @@ class TestCli:
         )
         self._rejects(["qlft", str(inst), "--omega"], 1, capsys)
 
+    @staticmethod
+    def _builtin(path, name):
+        params = {"d": 2, "n": 4} if name == "separable-sum" else {}
+        path.write_text(json.dumps({"kind": "builtin", "name": name, "params": params}))
+        return str(path)
+
+    @pytest.mark.parametrize("builtin, sizes", [("pwl-ex3", "5"), ("separable-sum", "4,4")])
+    def test_qlft_adaptive_rejects_dual_size(self, tmp_path, capsys, builtin, sizes):
+        inst = self._builtin(tmp_path / "inst.json", builtin)
+        assert main(["qlft", inst, "--mode", "adaptive", "--dual-size", sizes]) == 1
+        assert capsys.readouterr().err == "error: --dual-size needs --mode regular\n"
+
+    @pytest.mark.parametrize(
+        "builtin, argv",
+        [
+            ("pwl-ex3", ["--dual-size", "5", "--seed", "7", "--trials", "500"]),
+            ("separable-sum", ["--dual-size", "4,4", "--seed", "3", "--trials", "300"]),
+        ],
+    )
+    def test_qlft_retry_statistics_are_the_seeded_draws(self, tmp_path, builtin, argv):
+        # mean_attempts and empirical_acceptance come from the same seed + t draws
+        inst = self._builtin(tmp_path / "inst.json", builtin)
+        out = tmp_path / "res.json"
+        assert main(["--out", str(out), "qlft", inst, *argv]) == 0
+        doc = json.loads(out.read_text())
+        p, seed, trials = F(doc["success_probability"]), doc["seed"], doc["trials"]
+        attempts = [geometric_attempts(p, random.Random(seed + t)) for t in range(trials)]
+        assert doc["empirical_acceptance"] == first_attempt_successes(p, trials, seed) / trials
+        assert doc["mean_attempts"] == sum(attempts) / trials
+
     def test_qlft_2d_separable_verification(self, tmp_path):
         inst = tmp_path / "sep.json"
         inst.write_text(
@@ -240,6 +272,10 @@ class TestCli:
         assert doc["success"] is True
         assert doc["recovered"] == "1011"
         assert doc["equations"] == 10
+
+    def test_hardness_sampling_negative_t_exit_1(self, capsys):
+        self._rejects(["hardness", "sampling", "--d", "4", "--t", "-10"], 1, capsys)
+        assert main(["hardness", "sampling", "--d", "4", "--t", "0"]) == 0
 
     def test_hardness_rescale(self, fixture_dir, tmp_path):
         out = tmp_path / "res.json"
