@@ -3,8 +3,9 @@ and fixture emission with plot-ready CSV.
 
 Exit codes: 0 success; 1 parse or usage errors (any ``ValueError``,
 ``ParseError`` included, or an ``OSError`` on an output path; also
-``qlft --dual-size`` without ``--mode regular``, ``qlft --omega`` on an nD
-instance and ``hardness sampling --t`` below 0); 2 domain rejections (any
+``qlft --dual-size`` without ``--mode regular``, ``qlft --omega`` and
+``lft --clamp`` on an nD instance, ``lft --clamp`` with an adaptive dual and
+``hardness sampling --t`` below 0); 2 domain rejections (any
 ``LftError``, such as nonconvex input, a power-of-two violation under
 --strict-pow2 or the hardness dimension cap). ``main`` maps both once and
 writes one ``error: ...`` line to stderr.
@@ -77,7 +78,8 @@ def _default_seed() -> int:
 
 def _emit(doc: dict, args) -> None:
     if getattr(args, "precision", None) is not None:
-        doc = with_decimals(doc, ("values", "dual"), args.precision)
+        fields = ("values", "dual", "dual_points", "success_probability", "pass_acceptances")
+        doc = with_decimals(doc, fields, args.precision)
     if args.format == "csv":
         text = document_to_csv(doc)
     else:
@@ -116,6 +118,10 @@ def _parse_dual_option(spec: str, f: FunctionSpec):
 def cmd_lft(args) -> int:
     instance = load_instance(args.instance)
     one_d = isinstance(instance, FunctionSpec)
+    if args.clamp and not one_d:
+        return _fail("--clamp needs a one-dimensional instance", 1)
+    if args.clamp and args.dual.partition(":")[0] == "adaptive":
+        return _fail("--clamp needs a regular or list dual", 1)
     doc, values, duals = (_lft_1d if one_d else _lft_nd)(args, instance)
     if args.brute:
         brute = lft_brute(instance, duals) if one_d else lft_nd_brute(instance, duals)

@@ -174,12 +174,17 @@ def document_to_csv(doc: dict) -> str:
 
 
 def with_decimals(doc: dict, fields: tuple[str, ...], precision: int) -> dict:
-    """Add decimal renderings of exact rational list fields."""
+    """Add decimal renderings of exact rational fields: a scalar renders as
+    one decimal, a list (nested or not) element by element."""
+
+    def render(v):
+        if isinstance(v, list):
+            return [render(x) for x in v]
+        return f"{float(Fraction(v)):.{precision}f}"
+
     out = dict(doc)
     out["precision"] = precision
     for field in fields:
         if field in doc:
-            out[field + "_decimal"] = [
-                f"{float(Fraction(v)):.{precision}f}" for v in doc[field]
-            ]
+            out[field + "_decimal"] = render(doc[field])
     return out

@@ -195,13 +195,34 @@ def _lift(values: Sequence, den: int = 1) -> Scaled:
     return [a * per[q] for a, q in zip(nums, dens)], D, make
 
 
+def _rescale(D: int, make: Callable, den: int) -> tuple[int, Callable, object]:
+    """lcm(D, den), or 1 past the guard, with its make and the factor that
+    carries a scalar over D to it."""
+    D2, make = _guard(math.lcm(D, den), make)
+    return D2, make, make(D2, D)
+
+
 def _widen(flat: list, D: int, make: Callable, den: int) -> Scaled:
     """The same scalars over lcm(D, den), or over 1 past the guard."""
-    D2, make = _guard(math.lcm(D, den), make)
+    D2, make, scale = _rescale(D, make, den)
     if D2 != D:
-        scale = make(D2, D)
         flat = [v * scale for v in flat]
     return flat, D2, make
+
+
+def _dual_products(points: Sequence, x_axis: RegularGrid, D: int, make: Callable):
+    """One pass's s_j * gamma and s_j * x_i tables over lcm(D, ds * dx), with
+    ds and dx the denominators of the dual points and of the axis points.
+    Returns that D, its make, the rescale factor from the old D and the two
+    tables, indexed [j] and [j][i]."""
+    duals, ds, _ = _lift(points)
+    a0, p, dx = progression(x_axis.x0, x_axis.gamma)
+    D, make, scale = _rescale(D, make, ds * dx)
+    # gamma = p / dx and x_i = (a0 + i * p) / dx
+    unit = make(D, ds * dx)
+    s_unit = [s * unit for s in duals]
+    sx = [[s * (a0 + i * p) for i in range(x_axis.n)] for s in s_unit]
+    return D, make, scale, [s * p for s in s_unit], sx
 
 
 def _fractions(flat: Sequence, D: int) -> tuple[Fraction, ...]:
@@ -257,18 +278,13 @@ def _pass(shape, scaled: Scaled, axis, x_axis, dual, assignments, check_convex):
     """``axis_transform`` on scalars over D; returns the new shape and the
     output over lcm(D, ds * dx), with ds and dx the denominators of the
     dual points and of the axis points."""
-    n, k = shape[axis], dual.k
+    k = dual.k
     new_shape = (*shape[:axis], k, *shape[axis + 1 :])
     stride = math.prod(shape[axis + 1 :])
-    duals, ds, _ = _lift(dual.points())
-    a0, p, dx = progression(x_axis.x0, x_axis.gamma)
-    flat, D, make = _widen(*scaled, ds * dx)
-    # s_j * gamma and s_j * x_i as scalars over D, for gamma = p / dx and
-    # x_i = (a0 + i * p) / dx
-    unit = make(D, ds * dx)
-    s_unit = [s * unit for s in duals]
-    thresholds = [s * p for s in s_unit]
-    sx = [[s * (a0 + i * p) for i in range(n)] for s in s_unit]
+    flat, D, make = scaled
+    D2, make, scale, thresholds, sx = _dual_products(dual.points(), x_axis, D, make)
+    if D2 != D:
+        flat, D = [v * scale for v in flat], D2
     out = [None] * math.prod(new_shape)
     lines = zip(_lines(shape, flat, axis, check_convex), _line_starts(new_shape, axis))
     for (comp, line, diffs), b in lines:

@@ -24,6 +24,10 @@ Branches are the labels of one ``QState`` per step: registers j (the
 coordinates), f (the center value), f_prev{axis}/f_next{axis} per axis not
 yet passed and s{axis} per passed axis, garbage i{axis} (and m{axis} in
 regular mode). Each step records its computed norm, 0 if nothing survives.
+The value registers f and f_prev/f_next hold ints over one shared
+denominator D per run, widened once per pass as in ``multi`` (Fractions
+over D = 1 past ``multi.MAX_SHARED_BITS``); the s registers hold the dual
+points, and the negate step makes the Fractions fstar = -f / D.
 """
 
 from __future__ import annotations
@@ -37,8 +41,10 @@ from typing import Optional, Sequence
 
 from .errors import InvalidK, NonConvexSlice
 from .grids import DualGrid
-from .multi import TensorSamples, lft_nd_adaptive, lft_nd_brute, product_dual_points, _cascade
-from .qlft import SimRun, StepRecord, _check_pow2, _trace, centered_dual, geometric_attempts
+from .multi import TensorSamples, lft_nd_adaptive, lft_nd_brute, product_dual_points
+from .multi import _cascade, _dual_products, _lift, _rescale
+from .qlft import SimRun, StepRecord, _check_pow2, _trace, geometric_attempts
+from .rational import progression
 from .qstate import UNDEFINED, BasisLabel, QState, Schema, _schema, is_undefined, label
 
 MATCH = "MATCH"
@@ -61,17 +67,16 @@ class VerificationReport:
         return self.status == MATCH
 
 
-def _superposition(f: TensorSamples) -> QState:
+def _superposition(shape: tuple[int, ...], flat: list) -> QState:
     """Uniform superposition over the grid indices j; each branch carries its
     center value f and, per axis, the rows f_prev{axis} and f_next{axis}."""
-    shape, flat = f.values.shape, f.values.flat
     # per axis: the row names, the last index and the flat stride
     axes = [
         (f"f_prev{axis}", f"f_next{axis}", n - 1, math.prod(shape[axis + 1 :]))
         for axis, n in enumerate(shape)
     ]
     labels = []
-    for pos, idx in enumerate(f.values.indices()):
+    for pos, idx in enumerate(product(*map(range, shape))):
         rows = []
         for i, (prev, nxt, last, stride) in zip(idx, axes):
             rows.append((prev, flat[pos - stride] if i > 0 else UNDEFINED))
@@ -80,16 +85,12 @@ def _superposition(f: TensorSamples) -> QState:
     return QState.uniform(labels)
 
 
-def _run_nd(
-    f: TensorSamples,
-    rng_seed: int,
-    mode: str,
-    ks: Optional[Sequence[int]] = None,
-) -> SimRun:
+def _run_nd(f: TensorSamples, rng_seed: int, mode: str, ks: Optional[tuple] = None) -> SimRun:
     f.require_convex_axes()
     rng = random.Random(rng_seed)
     steps: list[StepRecord] = []
-    state = _superposition(f)
+    flat, *den = _lift(f.values.flat)
+    state = _superposition(f.values.shape, flat)
     _trace(steps, "superposition", state)
     pass_accepts: list[Fraction] = []
     duals = None
@@ -100,9 +101,9 @@ def _run_nd(
 
     for axis in range(f.d - 1, -1, -1):
         if mode == "regular":
-            state, acceptance = _regular_pass(state, f, axis, duals[axis], assigns[axis])
+            state, acceptance, den = _regular_pass(state, f, axis, den, duals[axis], assigns[axis])
         else:
-            state, acceptance = _adaptive_pass(state, f, axis), Fraction(1)
+            state, acceptance, den = _adaptive_pass(state, f, axis, den)
         pass_accepts.append(acceptance)
         _trace(steps, f"pass-axis{axis}", state, acceptance)
         if not state.entries:
@@ -114,18 +115,17 @@ def _run_nd(
     success = math.prod(pass_accepts, start=Fraction(1))
 
     if not state.entries:
-        final_state = None
-        attempts = 0
-        expected_aa = 0
+        final_state, attempts, expected_aa = None, 0, 0
     else:
         attempts = geometric_attempts(success, rng) if success < 1 else 1
         # registers j, f, s0..s{d-1}, then the garbage
         schema = state.entries[0][0].schema
         final = _schema(("j", "fstar", "s", *schema.names[2 + f.d :]), 3)
+        D = den[0]
 
         def negate(lab: BasisLabel) -> BasisLabel:
             v = lab.values
-            return BasisLabel(final, (v[0], -v[1], v[2 : 2 + f.d], *v[2 + f.d :]))
+            return BasisLabel(final, (v[0], Fraction(-v[1], D), v[2 : 2 + f.d], *v[2 + f.d :]))
 
         final_state = state.map_labels(negate)
         _trace(steps, "negate", final_state)
@@ -133,23 +133,19 @@ def _run_nd(
 
     verification = _verify(f, mode, duals, final_state, rng_seed)
     return SimRun(
-        final_state=final_state,
-        success_probability=success,
-        attempts=attempts,
-        expected_aa_repetitions=expected_aa,
-        rng_seed=rng_seed,
-        step_trace=tuple(steps),
-        pass_acceptances=tuple(pass_accepts),
-        verification=verification,
+        final_state=final_state, success_probability=success, attempts=attempts,
+        expected_aa_repetitions=expected_aa, rng_seed=rng_seed, step_trace=tuple(steps),
+        pass_acceptances=tuple(pass_accepts), verification=verification,
     )
 
 
 def _regular_pass(
-    state: QState, f: TensorSamples, axis: int, dual: DualGrid, assign: dict
-) -> tuple[QState, Fraction]:
+    state: QState, f: TensorSamples, axis: int, den: list, dual: DualGrid, assign: dict
+) -> tuple[QState, Fraction, list]:
     """Expand w copy slots per branch, keep the (branch, slot m) pairs the
     gates accept (slots m >= counts[i] fail membership and are not built),
-    and renormalize over the survivors, sorted by j."""
+    and renormalize over the survivors, sorted by j. Values arrive over
+    den = [D, make] and leave over the returned one."""
     n_axis = f.grid.shape[axis]
     counts_of: dict = {}
     for (comp, _), i in assign.items():
@@ -158,37 +154,50 @@ def _regular_pass(
     w = max(map(max, counts_of.values()))
     three_point = axis > 0  # neighbor rows are still needed downstream
     schema = _pass_schema(state.entries[0][0].schema, axis, regular=True)
+    points = dual.points()
+    D, make, scale, _, sx = _dual_products(points, f.grid.axes[axis], *den)
     kept = []
     for lab, _ in state.entries:
         coords = lab.get("j")
         counts, firsts = structure[coords[:axis] + coords[axis + 1 :]]
         i = coords[axis]
-        x_i = f.grid.axes[axis].point(i)
         for m in range(counts[i]):
             if three_point and any(m >= counts[h] for h in (i - 1, i + 1) if 0 <= h < n_axis):
                 continue
             j = firsts[i] + m
-            kept.append(_advance(schema, lab, axis, i, j, dual.point(j), x_i, m))
+            kept.append(_advance(schema, lab, axis, j, points[j], sx[j][i], scale, (i, m)))
     kept.sort(key=lambda lab: lab.get("j"))
     acceptance = Fraction(len(kept), len(state) * w)
-    return (QState.uniform(kept) if kept else QState(entries=())), acceptance
+    return (QState.uniform(kept) if kept else QState(entries=())), acceptance, [D, make]
 
 
-def _adaptive_pass(state: QState, f: TensorSamples, axis: int) -> QState:
-    """Each branch takes the centered dual point of its own axis rows."""
-    gamma = f.grid.gamma
-    lo_name, hi_name = f"f_prev{axis}", f"f_next{axis}"
+def _adaptive_pass(state: QState, f: TensorSamples, axis: int, den: list) -> tuple:
+    """Each branch takes the centered dual point of its own axis rows: with
+    gamma = p / dx and row values over D it is u * dx / (w * p * D), u the
+    row difference across the branch and w 2 inside, 1 at a boundary, as
+    ``multi.lft_nd_adaptive`` computes it."""
+    D, make = den
+    a0, p, dx = progression(f.grid.axes[axis].x0, f.grid.gamma)
+    D2, make, scale = _rescale(D, make, 2 * p * D)
+    # s * x_i = u * (a0 + i * p) / (w * p * D), over D2 per w
+    per_w = (None, make(D2, p * D), make(D2, 2 * p * D))
     schema = _pass_schema(state.entries[0][0].schema, axis, regular=False)
 
     def step(lab: BasisLabel) -> BasisLabel:
-        i = lab.get("j")[axis]
-        center, lo_v, hi_v = lab.get("f"), lab.get(lo_name), lab.get(hi_name)
-        c_lo = UNDEFINED if is_undefined(lo_v) else (center - lo_v) / gamma
-        c_hi = UNDEFINED if is_undefined(hi_v) else (hi_v - center) / gamma
-        s = centered_dual(c_lo, c_hi)
-        return _advance(schema, lab, axis, i, i, s, f.grid.axes[axis].point(i))
+        v = lab.values
+        i = v[0][axis]
+        # f, then the rows of axes 0..axis in pairs
+        center, lo_v, hi_v = v[1], v[2 + 2 * axis], v[3 + 2 * axis]
+        if is_undefined(lo_v):
+            u, w = hi_v - center, 1
+        elif is_undefined(hi_v):
+            u, w = center - lo_v, 1
+        else:
+            u, w = hi_v - lo_v, 2
+        s = Fraction(u * dx, w * p * D)
+        return _advance(schema, lab, axis, i, s, u * (a0 + i * p) * per_w[w], scale, (i,))
 
-    return state.map_labels(step)
+    return state.map_labels(step), Fraction(1), [D2, make]
 
 
 def _pass_schema(schema: Schema, axis: int, regular: bool) -> Schema:
@@ -205,20 +214,20 @@ def _pass_schema(schema: Schema, axis: int, regular: bool) -> Schema:
 
 
 def _advance(
-    schema: Schema, lab: BasisLabel, axis: int, i: int, j: int, s, x_i, m=None
+    schema: Schema, lab: BasisLabel, axis: int, j: int, s, shift, scale, added: tuple
 ) -> BasisLabel:
     """Relabel one branch after the pass along ``axis`` into ``schema``: the
     axis coordinate of j becomes the dual index, s{axis} holds the dual
-    point, the axis' own rows are dropped, and f and every row still
-    carried map with the center optimizer: value -> value - s * x_i."""
-    shift = s * x_i
+    point, the axis' own rows are dropped, the garbage gains ``added``, and
+    f and every row still carried map with the center optimizer onto the
+    pass's denominator: value -> value * scale - shift, shift = s * x_i."""
     values = lab.values
     coords = list(values[0])
     coords[axis] = j
-    rows = [v if is_undefined(v) else v - shift for v in values[2 : 2 + 2 * axis]]
-    added = (i,) if m is None else (i, m)
+    rows = [v if is_undefined(v) else v * scale - shift for v in values[2 : 2 + 2 * axis]]
     return BasisLabel(
-        schema, (tuple(coords), values[1] - shift, *rows, s, *values[4 + 2 * axis :], *added)
+        schema,
+        (tuple(coords), values[1] * scale - shift, *rows, s, *values[4 + 2 * axis :], *added),
     )
 
 
@@ -245,22 +254,13 @@ def _verify(f, mode, duals, final_state, rng_seed) -> VerificationReport:
         try:
             classical = lft_nd_adaptive(f)
         except NonConvexSlice as exc:
-            return VerificationReport(
-                status=UNVERIFIED,
-                missing=(),
-                extra=(),
-                value_mismatches=(),
-                rng_seed=rng_seed,
-                note=f"classical adaptive reference unavailable: {exc}",
-            )
+            note = f"classical adaptive reference unavailable: {exc}"
+            return VerificationReport(UNVERIFIED, (), (), (), rng_seed, note=note)
         expect = {
             idx: (classical.dual_point(idx), classical.values.get(idx))
             for idx in classical.values.indices()
         }
-        got = {
-            lab.get("j"): (lab.get("s"), lab.get("fstar"))
-            for lab, _ in entries
-        }
+        got = {lab.get("j"): (lab.get("s"), lab.get("fstar")) for lab, _ in entries}
     missing = tuple(sorted(set(expect) - set(got)))
     extra = tuple(sorted(set(got) - set(expect)))
     mismatches = tuple(
@@ -270,20 +270,12 @@ def _verify(f, mode, duals, final_state, rng_seed) -> VerificationReport:
     )
     status = MATCH if not (missing or extra or mismatches) else MISMATCH
     return VerificationReport(
-        status=status,
-        missing=missing,
-        extra=extra,
-        value_mismatches=mismatches,
-        rng_seed=rng_seed,
-        dual_grids=tuple(duals) if duals else (),
+        status, missing, extra, mismatches, rng_seed, dual_grids=tuple(duals) if duals else ()
     )
 
 
 def run_qlft_nd_regular(
-    f: TensorSamples,
-    ks: Sequence[int],
-    rng_seed: int = 0,
-    strict_pow2: bool = False,
+    f: TensorSamples, ks: Sequence[int], rng_seed: int = 0, strict_pow2: bool = False
 ) -> SimRun:
     """Nested stochastic passes over shared regular dual grids.
 

@@ -216,6 +216,27 @@ class TestCli:
         assert capsys.readouterr().err == "error: --dual-size needs --mode regular\n"
 
     @pytest.mark.parametrize(
+        "builtin, dual, message",
+        [
+            ("separable-sum", "regular:4", "--clamp needs a one-dimensional instance"),
+            ("separable-sum", "adaptive", "--clamp needs a one-dimensional instance"),
+            ("quadratic-ex1", "adaptive:centered", "--clamp needs a regular or list dual"),
+            ("quadratic-ex1", "adaptive:right", "--clamp needs a regular or list dual"),
+        ],
+    )
+    def test_lft_clamp_rejected_where_it_does_nothing(self, tmp_path, capsys, builtin, dual, message):
+        inst = self._builtin(tmp_path / "inst.json", builtin)
+        assert main(["lft", inst, "--dual", dual, "--clamp"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_lft_clamp_pins_regular_and_list_duals(self, tmp_path, capsys):
+        inst = self._builtin(tmp_path / "inst.json", "quadratic-ex1")
+        assert main(["lft", inst, "--dual", "list:-100,0", "--clamp"]) == 0
+        assert json.loads(capsys.readouterr().out)["optimizer_index"] == [0, 1]
+        assert main(["lft", inst, "--dual", "regular:4", "--clamp"]) == 0
+        self._rejects(["lft", inst, "--dual", "list:-100,0"], 2, capsys)
+
+    @pytest.mark.parametrize(
         "builtin, argv",
         [
             ("pwl-ex3", ["--dual-size", "5", "--seed", "7", "--trials", "500"]),
@@ -312,6 +333,40 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["values_decimal"] == ["-0.5000", "-0.3750", "-0.1250", "0.2500"]
         assert doc["values"] == ["-1/2", "-3/8", "-1/8", "1/4"]  # exact kept
+
+    @staticmethod
+    def _decimals(values, precision):
+        """The exact "p/q" strings rendered, lists element by element."""
+        if isinstance(values, list):
+            return [TestCli._decimals(v, precision) for v in values]
+        return f"{float(F(values)):.{precision}f}"
+
+    def test_precision_renders_nd_dual_points(self, tmp_path):
+        inst = self._builtin(tmp_path / "sep.json", "separable-sum")
+        out = tmp_path / "res.json"
+        assert main(["--out", str(out), "--precision", "3", "lft", inst, "--dual", "regular:3"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["dual_points_decimal"] == self._decimals(doc["dual_points"], 3)
+        assert doc["dual_points"][1] == ["-5/12", "1/4"]
+        assert doc["dual_points_decimal"][1] == ["-0.417", "0.250"]
+        assert doc["values_decimal"] == self._decimals(doc["values"], 3)
+
+    def test_precision_renders_qlft_probabilities(self, tmp_path, fixture_dir):
+        out = tmp_path / "res.json"
+        ex3 = str(fixture_dir / "ex3.json")
+        assert main(["--out", str(out), "--precision", "2", "qlft", ex3, "--dual-size", "5"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["success_probability"] == "1/2"
+        assert doc["success_probability_decimal"] == "0.50"
+        assert "pass_acceptances_decimal" not in doc  # 1D runs report no per-pass list
+        params = {"d": 2, "n": 4, "coupling": 2, "seed": 1}
+        inst = tmp_path / "coupled.json"
+        inst.write_text(json.dumps({"kind": "builtin", "name": "random-convex-quadratic", "params": params}))
+        assert main(["--out", str(out), "--precision", "4", "qlft", str(inst), "--seed", "1"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["pass_acceptances_decimal"] == self._decimals(doc["pass_acceptances"], 4)
+        assert doc["success_probability_decimal"] == self._decimals(doc["success_probability"], 4)
+        assert doc["pass_acceptances_decimal"] == ["0.3125", "0.4500"]
 
     def test_plot_csv_ex1_row_at_zero(self, fixture_dir):
         text = (fixture_dir / "ex1_conjugate.csv").read_text()

@@ -1,16 +1,37 @@
+import ast
+import math
+import os
+import pickle
 import random
+import re
+import runpy
+import sys
 from fractions import Fraction as F
+from itertools import accumulate, product
 
 import pytest
 
-from lftlab import fixtures
-from lftlab.errors import NotPowerOfTwo
-from lftlab.grids import FunctionSpec
-from lftlab.multi import TensorGrid, TensorSamples, canonical_nd_dual_grids
-from lftlab.qlft import conjugate_pairs, run_qlft_1d_adaptive, run_qlft_1d_regular
+from lftlab import fixtures, multi, qlft_nd
+from lftlab.errors import NonConvexSlice, NotPowerOfTwo
+from lftlab.grids import FunctionSpec, RegularGrid
+from lftlab.multi import RatTensor, TensorGrid, TensorSamples, canonical_nd_dual_grids
+from lftlab.qlft import (
+    _trace,
+    centered_dual,
+    conjugate_pairs,
+    run_qlft_1d_adaptive,
+    run_qlft_1d_regular,
+)
 from lftlab.qlft_nd import MATCH, MISMATCH, run_qlft_nd_adaptive, run_qlft_nd_regular
+from lftlab.qstate import UNDEFINED, BasisLabel, QState, _schema, is_undefined, label
 
-from test_multi import as_tensor_1d, random_convex_tensor
+from test_multi import (
+    WIDE_PRIMES,
+    _outcome,
+    as_tensor_1d,
+    on_both_sides_of_the_guard,
+    random_convex_tensor,
+)
 
 
 class TestSeparableRegular:
@@ -280,3 +301,226 @@ class TestAcceptanceStatisticsNd:
             hits = first_attempt_successes(p, trials, seed=77)
             sigma = (float(p) * (1 - float(p)) / trials) ** 0.5
             assert abs(hits / trials - float(p)) <= 3 * sigma
+
+
+# The register arithmetic of the nested passes per branch on Fractions: every
+# value register maps v -> v - s * x_i with the branch's own s and x_i, an
+# adaptive branch takes centered_dual of its row gradients, and negate flips
+# the sign. The simulator computes the same words on ints over a shared
+# denominator; the reference keeps the plain form to compare against.
+
+
+def _ref_advance(schema, lab, axis, i, j, s, x_i, m=None):
+    shift = s * x_i
+    values = lab.values
+    coords = list(values[0])
+    coords[axis] = j
+    rows = [v if is_undefined(v) else v - shift for v in values[2 : 2 + 2 * axis]]
+    added = (i,) if m is None else (i, m)
+    return BasisLabel(
+        schema, (tuple(coords), values[1] - shift, *rows, s, *values[4 + 2 * axis :], *added)
+    )
+
+
+def _ref_regular_pass(state, f, axis, dual, assign):
+    n_axis = f.grid.shape[axis]
+    counts_of = {}
+    for (comp, _), i in assign.items():
+        counts_of.setdefault(comp, [0] * n_axis)[i] += 1
+    w = max(map(max, counts_of.values()))
+    schema = qlft_nd._pass_schema(state.entries[0][0].schema, axis, regular=True)
+    kept = []
+    for lab, _ in state.entries:
+        coords = lab.get("j")
+        counts = counts_of[coords[:axis] + coords[axis + 1 :]]
+        firsts = list(accumulate(counts, initial=0))
+        i = coords[axis]
+        for m in range(counts[i]):
+            neighbors = [h for h in (i - 1, i + 1) if 0 <= h < n_axis]
+            if axis > 0 and any(m >= counts[h] for h in neighbors):
+                continue
+            j = firsts[i] + m
+            kept.append(
+                _ref_advance(schema, lab, axis, i, j, dual.point(j), f.grid.axes[axis].point(i), m)
+            )
+    kept.sort(key=lambda lab: lab.get("j"))
+    acceptance = F(len(kept), len(state) * w)
+    return (QState.uniform(kept) if kept else QState(entries=())), acceptance
+
+
+def _ref_adaptive_pass(state, f, axis):
+    gamma = f.grid.gamma
+    schema = qlft_nd._pass_schema(state.entries[0][0].schema, axis, regular=False)
+
+    def step(lab):
+        i = lab.get("j")[axis]
+        center, lo_v, hi_v = lab.get("f"), lab.get(f"f_prev{axis}"), lab.get(f"f_next{axis}")
+        c_lo = UNDEFINED if is_undefined(lo_v) else (center - lo_v) / gamma
+        c_hi = UNDEFINED if is_undefined(hi_v) else (hi_v - center) / gamma
+        s = centered_dual(c_lo, c_hi)
+        return _ref_advance(schema, lab, axis, i, i, s, f.grid.axes[axis].point(i))
+
+    return state.map_labels(step)
+
+
+def _reference_run(f, mode, ks=None, rng_seed=0):
+    """(final state, step records, pass acceptances, verification report)
+    of the nested passes computed per branch on Fractions."""
+    f.require_convex_axes()
+    shape, steps, accepts = f.values.shape, [], []
+    labels = []
+    for idx in f.values.indices():
+        rows = []
+        for axis, i in enumerate(idx):
+            for name, h in ((f"f_prev{axis}", i - 1), (f"f_next{axis}", i + 1)):
+                nb = (*idx[:axis], h, *idx[axis + 1 :])
+                rows.append((name, f.values.get(nb) if 0 <= h < shape[axis] else UNDEFINED))
+        labels.append(label(("j", idx), ("f", f.values.get(idx)), *rows))
+    state = QState.uniform(labels)
+    _trace(steps, "superposition", state)
+    duals = None
+    if mode == "regular":
+        duals, assigns, _ = multi._cascade(f, ks=ks, check_convex=False)
+    for axis in reversed(range(f.d)):
+        if mode == "regular":
+            state, acceptance = _ref_regular_pass(state, f, axis, duals[axis], assigns[axis])
+        else:
+            state, acceptance = _ref_adaptive_pass(state, f, axis), F(1)
+        accepts.append(acceptance)
+        _trace(steps, f"pass-axis{axis}", state, acceptance)
+        if not state.entries:
+            break
+    final = None
+    if state.entries:
+        names = state.entries[0][0].schema.names
+        schema = _schema(("j", "fstar", "s", *names[2 + f.d :]), 3)
+        d = f.d
+        final = state.map_labels(
+            lambda lab: BasisLabel(
+                schema, (lab.values[0], -lab.values[1], lab.values[2 : 2 + d], *lab.values[2 + d :])
+            )
+        )
+        _trace(steps, "negate", final)
+    report = qlft_nd._verify(f, mode, duals, final, rng_seed)
+    return final, tuple(steps), tuple(accepts), report
+
+
+def _wide_tensor(seed):
+    """A convex coupled bowl on 2 or 3 axes with non-unit spacing, nonzero
+    offsets and perturbations over prime denominators; odd seeds may draw
+    2**4423 - 1, which puts the shared denominator past the guard."""
+    rng = random.Random(seed)
+    shape = tuple(rng.randint(2, 4) for _ in range(rng.choice([2, 2, 3])))
+    gamma = rng.choice([F(1, 2), F(2, 3), F(3), F(5, 7)])
+    axes = tuple(
+        RegularGrid(x0=F(rng.choice([-5, -1, 2, 4]), rng.choice([1, 3, 7])), gamma=gamma, n=n)
+        for n in shape
+    )
+    dens = [1, 2, 3] + (WIDE_PRIMES if seed % 2 else WIDE_PRIMES[:-1])
+    coupling = rng.randint(1, 3)
+    # second differences of 16 outweigh the perturbations' at most 12
+    flat = tuple(
+        8 * sum(i * i for i in idx) + coupling * idx[0] * idx[-1]
+        + F(rng.choice([-3, -1, 1, 2, 3]), rng.choice(dens))
+        for idx in product(*map(range, shape))
+    )
+    f = TensorSamples(TensorGrid(axes), RatTensor(shape, flat))
+    return f, tuple(rng.randint(2, 5) for _ in shape)
+
+
+class TestRegistersAgainstFractionReference:
+    SEEDS = range(10)
+
+    def test_wide_tensors_cross_the_guard(self):
+        widths = [
+            math.lcm(*(v.denominator for v in _wide_tensor(seed)[0].values.flat)).bit_length()
+            for seed in self.SEEDS
+        ]
+        assert any(b > multi.MAX_SHARED_BITS for b in widths)
+        assert any(b <= multi.MAX_SHARED_BITS for b in widths)
+
+    @pytest.mark.parametrize("mode", ["regular", "adaptive"])
+    def test_runs_equal_the_reference(self, mode):
+        statuses = set()
+        for seed in self.SEEDS:
+            f, ks = _wide_tensor(seed)
+            rng_seed = seed if mode == "regular" else 0  # adaptive runs draw nothing
+
+            def simulate():
+                if mode == "regular":
+                    run = run_qlft_nd_regular(f, ks, rng_seed=rng_seed)
+                else:
+                    run = run_qlft_nd_adaptive(f)
+                labels = () if run.final_state is None else run.final_state.labels()
+                return run, [pickle.dumps(lab) for lab in labels]
+
+            got = on_both_sides_of_the_guard(simulate, f.values)
+            want = _outcome(lambda: _reference_run(f, mode, ks, rng_seed))
+            if want[0] is NonConvexSlice:
+                assert got == want
+                continue
+            (run, pickles), (final, steps, accepts, report) = got, want
+            assert run.final_state == final
+            # pickles compare the words' types too: Fractions, never ints
+            ref_labels = () if final is None else final.labels()
+            assert pickles == [pickle.dumps(lab) for lab in ref_labels]
+            assert run.step_trace == steps
+            assert run.pass_acceptances == accepts
+            assert run.success_probability == math.prod(accepts)
+            assert run.verification == report
+            statuses.add(report.status)
+        assert len(statuses) > 1
+
+
+SWEEP = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "nd_verification_sweep.py")
+# seed:#missing of every regular discrepancy at n = 8, K = 8, seeds 0..59;
+# none has a value difference
+SWEEP_REGULAR_MISSING = """
+0:14 1:20 2:20 3:44 5:46 6:44 7:42 8:42 11:60 13:20 14:60 15:60 16:20 18:42 19:42 22:44
+23:54 24:17 25:56 26:54 27:10 29:42 30:42 32:20 33:58 34:56 35:42 36:40 38:60 39:42 40:54
+41:20 42:46 44:54 45:10 46:20 48:46 50:42 51:60 52:56 53:54 55:44 56:55 57:20 58:56 59:20
+"""
+# the seeds of every adaptive discrepancy: each has all labels and 56 of
+# 64 values different
+SWEEP_ADAPTIVE_SEEDS = """
+0 1 2 3 5 6 7 8 11 13 14 15 16 17 18 19 22 23 24 25 26 27 29 30 32 33 34 35 36 37 38 39
+40 41 42 44 45 46 48 50 51 52 53 55 56 57 58 59
+"""
+
+
+class TestCiSweepTally:
+    """The outcome tally of the sweep CI runs; a change in representation or
+    arithmetic must not move a finding."""
+
+    def _sweep(self, mode, monkeypatch, capsys):
+        argv = ["nd_verification_sweep.py", "--instances", "60", "--n", "8", "--k", "8"]
+        monkeypatch.setattr(sys, "argv", [*argv, "--mode", mode])
+        runpy.run_path(SWEEP, run_name="__main__")
+        out = capsys.readouterr().out
+        baseline = re.search(r"status=(\w+) pass_acceptances=(\[.*\])", out).groups()
+        tally = {(int(c), s): int(n) for c, s, n in re.findall(r"coupling=(\d) (\w+) +(\d+)", out)}
+        repro = [ast.literal_eval(line.strip()) for line in out.splitlines() if line.startswith("  (")]
+        for _, _, status, _, _ in repro:
+            assert status == MISMATCH
+        return baseline, tally, {seed: (missing, diffs) for seed, _, _, missing, diffs in repro}
+
+    def test_regular(self, monkeypatch, capsys):
+        baseline, tally, found = self._sweep("regular", monkeypatch, capsys)
+        assert baseline == (MATCH, "['1', '1']")
+        assert tally == {
+            (1, MATCH): 7, (1, MISMATCH): 15, (2, MATCH): 3, (2, MISMATCH): 14,
+            (3, MATCH): 4, (3, MISMATCH): 17,
+        }
+        pairs = (entry.split(":") for entry in SWEEP_REGULAR_MISSING.split())
+        assert found == {int(seed): (int(missing), 0) for seed, missing in pairs}
+        assert len(found) == 46
+
+    def test_adaptive(self, monkeypatch, capsys):
+        baseline, tally, found = self._sweep("adaptive", monkeypatch, capsys)
+        assert baseline == (MATCH, "['1', '1']")
+        assert tally == {
+            (1, MATCH): 7, (1, MISMATCH): 15, (2, MATCH): 3, (2, MISMATCH): 14,
+            (3, MATCH): 2, (3, MISMATCH): 19,
+        }
+        assert found == {int(seed): (0, 56) for seed in SWEEP_ADAPTIVE_SEEDS.split()}
+        assert len(found) == 48
