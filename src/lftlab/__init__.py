@@ -77,7 +77,6 @@ from .qlft import (
 from .qlft_nd import (
     MATCH,
     MISMATCH,
-    UNVERIFIED,
     VerificationReport,
     run_qlft_nd_adaptive,
     run_qlft_nd_regular,

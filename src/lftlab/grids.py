@@ -133,9 +133,6 @@ class FunctionSpec:
     def n(self) -> int:
         return self.grid.n
 
-    def value(self, i: int) -> Fraction:
-        return self.samples[i]
-
 
 @dataclass(frozen=True)
 class GradientVector:

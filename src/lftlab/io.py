@@ -175,12 +175,17 @@ def document_to_csv(doc: dict) -> str:
 
 def with_decimals(doc: dict, fields: tuple[str, ...], precision: int) -> dict:
     """Add decimal renderings of exact rational fields: a scalar renders as
-    one decimal, a list (nested or not) element by element."""
+    one decimal, a list (nested or not) element by element. Each decimal is
+    the exact value rounded half to even, so no value is out of range."""
+    if precision < 0:
+        raise ValueError(f"--precision must be nonnegative, got {precision}")
 
     def render(v):
         if isinstance(v, list):
             return [render(x) for x in v]
-        return f"{float(Fraction(v)):.{precision}f}"
+        v = Fraction(v)
+        whole, part = divmod(abs(round(v * 10**precision)), 10**precision)
+        return ("-" if v < 0 else "") + str(whole) + (f".{part:0{precision}d}" if precision else "")
 
     out = dict(doc)
     out["precision"] = precision

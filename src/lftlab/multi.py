@@ -470,26 +470,41 @@ def lft_nd_brute(
     arbitrary (also nonconvex) samples and any list of dual points with
     d components each.
     """
-    if f.grid.total > MAX_BRUTE_POINTS:
-        raise BruteCapExceeded(f"brute force capped at {MAX_BRUTE_POINTS} primal points")
     d = f.d
     pts = [tuple(_shrink(frac(c)) for c in p) for p in dual_points]
     for s in pts:
         if len(s) != d:
             raise ValueError(f"dual point {s} has {len(s)} components; the samples have {d} axes")
-    # s_a x_a for each axis and each distinct s_a (n_a products apiece),
-    # as scalars over one D that the samples' denominators and ds * dx divide
+    # each axis's distinct components, in order of first appearance
     ids = [{} for _ in range(d)]
     keys = [tuple(ids[a].setdefault(c, len(ids[a])) for a, c in enumerate(s)) for s in pts]
-    # x_i = (a0 + i * p) / dx on every axis, each distinct s_a over ds
+    values, optimizer = _brute(f, ids, keys)
+    shape = (len(pts),)
+    return TensorConjugate(
+        values=RatTensor(shape, tuple(values)),
+        optimizer=tuple(optimizer),
+        dual_points=tuple(pts),
+    )
+
+
+def _brute(f: TensorSamples, comps: Sequence[Sequence], keys: Sequence[tuple]) -> tuple[list, list]:
+    """``lft_nd_brute`` at the dual points keys[j] names: component
+    comps[a][keys[j][a]] on axis a. Returns the values and the optimizer
+    multi-indices in ``keys`` order; equal keys share one value."""
+    if f.grid.total > MAX_BRUTE_POINTS:
+        raise BruteCapExceeded(f"brute force capped at {MAX_BRUTE_POINTS} primal points")
+    d = f.d
+    # s_a x_a for each axis and each distinct s_a (n_a products apiece),
+    # as scalars over one D that the samples' denominators and ds * dx
+    # divide: x_i = (a0 + i * p) / dx on every axis, each s_a over ds
     dx = math.lcm(*(q for g in f.grid.axes for q in (g.x0.denominator, g.gamma.denominator)))
     axis_pts = [(int(g.x0 * dx), int(g.gamma * dx), g.n) for g in f.grid.axes]
-    comps, ds, _ = _lift([c for axis_ids in ids for c in axis_ids])
+    nums, ds, _ = _lift([c for axis_comps in comps for c in axis_comps])
     flat, D, make = _lift(f.values.flat, ds * dx)
     unit = make(D, ds * dx)
-    comps = iter(comps)
+    nums = iter(nums)
     terms = [
-        [[s * unit * (a0 + i * p) for i in range(n)] for s in islice(comps, len(ids[a]))]
+        [[s * unit * (a0 + i * p) for i in range(n)] for s in islice(nums, len(comps[a]))]
         for a, (a0, p, n) in enumerate(axis_pts)
     ]
     # maxima[a] holds the max over axes a.. for every primal prefix
@@ -499,10 +514,10 @@ def lft_nd_brute(
     # table is built once and only one table per axis is alive at a time.
     maxima = [None] * d + [[-v for v in flat]]
     firsts = [None] * d
-    values = [None] * len(pts)
-    optimizer = [None] * len(pts)
+    values = [None] * len(keys)
+    optimizer = [None] * len(keys)
     prev, last = (-1,) * d, None
-    for j in sorted(range(len(pts)), key=lambda j: keys[j][::-1]):
+    for j in sorted(range(len(keys)), key=lambda j: keys[j][::-1]):
         key = keys[j]
         top = d
         while top and key[top - 1] == prev[top - 1]:
@@ -519,12 +534,7 @@ def lft_nd_brute(
         values[j] = values[last] if not top else Fraction(maxima[0][0], D)
         optimizer[j] = tuple(idx)
         last = j
-    shape = (len(pts),)
-    return TensorConjugate(
-        values=RatTensor(shape, tuple(values)),
-        optimizer=tuple(optimizer),
-        dual_points=tuple(pts),
-    )
+    return values, optimizer
 
 
 def product_dual_points(duals: Sequence[DualGrid]) -> tuple[tuple[Fraction, ...], ...]:

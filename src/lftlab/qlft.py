@@ -38,8 +38,6 @@ from .rational import Vec, exact_sum, frac, progression, split
 from .transform import _gradients, regular_dual_grid
 from .witness import assignment_counts
 
-AA_MODEL = "ceil(pi/4 * sqrt(N*W/K))"
-
 
 @dataclass(frozen=True)
 class StepRecord:

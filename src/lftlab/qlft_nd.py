@@ -11,9 +11,11 @@ which is exact for the center row and an unverified shortcut for the
 neighbor rows (their own optimizer may differ). Passes that still have
 axes left to transform additionally require the copy slot to be accepted
 by the immediate neighbor slots ("three-point" condition, evaluated only
-over in-range neighbors). Because of this shortcut the multidimensional
-results are VERIFIED against the classical nested transform and the
-outcome is reported, never assumed: a MISMATCH is a finding, not a crash.
+over in-range neighbors). Because of this shortcut every run is VERIFIED
+against the brute maximum (``multi.lft_nd_brute``) at the dual points the
+run itself names: the product of a regular run's per-axis grids, each
+adaptive label's own s registers. The outcome is reported, never assumed:
+a MISMATCH is a finding, not a crash.
 
 Pass structure (shared dual grids, per-slice acceptance counts and first
 dual indices) comes from one classical cascade of the nested passes, run
@@ -39,17 +41,16 @@ from fractions import Fraction
 from itertools import accumulate, product
 from typing import Optional, Sequence
 
-from .errors import InvalidK, NonConvexSlice
+from .errors import InvalidK
 from .grids import DualGrid
-from .multi import TensorSamples, lft_nd_adaptive, lft_nd_brute, product_dual_points
-from .multi import _cascade, _dual_products, _lift, _rescale
+from .multi import TensorSamples, lft_nd_brute
+from .multi import _brute, _cascade, _dual_products, _lift, _rescale
 from .qlft import SimRun, StepRecord, _check_pow2, _trace, geometric_attempts
 from .rational import progression
 from .qstate import UNDEFINED, BasisLabel, QState, Schema, _schema, is_undefined, label
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
-UNVERIFIED = "UNVERIFIED"
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,7 @@ class VerificationReport:
     extra: tuple
     value_mismatches: tuple
     rng_seed: int
-    note: str = ""
     dual_grids: tuple = ()  # per-axis grids the comparison ran on (regular mode)
-
-    @property
-    def ok(self) -> bool:
-        return self.status == MATCH
 
 
 def _superposition(shape: tuple[int, ...], flat: list) -> QState:
@@ -131,7 +127,7 @@ def _run_nd(f: TensorSamples, rng_seed: int, mode: str, ks: Optional[tuple] = No
         _trace(steps, "negate", final_state)
         expected_aa = math.ceil((math.pi / 4) * math.sqrt(1 / float(success)))
 
-    verification = _verify(f, mode, duals, final_state, rng_seed)
+    verification = _verify(f, duals, final_state, rng_seed)
     return SimRun(
         final_state=final_state, success_probability=success, attempts=attempts,
         expected_aa_repetitions=expected_aa, rng_seed=rng_seed, step_trace=tuple(steps),
@@ -231,36 +227,24 @@ def _advance(
     )
 
 
-def _verify(f, mode, duals, final_state, rng_seed) -> VerificationReport:
-    """Compare the simulated label set against the classical nested result.
+def _verify(f, duals, final_state, rng_seed) -> VerificationReport:
+    """Judge the run's labels by the brute maximum at the dual points the
+    run names: every multi-index of the product of a regular run's grids
+    ``duals``, and each adaptive label (``duals`` None) at its own s.
 
-    Adaptive runs must also reproduce the classically chosen dual points,
-    so their comparison key includes the s registers.
+    A multi-index no label reached is missing, a label outside the product
+    is extra, and a label whose fstar differs from the brute value is a
+    value mismatch, recorded as (j, fstar, brute value).
     """
     entries = () if final_state is None else final_state.entries
-    if mode == "regular":
-        # the brute evaluation over the same product dual set is the total
-        # oracle (it equals the nested classical transform wherever that one
-        # is defined, and never refuses an instance)
-        shape = tuple(g.k for g in duals)
-        pts = product_dual_points(duals)
-        brute = lft_nd_brute(f, pts)
-        expect = {
-            idx: brute.values.flat[pos]
-            for pos, idx in enumerate(product(*(range(s) for s in shape)))
-        }
-        got = {lab.get("j"): lab.get("fstar") for lab, _ in entries}
+    got = {lab.get("j"): lab.get("fstar") for lab, _ in entries}
+    if duals is not None:
+        keys = list(product(*(range(g.k) for g in duals)))
+        values, _ = _brute(f, [g.points() for g in duals], keys)
     else:
-        try:
-            classical = lft_nd_adaptive(f)
-        except NonConvexSlice as exc:
-            note = f"classical adaptive reference unavailable: {exc}"
-            return VerificationReport(UNVERIFIED, (), (), (), rng_seed, note=note)
-        expect = {
-            idx: (classical.dual_point(idx), classical.values.get(idx))
-            for idx in classical.values.indices()
-        }
-        got = {lab.get("j"): (lab.get("s"), lab.get("fstar")) for lab, _ in entries}
+        keys = [lab.get("j") for lab, _ in entries]
+        values = lft_nd_brute(f, [lab.get("s") for lab, _ in entries]).values.flat
+    expect = dict(zip(keys, values))
     missing = tuple(sorted(set(expect) - set(got)))
     extra = tuple(sorted(set(got) - set(expect)))
     mismatches = tuple(
@@ -280,8 +264,8 @@ def run_qlft_nd_regular(
     """Nested stochastic passes over shared regular dual grids.
 
     The returned run carries per-pass acceptance probabilities and a
-    VerificationReport against the classical nested transform on the same
-    grids; agreement is reported, not assumed.
+    VerificationReport against the brute maximum on the product of the
+    run's grids; agreement is reported, not assumed.
     """
     if len(ks) != f.d:
         raise ValueError("need one dual size per axis")
@@ -295,7 +279,8 @@ def run_qlft_nd_regular(
 
 
 def run_qlft_nd_adaptive(f: TensorSamples, strict_pow2: bool = False) -> SimRun:
-    """Deterministic nested adaptive passes with the same verification contract."""
+    """Deterministic nested adaptive passes; the VerificationReport judges
+    each label against the brute maximum at its own s registers."""
     for axis, n in enumerate(f.grid.shape):
         _check_pow2(n, f"N{axis}", strict_pow2)
     return _run_nd(f, 0, "adaptive")

@@ -14,7 +14,7 @@ from lftlab.cli import main
 from lftlab.io import BUILTINS
 
 RARELY = st.sampled_from([False] * 9 + [True])
-RATIONAL = st.sampled_from(["0", "1", "-1", "1/2", "-3/4", "5/3", "2", "9", "1/0", "x", ""])
+RATIONAL = st.sampled_from(["0", "1", "-1", "1/2", "-3/4", "5/3", "2", "9", "1e400", "1/0", "x", ""])
 VALUE = st.one_of(
     RATIONAL,
     st.integers(-9, 9),

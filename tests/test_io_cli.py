@@ -7,7 +7,7 @@ import pytest
 
 from lftlab import fixtures, multi
 from lftlab.cli import main
-from lftlab.io import ParseError, dump_document, parse_instance, serialize_instance
+from lftlab.io import ParseError, dump_document, parse_instance, serialize_instance, with_decimals
 from lftlab.multi import TensorSamples
 from lftlab.qlft import first_attempt_successes, geometric_attempts
 
@@ -367,6 +367,27 @@ class TestCli:
         assert doc["pass_acceptances_decimal"] == self._decimals(doc["pass_acceptances"], 4)
         assert doc["success_probability_decimal"] == self._decimals(doc["success_probability"], 4)
         assert doc["pass_acceptances_decimal"] == ["0.3125", "0.4500"]
+
+    def test_precision_renders_values_past_the_float_range(self, tmp_path):
+        inst = self._samples(tmp_path / "big.json", 3, ["1e400", "0", "1e400"])
+        out = tmp_path / "res.json"
+        assert main(["--out", str(out), "lft", inst, "--dual", "regular:3", "--precision", "2"]) == 0
+        doc = json.loads(out.read_text())
+        big = "1" + "0" * 400
+        assert doc["values"] == [f"-{big}", "0", big]
+        assert doc["values_decimal"] == [f"-{big}.00", "0.00", f"{big}.00"]
+
+    def test_precision_rounds_the_exact_value_half_to_even(self):
+        # 31/200 = 0.155 exactly; the nearest float lies below it
+        doc = with_decimals({"v": ["31/200", "1/8", "-1/1000", "5/2"]}, ("v",), 2)
+        assert doc["v_decimal"] == ["0.16", "0.12", "-0.00", "2.50"]
+        assert with_decimals({"v": ["5/2", "7/2"]}, ("v",), 0)["v_decimal"] == ["2", "4"]
+
+    @pytest.mark.parametrize("command", [["lft", "EX1"], ["hardness", "point-queries", "--d", "2", "--z", "01"]])
+    def test_negative_precision_exit_1(self, fixture_dir, capsys, command):
+        # also where the document has no field to render
+        argv = [str(fixture_dir / "ex1.json") if a == "EX1" else a for a in command]
+        self._rejects(["--precision", "-1", *argv], 1, capsys)
 
     def test_plot_csv_ex1_row_at_zero(self, fixture_dir):
         text = (fixture_dir / "ex1_conjugate.csv").read_text()

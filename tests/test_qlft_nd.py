@@ -285,6 +285,29 @@ class TestAdaptiveNd:
         f = fixtures.separable_sum("pwl-ex3", d=2, n=5)
         assert run_qlft_nd_adaptive(f) == run_qlft_nd_adaptive(f)
 
+    def test_nonconvex_intermediate_line_is_judged_by_the_brute(self):
+        # max(2, 1 - 2x + 2y) on the 3x3 grid over [0, 1]^2: its axis lines
+        # are convex, but the axis-1 pass leaves a nonconvex axis-0 line, so
+        # the classical nested construction refuses it; the run is still
+        # judged, each label against the brute maximum at its own s
+        grid = TensorGrid(axes=(fixtures.unit_grid(3), fixtures.unit_grid(3)))
+        vals = (2, 2, 3, 2, 2, 2, 2, 2, 2)
+        f = TensorSamples(grid=grid, values=RatTensor((3, 3), tuple(map(F, vals))))
+        with pytest.raises(NonConvexSlice, match=r"axis 0 line at \(1,\)"):
+            multi.lft_nd_adaptive(f)
+        run = run_qlft_nd_adaptive(f)
+        labels = [lab for lab, _ in run.final_state.entries]
+        brute = multi.lft_nd_brute(f, [lab.get("s") for lab in labels]).values.flat
+        below = tuple(
+            (lab.get("j"), lab.get("fstar"), b) for lab, b in zip(labels, brute) if lab.get("fstar") != b
+        )
+        v = run.verification
+        assert v.status == MISMATCH
+        assert not v.missing and not v.extra
+        assert v.value_mismatches == below
+        assert [(j, fstar) for j, fstar, _ in below] == [((0, 1), F(-3, 2)), ((1, 2), F(-5, 2))]
+        assert all(fstar < b for _, fstar, b in below)
+
 
 class TestAcceptanceStatisticsNd:
     def test_per_pass_ratio_is_exact_count_ratio(self, rng):
@@ -401,14 +424,16 @@ def _reference_run(f, mode, ks=None, rng_seed=0):
             )
         )
         _trace(steps, "negate", final)
-    report = qlft_nd._verify(f, mode, duals, final, rng_seed)
+    report = qlft_nd._verify(f, duals, final, rng_seed)
     return final, tuple(steps), tuple(accepts), report
 
 
-def _wide_tensor(seed):
+def _wide_tensor(seed, separable=False):
     """A convex coupled bowl on 2 or 3 axes with non-unit spacing, nonzero
     offsets and perturbations over prime denominators; odd seeds may draw
-    2**4423 - 1, which puts the shared denominator past the guard."""
+    2**4423 - 1, which puts the shared denominator past the guard. A
+    ``separable`` bowl has no coupling and one perturbation per axis index,
+    so it is a sum of one-axis functions."""
     rng = random.Random(seed)
     shape = tuple(rng.randint(2, 4) for _ in range(rng.choice([2, 2, 3])))
     gamma = rng.choice([F(1, 2), F(2, 3), F(3), F(5, 7)])
@@ -419,17 +444,25 @@ def _wide_tensor(seed):
     dens = [1, 2, 3] + (WIDE_PRIMES if seed % 2 else WIDE_PRIMES[:-1])
     coupling = rng.randint(1, 3)
     # second differences of 16 outweigh the perturbations' at most 12
-    flat = tuple(
-        8 * sum(i * i for i in idx) + coupling * idx[0] * idx[-1]
-        + F(rng.choice([-3, -1, 1, 2, 3]), rng.choice(dens))
-        for idx in product(*map(range, shape))
-    )
+    if separable:
+        bumps = [[F(rng.choice([-3, -1, 1, 2, 3]), rng.choice(dens)) for _ in range(n)] for n in shape]
+        flat = tuple(
+            sum(8 * i * i + bump[i] for i, bump in zip(idx, bumps))
+            for idx in product(*map(range, shape))
+        )
+    else:
+        flat = tuple(
+            8 * sum(i * i for i in idx) + coupling * idx[0] * idx[-1]
+            + F(rng.choice([-3, -1, 1, 2, 3]), rng.choice(dens))
+            for idx in product(*map(range, shape))
+        )
     f = TensorSamples(TensorGrid(axes), RatTensor(shape, flat))
     return f, tuple(rng.randint(2, 5) for _ in shape)
 
 
 class TestRegistersAgainstFractionReference:
     SEEDS = range(10)
+    SEPARABLE_SEEDS = (10, 11)  # adaptive runs verify as MATCH on these
 
     def test_wide_tensors_cross_the_guard(self):
         widths = [
@@ -442,8 +475,9 @@ class TestRegistersAgainstFractionReference:
     @pytest.mark.parametrize("mode", ["regular", "adaptive"])
     def test_runs_equal_the_reference(self, mode):
         statuses = set()
-        for seed in self.SEEDS:
-            f, ks = _wide_tensor(seed)
+        cases = [(seed, False) for seed in self.SEEDS] + [(seed, True) for seed in self.SEPARABLE_SEEDS]
+        for seed, separable in cases:
+            f, ks = _wide_tensor(seed, separable)
             rng_seed = seed if mode == "regular" else 0  # adaptive runs draw nothing
 
             def simulate():
@@ -480,11 +514,12 @@ SWEEP_REGULAR_MISSING = """
 23:54 24:17 25:56 26:54 27:10 29:42 30:42 32:20 33:58 34:56 35:42 36:40 38:60 39:42 40:54
 41:20 42:46 44:54 45:10 46:20 48:46 50:42 51:60 52:56 53:54 55:44 56:55 57:20 58:56 59:20
 """
-# the seeds of every adaptive discrepancy: each has all labels and 56 of
-# 64 values different
-SWEEP_ADAPTIVE_SEEDS = """
-0 1 2 3 5 6 7 8 11 13 14 15 16 17 18 19 22 23 24 25 26 27 29 30 32 33 34 35 36 37 38 39
-40 41 42 44 45 46 48 50 51 52 53 55 56 57 58 59
+# seed:#value-diffs of every adaptive discrepancy: each has all 64 labels,
+# and the diffs are the labels below the brute maximum at their own s
+SWEEP_ADAPTIVE_VALUES = """
+0:14 1:2 2:2 3:2 5:14 6:14 7:2 8:2 11:26 13:2 14:26 15:26 16:2 17:2 18:2 19:26 22:2 23:14
+24:14 25:14 26:14 27:2 29:26 30:26 32:2 33:26 34:26 35:26 36:14 37:2 38:26 39:2 40:26 41:2
+42:14 44:26 45:2 46:2 48:26 50:2 51:26 52:26 53:26 55:2 56:14 57:2 58:26 59:2
 """
 
 
@@ -522,5 +557,6 @@ class TestCiSweepTally:
             (1, MATCH): 7, (1, MISMATCH): 15, (2, MATCH): 3, (2, MISMATCH): 14,
             (3, MATCH): 2, (3, MISMATCH): 19,
         }
-        assert found == {int(seed): (0, 56) for seed in SWEEP_ADAPTIVE_SEEDS.split()}
+        pairs = (entry.split(":") for entry in SWEEP_ADAPTIVE_VALUES.split())
+        assert found == {int(seed): (0, int(diffs)) for seed, diffs in pairs}
         assert len(found) == 48
