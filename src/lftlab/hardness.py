@@ -208,7 +208,7 @@ def rescale_instance(f: FunctionSpec, dual: DualGrid) -> RescaledInstance:
     value_scale = xi * gamma * gamma
     new_grid = RegularGrid(x0=f.grid.x0 / gamma, gamma=F(1), n=f.n)
     rescaled = FunctionSpec(
-        grid=new_grid, samples=tuple(v / value_scale for v in f.samples)
+        grid=new_grid, samples=tuple(frac(v) / value_scale for v in f.samples)
     )
     s_scale = xi * gamma
     if dual.kind == "regular":

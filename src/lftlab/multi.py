@@ -71,20 +71,6 @@ class RatTensor:
     def indices(self):
         return product(*(range(s) for s in self.shape))
 
-    def line(self, axis: int, complement: tuple[int, ...]) -> tuple:
-        """Values along ``axis`` with the remaining coordinates fixed.
-
-        ``complement`` lists the fixed coordinates in axis order, skipping
-        the varying axis.
-        """
-        start = self.offset((*complement[:axis], 0, *complement[axis:]))
-        stride = math.prod(self.shape[axis + 1 :])
-        return self.flat[start : start + self.shape[axis] * stride : stride]
-
-    def complements(self, axis: int):
-        ranges = [range(s) for a, s in enumerate(self.shape) if a != axis]
-        return product(*ranges)
-
 
 @dataclass(frozen=True)
 class TensorGrid:
@@ -231,16 +217,18 @@ def _fractions(flat: Sequence, D: int) -> tuple[Fraction, ...]:
 
 def _line_starts(shape: tuple[int, ...], axis: int) -> list[int]:
     """Flat offset of the first element of every line along ``axis``, in
-    ``complements`` order; a line's elements lie prod(shape[axis+1:]) apart."""
+    row-major order of the fixed coordinates; a line's elements lie
+    prod(shape[axis+1:]) apart."""
     stride = math.prod(shape[axis + 1 :])
     block = shape[axis] * stride
     return [b + r for b in range(0, math.prod(shape), block) for r in range(stride)]
 
 
 def _lines(shape: tuple[int, ...], flat: Sequence, axis: int, check_convex: bool):
-    """Each line along ``axis`` in ``complements`` order: its fixed
-    coordinates, its values and their differences. With ``check_convex``
-    the differences must never decrease."""
+    """Each line along ``axis`` in row-major order of its fixed coordinates:
+    those coordinates, the flat offset of its first element, its values and
+    their differences. With ``check_convex`` the differences must never
+    decrease."""
     n, stride = shape[axis], math.prod(shape[axis + 1 :])
     comps = product(*(range(s) for a, s in enumerate(shape) if a != axis))
     for comp, a in zip(comps, _line_starts(shape, axis)):
@@ -248,7 +236,7 @@ def _lines(shape: tuple[int, ...], flat: Sequence, axis: int, check_convex: bool
         diffs = list(map(sub, line[1:], line))
         if check_convex and any(map(gt, diffs, diffs[1:])):
             raise NonConvexSlice(f"axis {axis} line at {comp} is not discretely convex")
-        yield comp, line, diffs
+        yield comp, a, line, diffs
 
 
 def axis_transform(
@@ -256,29 +244,34 @@ def axis_transform(
     axis: int,
     x_axis: RegularGrid,
     dual: DualGrid,
-    assignments: Optional[dict] = None,
     check_convex: bool = True,
 ) -> RatTensor:
     """One-axis transform of a tensor; dual points clamp to each line's range.
 
     The output holds g = -(max over the axis), the form carried between
-    nested passes. ``assignments`` (if given) records the chosen optimizer
-    index per (complement, j) for later reconstruction.
-    ``check_convex=False`` skips the per-line convexity guard; the gradient
-    rule then still runs but its result is only meaningful for callers that
-    verify the outcome independently.
+    nested passes. ``check_convex=False`` skips the per-line convexity
+    guard; the gradient rule then still runs but its result is only
+    meaningful for callers that verify the outcome independently.
     """
-    shape, flat, D, _ = _pass(
-        values.shape, _lift(values.flat), axis, x_axis, dual, assignments, check_convex
+    held = [()] * len(values.flat)
+    shape, (flat, D, _), _, _ = _pass(
+        values.shape, _lift(values.flat), held, axis, x_axis, dual, check_convex
     )
     return RatTensor(shape, _fractions(flat, D))
 
 
-def _pass(shape, scaled: Scaled, axis, x_axis, dual, assignments, check_convex):
-    """``axis_transform`` on scalars over D; returns the new shape and the
-    output over lcm(D, ds * dx), with ds and dx the denominators of the
-    dual points and of the axis points."""
-    k = dual.k
+def _pass(shape, scaled: Scaled, held: list, axis, x_axis, dual, check_convex):
+    """``axis_transform`` on scalars over D, with the optimizers carried.
+
+    ``held`` is each input element's optimizer suffix: its indices along
+    the axes already passed. Returns the new shape; the output over
+    lcm(D, ds * dx), with ds and dx the denominators of the dual points and
+    of the axis points, as (scalars, D, make); each line's counts, keyed by
+    its fixed coordinates: how many dual points each axis index optimizes;
+    and each output element's optimizer suffix: the axis index it took,
+    ahead of the suffix held at that index.
+    """
+    n, k = shape[axis], dual.k
     new_shape = (*shape[:axis], k, *shape[axis + 1 :])
     stride = math.prod(shape[axis + 1 :])
     flat, D, make = scaled
@@ -286,13 +279,17 @@ def _pass(shape, scaled: Scaled, axis, x_axis, dual, assignments, check_convex):
     if D2 != D:
         flat, D = [v * scale for v in flat], D2
     out = [None] * math.prod(new_shape)
+    suffixes = [None] * len(out)
+    counts = {}
     lines = zip(_lines(shape, flat, axis, check_convex), _line_starts(new_shape, axis))
-    for (comp, line, diffs), b in lines:
+    for (comp, a, line, diffs), b in lines:
         opt = [_rule_index(diffs, t) for t in thresholds]
-        out[b : b + k * stride : stride] = [line[i] - row[i] for row, i in zip(sx, opt)]
-        if assignments is not None:
-            assignments.update(((comp, j), i) for j, i in enumerate(opt))
-    return new_shape, out, D, make
+        run = slice(b, b + k * stride, stride)
+        out[run] = [line[i] - row[i] for row, i in zip(sx, opt)]
+        tails = held[a : a + n * stride : stride]
+        suffixes[run] = [(i, *tails[i]) for i in opt]
+        counts[comp] = [opt.count(i) for i in range(n)]
+    return new_shape, (out, D, make), counts, suffixes
 
 
 def _shrink(v):
@@ -329,7 +326,7 @@ def axis_bracket(values: RatTensor, axis: int, gamma: Fraction) -> tuple[Fractio
 
 def _bracket(shape, scaled: Scaled, axis, gamma) -> tuple[Fraction, Fraction]:
     flat, D, _ = scaled
-    ends = [(d[0], d[-1]) for _, _, d in _lines(shape, flat, axis, check_convex=False)]
+    ends = [(d[0], d[-1]) for *_, d in _lines(shape, flat, axis, check_convex=False)]
     lo, hi = min(e[0] for e in ends), max(e[1] for e in ends)
     return Fraction(lo) / (gamma * D), Fraction(hi) / (gamma * D)
 
@@ -350,14 +347,14 @@ def lft_nd_regular(f: TensorSamples, duals: Sequence[DualGrid]) -> TensorConjuga
 
     Exact for inputs whose axis lines (including those of the intermediate
     partial transforms) are discretely convex; equals the brute force
-    enumeration elementwise there.
+    enumeration elementwise there. Each optimizer is the multi-index the
+    passes carried to its dual multi-index, one axis index per pass.
     """
     if len(duals) != f.d:
         raise ValueError("need one dual grid per axis")
-    _, assign, (shape, flat, D, _) = _cascade(f, duals=duals)
+    _, _, optimizer, (shape, flat, D, _) = _cascade(f, duals=duals)
     values = RatTensor(shape, _fractions([-v for v in flat], D))
-    optimizer = _reconstruct_optimizers(shape, assign)
-    return TensorConjugate(values=values, optimizer=optimizer, duals=tuple(duals))
+    return TensorConjugate(values=values, optimizer=tuple(optimizer), duals=tuple(duals))
 
 
 def _cascade(
@@ -365,49 +362,30 @@ def _cascade(
     ks: Optional[Sequence[int]] = None,
     duals: Optional[Sequence[DualGrid]] = None,
     check_convex: bool = True,
-) -> tuple[tuple[DualGrid, ...], list[dict], tuple]:
+) -> tuple[tuple[DualGrid, ...], list[dict], list[tuple], tuple]:
     """The classical nested passes, last axis first.
 
     Each pass runs over ``duals[axis]`` when grids are given, else over the
     canonical grid of ``ks[axis]`` points spanning ``axis_bracket`` of the
-    tensor that pass receives. Returns the per-axis grids, the per-axis
-    assignments recorded by ``axis_transform`` and the final g tensor as
-    (shape, scalars, D, make).
+    tensor that pass receives. Every element carries its optimizer suffix
+    through the passes (see ``_pass``), so after the pass over axis 0 it
+    is the whole optimizer multi-index. Returns the per-axis grids, the
+    per-axis line counts of ``_pass``, the optimizer multi-indices in
+    row-major order and the final g tensor as (shape, scalars, D, make).
     """
     shape, scaled = f.values.shape, _lift(f.values.flat)
+    optimizer = [()] * f.grid.total
     grids: list[Optional[DualGrid]] = [None] * f.d
-    assign: list[dict] = [dict() for _ in range(f.d)]
+    counts: list[Optional[dict]] = [None] * f.d
     for axis in range(f.d - 1, -1, -1):
         if duals is not None:
             grids[axis] = duals[axis]
         else:
             grids[axis] = regular_dual_grid(_bracket(shape, scaled, axis, f.grid.gamma), ks[axis])
-        shape, *scaled = _pass(
-            shape, scaled, axis, f.grid.axes[axis], grids[axis], assign[axis], check_convex
+        shape, scaled, counts[axis], optimizer = _pass(
+            shape, scaled, optimizer, axis, f.grid.axes[axis], grids[axis], check_convex
         )
-    return tuple(grids), assign, (shape, *scaled)
-
-
-def _reconstruct_optimizers(shape, assign) -> tuple[tuple[int, ...], ...]:
-    """Walk passes back to front to recover the optimizer multi-index.
-
-    During the pass over axis a the untransformed axes 0..a-1 still hold
-    primal coordinates, so resolving axis 0 first makes every lookup key
-    available.
-    """
-    d = len(shape)
-    out = []
-    for jidx in product(*(range(s) for s in shape)):
-        resolved: list[Optional[int]] = [None] * d
-        for axis in range(d):
-            comp = tuple(
-                (resolved[a] if a < axis else jidx[a])
-                for a in range(d)
-                if a != axis
-            )
-            resolved[axis] = assign[axis][(comp, jidx[axis])]
-        out.append(tuple(resolved))
-    return tuple(out)
+    return tuple(grids), counts, optimizer, (shape, *scaled)
 
 
 def lft_nd_adaptive(f: TensorSamples) -> TensorConjugate:
@@ -427,7 +405,7 @@ def lft_nd_adaptive(f: TensorSamples) -> TensorConjugate:
         flat, D2, make = _widen(flat, D, make, 2 * p * D)
         out = [None] * len(flat)
         s_parts[axis] = s_flat = [None] * len(flat)
-        for (_, _, diffs), a in zip(lines, _line_starts(shape, axis)):
+        for _, a, _, diffs in lines:
             run = slice(a, a + n * stride, stride)
             us, ws = _adaptive_points(split(diffs), "centered")
             s_flat[run] = [Fraction(u * dx, w * p * D) for u, w in zip(us, ws)]

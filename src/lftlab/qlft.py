@@ -80,9 +80,8 @@ def _check_pow2(n: int, what: str, strict: bool) -> None:
         raise NotPowerOfTwo(f"{what} = {n} is not a power of two")
 
 
-def prepare_superposition(f: FunctionSpec, strict_pow2: bool = False) -> QState:
+def prepare_superposition(f: FunctionSpec) -> QState:
     """Uniform superposition over i with three adjacent points per branch."""
-    _check_pow2(f.n, "N", strict_pow2)
     if f.n > 2:  # two points are always convex; the kernel needs three
         _gradients(f)
     xs = f.grid.points()
@@ -261,11 +260,7 @@ def _trace(steps: list[StepRecord], name: str, state: QState, acceptance=None) -
 
 
 def run_qlft_1d_regular(
-    f: FunctionSpec,
-    k: int,
-    rng_seed: int = 0,
-    strict_pow2: bool = False,
-    dual: Optional[DualGrid] = None,
+    f: FunctionSpec, k: int, rng_seed: int = 0, strict_pow2: bool = False
 ) -> SimRun:
     """Full stochastic pipeline on the canonical regular dual grid."""
     _check_pow2(f.n, "N", strict_pow2)
@@ -275,10 +270,9 @@ def run_qlft_1d_regular(
     _trace(steps, "superposition", state)
     state = attach_gradients(state)
     _trace(steps, "gradients", state)
-    if dual is None:
-        # the range [c_0, c_{n-2}] is in the c_hi registers of branches 0 and n-2
-        lo, hi = (state.entries[i][0].get("c_hi") for i in (0, f.n - 2))
-        dual = regular_dual_grid((lo, hi), k)
+    # the range [c_0, c_{n-2}] is in the c_hi registers of branches 0 and n-2
+    lo, hi = (state.entries[i][0].get("c_hi") for i in (0, f.n - 2))
+    dual = regular_dual_grid((lo, hi), k)
     state, post = indicator_postselect(state, dual, rng_seed=rng_seed)
     _trace(steps, "postselect", state, acceptance=post.success_probability)
     state = finalize_conjugate(state, dual)

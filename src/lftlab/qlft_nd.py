@@ -93,11 +93,11 @@ def _run_nd(f: TensorSamples, rng_seed: int, mode: str, ks: Optional[tuple] = No
     if mode == "regular":
         # the pass structure; intermediate lines may be discretely nonconvex,
         # where the cascade's rule still defines the counts the passes gate on
-        duals, assigns, _ = _cascade(f, ks=ks, check_convex=False)
+        duals, counts, _, _ = _cascade(f, ks=ks, check_convex=False)
 
     for axis in range(f.d - 1, -1, -1):
         if mode == "regular":
-            state, acceptance, den = _regular_pass(state, f, axis, den, duals[axis], assigns[axis])
+            state, acceptance, den = _regular_pass(state, f, axis, den, duals[axis], counts[axis])
         else:
             state, acceptance, den = _adaptive_pass(state, f, axis, den)
         pass_accepts.append(acceptance)
@@ -136,18 +136,17 @@ def _run_nd(f: TensorSamples, rng_seed: int, mode: str, ks: Optional[tuple] = No
 
 
 def _regular_pass(
-    state: QState, f: TensorSamples, axis: int, den: list, dual: DualGrid, assign: dict
+    state: QState, f: TensorSamples, axis: int, den: list, dual: DualGrid, line_counts: dict
 ) -> tuple[QState, Fraction, list]:
     """Expand w copy slots per branch, keep the (branch, slot m) pairs the
     gates accept (slots m >= counts[i] fail membership and are not built),
-    and renormalize over the survivors, sorted by j. Values arrive over
-    den = [D, make] and leave over the returned one."""
+    and renormalize over the survivors, sorted by j. ``line_counts`` are
+    the cascade's counts of this pass, keyed by each line's fixed
+    coordinates. Values arrive over den = [D, make] and leave over the
+    returned one."""
     n_axis = f.grid.shape[axis]
-    counts_of: dict = {}
-    for (comp, _), i in assign.items():
-        counts_of.setdefault(comp, [0] * n_axis)[i] += 1
-    structure = {c: (k, list(accumulate(k, initial=0))) for c, k in counts_of.items()}
-    w = max(map(max, counts_of.values()))
+    structure = {c: (k, list(accumulate(k, initial=0))) for c, k in line_counts.items()}
+    w = max(map(max, line_counts.values()))
     three_point = axis > 0  # neighbor rows are still needed downstream
     schema = _pass_schema(state.entries[0][0].schema, axis, regular=True)
     points = dual.points()

@@ -149,11 +149,6 @@ def _rule_index(c: Sequence, s) -> int:
     return 0 if s <= c[0] else len(c) if s >= c[-1] else bisect_left(c, s, 0, len(c) - 1)
 
 
-def assign_optimizer(g: GradientVector, s: Fraction) -> int:
-    """Optimizer index for a single dual point (pinned outside [c_0, c_{n-2}])."""
-    return _rule_index(g.c, s)
-
-
 def optimizer_map(
     g: GradientVector, dual: DualGrid, clamp: bool = False
 ) -> tuple[int, ...]:
@@ -235,14 +230,15 @@ def lft_brute(f: FunctionSpec, dual: DualGrid) -> ConjugateResult:
     repeats). Both indices attain the same value.
     """
     xs = f.grid.points()
+    fs = [frac(v) for v in f.samples]  # float samples convert exactly
     values = []
     idx = []
     for j in range(dual.k):
         s = dual.point(j)
-        best = s * xs[0] - f.samples[0]
+        best = s * xs[0] - fs[0]
         best_i = 0
         for i in range(1, f.n):
-            cand = s * xs[i] - f.samples[i]
+            cand = s * xs[i] - fs[i]
             if cand > best:
                 best = cand
                 best_i = i

@@ -198,6 +198,15 @@ class TestRescaling:
             for ov, rv in zip(orig.values, resc.values):
                 assert ov == r.value_scale * rv
 
+    def test_float_samples_map_exactly(self):
+        floats = FunctionSpec(RegularGrid(0, F(1, 3), 4), (0.0, 0.1, 0.3, 0.7))
+        exact = FunctionSpec(floats.grid, tuple(map(F, floats.samples)))
+        dual = canonical_dual(floats, 5)
+        r = rescale_instance(floats, dual)
+        assert r.rescaled == rescale_instance(exact, dual).rescaled
+        assert all(type(v) is F for v in r.rescaled.samples)
+        assert rescaling_checks(r)["mapping_exact"]
+
     def test_affine_rejected(self):
         grid = RegularGrid(x0=F(0), gamma=F(1, 2), n=4)
         f = FunctionSpec(grid=grid, samples=(F(0), F(1), F(2), F(3)))

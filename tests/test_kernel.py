@@ -12,8 +12,8 @@ from lftlab.errors import DegenerateGrid, NonConvexInput, OutOfRangeDual
 from lftlab.grids import DualGrid, FunctionSpec, GradientVector, RegularGrid
 from lftlab.rational import split
 from lftlab.transform import (
+    _rule_index,
     adaptive_dual_points,
-    assign_optimizer,
     discrete_gradients,
     lft_adaptive,
     lft_brute,
@@ -102,7 +102,8 @@ def sweep_map(f, dual):
 
 
 def check_against_references(f, exact, dual):
-    """Kernel on ``f`` against both references built on the exact samples."""
+    """Kernel on ``f`` against both references: the sweep built on the
+    exact samples and the brute on ``f`` itself."""
     idx = sweep_map(exact, dual)
     xs = exact.grid.points()
     values = tuple(s * xs[i] - exact.samples[i] for s, i in zip(dual.points(), idx))
@@ -110,12 +111,13 @@ def check_against_references(f, exact, dual):
 
     res = lft_regular(f, dual, clamp=True)
     assert res.optimizer_index == idx
-    assert res.values == values == lft_brute(exact, dual).values
-    assert all(type(v) is F for v in res.values)
+    brute = lft_brute(f, dual).values
+    assert res.values == values == brute
+    assert all(type(v) is F for v in res.values + brute)
 
     g = discrete_gradients(f)
     assert optimizer_map(g, dual, clamp=True) == idx
-    assert tuple(assign_optimizer(g, s) for s in dual.points()) == idx
+    assert tuple(_rule_index(g.c, s) for s in dual.points()) == idx
     assert assignment_counts(g, dual) == counts
     if dual.kind == "adaptive" or dual.gamma_s > 0:
         report = witness_params(g, dual)
@@ -151,6 +153,16 @@ def test_float_samples_convert_exactly(data, f):
         return
     check_against_references(floats, exact, data.draw(dual_grids(exact)))
     assert lft_adaptive(floats) == lft_adaptive(exact)
+
+
+def test_brute_converts_float_samples_exactly():
+    floats = FunctionSpec(RegularGrid(0, 1 / 2, 3), (0.1, 0.0, 0.1))
+    exact = FunctionSpec(floats.grid, tuple(map(F, floats.samples)))
+    dual = DualGrid.from_points([1 / 10])
+    brute = lft_brute(floats, dual)
+    assert brute == lft_brute(exact, dual)
+    assert brute.values == lft_regular(floats, dual).values
+    assert type(brute.values[0]) is F
 
 
 @given(f=convex_instances(), variant=st.sampled_from(["centered", "right", "left"]))

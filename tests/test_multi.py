@@ -72,7 +72,7 @@ class TestPartialTransform:
         dual = regular_dual_grid((F(-1), F(1)), 4)
         part = partial_transform_g(f, axis=1, dual_axis=dual)
         for i0 in range(5):
-            line = f.values.line(1, (i0,))
+            line = tuple(f.values.get((i0, i1)) for i1 in range(5))
             spec = fixtures.FunctionSpec(
                 grid=f.grid.axes[1], samples=line
             )
@@ -296,21 +296,17 @@ def _reference_rule(c, s):
     return lo
 
 
-class TestStridedLines:
-    @settings(max_examples=60, deadline=None)
-    @given(t=tensors())
-    def test_line_equals_per_element_reference(self, t):
-        for axis in range(len(t.shape)):
-            for comp in t.complements(axis):
-                ref = tuple(
-                    t.get((*comp[:axis], i, *comp[axis:])) for i in range(t.shape[axis])
-                )
-                assert t.line(axis, comp) == ref
-            if len(t.shape) > 1:
-                outside = tuple(t.shape[a] for a in range(len(t.shape)) if a != axis)
-                with pytest.raises(IndexError):
-                    t.line(axis, outside)
+def complements(shape, axis):
+    """The fixed coordinates of every line along ``axis``, in row-major order."""
+    return product(*(range(s) for a, s in enumerate(shape) if a != axis))
 
+
+def at(comp, axis, i):
+    """The multi-index with ``i`` on ``axis`` and ``comp`` on the other axes."""
+    return (*comp[:axis], i, *comp[axis:])
+
+
+class TestStridedLines:
     @settings(max_examples=60, deadline=None)
     @given(
         t=tensors(),
@@ -332,24 +328,34 @@ class TestStridedLines:
             dual = DualGrid.from_points(points)
 
         def run():
-            assign = {}
-            out = axis_transform(t, axis, x_axis, dual, assignments=assign, check_convex=False)
-            return out, assign
+            out = axis_transform(t, axis, x_axis, dual, check_convex=False)
+            # each input element holds its own flat offset as its suffix
+            held = [(pos,) for pos in range(len(t.flat))]
+            _, _, counts, carried = multi._pass(
+                t.shape, multi._lift(t.flat), held, axis, x_axis, dual, False
+            )
+            return out, counts, carried
 
-        got, got_assign = on_both_sides_of_the_guard(run, t)
+        got, counts, carried = on_both_sides_of_the_guard(run, t)
         new_shape = (*t.shape[:axis], dual.k, *t.shape[axis + 1 :])
-        ref, ref_assign = {}, {}
-        for comp in t.complements(axis):
-            line = [t.get((*comp[:axis], i, *comp[axis:])) for i in range(t.shape[axis])]
+        ref, ref_counts, ref_carried = {}, {}, {}
+        for comp in complements(t.shape, axis):
+            line = [t.get(at(comp, axis, i)) for i in range(t.shape[axis])]
+            with pytest.raises(IndexError):  # one past the line's end
+                t.get(at(comp, axis, t.shape[axis]))
             c = [(b - a) / gamma for a, b in zip(line, line[1:])]
+            ref_counts[comp] = [0] * t.shape[axis]
             for j in range(dual.k):
                 s = dual.point(j)
                 i = _reference_rule(c, s)
                 # the pass carries g = -(s x_i - f_i)
-                ref[(*comp[:axis], j, *comp[axis:])] = line[i] - s * x_axis.point(i)
-                ref_assign[(comp, j)] = i
+                ref[at(comp, axis, j)] = line[i] - s * x_axis.point(i)
+                # the index taken, ahead of the suffix held at that index
+                ref_carried[at(comp, axis, j)] = (i, t.offset(at(comp, axis, i)))
+                ref_counts[comp][i] += 1
         assert got == RatTensor.build(new_shape, ref.__getitem__)
-        assert got_assign == ref_assign
+        assert counts == ref_counts
+        assert carried == [ref_carried[idx] for idx in sorted(ref_carried)]
 
 
 def _reference_brute(f, dual_points):
@@ -375,7 +381,7 @@ def _reference_adaptive(f):
     t = dict(zip(f.values.indices(), f.values.flat))
     s = {idx: [None] * f.d for idx in t}
     for axis in reversed(range(f.d)):
-        for comp in f.values.complements(axis):
+        for comp in complements(f.values.shape, axis):
             idxs = [(*comp[:axis], i, *comp[axis:]) for i in range(f.grid.shape[axis])]
             line = [t[idx] for idx in idxs]
             if any(u - 2 * v + w < 0 for u, v, w in zip(line, line[1:], line[2:])):

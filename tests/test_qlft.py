@@ -70,9 +70,16 @@ class TestPrepare:
         assert prepare_superposition(f).norm_sq() == 1
 
     def test_strict_pow2(self, ex1):
-        with pytest.raises(NotPowerOfTwo):
-            prepare_superposition(ex1, strict_pow2=True)
-        prepare_superposition(ex1_first_four(), strict_pow2=True)
+        # the runs check N and K before they prepare the superposition
+        with pytest.raises(NotPowerOfTwo, match="N = 5"):
+            run_qlft_1d_regular(ex1, 4, strict_pow2=True)
+        with pytest.raises(NotPowerOfTwo, match="N = 5"):
+            run_qlft_1d_adaptive(ex1, strict_pow2=True)
+        four = ex1_first_four()
+        with pytest.raises(NotPowerOfTwo, match="K = 5"):
+            run_qlft_1d_regular(four, 5, strict_pow2=True)
+        assert run_qlft_1d_regular(four, 4, strict_pow2=True) == run_qlft_1d_regular(four, 4)
+        assert run_qlft_1d_adaptive(four, strict_pow2=True) == run_qlft_1d_adaptive(four)
 
 
 class TestConvexityCheck:
@@ -132,9 +139,15 @@ class TestCanonicalDual:
             ]
         for f in specs:
             for k in (2, f.n, 2 * f.n + 1):
-                assert run_qlft_1d_regular(f, k, rng_seed=k) == run_qlft_1d_regular(
-                    f, k, rng_seed=k, dual=canonical_dual(f, k)
-                )
+                # the same steps, by hand, on the grid the classical path builds
+                dual = canonical_dual(f, k)
+                state = attach_gradients(prepare_superposition(f))
+                state, post = indicator_postselect(state, dual, rng_seed=k)
+                run = run_qlft_1d_regular(f, k, rng_seed=k)
+                assert run.final_state == finalize_conjugate(state, dual)
+                assert run.success_probability == post.success_probability
+                assert run.pass_acceptances == (post.success_probability,)
+                assert run.attempts == post.attempts
 
 
 class TestAttachGradients:

@@ -8,6 +8,7 @@ import runpy
 import sys
 from fractions import Fraction as F
 from itertools import accumulate, product
+from unittest import mock
 
 import pytest
 
@@ -28,7 +29,10 @@ from lftlab.qstate import UNDEFINED, BasisLabel, QState, _schema, is_undefined, 
 from test_multi import (
     WIDE_PRIMES,
     _outcome,
+    _reference_rule,
     as_tensor_1d,
+    at,
+    complements,
     on_both_sides_of_the_guard,
     random_convex_tensor,
 )
@@ -345,17 +349,41 @@ def _ref_advance(schema, lab, axis, i, j, s, x_i, m=None):
     )
 
 
-def _ref_regular_pass(state, f, axis, dual, assign):
+def _ref_cascade(f, duals):
+    """The classical nested passes per element on Fractions over ``duals``,
+    last axis first, each line under ``_reference_rule`` (sorted or not):
+    per pass, each line's counts keyed by its fixed coordinates and each
+    element's optimizer suffix, the index taken ahead of the suffix held at
+    that index, in row-major order."""
+    t = dict(zip(f.values.indices(), f.values.flat))
+    held = dict.fromkeys(t, ())
+    shape, passes = list(f.values.shape), []
+    for axis in reversed(range(f.d)):
+        n, dual, x_axis = shape[axis], duals[axis], f.grid.axes[axis]
+        out, carried, counts = {}, {}, {}
+        for comp in complements(shape, axis):
+            line = [t[at(comp, axis, i)] for i in range(n)]
+            c = [(b - a) / f.grid.gamma for a, b in zip(line, line[1:])]
+            counts[comp] = [0] * n
+            for j in range(dual.k):
+                s = dual.point(j)
+                i = _reference_rule(c, s)
+                out[at(comp, axis, j)] = line[i] - s * x_axis.point(i)
+                carried[at(comp, axis, j)] = (i, *held[at(comp, axis, i)])
+                counts[comp][i] += 1
+        t, held, shape[axis] = out, carried, dual.k
+        passes.append((counts, [held[idx] for idx in sorted(held)]))
+    return passes
+
+
+def _ref_regular_pass(state, f, axis, dual, line_counts):
     n_axis = f.grid.shape[axis]
-    counts_of = {}
-    for (comp, _), i in assign.items():
-        counts_of.setdefault(comp, [0] * n_axis)[i] += 1
-    w = max(map(max, counts_of.values()))
+    w = max(map(max, line_counts.values()))
     schema = qlft_nd._pass_schema(state.entries[0][0].schema, axis, regular=True)
     kept = []
     for lab, _ in state.entries:
         coords = lab.get("j")
-        counts = counts_of[coords[:axis] + coords[axis + 1 :]]
+        counts = line_counts[coords[:axis] + coords[axis + 1 :]]
         firsts = list(accumulate(counts, initial=0))
         i = coords[axis]
         for m in range(counts[i]):
@@ -387,8 +415,9 @@ def _ref_adaptive_pass(state, f, axis):
 
 
 def _reference_run(f, mode, ks=None, rng_seed=0):
-    """(final state, step records, pass acceptances, verification report)
-    of the nested passes computed per branch on Fractions."""
+    """(final state, step records, pass acceptances, verification report,
+    the regular cascade's per-pass counts and optimizer suffixes) of the
+    nested passes computed per branch on Fractions."""
     f.require_convex_axes()
     shape, steps, accepts = f.values.shape, [], []
     labels = []
@@ -401,12 +430,14 @@ def _reference_run(f, mode, ks=None, rng_seed=0):
         labels.append(label(("j", idx), ("f", f.values.get(idx)), *rows))
     state = QState.uniform(labels)
     _trace(steps, "superposition", state)
-    duals = None
+    duals, passes = None, []
     if mode == "regular":
-        duals, assigns, _ = multi._cascade(f, ks=ks, check_convex=False)
-    for axis in reversed(range(f.d)):
+        duals = multi._cascade(f, ks=ks, check_convex=False)[0]
+        passes = _ref_cascade(f, duals)
+    for step, axis in enumerate(reversed(range(f.d))):
         if mode == "regular":
-            state, acceptance = _ref_regular_pass(state, f, axis, duals[axis], assigns[axis])
+            counts = passes[step][0]
+            state, acceptance = _ref_regular_pass(state, f, axis, duals[axis], counts)
         else:
             state, acceptance = _ref_adaptive_pass(state, f, axis), F(1)
         accepts.append(acceptance)
@@ -425,7 +456,7 @@ def _reference_run(f, mode, ks=None, rng_seed=0):
         )
         _trace(steps, "negate", final)
     report = qlft_nd._verify(f, duals, final, rng_seed)
-    return final, tuple(steps), tuple(accepts), report
+    return final, tuple(steps), tuple(accepts), report, passes
 
 
 def _wide_tensor(seed, separable=False):
@@ -474,6 +505,7 @@ class TestRegistersAgainstFractionReference:
 
     @pytest.mark.parametrize("mode", ["regular", "adaptive"])
     def test_runs_equal_the_reference(self, mode):
+        cascade_pass = multi._pass
         statuses = set()
         cases = [(seed, False) for seed in self.SEEDS] + [(seed, True) for seed in self.SEPARABLE_SEEDS]
         for seed, separable in cases:
@@ -481,19 +513,30 @@ class TestRegistersAgainstFractionReference:
             rng_seed = seed if mode == "regular" else 0  # adaptive runs draw nothing
 
             def simulate():
-                if mode == "regular":
-                    run = run_qlft_nd_regular(f, ks, rng_seed=rng_seed)
-                else:
-                    run = run_qlft_nd_adaptive(f)
+                # each cascade pass's counts and optimizer suffixes
+                passes = []
+
+                def recorded(*args):
+                    out = cascade_pass(*args)
+                    passes.append(out[2:])
+                    return out
+
+                with mock.patch.object(multi, "_pass", recorded):
+                    if mode == "regular":
+                        run = run_qlft_nd_regular(f, ks, rng_seed=rng_seed)
+                    else:
+                        run = run_qlft_nd_adaptive(f)
                 labels = () if run.final_state is None else run.final_state.labels()
-                return run, [pickle.dumps(lab) for lab in labels]
+                return run, [pickle.dumps(lab) for lab in labels], passes
 
             got = on_both_sides_of_the_guard(simulate, f.values)
             want = _outcome(lambda: _reference_run(f, mode, ks, rng_seed))
             if want[0] is NonConvexSlice:
                 assert got == want
                 continue
-            (run, pickles), (final, steps, accepts, report) = got, want
+            (run, pickles, passes), (final, steps, accepts, report, ref_passes) = got, want
+            # every line's counts and every (line, j) optimizer index
+            assert passes == ref_passes
             assert run.final_state == final
             # pickles compare the words' types too: Fractions, never ints
             ref_labels = () if final is None else final.labels()
