@@ -2,10 +2,11 @@
 and fixture emission with plot-ready CSV.
 
 Exit codes: 0 success; 1 parse or usage errors (any ``ValueError``,
-``ParseError`` included, or an ``OSError`` on an output path; also
-``qlft --dual-size`` without ``--mode regular``, ``qlft --omega`` and
-``lft --clamp`` on an nD instance, ``lft --clamp`` with an adaptive dual and
-``hardness sampling --t`` below 0); 2 domain rejections (any
+``ParseError`` included, or an ``OSError`` on an output path; also a size
+list that is not one integer or one per axis, ``qlft --dual-size`` without
+``--mode regular``, ``qlft --omega``, ``lft --clamp`` and
+``lft --dual adaptive:right|left`` on an nD instance, ``lft --clamp`` with an
+adaptive dual and ``hardness sampling --t`` below 0); 2 domain rejections (any
 ``LftError``, such as nonconvex input, a power-of-two violation under
 --strict-pow2 or the hardness dimension cap). ``main`` maps both once and
 writes one ``error: ...`` line to stderr.
@@ -60,6 +61,7 @@ from .qlft_nd import run_qlft_nd_adaptive, run_qlft_nd_regular
 from .qstate import label
 from .rational import format_rational, frac
 from .transform import (
+    check_adaptive_variant,
     discrete_gradients,
     lft_adaptive,
     lft_brute,
@@ -100,18 +102,18 @@ def _parse_dual_option(spec: str, f: FunctionSpec):
     """regular:K | adaptive:centered|right|left | list:p,q,r, as (mode,
     dual grid or adaptive variant, gradients); only regular:K computes the
     gradients, which its grid and diagnostics need."""
-    try:
-        mode, _, arg = spec.partition(":")
-        if mode == "regular":
-            g = discrete_gradients(f)
-            return "regular", regular_dual_grid(nontrivial_dual_range(g), int(arg)), g
-        if mode == "adaptive":
-            return "adaptive", arg or "centered", None
-        if mode == "list":
-            pts = [frac(p) for p in arg.split(",") if p]
-            return "list", DualGrid.from_points(pts), None
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad --dual option {spec!r}: {exc}") from exc
+    mode, _, arg = spec.partition(":")
+    if mode == "regular":
+        (k,) = _axis_sizes("--dual regular", arg, 1)
+        g = discrete_gradients(f)
+        return "regular", regular_dual_grid(nontrivial_dual_range(g), k), g
+    if mode == "adaptive":
+        return "adaptive", arg or "centered", None
+    if mode == "list":
+        try:
+            return "list", DualGrid.from_points([frac(p) for p in arg.split(",") if p]), None
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad --dual option {spec!r}: {exc}") from exc
     raise ParseError(f"bad --dual option {spec!r}")
 
 
@@ -157,9 +159,13 @@ def _lft_1d(args, instance: FunctionSpec):
 def _lft_nd(args, instance: TensorSamples):
     mode, _, arg = args.dual.partition(":")
     if mode == "regular":
-        duals = canonical_nd_dual_grids(instance, _axis_sizes(arg, instance))
+        duals = canonical_nd_dual_grids(instance, _axis_sizes("--dual regular", arg, instance.d))
         result = lft_nd_regular(instance, duals)
     elif mode == "adaptive":
+        variant = arg or "centered"
+        check_adaptive_variant(variant)
+        if variant != "centered":  # lft_nd_adaptive takes centered points only
+            raise ParseError(f"--dual {args.dual} needs a one-dimensional instance")
         result = lft_nd_adaptive(instance)
     else:
         raise ParseError(f"--dual {args.dual!r} unsupported for tensors")
@@ -174,10 +180,17 @@ def _lft_nd(args, instance: TensorSamples):
     return doc, result.values.flat, points
 
 
-def _axis_sizes(spec: str, instance: TensorSamples) -> list[int]:
-    """K per axis from "K" (every axis) or "K0,K1,..."."""
-    ks = [int(p) for p in spec.split(",")]
-    return ks * instance.d if len(ks) == 1 else ks
+def _axis_sizes(flag: str, spec: str, d: int) -> list[int]:
+    """K per axis of a d-axis instance from "K" (every axis) or "K0,K1,..."
+    (one per axis); a malformed spec is reported against ``flag``."""
+    try:
+        ks = [int(p) for p in spec.split(",")]
+    except ValueError:
+        ks = []
+    if len(ks) not in (1, d):
+        per_axis = f" or {d} comma-separated integers" if d > 1 else ""
+        raise ParseError(f"{flag} needs an integer K{per_axis}, got {spec!r}")
+    return ks * d if len(ks) == 1 else ks
 
 
 def cmd_qlft(args) -> int:
@@ -240,7 +253,7 @@ def _qlft_1d(args, instance: FunctionSpec, seed: int):
         run = run_qlft_1d_adaptive(instance, strict_pow2=args.strict_pow2)
         classical = lft_adaptive(instance)
     else:
-        k = int(args.dual_size) if args.dual_size else instance.n
+        k = _axis_sizes("--dual-size", args.dual_size, 1)[0] if args.dual_size else instance.n
         run = run_qlft_1d_regular(instance, k, rng_seed=seed, strict_pow2=args.strict_pow2)
         dual = regular_dual_grid(nontrivial_dual_range(discrete_gradients(instance)), k)
         classical = lft_regular(instance, dual)
@@ -252,7 +265,9 @@ def _qlft_nd(args, instance: TensorSamples, seed: int):
     if args.mode == "adaptive":
         run = run_qlft_nd_adaptive(instance, strict_pow2=args.strict_pow2)
     else:
-        ks = _axis_sizes(args.dual_size, instance) if args.dual_size else list(instance.grid.shape)
+        ks = list(instance.grid.shape)
+        if args.dual_size:
+            ks = _axis_sizes("--dual-size", args.dual_size, instance.d)
         run = run_qlft_nd_regular(instance, ks=ks, rng_seed=seed, strict_pow2=args.strict_pow2)
     return run, run.verification.status
 

@@ -12,8 +12,10 @@ simulated at gate level.
 The adaptive pipeline is deterministic: each branch derives its own dual
 point from its local gradient registers and finishes garbage-free.
 
-Register arithmetic runs on the words' integer ratios (``as_integer_ratio``,
-exact for float samples too) and makes one ``Fraction`` per word written.
+Each step, like each nD pass, builds its output schema once and reads its
+registers at positions looked up by name once. Register arithmetic runs on
+the words' integer ratios (``as_integer_ratio``, exact for float samples
+too) and makes one ``Fraction`` per word written.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     NotPowerOfTwo,
 )
 from .grids import DualGrid, FunctionSpec, GradientVector
-from .qstate import UNDEFINED, Amplitude, BasisLabel, QState, is_undefined, label
+from .qstate import UNDEFINED, Amplitude, BasisLabel, QState, Schema, _schema, is_undefined
 from .rational import Vec, exact_sum, frac, progression, split
 from .transform import _gradients, regular_dual_grid
 from .witness import assignment_counts
@@ -84,44 +86,37 @@ def prepare_superposition(f: FunctionSpec) -> QState:
     """Uniform superposition over i with three adjacent points per branch."""
     if f.n > 2:  # two points are always convex; the kernel needs three
         _gradients(f)
-    xs = f.grid.points()
-    labels = []
-    for i in range(f.n):
-        x_prev = xs[i - 1] if i > 0 else UNDEFINED
-        x_next = xs[i + 1] if i < f.n - 1 else UNDEFINED
-        f_prev = f.samples[i - 1] if i > 0 else UNDEFINED
-        f_next = f.samples[i + 1] if i < f.n - 1 else UNDEFINED
-        labels.append(
-            label(
-                ("i", i),
-                ("x_prev", x_prev),
-                ("x", xs[i]),
-                ("x_next", x_next),
-                ("f_prev", f_prev),
-                ("f", f.samples[i]),
-                ("f_next", f_next),
-            )
-        )
-    return QState.uniform(labels)
+    schema = _schema(("i", "x_prev", "x", "x_next", "f_prev", "f", "f_next"), 7)
+    xs, fs = f.grid.points(), f.samples
+    rows = zip(
+        range(f.n), (UNDEFINED, *xs[:-1]), xs, (*xs[1:], UNDEFINED),
+        (UNDEFINED, *fs[:-1]), fs, (*fs[1:], UNDEFINED),
+    )
+    return QState.uniform([BasisLabel(schema, values) for values in rows])
+
+
+def _read(state: QState, *names: str) -> tuple[Schema, list[int]]:
+    """A step's input schema and the positions of the registers it reads,
+    looked up once; an empty state reads them from a schema of just those."""
+    state.require_regs(*names)
+    schema = state.entries[0][0].schema if state.entries else _schema(names, len(names))
+    return schema, [schema.index[name] for name in names]
 
 
 def attach_gradients(state: QState) -> QState:
     """Append the two local gradients (c_{i-1}, c_i) to every branch."""
-    state.require_regs("i", "x", "f", "x_next", "f_next")
+    schema, (_, px, pf, pxn, pfn, pxp, pfp) = _read(
+        state, "i", "x", "f", "x_next", "f_next", "x_prev", "f_prev"
+    )
+    n = schema.n_regs
+    out = _schema((*schema.names[:n], "c_lo", "c_hi"), n + 2)
 
     def add(lab: BasisLabel) -> BasisLabel:
-        x, fv = lab.get("x"), lab.get("f")
-        x_prev, f_prev = lab.get("x_prev"), lab.get("f_prev")
-        x_next, f_next = lab.get("x_next"), lab.get("f_next")
-        if is_undefined(x_prev):
-            c_lo = UNDEFINED
-        else:
-            c_lo = _slope(x_prev, f_prev, x, fv)
-        if is_undefined(x_next):
-            c_hi = UNDEFINED
-        else:
-            c_hi = _slope(x, fv, x_next, f_next)
-        return label(*lab.regs, ("c_lo", c_lo), ("c_hi", c_hi))
+        v = lab.values
+        x, fv, x_prev, x_next = v[px], v[pf], v[pxp], v[pxn]
+        c_lo = UNDEFINED if is_undefined(x_prev) else _slope(x_prev, v[pfp], x, fv)
+        c_hi = UNDEFINED if is_undefined(x_next) else _slope(x, fv, x_next, v[pfn])
+        return BasisLabel(out, (*v[:n], c_lo, c_hi))
 
     return state.map_labels(add)
 
@@ -150,13 +145,13 @@ def _dual_ratios(dual: DualGrid) -> Vec:
 
 def _gather_gradients(state: QState) -> GradientVector:
     """Reassemble c_0..c_{n-2} from the branch gradient registers."""
-    state.require_regs("i", "c_hi")
+    _, (pi, pc) = _read(state, "i", "c_hi")
     n = len(state)
     c: list = [None] * (n - 1)
     for lab, _ in state.entries:
-        i = lab.get("i")
+        i = lab.values[pi]
         if i < n - 1:
-            c[i] = lab.get("c_hi")
+            c[i] = lab.values[pc]
     if any(v is None or is_undefined(v) for v in c):
         raise MalformedState("gradient registers are incomplete")
     return GradientVector(c=tuple(c))
@@ -204,21 +199,14 @@ def indicator_postselect(
     expanded = n * w
     success = Fraction(accepted, expanded)
 
+    _, (pi, px, pf) = _read(state, "i", "x", "f")
+    out = _schema(("j", "x_star", "f_at_star", "m", "i"), 5)
     kept = []
     for lab, _ in state.entries:
-        i = lab.get("i")
-        for m in range(counts[i]):
-            j = firsts[i] + m
-            kept.append(
-                label(
-                    ("j", j),
-                    ("x_star", lab.get("x")),
-                    ("f_at_star", lab.get("f")),
-                    ("m", m),
-                    ("i", i),
-                )
-            )
-    kept.sort(key=lambda lab: lab.get("j"))
+        v = lab.values
+        i, x, fv = v[pi], v[px], v[pf]
+        kept.extend(BasisLabel(out, (firsts[i] + m, x, fv, m, i)) for m in range(counts[i]))
+    kept.sort(key=lambda lab: lab.values[0])
     post = QState.uniform(kept)
     rng = random.Random(rng_seed)
     attempts = geometric_attempts(success, rng)
@@ -233,17 +221,14 @@ def indicator_postselect(
 
 def finalize_conjugate(state: QState, dual: DualGrid) -> QState:
     """Compute f*(s_j) = s_j x*_j - f(x*_j), uncompute f, keep garbage."""
-    state.require_regs("j", "x_star", "f_at_star", "m", "i")
+    _, (pj, px, pf, pm, pi) = _read(state, "j", "x_star", "f_at_star", "m", "i")
+    out = _schema(("j", "fstar", "x_star", "m", "i"), 2)
     sn, sd = _dual_ratios(dual)
 
     def fin(lab: BasisLabel) -> BasisLabel:
-        j, x = lab.get("j"), lab.get("x_star")
-        fstar = _dual_value((sn[j], sd[j]), x, lab.get("f_at_star"))
-        return label(
-            ("j", j),
-            ("fstar", fstar),
-            garbage=(("x_star", x), ("m", lab.get("m")), ("i", lab.get("i"))),
-        )
+        v = lab.values
+        j, x = v[pj], v[px]
+        return BasisLabel(out, (j, _dual_value((sn[j], sd[j]), x, v[pf]), x, v[pm], v[pi]))
 
     return state.map_labels(fin)
 
@@ -300,17 +285,22 @@ def run_qlft_1d_adaptive(f: FunctionSpec, strict_pow2: bool = False) -> SimRun:
     state = attach_gradients(state)
     _trace(steps, "gradients", state)
 
+    _, (pi, px, pf, plo, phi) = _read(state, "i", "x", "f", "c_lo", "c_hi")
+    picked = _schema(("i", "x", "f", "s"), 4)
+
     def pick_dual(lab: BasisLabel) -> BasisLabel:
-        s = centered_dual(lab.get("c_lo"), lab.get("c_hi"))
-        return label(("i", lab.get("i")), ("x", lab.get("x")), ("f", lab.get("f")), ("s", s))
+        v = lab.values
+        return BasisLabel(picked, (v[pi], v[px], v[pf], centered_dual(v[plo], v[phi])))
 
     state = state.map_labels(pick_dual)
     _trace(steps, "adaptive-dual", state)
+    qi, qx, qf, qs = (picked.index[name] for name in ("i", "x", "f", "s"))
+    final = _schema(("i", "x", "s", "fstar"), 4)
 
     def fin(lab: BasisLabel) -> BasisLabel:
-        s, x = lab.get("s"), lab.get("x")
-        fstar = _dual_value(s.as_integer_ratio(), x, lab.get("f"))
-        return label(("i", lab.get("i")), ("x", x), ("s", s), ("fstar", fstar))
+        v = lab.values
+        s, x = v[qs], v[qx]
+        return BasisLabel(final, (v[qi], x, s, _dual_value(s.as_integer_ratio(), x, v[qf])))
 
     state = state.map_labels(fin)
     _trace(steps, "conjugate", state)
@@ -340,8 +330,8 @@ def digital_to_analog(state: QState, rng_seed: int = 0) -> AnalogEncoding:
     per-try success weight; the expected repetition count is modeled as
     sqrt(1/omega).
     """
-    state.require_regs("j", "fstar")
-    values = [frac(v) for v in state.reg_values("fstar")]
+    _, (pj, pv) = _read(state, "j", "fstar")
+    values = [frac(lab.values[pv]) for lab, _ in state.entries]
     k = len(values)
     vmax = max(abs(v) for v in values)
     if vmax == 0:
@@ -351,13 +341,14 @@ def digital_to_analog(state: QState, rng_seed: int = 0) -> AnalogEncoding:
     alpha = exact_sum(sq_nums, sq_dens)
     omega = alpha / (k * vmax * vmax)
     an, ad = alpha.as_integer_ratio()
+    one = _schema(("j",), 1)
     entries = []
     for (lab, _), p, p2, q2 in zip(state.entries, nums, sq_nums, sq_dens):
         if p == 0:
             continue  # zero-amplitude branches drop out of the support
         # v^2 / alpha for v = p/q
         amp = Amplitude(sign=1 if p > 0 else -1, sq=Fraction(p2 * ad, q2 * an))
-        entries.append((label(("j", lab.get("j"))), amp))
+        entries.append((BasisLabel(one, (lab.values[pj],)), amp))
     encoded = QState(entries=tuple(entries))
     rng = random.Random(rng_seed)
     attempts = geometric_attempts(omega, rng)

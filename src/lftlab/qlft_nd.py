@@ -47,7 +47,7 @@ from .multi import TensorSamples, lft_nd_brute
 from .multi import _brute, _cascade, _dual_products, _lift, _rescale
 from .qlft import SimRun, StepRecord, _check_pow2, _trace, geometric_attempts
 from .rational import progression
-from .qstate import UNDEFINED, BasisLabel, QState, Schema, _schema, is_undefined, label
+from .qstate import UNDEFINED, BasisLabel, QState, Schema, _schema, is_undefined
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -66,18 +66,17 @@ class VerificationReport:
 def _superposition(shape: tuple[int, ...], flat: list) -> QState:
     """Uniform superposition over the grid indices j; each branch carries its
     center value f and, per axis, the rows f_prev{axis} and f_next{axis}."""
-    # per axis: the row names, the last index and the flat stride
-    axes = [
-        (f"f_prev{axis}", f"f_next{axis}", n - 1, math.prod(shape[axis + 1 :]))
-        for axis, n in enumerate(shape)
-    ]
+    names = ("j", "f", *(f"f_{s}{axis}" for axis in range(len(shape)) for s in ("prev", "next")))
+    schema = _schema(names, len(names))
+    # per axis: the last index and the flat stride
+    axes = [(n - 1, math.prod(shape[axis + 1 :])) for axis, n in enumerate(shape)]
     labels = []
     for pos, idx in enumerate(product(*map(range, shape))):
-        rows = []
-        for i, (prev, nxt, last, stride) in zip(idx, axes):
-            rows.append((prev, flat[pos - stride] if i > 0 else UNDEFINED))
-            rows.append((nxt, flat[pos + stride] if i < last else UNDEFINED))
-        labels.append(label(("j", idx), ("f", flat[pos]), *rows))
+        values = [idx, flat[pos]]
+        for i, (last, stride) in zip(idx, axes):
+            values.append(flat[pos - stride] if i > 0 else UNDEFINED)
+            values.append(flat[pos + stride] if i < last else UNDEFINED)
+        labels.append(BasisLabel(schema, tuple(values)))
     return QState.uniform(labels)
 
 

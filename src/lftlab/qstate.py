@@ -143,6 +143,3 @@ class QState:
         for name in names:
             if name not in index:
                 raise MalformedState(f"state lacks register {name!r}")
-
-    def reg_values(self, name: str) -> tuple[Word, ...]:
-        return tuple(lab.get(name) for lab, _ in self.entries)

@@ -188,10 +188,15 @@ def lft_regular(f: FunctionSpec, dual: DualGrid, clamp: bool = False) -> Conjuga
     return ConjugateResult(dual=dual, values=values, optimizer_index=idx)
 
 
-def _adaptive_points(c: Vec, variant: str) -> Vec:
-    """The adaptive dual points, exact, from the exact gradients."""
+def check_adaptive_variant(variant: str) -> None:
+    """Reject a variant outside ``ADAPTIVE_VARIANTS`` (a ``ValueError``)."""
     if variant not in ADAPTIVE_VARIANTS:
         raise ValueError(f"unknown adaptive variant {variant!r}")
+
+
+def _adaptive_points(c: Vec, variant: str) -> Vec:
+    """The adaptive dual points, exact, from the exact gradients."""
+    check_adaptive_variant(variant)
     cn, cd = c
     if variant == "centered":
         # the midpoint of a/d and b/e is (a*e + b*d) / (2*d*e)

@@ -229,6 +229,48 @@ class TestCli:
         assert main(["lft", inst, "--dual", dual, "--clamp"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "dual, message",
+        [
+            ("adaptive:right", "--dual adaptive:right needs a one-dimensional instance"),
+            ("adaptive:left", "--dual adaptive:left needs a one-dimensional instance"),
+            ("adaptive:bogus", "unknown adaptive variant 'bogus'"),
+        ],
+        ids=["right", "left", "bogus"],
+    )
+    def test_lft_nd_takes_only_the_centered_adaptive_dual(self, tmp_path, capsys, dual, message):
+        inst = self._builtin(tmp_path / "inst.json", "separable-sum")
+        assert main(["lft", inst, "--dual", dual]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "builtin, argv, message",
+        [
+            ("pwl-ex3", ["qlft", "--dual-size", "4,4"], "--dual-size needs an integer K, got '4,4'"),
+            ("pwl-ex3", ["lft", "--dual", "regular:x"], "--dual regular needs an integer K, got 'x'"),
+            (
+                "separable-sum",
+                ["qlft", "--dual-size", ",4"],
+                "--dual-size needs an integer K or 2 comma-separated integers, got ',4'",
+            ),
+            (
+                "separable-sum",
+                ["lft", "--dual", "regular:4,x"],
+                "--dual regular needs an integer K or 2 comma-separated integers, got '4,x'",
+            ),
+            (
+                "separable-sum",
+                ["qlft", "--dual-size", "4,4,4"],
+                "--dual-size needs an integer K or 2 comma-separated integers, got '4,4,4'",
+            ),
+        ],
+        ids=["1d-qlft", "1d-lft", "2d-qlft-empty", "2d-lft-not-int", "2d-qlft-count"],
+    )
+    def test_malformed_sizes_name_their_flag(self, tmp_path, capsys, builtin, argv, message):
+        inst = self._builtin(tmp_path / "inst.json", builtin)
+        assert main([argv[0], inst, *argv[1:]]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_lft_clamp_pins_regular_and_list_duals(self, tmp_path, capsys):
         inst = self._builtin(tmp_path / "inst.json", "quadratic-ex1")
         assert main(["lft", inst, "--dual", "list:-100,0", "--clamp"]) == 0

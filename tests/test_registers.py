@@ -15,7 +15,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lftlab import fixtures
+from lftlab import fixtures, qlft
 from lftlab.errors import DegenerateGrid
 from lftlab.grids import DualGrid, FunctionSpec, RegularGrid
 from lftlab.qlft import (
@@ -237,6 +237,45 @@ def test_centered_dual_registers(f):
     for lab in ref_gradients(prepare_superposition(f)).labels():
         c_lo, c_hi = lab.get("c_lo"), lab.get("c_hi")
         assert same(centered_dual(c_lo, c_hi), ref_centered(c_lo, c_hi))
+
+
+def reordered(state, order):
+    """The state with every label's registers rebuilt through label() in ``order``."""
+    return QState(tuple((label(*((n, lab.get(n)) for n in order)), a) for lab, a in state.entries))
+
+
+@given(f=specs(min_n=3), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_steps_read_registers_in_any_order(f, data):
+    # each step finds its input registers by name once, not at fixed offsets
+    def moved(state):
+        return reordered(state, data.draw(st.permutations(state.entries[0][0].reg_names())))
+
+    k, dual = data.draw(duals(f))
+    dual = dual or canonical_dual(f, k)
+    seed = data.draw(st.integers(0, 2**20))
+    prepared = moved(prepare_superposition(f))
+    grads = attach_gradients(prepared)
+    assert same(grads, ref_gradients(prepared))
+    ref_post = indicator_postselect(ref_gradients(ref_prepare(f)), dual, seed)
+    post = indicator_postselect(moved(grads), dual, seed)
+    assert same(post, ref_post)
+    assert same(finalize_conjugate(moved(post[0]), dual), ref_finalize(ref_post[0], dual))
+    # the adaptive steps, fed a gradient state in reversed register order
+    names = grads.entries[0][0].reg_names()[::-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qlft, "attach_gradients", lambda state: reordered(attach_gradients(state), names))
+        assert same(run_qlft_1d_adaptive(f), ref_run_adaptive(f))
+
+
+@given(f=specs(min_n=3), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_postselect_ignores_entry_order(f, data):
+    k, dual = data.draw(duals(f))
+    dual = dual or canonical_dual(f, k)
+    grads = attach_gradients(prepare_superposition(f))
+    shuffled = QState(tuple(data.draw(st.permutations(grads.entries))))
+    assert same(indicator_postselect(shuffled, dual, 5), indicator_postselect(grads, dual, 5))
 
 
 def seeded(kind, seed, n):

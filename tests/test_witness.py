@@ -1,10 +1,12 @@
 from fractions import Fraction as F
+from math import floor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lftlab import fixtures
 from lftlab.errors import IndexOutOfRange, ZeroSpacing
-from lftlab.grids import GradientVector
+from lftlab.grids import DualGrid, GradientVector
 from lftlab.transform import discrete_gradients, optimizer_map, regular_dual_grid
 from lftlab.witness import (
     assignment_counts,
@@ -73,6 +75,22 @@ def test_floor_formula_can_overcount_on_flat_top():
     report = witness_params(g, dual)
     assert report.w_floor == 2
     assert report.w == 1
+
+
+gradient_words = st.builds(F, st.integers(-(10**9), 10**9), st.sampled_from([1, 6, 1009, 2**61 - 1]))
+
+
+@given(
+    c=st.lists(gradient_words, min_size=2, max_size=10).map(sorted),
+    s0=gradient_words,
+    gamma_s=st.builds(F, st.integers(1, 10**6), st.integers(1, 10**6)).filter(lambda v: v != 1),
+    k=st.integers(1, 12),
+)
+@settings(max_examples=200, deadline=None)
+def test_w_floor_is_the_floor_of_the_reduced_jumps(c, s0, gamma_s, k):
+    g = GradientVector(c=tuple(c), grid=fixtures.unit_grid(len(c) + 1))
+    report = witness_params(g, DualGrid(s0=s0, gamma_s=gamma_s, k=k))
+    assert report.w_floor == max(floor((b - a) / gamma_s) for a, b in zip(c, c[1:]))
 
 
 class TestAcceptanceSet:
