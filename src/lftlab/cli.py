@@ -53,7 +53,7 @@ from .multi import (
 )
 from .qlft import (
     digital_to_analog,
-    geometric_attempts,
+    retry_totals,
     run_qlft_1d_adaptive,
     run_qlft_1d_regular,
 )
@@ -206,12 +206,13 @@ def cmd_qlft(args) -> int:
         return _fail("--dual-size needs --mode regular", 1)
     run, verification = (_qlft_1d if one_d else _qlft_nd)(args, instance, seed)
     p = run.success_probability
+    # trials are drawn in turn from one stream, so trial 0 is the run's own draw
     if args.mode == "adaptive":  # no post-selection: every trial succeeds at once
-        attempts = [1] * trials
+        total = first = trials
     elif p > 0:
-        attempts = [geometric_attempts(p, random.Random(seed + t)) for t in range(trials)]
+        total, first = retry_totals(p, random.Random(seed), trials)
     else:  # a pass rejected every branch
-        attempts = [0] * trials
+        total = first = 0
     doc = {
         "command": "qlft",
         "mode": args.mode,
@@ -220,10 +221,10 @@ def cmd_qlft(args) -> int:
         "n": [instance.n] if one_d else list(instance.grid.shape),
         "success_probability": format_rational(p),
         "expected_aa_repetitions": run.expected_aa_repetitions,
-        "mean_attempts": sum(attempts) / trials,
+        "mean_attempts": total / trials,
         # a trial's first draw decides whether it succeeds at once, so this
-        # is the first-try success rate over the same seeds, not an estimate
-        "empirical_acceptance": attempts.count(1) / trials,
+        # is the first-try success rate of the same trials, not an estimate
+        "empirical_acceptance": first / trials,
         "verification": verification,
         "step_trace": step_records(run),
     }

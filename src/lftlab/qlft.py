@@ -168,15 +168,33 @@ def centered_dual(c_lo, c_hi):
     return Fraction(a * d + c * b, 2 * b * d)
 
 
-def geometric_attempts(p: Fraction, rng: random.Random) -> int:
-    """Number of post-selection tries until the first success."""
+def retry_totals(p: Fraction, rng: random.Random, trials: int) -> tuple[int, int]:
+    """(total tries, first-try successes) of ``trials`` trials drawn in turn
+    from ``rng``, each retrying post-selection until its first success.
+
+    A trial's tries are its draws up to the first one below p, so the first
+    T' trials of a T-trial draw are a T'-trial draw from the same stream.
+    At p = 1 every trial succeeds at once and nothing is drawn.
+    """
     if p <= 0:
         raise EmptyAcceptance("success probability is zero")
-    attempts = 1
     pf = float(p)
-    while rng.random() >= pf:
-        attempts += 1
-    return attempts
+    if pf >= 1:
+        return trials, trials
+    draw = rng.random
+    total = first = 0
+    for _ in range(trials):
+        attempts = 1
+        while draw() >= pf:
+            attempts += 1
+        total += attempts
+        first += attempts == 1
+    return total, first
+
+
+def geometric_attempts(p: Fraction, rng: random.Random) -> int:
+    """Number of post-selection tries until the first success."""
+    return retry_totals(p, rng, 1)[0]
 
 
 def indicator_postselect(
@@ -363,7 +381,10 @@ def digital_to_analog(state: QState, rng_seed: int = 0) -> AnalogEncoding:
 def first_attempt_successes(
     p: Fraction, trials: int, seed: int
 ) -> int:
-    """Bernoulli acceptance counts over derived seeds (seed + trial index)."""
+    """Bernoulli acceptance counts over derived seeds (seed + trial index).
+
+    Trial t draws from its own ``Random(seed + t)``; the CLI no longer uses this.
+    """
     pf = float(p)
     hits = 0
     for t in range(trials):

@@ -7,9 +7,17 @@ import pytest
 
 from lftlab import fixtures, multi
 from lftlab.cli import main
-from lftlab.io import ParseError, dump_document, parse_instance, serialize_instance, with_decimals
+from lftlab.io import (
+    ParseError,
+    dump_document,
+    load_instance,
+    parse_instance,
+    serialize_instance,
+    with_decimals,
+)
 from lftlab.multi import TensorSamples
-from lftlab.qlft import first_attempt_successes, geometric_attempts
+from lftlab.qlft import geometric_attempts, run_qlft_1d_regular
+from lftlab.qlft_nd import run_qlft_nd_regular
 
 
 class TestInstanceDocuments:
@@ -283,18 +291,53 @@ class TestCli:
         [
             ("pwl-ex3", ["--dual-size", "5", "--seed", "7", "--trials", "500"]),
             ("separable-sum", ["--dual-size", "4,4", "--seed", "3", "--trials", "300"]),
+            ("separable-sum", ["--dual-size", "3,3", "--seed", "3", "--trials", "300"]),
         ],
     )
     def test_qlft_retry_statistics_are_the_seeded_draws(self, tmp_path, builtin, argv):
-        # mean_attempts and empirical_acceptance come from the same seed + t draws
+        # mean_attempts and empirical_acceptance come from the same trials,
+        # drawn in turn from one random.Random(seed)
         inst = self._builtin(tmp_path / "inst.json", builtin)
         out = tmp_path / "res.json"
         assert main(["--out", str(out), "qlft", inst, *argv]) == 0
         doc = json.loads(out.read_text())
         p, seed, trials = F(doc["success_probability"]), doc["seed"], doc["trials"]
-        attempts = [geometric_attempts(p, random.Random(seed + t)) for t in range(trials)]
-        assert doc["empirical_acceptance"] == first_attempt_successes(p, trials, seed) / trials
+        rng = random.Random(seed)
+        attempts = [geometric_attempts(p, rng) for _ in range(trials)]
+        assert doc["empirical_acceptance"] == attempts.count(1) / trials
         assert doc["mean_attempts"] == sum(attempts) / trials
+
+    @pytest.mark.parametrize("builtin, sizes", [("pwl-ex3", "5"), ("separable-sum", "3,3")])
+    def test_qlft_one_trial_is_the_runs_draw(self, tmp_path, builtin, sizes):
+        inst = self._builtin(tmp_path / "inst.json", builtin)
+        instance = load_instance(inst)
+        out = tmp_path / "res.json"
+        for seed in range(8):
+            argv = ["--out", str(out), "qlft", inst, "--dual-size", sizes, "--seed", str(seed)]
+            assert main(argv) == 0
+            doc = json.loads(out.read_text())
+            if builtin == "pwl-ex3":
+                run = run_qlft_1d_regular(instance, 5, rng_seed=seed)
+            else:
+                run = run_qlft_nd_regular(instance, ks=(3, 3), rng_seed=seed)
+            assert 0 < run.success_probability < 1
+            assert doc["mean_attempts"] == run.attempts
+
+    @pytest.mark.parametrize(
+        "builtin, argv, rate",
+        [
+            ("quadratic-ex1", ["--mode", "adaptive"], 1.0),
+            ("separable-sum", ["--dual-size", "4,4"], 1.0),  # p = 1: nothing to draw
+            ("separable-sum", ["--dual-size", "2,2"], 0.0),  # a pass rejects every branch
+        ],
+    )
+    def test_qlft_huge_trials_report_without_a_list(self, tmp_path, builtin, argv, rate):
+        inst = self._builtin(tmp_path / "inst.json", builtin)
+        out = tmp_path / "res.json"
+        assert main(["--out", str(out), "qlft", inst, *argv, "--trials", str(10**12)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["trials"] == 10**12
+        assert doc["mean_attempts"] == doc["empirical_acceptance"] == rate
 
     def test_qlft_2d_separable_verification(self, tmp_path):
         inst = tmp_path / "sep.json"

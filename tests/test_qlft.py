@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ from lftlab import fixtures
 from lftlab.errors import (
     AllZeroValues,
     DegenerateGrid,
+    EmptyAcceptance,
     MalformedState,
     NonConvexInput,
     NotPowerOfTwo,
@@ -17,8 +19,10 @@ from lftlab.qlft import (
     digital_to_analog,
     finalize_conjugate,
     first_attempt_successes,
+    geometric_attempts,
     indicator_postselect,
     prepare_superposition,
+    retry_totals,
     run_qlft_1d_adaptive,
     run_qlft_1d_regular,
 )
@@ -360,6 +364,32 @@ class TestAcceptanceStatistics:
 
     def test_probability_one_always_hits(self):
         assert first_attempt_successes(F(1), 1000, seed=3) == 1000
+
+
+class TestRetryTotals:
+    @pytest.mark.parametrize("p", [F(1, 2), F(4, 5), F(3, 16)])
+    def test_first_trials_of_a_draw_are_the_shorter_draw(self, p):
+        # trials come in turn off one stream, each a geometric_attempts draw
+        rng = random.Random(2024)
+        attempts = [geometric_attempts(p, rng) for _ in range(200)]
+        for t in (1, 2, 17, 199, 200):
+            head = attempts[:t]
+            assert retry_totals(p, random.Random(2024), t) == (sum(head), head.count(1))
+
+    def test_a_split_draw_continues_the_stream(self):
+        rng = random.Random(7)
+        (a, a1), (b, b1) = retry_totals(F(1, 2), rng, 30), retry_totals(F(1, 2), rng, 70)
+        assert (a + b, a1 + b1) == retry_totals(F(1, 2), random.Random(7), 100)
+
+    def test_probability_one_draws_nothing(self):
+        rng = random.Random(3)
+        before = rng.getstate()
+        assert retry_totals(F(1), rng, 10**12) == (10**12, 10**12)
+        assert rng.getstate() == before
+
+    def test_zero_probability_raises(self):
+        with pytest.raises(EmptyAcceptance):
+            retry_totals(F(0), random.Random(0), 5)
 
 
 class TestSentinelWord:
