@@ -46,7 +46,6 @@ from .witness import (
     witness_params,
 )
 from .multi import (
-    PartialTransform,
     RatTensor,
     TensorConjugate,
     TensorGrid,
@@ -55,7 +54,6 @@ from .multi import (
     lft_nd_adaptive,
     lft_nd_brute,
     lft_nd_regular,
-    partial_transform_g,
     product_dual_points,
 )
 from .qstate import UNDEFINED, Amplitude, BasisLabel, QState
@@ -68,7 +66,6 @@ from .qlft import (
     conjugate_pairs,
     digital_to_analog,
     finalize_conjugate,
-    first_attempt_successes,
     indicator_postselect,
     prepare_superposition,
     run_qlft_1d_adaptive,

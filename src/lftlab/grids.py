@@ -74,7 +74,7 @@ class DualGrid:
             if self.explicit is None or len(self.explicit) != self.k:
                 raise ValueError("adaptive dual grid needs an explicit point list of length k")
             pts = tuple(frac(p) for p in self.explicit)
-            if any(pts[j] > pts[j + 1] for j in range(len(pts) - 1)):
+            if not nondecreasing(split(pts)):
                 raise ValueError("dual points must be sorted")
             object.__setattr__(self, "explicit", pts)
 
@@ -112,12 +112,16 @@ class FunctionSpec:
 
     Construction only checks shapes. Discrete convexity is a precondition
     of the gradient-based transforms and is validated there (the brute
-    transform accepts nonconvex samples).
+    transform accepts nonconvex samples). ``ratios`` holds the numerators
+    and denominators of the samples (floats convert exactly), the form the
+    integer kernel reads; it is derived, so it stays out of the
+    constructor, equality, hashing and the repr.
     """
 
     grid: RegularGrid
     samples: tuple
     closed_form: Optional[str] = None
+    ratios: Vec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = tuple(
@@ -128,6 +132,7 @@ class FunctionSpec:
             raise ValueError(
                 f"sample count {len(vals)} does not match grid size {self.grid.n}"
             )
+        object.__setattr__(self, "ratios", split(vals))
 
     @property
     def n(self) -> int:

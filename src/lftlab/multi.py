@@ -299,25 +299,6 @@ def _shrink(v):
     return v
 
 
-@dataclass(frozen=True)
-class PartialTransform:
-    """Result of transforming a single axis: g samples plus the dual used."""
-
-    values: RatTensor
-    axis: int
-    dual: DualGrid
-
-
-def partial_transform_g(
-    f: TensorSamples, axis: int, dual_axis: DualGrid
-) -> PartialTransform:
-    """Negated one-axis transform g(..., s, ...) = -max_x {s x - f(..., x, ...)}."""
-    if not 0 <= axis < f.d:
-        raise IndexError(f"axis {axis} out of range for d={f.d}")
-    values = axis_transform(f.values, axis, f.grid.axes[axis], dual_axis)
-    return PartialTransform(values=values, axis=axis, dual=dual_axis)
-
-
 def axis_bracket(values: RatTensor, axis: int, gamma: Fraction) -> tuple[Fraction, Fraction]:
     """Shared dual range for one axis: the minimum first gradient over all
     lines up to the maximum last gradient, read off the boundary faces."""

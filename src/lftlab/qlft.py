@@ -378,21 +378,6 @@ def digital_to_analog(state: QState, rng_seed: int = 0) -> AnalogEncoding:
     )
 
 
-def first_attempt_successes(
-    p: Fraction, trials: int, seed: int
-) -> int:
-    """Bernoulli acceptance counts over derived seeds (seed + trial index).
-
-    Trial t draws from its own ``Random(seed + t)``; the CLI no longer uses this.
-    """
-    pf = float(p)
-    hits = 0
-    for t in range(trials):
-        if random.Random(seed + t).random() < pf:
-            hits += 1
-    return hits
-
-
 def conjugate_pairs(run: SimRun) -> tuple[tuple[int, Fraction], ...]:
     """(j, f*(s_j)) pairs of a successful regular run, sorted by j."""
     pairs = []

@@ -3,15 +3,19 @@
 The 1D kernel holds samples, gradients and dual points as lists of
 numerators and denominators (``split``), so the half-open optimizer rule
 never suffers rounding and no integer grows with the number of elements;
-``fractions.Fraction`` appears only at the API boundary. Serialized
-documents write rationals as "p/q" strings. Float samples enter the kernel
-by exact conversion and face the same exact checks as rationals.
+``fractions.Fraction`` appears only at the API boundary. Sample and
+gradient containers split their values once, when they are built; the
+slopes the kernel derives from them stay unreduced, since each use
+floor-divides, cross-multiplies or builds a normalizing ``Fraction``.
+Serialized documents write rationals as "p/q" strings. Float samples enter
+the kernel by exact conversion and face the same exact checks as rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import le, mul
 from typing import Iterable, Union
 
 Rational = Union[Fraction, int]
@@ -44,7 +48,7 @@ def split(values: Iterable[Number]) -> Vec:
 def nondecreasing(v: Vec) -> bool:
     """v_0 <= v_1 <= ..., compared by integer cross products."""
     p, q = v
-    return all(a * s <= b * r for a, r, b, s in zip(p, q, p[1:], q[1:]))
+    return all(map(le, map(mul, p, q[1:]), map(mul, p[1:], q)))
 
 
 def progression(start: Fraction, step: Fraction) -> tuple[int, int, int]:

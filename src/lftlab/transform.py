@@ -8,7 +8,11 @@ defining maximum is kept alongside as the independent oracle.
 
 The fast path runs on Python ints: samples, gradients and dual points are
 held as lists of numerators and denominators (see ``rational.split``), so
-each integer is as wide as the element it holds. One count function (``_rule_counts``)
+each integer is as wide as the element it holds. The sample and gradient
+containers split their values once, on construction (``FunctionSpec.ratios``,
+``GradientVector.ratios``). The kernel's slopes are not reduced to lowest
+terms: every consumer floor-divides, cross-multiplies or builds a
+``Fraction``, which normalizes anyway. One count function (``_rule_counts``)
 gives the rule's multiplicities without a sweep over the dual points, and
 each value s_j x_i - f_i is one integer fraction, made a ``Fraction`` only
 when the result is returned.
@@ -22,7 +26,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import floordiv
+from operator import floordiv, sub
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DegenerateGrid, InvalidK, NonConvexInput, OutOfRangeDual
@@ -50,10 +54,11 @@ def _lowest(nums: list[int], dens: list[int]) -> Vec:
 
 
 def _slopes(v: Vec, step: Number) -> Vec:
-    """(v_{i+1} - v_i) / step in lowest terms, for step > 0."""
+    """(v_{i+1} - v_i) / step, for step > 0, as ratios not reduced to
+    lowest terms (positive denominators)."""
     (p, q), (g, h) = v, step.as_integer_ratio()
     nums = [(b * r - a * s) * h for a, r, b, s in zip(p, q, p[1:], q[1:])]
-    return _lowest(nums, [r * s * g for r, s in zip(q, q[1:])])
+    return nums, [r * s * g for r, s in zip(q, q[1:])]
 
 
 def _gradients(f: FunctionSpec) -> Vec:
@@ -61,7 +66,7 @@ def _gradients(f: FunctionSpec) -> Vec:
     names the least exact second difference, as a float for float samples."""
     if f.n < 3:
         raise DegenerateGrid(f"need n >= 3 primal points, got {f.n}")
-    c = _slopes(split(f.samples), f.grid.gamma)
+    c = _slopes(f.ratios, f.grid.gamma)
     if not nondecreasing(c):
         exact = [Fraction(v) for v in f.samples]
         bad = min(u - 2 * v + w for u, v, w in zip(exact, exact[1:], exact[2:]))
@@ -104,31 +109,39 @@ def _rule_counts(c: Vec, dual: DualGrid) -> list[int]:
     """Dual points per primal index under the clamped half-open gradient rule.
 
     s goes to 0 when s <= c_0, else to n-1 when s >= c_{n-2}, else to the
-    i with c_{i-1} < s <= c_i, for nondecreasing exact gradients c. With
-    N<=(t), N<(t) the numbers of dual points at most and below t and
-    top = max(N<(c_{n-2}), N<=(c_0)): index 0 gets N<=(c_0), index n-1
-    gets K - top, interior i gets min(N<=(c_i), top) - N<=(c_{i-1}) clamped
-    at 0. N<= and N< come by floor and ceil division on a regular grid with
-    positive spacing, else by bisection over the sorted points.
+    i with c_{i-1} < s <= c_i. With N<=(t), N<(t) the numbers of dual
+    points at most and below t and top = max(N<(c_{n-2}), N<=(c_0)): index
+    0 gets N<=(c_0), index n-1 gets K - top, interior i gets
+    min(N<=(c_i), top) - min(N<=(c_{i-1}), top). N<= and N< come by floor
+    and ceil division on a regular grid with positive spacing, else by
+    bisection over the sorted points.
+
+    Precondition: the gradients c are nondecreasing (every caller passes
+    checked ones), so N<=(c_i) is nondecreasing in i, and clamping it to
+    [0, K] or capping it at top rewrites only a head and a tail, found by
+    bisection.
     """
     (cn, cd), k = c, dual.k
     a, p, b = progression(dual.s0, dual.gamma_s)
     if dual.kind == "regular" and p:
         # s_j = (a + j*p) / b <= n/d  <=>  j <= (n*b - a*d) / (p*d)
-        at_most = [min(max((n * b - a * d) // (p * d) + 1, 0), k) for n, d in zip(cn, cd)]
+        at_most = [(n * b - a * d) // (p * d) + 1 for n, d in zip(cn, cd)]
         n, d = cn[-1], cd[-1]
         below_top = min(max(-((a * d - n * b) // (p * d)), 0), k)
     else:
         points = list(zip(*split(dual.explicit or (dual.s0,) * k)))
         at_most = [bisect_right(points, _by_value(t), key=_by_value) for t in zip(cn, cd)]
         below_top = bisect_left(points, _by_value((cn[-1], cd[-1])), key=_by_value)
-    top = max(below_top, at_most[0])
-    inner = [max(0, min(hi, top) - lo) for lo, hi in zip(at_most, at_most[1:])]
-    return [at_most[0], *inner, k - top]
+    first = min(max(at_most[0], 0), k)
+    top = max(below_top, first)
+    head = bisect_right(at_most, 0)
+    tail = bisect_right(at_most, top, head)
+    capped = [0] * head + at_most[head:tail] + [top] * (len(at_most) - tail)
+    return [first, *map(sub, capped[1:], capped), k - top]
 
 
 def _repeat_indices(counts: Sequence[int]) -> tuple[int, ...]:
-    return tuple(chain.from_iterable(repeat(i, c) for i, c in enumerate(counts)))
+    return tuple(chain.from_iterable(map(repeat, range(len(counts)), counts)))
 
 
 def _checked_counts(c: Vec, dual: DualGrid, clamp: bool) -> list[int]:
@@ -161,10 +174,13 @@ def optimizer_map(
     return _repeat_indices(_checked_counts(g.ratios, dual, clamp))
 
 
-def _conjugate_values(f: FunctionSpec, dual: DualGrid, idx: Sequence[int]) -> tuple:
+def _conjugate_values(
+    f: FunctionSpec, dual: DualGrid, idx: Sequence[int], points: Optional[Vec] = None
+) -> tuple:
     """s_j x_i - f_i for i = idx[j], each one integer fraction made a
-    Fraction on return."""
-    fn, fd = split(f.samples)
+    Fraction on return. ``points`` are the ratios of an adaptive grid's
+    points when the caller already holds them."""
+    fn, fd = f.ratios
     a, dx, xd = progression(f.grid.x0, f.grid.gamma)
     # over ls[i] = lcm(xd, q_i): x_i = xs[i] / ls[i] and f_i = fs[i] / ls[i], so
     # s x_i - f_i = (sn * xs[i] - fs[i] * sd) / (ls[i] * sd) for s = sn / sd
@@ -172,13 +188,17 @@ def _conjugate_values(f: FunctionSpec, dual: DualGrid, idx: Sequence[int]) -> tu
     xs = [(a + i * dx) * (m // xd) for i, m in enumerate(ls)]
     fs = [p * (m // q) for p, q, m in zip(fn, fd, ls)]
     if dual.kind == "adaptive":
-        sn, sd = split(dual.explicit)
-        return tuple(Fraction(n * xs[i] - fs[i] * d, ls[i] * d) for n, d, i in zip(sn, sd, idx))
-    # one denominator sd for all points s_j = (s0 + j * step) / sd
-    s0, step, sd = progression(dual.s0, dual.gamma_s)
-    fs, ls = [v * sd for v in fs], [m * sd for m in ls]
-    sn = range(s0, s0 + dual.k * step, step) if step else repeat(s0, dual.k)
-    return tuple(Fraction(n * xs[i] - fs[i], ls[i]) for n, i in zip(sn, idx))
+        sn, sd = points or split(dual.explicit)
+        nums = [n * xs[i] - fs[i] * d for n, d, i in zip(sn, sd, idx)]
+        dens = [ls[i] * d for d, i in zip(sd, idx)]
+    else:
+        # one denominator sd for all points s_j = (s0 + j * step) / sd
+        s0, step, sd = progression(dual.s0, dual.gamma_s)
+        fs, ls = [v * sd for v in fs], [m * sd for m in ls]
+        sn = range(s0, s0 + dual.k * step, step) if step else repeat(s0, dual.k)
+        nums = [n * xs[i] - fs[i] for n, i in zip(sn, idx)]
+        dens = [ls[i] for i in idx]
+    return tuple(map(Fraction, nums, dens))
 
 
 def lft_regular(f: FunctionSpec, dual: DualGrid, clamp: bool = False) -> ConjugateResult:
@@ -219,10 +239,12 @@ def adaptive_dual_points(g: GradientVector, variant: str = "centered") -> tuple:
 
 def lft_adaptive(f: FunctionSpec, variant: str = "centered") -> ConjugateResult:
     """Adaptive-dual transform; each dual point's optimizer is its own index."""
-    points = list(map(Fraction, *_adaptive_points(_gradients(f), variant)))
-    dual = DualGrid.from_points(points)
+    ratios = _adaptive_points(_gradients(f), variant)
+    points = tuple(map(Fraction, *ratios))
+    dual = DualGrid(s0=points[0], gamma_s=Fraction(0), k=f.n, kind="adaptive", explicit=points)
     idx = tuple(range(f.n))
-    return ConjugateResult(dual=dual, values=_conjugate_values(f, dual, idx), optimizer_index=idx)
+    values = _conjugate_values(f, dual, idx, ratios)
+    return ConjugateResult(dual=dual, values=values, optimizer_index=idx)
 
 
 def lft_brute(f: FunctionSpec, dual: DualGrid) -> ConjugateResult:

@@ -25,6 +25,17 @@ def canonical_dual(f, k=None):
     return regular_dual_grid(nontrivial_dual_range(g), k or f.n)
 
 
+def first_attempt_successes(p, trials, seed):
+    """Bernoulli acceptance counts over derived seeds (seed + trial index):
+    trial t draws from its own ``Random(seed + t)``."""
+    pf = float(p)
+    hits = 0
+    for t in range(trials):
+        if random.Random(seed + t).random() < pf:
+            hits += 1
+    return hits
+
+
 @pytest.fixture
 def rng():
     return random.Random(1234)

@@ -26,7 +26,6 @@ from lftlab.multi import (
 from lftlab.qlft import (
     conjugate_pairs,
     digital_to_analog,
-    first_attempt_successes,
     geometric_attempts,
     run_qlft_1d_adaptive,
     run_qlft_1d_regular,
@@ -48,7 +47,7 @@ from lftlab.transform import (
 )
 from lftlab.witness import dual_index, in_acceptance_set, witness_params
 
-from conftest import canonical_dual
+from conftest import canonical_dual, first_attempt_successes
 
 
 def report(num, budget, started, detail=""):

@@ -70,10 +70,20 @@ def convex_instances(draw, min_n=3, max_n=12):
 
 @st.composite
 def dual_grids(draw, f):
-    """Clamped regular grids reaching beyond [c_0, c_{n-2}], zero-spacing
-    grids, and explicit grids with points on the gradients."""
+    """Clamped regular grids reaching beyond [c_0, c_{n-2}], regular grids
+    wholly at or below c_0 or at or above c_{n-2} with K up to 4n (every
+    count then sits in the clamped head or tail, or at the top cap),
+    zero-spacing grids, and explicit grids with points on the gradients."""
     c = [(b - a) / f.grid.gamma for a, b in zip(f.samples, f.samples[1:])]
-    kind = draw(st.sampled_from(["regular", "zero", "explicit"]))
+    kind = draw(st.sampled_from(["regular", "below", "above", "zero", "explicit"]))
+    if kind in ("below", "above"):
+        k = draw(st.integers(2, 4 * f.n))
+        width = c[-1] - c[0] + 1
+        gap = width * F(draw(st.integers(0, 8)), 8)
+        span = width * F(draw(st.integers(1, 8)), 4)
+        if kind == "below":
+            return regular_dual_grid((c[0] - gap - span, c[0] - gap), k)
+        return regular_dual_grid((c[-1] + gap, c[-1] + gap + span), k)
     k = draw(st.integers(1 if kind == "explicit" else 2, 20))
     if kind == "regular":
         width = c[-1] - c[0] + 1
@@ -244,3 +254,19 @@ def test_gradient_vector_carries_the_kernel_ratios(words, presort):
     assert repr(g) == f"GradientVector(c={g.c!r}, grid=None)"
     again = pickle.loads(pickle.dumps(g))
     assert again == g and again.ratios == g.ratios
+
+
+@given(words=st.lists(gradient_words, min_size=2, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_function_spec_carries_the_kernel_ratios(words):
+    grid = RegularGrid(x0=0, gamma=1, n=len(words))
+    f = FunctionSpec(grid=grid, samples=tuple(words))
+    assert f.ratios == split(f.samples)
+    # float samples convert exactly: each ratio is the float's own value
+    assert all(F(p, q) == v for p, q, v in zip(*f.ratios, f.samples))
+    # the ratios are derived: equality, hashing and the repr see only the fields
+    assert f == FunctionSpec(grid=grid, samples=tuple(words))
+    assert hash(f) == hash((grid, f.samples, None))
+    assert repr(f) == f"FunctionSpec(grid={grid!r}, samples={f.samples!r}, closed_form=None)"
+    again = pickle.loads(pickle.dumps(f))
+    assert again == f and again.ratios == f.ratios

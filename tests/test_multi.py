@@ -20,7 +20,6 @@ from lftlab.multi import (
     lft_nd_adaptive,
     lft_nd_brute,
     lft_nd_regular,
-    partial_transform_g,
     product_dual_points,
 )
 from lftlab.transform import lft_adaptive, lft_brute, lft_regular, regular_dual_grid
@@ -53,31 +52,31 @@ class TestPartialTransform:
         f = fixtures.separable_sum("quadratic-ex1", d=2, n=5)
         q = fixtures.ex1()
         dual = canonical_dual(q, 4)
-        part = partial_transform_g(f, axis=1, dual_axis=dual)
+        values = axis_transform(f.values, 1, f.grid.axes[1], dual)
         qstar = lft_brute(q, dual)
         for i0 in range(5):
             for j in range(4):
                 expected = q.samples[i0] - qstar.values[j]
-                assert part.values.get((i0, j)) == expected
+                assert values.get((i0, j)) == expected
 
     def test_d1_equals_negated_transform(self, ex1):
         t = as_tensor_1d(ex1)
         dual = canonical_dual(ex1, 4)
-        part = partial_transform_g(t, axis=0, dual_axis=dual)
+        values = axis_transform(t.values, 0, t.grid.axes[0], dual)
         ref = lft_regular(ex1, dual)
-        assert tuple(part.values.flat) == tuple(-v for v in ref.values)
+        assert tuple(values.flat) == tuple(-v for v in ref.values)
 
     def test_slicewise_against_brute(self, rng):
         f = random_convex_tensor(rng, d=2, n=5)
         dual = regular_dual_grid((F(-1), F(1)), 4)
-        part = partial_transform_g(f, axis=1, dual_axis=dual)
+        values = axis_transform(f.values, 1, f.grid.axes[1], dual)
         for i0 in range(5):
             line = tuple(f.values.get((i0, i1)) for i1 in range(5))
             spec = fixtures.FunctionSpec(
                 grid=f.grid.axes[1], samples=line
             )
             brute = lft_brute(spec, dual)
-            got = [part.values.get((i0, j)) for j in range(4)]
+            got = [values.get((i0, j)) for j in range(4)]
             assert got == [-v for v in brute.values]
 
     def test_nonconvex_slice_rejected(self):
@@ -85,7 +84,7 @@ class TestPartialTransform:
         values = RatTensor((3, 3), tuple(map(F, (0, 1, 0, 0, 0, 0, 0, 0, 0))))
         t = TensorSamples(grid=grid, values=values)
         with pytest.raises(NonConvexSlice):
-            partial_transform_g(t, axis=1, dual_axis=DualGrid.from_points([F(0)]))
+            axis_transform(t.values, 1, t.grid.axes[1], DualGrid.from_points([F(0)]))
 
 
 class TestNdRegular:

@@ -18,7 +18,6 @@ from lftlab.qlft import (
     conjugate_pairs,
     digital_to_analog,
     finalize_conjugate,
-    first_attempt_successes,
     geometric_attempts,
     indicator_postselect,
     prepare_superposition,
@@ -34,7 +33,7 @@ from lftlab.transform import (
     optimizer_map,
 )
 
-from conftest import canonical_dual
+from conftest import canonical_dual, first_attempt_successes
 
 
 def ex1_first_four():

@@ -26,6 +26,7 @@ from lftlab.qlft import (
 from lftlab.qlft_nd import MATCH, MISMATCH, run_qlft_nd_adaptive, run_qlft_nd_regular
 from lftlab.qstate import UNDEFINED, BasisLabel, QState, _schema, is_undefined, label
 
+from conftest import first_attempt_successes
 from test_multi import (
     WIDE_PRIMES,
     _outcome,
@@ -323,8 +324,6 @@ class TestAcceptanceStatisticsNd:
         p = run.success_probability
         if 0 < p < 1:
             trials = 10_000
-            from lftlab.qlft import first_attempt_successes
-
             hits = first_attempt_successes(p, trials, seed=77)
             sigma = (float(p) * (1 - float(p)) / trials) ** 0.5
             assert abs(hits / trials - float(p)) <= 3 * sigma
