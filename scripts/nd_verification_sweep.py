@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Empirical verification sweep for the nested multidimensional runs.
 
-The multidimensional pipeline maps neighbor rows with the center branch's
-optimizer and gates copy slots on the neighbor-slot condition; whether
-that reproduces the true conjugate off the separable case is an open
-empirical question here. This sweep runs many 2D instances, tabulates
-MATCH / MISMATCH / aborted outcomes per coupling strength, and prints a
-reproducing seed for every discrepancy.
+In regular mode the multidimensional pipeline gates copy slots on the
+neighbor-slot condition, which reads the neighbors' counts from the
+classical cascade; only adaptive branches carry neighbor rows, and they
+map them with the center branch's optimizer. Whether either reproduces
+the true conjugate off the separable case is an open empirical question
+here. This sweep runs many 2D instances, tabulates MATCH / MISMATCH /
+aborted outcomes per coupling strength, and prints a reproducing seed for
+every discrepancy.
 """
 
 import argparse

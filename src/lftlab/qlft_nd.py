@@ -1,35 +1,42 @@
 """Register-level simulation of the nested multidimensional quantum passes.
 
 Each pass applies the one-dimensional machinery along one axis (last axis
-first). A branch carries the function value at its center and at the
-remaining axes' neighbor offsets; after accepting copy slot m at dual
-index j, the branch maps ALL carried rows with its own center optimizer:
+first). A branch carries its coordinates j, its value f and the dual point
+s{axis} of every axis already passed.
 
-    new_value[row] = old_value[row] - s_j * x_{i*}
+Regular mode: a pass expands each branch into w copy slots and keeps slot
+m of index i when the line assigns i more than m dual points. Passes that
+still have axes left to transform additionally require the in-range
+neighbor indices i +- 1 of the same line to have more than m dual points
+("three-point" condition). Both gates read the counts of one classical
+cascade of the nested passes, run before the passes over the exact
+intermediate tensors; it also gives the shared dual grids and each line's
+first dual indices. No step reads a neighbor value, so regular branches
+carry none.
+
+Adaptive mode: a branch also carries the rows f_prev{axis}/f_next{axis},
+its value at the neighbor offsets of every axis not yet passed, takes the
+centered dual point of its own axis rows, and maps ALL carried rows with
+its own center optimizer:
+
+    new_value[row] = old_value[row] - s * x_i
 
 which is exact for the center row and an unverified shortcut for the
-neighbor rows (their own optimizer may differ). Passes that still have
-axes left to transform additionally require the copy slot to be accepted
-by the immediate neighbor slots ("three-point" condition, evaluated only
-over in-range neighbors). Because of this shortcut every run is VERIFIED
-against the brute maximum (``multi.lft_nd_brute``) at the dual points the
-run itself names: the product of a regular run's per-axis grids, each
-adaptive label's own s registers. The outcome is reported, never assumed:
-a MISMATCH is a finding, not a crash.
+neighbor rows (their own optimizer may differ).
 
-Pass structure (shared dual grids, per-slice acceptance counts and first
-dual indices) comes from one classical cascade of the nested passes, run
-before the passes over the exact intermediate tensors; branch values flow
-through the stated register arithmetic only.
+Off the separable case neither mode is known to be correct, so every run
+is VERIFIED against the brute maximum (``multi.lft_nd_brute``) at the dual
+points the run itself names: the product of a regular run's per-axis
+grids, each adaptive label's own s registers. The outcome is reported,
+never assumed: a MISMATCH is a finding, not a crash.
 
-Branches are the labels of one ``QState`` per step: registers j (the
-coordinates), f (the center value), f_prev{axis}/f_next{axis} per axis not
-yet passed and s{axis} per passed axis, garbage i{axis} (and m{axis} in
-regular mode). Each step records its computed norm, 0 if nothing survives.
-The value registers f and f_prev/f_next hold ints over one shared
-denominator D per run, widened once per pass as in ``multi`` (Fractions
-over D = 1 past ``multi.MAX_SHARED_BITS``); the s registers hold the dual
-points, and the negate step makes the Fractions fstar = -f / D.
+Branches are the labels of one ``QState`` per step, with garbage i{axis}
+(and m{axis} in regular mode) per passed axis. Each step records its
+computed norm, 0 if nothing survives. The value registers hold ints over
+one shared denominator D per run, widened once per pass as in ``multi``
+(Fractions over D = 1 past ``multi.MAX_SHARED_BITS``); the s registers
+hold the dual points, and the negate step makes the Fractions
+fstar = -f / D.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from .multi import TensorSamples, lft_nd_brute
 from .multi import _brute, _cascade, _dual_products, _lift, _rescale
 from .qlft import SimRun, StepRecord, _check_pow2, _trace, geometric_attempts
 from .rational import progression
-from .qstate import UNDEFINED, BasisLabel, QState, Schema, _schema, is_undefined
+from .qstate import UNDEFINED, BasisLabel, QState, _schema, is_undefined
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -63,15 +70,20 @@ class VerificationReport:
     dual_grids: tuple = ()  # per-axis grids the comparison ran on (regular mode)
 
 
-def _superposition(shape: tuple[int, ...], flat: list) -> QState:
+def _superposition(shape: tuple[int, ...], flat: list, rows: bool) -> QState:
     """Uniform superposition over the grid indices j; each branch carries its
-    center value f and, per axis, the rows f_prev{axis} and f_next{axis}."""
+    center value f and, with ``rows``, per axis the rows f_prev{axis} and
+    f_next{axis}."""
+    indices = product(*map(range, shape))
+    if not rows:
+        schema = _schema(("j", "f"), 2)
+        return QState.uniform(BasisLabel(schema, pair) for pair in zip(indices, flat))
     names = ("j", "f", *(f"f_{s}{axis}" for axis in range(len(shape)) for s in ("prev", "next")))
     schema = _schema(names, len(names))
     # per axis: the last index and the flat stride
     axes = [(n - 1, math.prod(shape[axis + 1 :])) for axis, n in enumerate(shape)]
     labels = []
-    for pos, idx in enumerate(product(*map(range, shape))):
+    for pos, idx in enumerate(indices):
         values = [idx, flat[pos]]
         for i, (last, stride) in zip(idx, axes):
             values.append(flat[pos - stride] if i > 0 else UNDEFINED)
@@ -84,18 +96,19 @@ def _run_nd(f: TensorSamples, rng_seed: int, mode: str, ks: Optional[tuple] = No
     f.require_convex_axes()
     rng = random.Random(rng_seed)
     steps: list[StepRecord] = []
+    regular = mode == "regular"
     flat, *den = _lift(f.values.flat)
-    state = _superposition(f.values.shape, flat)
+    state = _superposition(f.values.shape, flat, rows=not regular)
     _trace(steps, "superposition", state)
     pass_accepts: list[Fraction] = []
     duals = None
-    if mode == "regular":
+    if regular:
         # the pass structure; intermediate lines may be discretely nonconvex,
         # where the cascade's rule still defines the counts the passes gate on
         duals, counts, _, _ = _cascade(f, ks=ks, check_convex=False)
 
     for axis in range(f.d - 1, -1, -1):
-        if mode == "regular":
+        if regular:
             state, acceptance, den = _regular_pass(state, f, axis, den, duals[axis], counts[axis])
         else:
             state, acceptance, den = _adaptive_pass(state, f, axis, den)
@@ -141,25 +154,30 @@ def _regular_pass(
     gates accept (slots m >= counts[i] fail membership and are not built),
     and renormalize over the survivors, sorted by j. ``line_counts`` are
     the cascade's counts of this pass, keyed by each line's fixed
-    coordinates. Values arrive over den = [D, make] and leave over the
-    returned one."""
+    coordinates. A kept pair becomes (j with the axis coordinate set to
+    the dual index, f mapped with the optimizer x_i, s{axis}, the registers
+    the branch held, i{axis}, m{axis}). Values arrive over den = [D, make]
+    and leave over the returned one."""
     n_axis = f.grid.shape[axis]
     structure = {c: (k, list(accumulate(k, initial=0))) for c, k in line_counts.items()}
     w = max(map(max, line_counts.values()))
-    three_point = axis > 0  # neighbor rows are still needed downstream
-    schema = _pass_schema(state.entries[0][0].schema, axis, regular=True)
+    three_point = axis > 0  # the gate reads the neighbors' counts, not their values
+    held = state.entries[0][0].schema
+    names = ("j", "f", f"s{axis}", *held.names[2:], f"i{axis}", f"m{axis}")
+    schema = _schema(names, held.n_regs + 1)
     points = dual.points()
     D, make, scale, _, sx = _dual_products(points, f.grid.axes[axis], *den)
     kept = []
     for lab, _ in state.entries:
-        coords = lab.get("j")
+        coords, value, *rest = lab.values
         counts, firsts = structure[coords[:axis] + coords[axis + 1 :]]
         i = coords[axis]
         for m in range(counts[i]):
             if three_point and any(m >= counts[h] for h in (i - 1, i + 1) if 0 <= h < n_axis):
                 continue
             j = firsts[i] + m
-            kept.append(_advance(schema, lab, axis, j, points[j], sx[j][i], scale, (i, m)))
+            new = (*coords[:axis], j, *coords[axis + 1 :])
+            kept.append(BasisLabel(schema, (new, value * scale - sx[j][i], points[j], *rest, i, m)))
     kept.sort(key=lambda lab: lab.get("j"))
     acceptance = Fraction(len(kept), len(state) * w)
     return (QState.uniform(kept) if kept else QState(entries=())), acceptance, [D, make]
@@ -169,19 +187,26 @@ def _adaptive_pass(state: QState, f: TensorSamples, axis: int, den: list) -> tup
     """Each branch takes the centered dual point of its own axis rows: with
     gamma = p / dx and row values over D it is u * dx / (w * p * D), u the
     row difference across the branch and w 2 inside, 1 at a boundary, as
-    ``multi.lft_nd_adaptive`` computes it."""
+    ``multi.lft_nd_adaptive`` computes it. The axis' two rows give way to
+    s{axis}, the garbage gains i{axis}, and f and every row still carried
+    map with the branch's own optimizer onto the pass's denominator:
+    value -> value * scale - s * x_i."""
     D, make = den
     a0, p, dx = progression(f.grid.axes[axis].x0, f.grid.gamma)
     D2, make, scale = _rescale(D, make, 2 * p * D)
     # s * x_i = u * (a0 + i * p) / (w * p * D), over D2 per w
     per_w = (None, make(D2, p * D), make(D2, 2 * p * D))
-    schema = _pass_schema(state.entries[0][0].schema, axis, regular=False)
+    # registers run j, f, the rows of axes 0..axis in pairs, then the s of
+    # the axes already passed, and the garbage follows them
+    held = state.entries[0][0].schema
+    lo = 2 + 2 * axis
+    names = ("j", "f", *held.names[2:lo], f"s{axis}", *held.names[lo + 2 :], f"i{axis}")
+    schema = _schema(names, held.n_regs - 1)
 
     def step(lab: BasisLabel) -> BasisLabel:
         v = lab.values
         i = v[0][axis]
-        # f, then the rows of axes 0..axis in pairs
-        center, lo_v, hi_v = v[1], v[2 + 2 * axis], v[3 + 2 * axis]
+        center, lo_v, hi_v = v[1], v[lo], v[lo + 1]
         if is_undefined(lo_v):
             u, w = hi_v - center, 1
         elif is_undefined(hi_v):
@@ -189,40 +214,11 @@ def _adaptive_pass(state: QState, f: TensorSamples, axis: int, den: list) -> tup
         else:
             u, w = hi_v - lo_v, 2
         s = Fraction(u * dx, w * p * D)
-        return _advance(schema, lab, axis, i, s, u * (a0 + i * p) * per_w[w], scale, (i,))
+        shift = u * (a0 + i * p) * per_w[w]
+        rows = [r if is_undefined(r) else r * scale - shift for r in v[2:lo]]
+        return BasisLabel(schema, (v[0], center * scale - shift, *rows, s, *v[lo + 2 :], i))
 
     return state.map_labels(step), Fraction(1), [D2, make]
-
-
-def _pass_schema(schema: Schema, axis: int, regular: bool) -> Schema:
-    """The register layout after the pass along ``axis``: its two rows give
-    way to s{axis}, and the garbage gains i{axis} (and m{axis} when regular).
-
-    Registers run j, f, the rows of axes 0..axis in pairs, then the s of the
-    axes already passed, and the garbage follows them.
-    """
-    names, n = schema.names, schema.n_regs
-    added = (f"i{axis}", f"m{axis}") if regular else (f"i{axis}",)
-    out = ("j", "f", *names[2 : 2 + 2 * axis], f"s{axis}", *names[4 + 2 * axis :], *added)
-    return _schema(out, n - 1)
-
-
-def _advance(
-    schema: Schema, lab: BasisLabel, axis: int, j: int, s, shift, scale, added: tuple
-) -> BasisLabel:
-    """Relabel one branch after the pass along ``axis`` into ``schema``: the
-    axis coordinate of j becomes the dual index, s{axis} holds the dual
-    point, the axis' own rows are dropped, the garbage gains ``added``, and
-    f and every row still carried map with the center optimizer onto the
-    pass's denominator: value -> value * scale - shift, shift = s * x_i."""
-    values = lab.values
-    coords = list(values[0])
-    coords[axis] = j
-    rows = [v if is_undefined(v) else v * scale - shift for v in values[2 : 2 + 2 * axis]]
-    return BasisLabel(
-        schema,
-        (tuple(coords), values[1] * scale - shift, *rows, s, *values[4 + 2 * axis :], *added),
-    )
 
 
 def _verify(f, duals, final_state, rng_seed) -> VerificationReport:

@@ -89,9 +89,6 @@ class BasisLabel:
         n = self.schema.n_regs
         return tuple(zip(self.schema.names[n:], self.values[n:]))
 
-    def reg_names(self) -> tuple[str, ...]:
-        return self.schema.names[: self.schema.n_regs]
-
 
 def is_undefined(word: Word) -> bool:
     """``word == UNDEFINED``, without comparing a rational with a str."""

@@ -10,12 +10,12 @@ The fast path runs on Python ints: samples, gradients and dual points are
 held as lists of numerators and denominators (see ``rational.split``), so
 each integer is as wide as the element it holds. The sample and gradient
 containers split their values once, on construction (``FunctionSpec.ratios``,
-``GradientVector.ratios``). The kernel's slopes are not reduced to lowest
-terms: every consumer floor-divides, cross-multiplies or builds a
-``Fraction``, which normalizes anyway. One count function (``_rule_counts``)
-gives the rule's multiplicities without a sweep over the dual points, and
-each value s_j x_i - f_i is one integer fraction, made a ``Fraction`` only
-when the result is returned.
+``GradientVector.ratios``). The kernel's slopes and centered midpoints
+are not reduced to lowest terms: every consumer floor-divides,
+cross-multiplies or builds a ``Fraction``, which normalizes anyway. One
+count function (``_rule_counts``) gives the rule's multiplicities without
+a sweep over the dual points, and each value s_j x_i - f_i is one integer
+fraction, made a ``Fraction`` only when the result is returned.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, repeat
-from math import gcd, lcm
-from operator import floordiv, sub
-from typing import Callable, Iterable, Optional, Sequence
+from math import lcm
+from operator import sub
+from typing import Callable, Optional, Sequence
 
 from .errors import DegenerateGrid, InvalidK, NonConvexInput, OutOfRangeDual
 from .grids import DualGrid, FunctionSpec, GradientVector, RegularGrid
@@ -46,11 +46,6 @@ class ConjugateResult:
 
     def pairs(self):
         return tuple(zip(self.dual.points(), self.values))
-
-
-def _lowest(nums: list[int], dens: list[int]) -> Vec:
-    gs = list(map(gcd, nums, dens))
-    return list(map(floordiv, nums, gs)), list(map(floordiv, dens, gs))
 
 
 def _slopes(v: Vec, step: Number) -> Vec:
@@ -221,7 +216,7 @@ def _adaptive_points(c: Vec, variant: str) -> Vec:
     if variant == "centered":
         # the midpoint of a/d and b/e is (a*e + b*d) / (2*d*e)
         mn = [a * e + b * d for a, d, b, e in zip(cn, cd, cn[1:], cd[1:])]
-        mn, md = _lowest(mn, [2 * d * e for d, e in zip(cd, cd[1:])])
+        md = [2 * d * e for d, e in zip(cd, cd[1:])]
         return [cn[0], *mn, cn[-1]], [cd[0], *md, cd[-1]]
     if variant == "right":
         return cn + cn[-1:], cd + cd[-1:]

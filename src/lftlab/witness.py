@@ -26,7 +26,6 @@ class WitnessReport:
     nu: Fraction
     success_probability: Fraction
     w_floor: Optional[int] = None
-    kappa_bound: Optional[Fraction] = None
 
 
 def assignment_counts(g: GradientVector, dual: DualGrid) -> tuple[int, ...]:
@@ -34,12 +33,7 @@ def assignment_counts(g: GradientVector, dual: DualGrid) -> tuple[int, ...]:
     return tuple(_rule_counts(g.ratios, dual))
 
 
-def witness_params(
-    g: GradientVector,
-    dual: DualGrid,
-    lipschitz: Optional[Fraction] = None,
-    strong_convexity: Optional[Fraction] = None,
-) -> WitnessReport:
+def witness_params(g: GradientVector, dual: DualGrid) -> WitnessReport:
     """Sharing parameter, slope ratio, and exact success probability K/(N W)."""
     if dual.kind == "regular" and dual.gamma_s == 0:
         raise ZeroSpacing("witness parameters need a positive dual spacing")
@@ -56,12 +50,7 @@ def witness_params(
     span = g.grid.hi - g.grid.x0
     nu = (g.hi - g.lo) / span
     success = Fraction(dual.k, g.n * w)
-    kappa = None
-    if lipschitz is not None and strong_convexity is not None:
-        kappa = Fraction(lipschitz) / Fraction(strong_convexity)
-    return WitnessReport(
-        w=w, nu=nu, success_probability=success, w_floor=w_floor, kappa_bound=kappa
-    )
+    return WitnessReport(w=w, nu=nu, success_probability=success, w_floor=w_floor)
 
 
 def _slot(i: int, m: int, g: GradientVector, dual: DualGrid) -> tuple[int, int]:

@@ -25,6 +25,11 @@ def canonical_dual(f, k=None):
     return regular_dual_grid(nontrivial_dual_range(g), k or f.n)
 
 
+def reg_names(lab):
+    """The register names of a basis label, in order; garbage excluded."""
+    return tuple(name for name, _ in lab.regs)
+
+
 def first_attempt_successes(p, trials, seed):
     """Bernoulli acceptance counts over derived seeds (seed + trial index):
     trial t draws from its own ``Random(seed + t)``."""

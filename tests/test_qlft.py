@@ -33,7 +33,7 @@ from lftlab.transform import (
     optimizer_map,
 )
 
-from conftest import canonical_dual, first_attempt_successes
+from conftest import canonical_dual, first_attempt_successes, reg_names
 
 
 def ex1_first_four():
@@ -242,7 +242,7 @@ class TestFinalize:
         )
         final = finalize_conjugate(post, dual)
         for lab, _ in final.entries:
-            assert lab.reg_names() == ("j", "fstar")
+            assert reg_names(lab) == ("j", "fstar")
             assert tuple(k for k, _ in lab.garbage) == ("x_star", "m", "i")
 
     def test_constant_single_point(self):
@@ -328,7 +328,7 @@ class TestAdaptiveRuns:
         run = run_qlft_1d_adaptive(ex1)
         for lab, _ in run.final_state.entries:
             assert lab.garbage == ()
-            assert lab.reg_names() == ("i", "x", "s", "fstar")
+            assert reg_names(lab) == ("i", "x", "s", "fstar")
 
     def test_constant_function(self):
         f = fixtures.constant(F(1, 2), n=4)

@@ -26,7 +26,7 @@ from lftlab.qlft import (
 from lftlab.qlft_nd import MATCH, MISMATCH, run_qlft_nd_adaptive, run_qlft_nd_regular
 from lftlab.qstate import UNDEFINED, BasisLabel, QState, _schema, is_undefined, label
 
-from conftest import first_attempt_successes
+from conftest import first_attempt_successes, reg_names
 from test_multi import (
     WIDE_PRIMES,
     _outcome,
@@ -75,7 +75,7 @@ class TestRegisterLayout:
         duals = run.verification.dual_grids
         assert duals[0].points() != duals[1].points()
         for lab, _ in run.final_state.entries:
-            assert lab.reg_names() == ("j", "fstar", "s")
+            assert reg_names(lab) == ("j", "fstar", "s")
             assert tuple(k for k, _ in lab.garbage) == ("i1", "m1", "i0", "m0")
             j = lab.get("j")
             assert lab.get("s") == (duals[0].point(j[0]), duals[1].point(j[1]))
@@ -91,7 +91,7 @@ class TestRegisterLayout:
         s_of = [tuple(lab.get("s") for lab, _ in one.final_state.entries) for one in per_axis]
         assert s_of[0] != s_of[1]
         for lab, _ in run.final_state.entries:
-            assert lab.reg_names() == ("j", "fstar", "s")
+            assert reg_names(lab) == ("j", "fstar", "s")
             assert tuple(k for k, _ in lab.garbage) == ("i1", "i0")
             j = lab.get("j")
             assert lab.get("s") == (s_of[0][j[0]], s_of[1][j[1]])
@@ -314,6 +314,63 @@ class TestAdaptiveNd:
         assert all(fstar < b for _, fstar, b in below)
 
 
+class TestCarriedRegisters:
+    """A regular branch carries j, f and the s registers of the axes already
+    passed; an adaptive branch also carries the rows of the axes not yet
+    passed, and no others."""
+
+    @staticmethod
+    def _traced(run):
+        states = []
+
+        def record(steps, name, state, acceptance=None):
+            states.append((name, state))
+            _trace(steps, name, state, acceptance)
+
+        with mock.patch.object(qlft_nd, "_trace", record):
+            run()
+        return [(name, state) for name, state in states if state.entries]
+
+    @staticmethod
+    def _instances():
+        for seed in range(6):
+            rng = random.Random(seed)
+            yield fixtures.random_convex_quadratic_nd(rng, d=2 + seed % 2, n=4, coupling=2)
+
+    @staticmethod
+    def _rows(lab):
+        return tuple(n for n in lab.schema.names if n.startswith(("f_prev", "f_next")))
+
+    def test_regular_states_hold_no_rows(self):
+        for f in self._instances():
+            d = f.d
+            states = self._traced(lambda: run_qlft_nd_regular(f, ks=(4,) * d, rng_seed=1))
+            assert states[0][0] == "superposition"
+            for name, state in states:
+                for lab, _ in state.entries:
+                    assert self._rows(lab) == ()
+                    if name == "negate":
+                        assert reg_names(lab) == ("j", "fstar", "s")
+                    elif name == "superposition":
+                        assert reg_names(lab) == ("j", "f")
+                    else:
+                        axis = int(name.removeprefix("pass-axis"))
+                        assert reg_names(lab) == ("j", "f", *(f"s{a}" for a in range(axis, d)))
+
+    def test_adaptive_states_hold_the_rows_of_the_axes_left(self):
+        for f in self._instances():
+            d = f.d
+            states = self._traced(lambda: run_qlft_nd_adaptive(f))
+            assert [name for name, _ in states] == [
+                "superposition", *(f"pass-axis{a}" for a in reversed(range(d))), "negate"
+            ]
+            for step, (_, state) in enumerate(states):
+                left = max(d - step, 0)  # axes 0..left-1 are not yet passed
+                rows = tuple(f"f_{s}{a}" for a in range(left) for s in ("prev", "next"))
+                for lab, _ in state.entries:
+                    assert self._rows(lab) == rows
+
+
 class TestAcceptanceStatisticsNd:
     def test_per_pass_ratio_is_exact_count_ratio(self, rng):
         f = random_convex_tensor(rng, d=2, n=4, coupling=1)
@@ -332,20 +389,24 @@ class TestAcceptanceStatisticsNd:
 # The register arithmetic of the nested passes per branch on Fractions: every
 # value register maps v -> v - s * x_i with the branch's own s and x_i, an
 # adaptive branch takes centered_dual of its row gradients, and negate flips
-# the sign. The simulator computes the same words on ints over a shared
-# denominator; the reference keeps the plain form to compare against.
+# the sign. A regular branch carries j, f and the s registers only; an
+# adaptive one also the rows of the axes not yet passed. The simulator
+# computes the same words on ints over a shared denominator; the reference
+# keeps the plain form to compare against.
 
 
-def _ref_advance(schema, lab, axis, i, j, s, x_i, m=None):
+def _ref_advance(lab, axis, i, s, x_i):
+    """An adaptive branch after the pass along ``axis``: the axis' two rows
+    give way to s{axis}, the garbage gains i{axis}, and f and every row
+    still carried map with the branch's own optimizer."""
     shift = s * x_i
-    values = lab.values
-    coords = list(values[0])
-    coords[axis] = j
-    rows = [v if is_undefined(v) else v - shift for v in values[2 : 2 + 2 * axis]]
-    added = (i,) if m is None else (i, m)
-    return BasisLabel(
-        schema, (tuple(coords), values[1] - shift, *rows, s, *values[4 + 2 * axis :], *added)
+    names, values = lab.schema.names, lab.values
+    lo = 2 + 2 * axis
+    schema = _schema(
+        ("j", "f", *names[2:lo], f"s{axis}", *names[lo + 2 :], f"i{axis}"), lab.schema.n_regs - 1
     )
+    rows = [v if is_undefined(v) else v - shift for v in values[2:lo]]
+    return BasisLabel(schema, (values[0], values[1] - shift, *rows, s, *values[lo + 2 :], i))
 
 
 def _ref_cascade(f, duals):
@@ -378,7 +439,7 @@ def _ref_cascade(f, duals):
 def _ref_regular_pass(state, f, axis, dual, line_counts):
     n_axis = f.grid.shape[axis]
     w = max(map(max, line_counts.values()))
-    schema = qlft_nd._pass_schema(state.entries[0][0].schema, axis, regular=True)
+    names = reg_names(state.entries[0][0])
     kept = []
     for lab, _ in state.entries:
         coords = lab.get("j")
@@ -390,8 +451,15 @@ def _ref_regular_pass(state, f, axis, dual, line_counts):
             if axis > 0 and any(m >= counts[h] for h in neighbors):
                 continue
             j = firsts[i] + m
+            s = dual.point(j)
             kept.append(
-                _ref_advance(schema, lab, axis, i, j, dual.point(j), f.grid.axes[axis].point(i), m)
+                label(
+                    ("j", (*coords[:axis], j, *coords[axis + 1 :])),
+                    ("f", lab.get("f") - s * f.grid.axes[axis].point(i)),
+                    (f"s{axis}", s),
+                    *((name, lab.get(name)) for name in names[2:]),
+                    garbage=(*lab.garbage, (f"i{axis}", i), (f"m{axis}", m)),
+                )
             )
     kept.sort(key=lambda lab: lab.get("j"))
     acceptance = F(len(kept), len(state) * w)
@@ -400,7 +468,6 @@ def _ref_regular_pass(state, f, axis, dual, line_counts):
 
 def _ref_adaptive_pass(state, f, axis):
     gamma = f.grid.gamma
-    schema = qlft_nd._pass_schema(state.entries[0][0].schema, axis, regular=False)
 
     def step(lab):
         i = lab.get("j")[axis]
@@ -408,7 +475,7 @@ def _ref_adaptive_pass(state, f, axis):
         c_lo = UNDEFINED if is_undefined(lo_v) else (center - lo_v) / gamma
         c_hi = UNDEFINED if is_undefined(hi_v) else (hi_v - center) / gamma
         s = centered_dual(c_lo, c_hi)
-        return _ref_advance(schema, lab, axis, i, i, s, f.grid.axes[axis].point(i))
+        return _ref_advance(lab, axis, i, s, f.grid.axes[axis].point(i))
 
     return state.map_labels(step)
 
@@ -422,7 +489,7 @@ def _reference_run(f, mode, ks=None, rng_seed=0):
     labels = []
     for idx in f.values.indices():
         rows = []
-        for axis, i in enumerate(idx):
+        for axis, i in enumerate(idx if mode == "adaptive" else ()):
             for name, h in ((f"f_prev{axis}", i - 1), (f"f_next{axis}", i + 1)):
                 nb = (*idx[:axis], h, *idx[axis + 1 :])
                 rows.append((name, f.values.get(nb) if 0 <= h < shape[axis] else UNDEFINED))

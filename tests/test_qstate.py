@@ -6,6 +6,8 @@ import pytest
 from lftlab.errors import MalformedState
 from lftlab.qstate import UNDEFINED, Amplitude, QState, is_undefined, label
 
+from conftest import reg_names
+
 
 def amp(sq):
     return Amplitude(sign=1, sq=F(sq))
@@ -90,7 +92,7 @@ class TestRegisters:
 
     def test_schema_is_shared_and_survives_pickling(self):
         a, b = label(("j", 0), garbage=(("m", 0),)), label(("j", 1), garbage=(("m", 1),))
-        assert a.schema is b.schema and a.reg_names() == ("j",) and a.garbage == (("m", 0),)
+        assert a.schema is b.schema and reg_names(a) == ("j",) and a.garbage == (("m", 0),)
         with pytest.raises(MalformedState, match="'x'"):
             a.get("x")
         state = QState.uniform([a, b])

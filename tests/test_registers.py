@@ -35,7 +35,7 @@ from lftlab.qlft import (
 from lftlab.qstate import UNDEFINED, Amplitude, QState, label
 from lftlab.transform import discrete_gradients
 
-from conftest import canonical_dual
+from conftest import canonical_dual, reg_names
 
 
 def ref_prepare(f):
@@ -249,7 +249,7 @@ def reordered(state, order):
 def test_steps_read_registers_in_any_order(f, data):
     # each step finds its input registers by name once, not at fixed offsets
     def moved(state):
-        return reordered(state, data.draw(st.permutations(state.entries[0][0].reg_names())))
+        return reordered(state, data.draw(st.permutations(reg_names(state.entries[0][0]))))
 
     k, dual = data.draw(duals(f))
     dual = dual or canonical_dual(f, k)
@@ -262,7 +262,7 @@ def test_steps_read_registers_in_any_order(f, data):
     assert same(post, ref_post)
     assert same(finalize_conjugate(moved(post[0]), dual), ref_finalize(ref_post[0], dual))
     # the adaptive steps, fed a gradient state in reversed register order
-    names = grads.entries[0][0].reg_names()[::-1]
+    names = reg_names(grads.entries[0][0])[::-1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qlft, "attach_gradients", lambda state: reordered(attach_gradients(state), names))
         assert same(run_qlft_1d_adaptive(f), ref_run_adaptive(f))

@@ -45,12 +45,6 @@ def test_ex1_witness_by_direct_count(ex1):
     assert report.success_probability == F(4, 5)
 
 
-def test_kappa_bound_passthrough(ex1):
-    g = discrete_gradients(ex1)
-    report = witness_params(g, canonical_dual(ex1, 4), lipschitz=2, strong_convexity=2)
-    assert report.kappa_bound == 1
-
-
 def test_zero_spacing_rejected():
     f = fixtures.constant(0, n=4)
     g = discrete_gradients(f)
