@@ -3,10 +3,11 @@
 
 In regular mode the multidimensional pipeline gates copy slots on the
 neighbor-slot condition, which reads the neighbors' counts from the
-classical cascade; only adaptive branches carry neighbor rows, and they
-map them with the center branch's optimizer. Whether either reproduces
-the true conjugate off the separable case is an open empirical question
-here. This sweep runs many 2D instances, tabulates MATCH / MISMATCH /
+classical cascade. Branches of neither mode carry neighbor rows: an
+adaptive branch's s on each axis is the input's centered partial
+gradient at its index, which is what rows mapped with the branch's own
+optimizer would give. Whether either mode reproduces the true conjugate
+off the separable case is an open empirical question here. This sweep runs many 2D instances, tabulates MATCH / MISMATCH /
 aborted outcomes per coupling strength, and prints a reproducing seed for
 every discrepancy.
 """

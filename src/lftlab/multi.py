@@ -369,6 +369,20 @@ def _cascade(
     return tuple(grids), counts, optimizer, (shape, *scaled)
 
 
+def _centered(shape: tuple[int, ...], flat: Sequence, axis: int) -> tuple[list, list]:
+    """Each element's centered dual point along ``axis``, in row-major
+    order, as ratios (u, w) of ``transform._adaptive_points`` on its line's
+    differences: over a shared D and with gamma = p / dx, the point is
+    u * dx / (w * p * D), and w is 1 or 2 on ints. Every line must be
+    discretely convex (``NonConvexSlice``)."""
+    n, stride = shape[axis], math.prod(shape[axis + 1 :])
+    us, ws = [None] * len(flat), [None] * len(flat)
+    for _, a, _, diffs in _lines(shape, flat, axis, check_convex=True):
+        run = slice(a, a + n * stride, stride)
+        us[run], ws[run] = _adaptive_points(split(diffs), "centered")
+    return us, ws
+
+
 def lft_nd_adaptive(f: TensorSamples) -> TensorConjugate:
     """Nested per-slice centered adaptive passes; K = N and the optimizer of
     each dual multi-point is the identically indexed primal point."""
@@ -380,21 +394,13 @@ def lft_nd_adaptive(f: TensorSamples) -> TensorConjugate:
     for axis in range(f.d - 1, -1, -1):
         n, stride = shape[axis], math.prod(shape[axis + 1 :])
         a0, p, dx = progression(f.grid.axes[axis].x0, f.grid.gamma)
-        # with gamma = p / dx, a centered point is u * dx / (w * p * D), w
-        # 1 or 2 on ints, so s * x_i is an int over 2 * p * D
-        lines = _lines(shape, flat, axis, check_convex=True)
+        us, ws = _centered(shape, flat, axis)
+        s_parts[axis] = [Fraction(u * dx, w * p * D) for u, w in zip(us, ws)]
+        # s * x_i is an int over 2 * p * D
         flat, D2, make = _widen(flat, D, make, 2 * p * D)
-        out = [None] * len(flat)
-        s_parts[axis] = s_flat = [None] * len(flat)
-        for _, a, _, diffs in lines:
-            run = slice(a, a + n * stride, stride)
-            us, ws = _adaptive_points(split(diffs), "centered")
-            s_flat[run] = [Fraction(u * dx, w * p * D) for u, w in zip(us, ws)]
-            out[run] = [
-                v - u * (a0 + i * p) * make(D2, w * p * D)
-                for i, (v, u, w) in enumerate(zip(flat[run], us, ws))
-            ]
-        flat, D = out, D2
+        xs = [a0 + pos // stride % n * p for pos in range(len(flat))]
+        flat = [v - u * x * make(D2, w * p * D) for v, u, w, x in zip(flat, us, ws, xs)]
+        D = D2
     values = RatTensor(shape, _fractions([-v for v in flat], D))
     return TensorConjugate(
         values=values,

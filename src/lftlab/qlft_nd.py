@@ -14,15 +14,20 @@ intermediate tensors; it also gives the shared dual grids and each line's
 first dual indices. No step reads a neighbor value, so regular branches
 carry none.
 
-Adaptive mode: a branch also carries the rows f_prev{axis}/f_next{axis},
-its value at the neighbor offsets of every axis not yet passed, takes the
-centered dual point of its own axis rows, and maps ALL carried rows with
-its own center optimizer:
+Adaptive mode: the pass along an axis gives each branch s{axis}, the
+input's centered difference quotient along that axis at j (one-sided at a
+line end), and maps f with its optimizer x_i:
 
-    new_value[row] = old_value[row] - s * x_i
+    f -> f - s * x_i
 
-which is exact for the center row and an unverified shortcut for the
-neighbor rows (their own optimizer may differ).
+On the first pass s is the centered point of the line the pass
+transforms; on later passes it is a shortcut, since the partial
+transform's line may have another centered point. It is the shortcut of
+branches that carry neighbor rows and map each with their own optimizer,
+which leaves every row-center difference as in the input; so branches
+carry no rows. ``multi._centered`` gives every branch's point per axis
+from the input's lines, and gives ``multi.lft_nd_adaptive`` its points
+from the exact partial transforms.
 
 Off the separable case neither mode is known to be correct, so every run
 is VERIFIED against the brute maximum (``multi.lft_nd_brute``) at the dual
@@ -51,10 +56,10 @@ from typing import Optional, Sequence
 from .errors import InvalidK
 from .grids import DualGrid
 from .multi import TensorSamples, lft_nd_brute
-from .multi import _brute, _cascade, _dual_products, _lift, _rescale
+from .multi import _brute, _cascade, _centered, _dual_products, _lift, _rescale
 from .qlft import SimRun, StepRecord, _check_pow2, _trace, geometric_attempts
 from .rational import progression
-from .qstate import UNDEFINED, BasisLabel, QState, _schema, is_undefined
+from .qstate import BasisLabel, QState, _schema
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -70,48 +75,37 @@ class VerificationReport:
     dual_grids: tuple = ()  # per-axis grids the comparison ran on (regular mode)
 
 
-def _superposition(shape: tuple[int, ...], flat: list, rows: bool) -> QState:
-    """Uniform superposition over the grid indices j; each branch carries its
-    center value f and, with ``rows``, per axis the rows f_prev{axis} and
-    f_next{axis}."""
-    indices = product(*map(range, shape))
-    if not rows:
-        schema = _schema(("j", "f"), 2)
-        return QState.uniform(BasisLabel(schema, pair) for pair in zip(indices, flat))
-    names = ("j", "f", *(f"f_{s}{axis}" for axis in range(len(shape)) for s in ("prev", "next")))
-    schema = _schema(names, len(names))
-    # per axis: the last index and the flat stride
-    axes = [(n - 1, math.prod(shape[axis + 1 :])) for axis, n in enumerate(shape)]
-    labels = []
-    for pos, idx in enumerate(indices):
-        values = [idx, flat[pos]]
-        for i, (last, stride) in zip(idx, axes):
-            values.append(flat[pos - stride] if i > 0 else UNDEFINED)
-            values.append(flat[pos + stride] if i < last else UNDEFINED)
-        labels.append(BasisLabel(schema, tuple(values)))
-    return QState.uniform(labels)
+def _superposition(shape: tuple[int, ...], flat: list) -> QState:
+    """Uniform superposition over the grid indices j; each branch carries
+    its value f, in row-major order of j."""
+    schema = _schema(("j", "f"), 2)
+    return QState.uniform(BasisLabel(schema, pair) for pair in zip(product(*map(range, shape)), flat))
 
 
 def _run_nd(f: TensorSamples, rng_seed: int, mode: str, ks: Optional[tuple] = None) -> SimRun:
-    f.require_convex_axes()
     rng = random.Random(rng_seed)
     steps: list[StepRecord] = []
     regular = mode == "regular"
     flat, *den = _lift(f.values.flat)
-    state = _superposition(f.values.shape, flat, rows=not regular)
-    _trace(steps, "superposition", state)
-    pass_accepts: list[Fraction] = []
     duals = None
     if regular:
+        f.require_convex_axes()
         # the pass structure; intermediate lines may be discretely nonconvex,
         # where the cascade's rule still defines the counts the passes gate on
         duals, counts, _, _ = _cascade(f, ks=ks, check_convex=False)
+    else:
+        # every branch's centered point per axis, from the input's lines;
+        # walking them axis 0 first is the convexity check
+        centered = [(*_centered(f.values.shape, flat, axis), den[0]) for axis in range(f.d)]
+    state = _superposition(f.values.shape, flat)
+    _trace(steps, "superposition", state)
+    pass_accepts: list[Fraction] = []
 
     for axis in range(f.d - 1, -1, -1):
         if regular:
             state, acceptance, den = _regular_pass(state, f, axis, den, duals[axis], counts[axis])
         else:
-            state, acceptance, den = _adaptive_pass(state, f, axis, den)
+            state, acceptance, den = _adaptive_pass(state, f, axis, den, centered[axis])
         pass_accepts.append(acceptance)
         _trace(steps, f"pass-axis{axis}", state, acceptance)
         if not state.entries:
@@ -183,42 +177,28 @@ def _regular_pass(
     return (QState.uniform(kept) if kept else QState(entries=())), acceptance, [D, make]
 
 
-def _adaptive_pass(state: QState, f: TensorSamples, axis: int, den: list) -> tuple:
-    """Each branch takes the centered dual point of its own axis rows: with
-    gamma = p / dx and row values over D it is u * dx / (w * p * D), u the
-    row difference across the branch and w 2 inside, 1 at a boundary, as
-    ``multi.lft_nd_adaptive`` computes it. The axis' two rows give way to
-    s{axis}, the garbage gains i{axis}, and f and every row still carried
-    map with the branch's own optimizer onto the pass's denominator:
-    value -> value * scale - s * x_i."""
+def _adaptive_pass(state: QState, f: TensorSamples, axis: int, den: list, centered: tuple) -> tuple:
+    """Each branch takes its centered dual point along ``axis``: ``centered``
+    holds the (u, w) of every element of the input, over the input's
+    denominator D0, in the row-major order of j that the adaptive states
+    keep (``multi._centered``). With gamma = p / dx the point is
+    s = u * dx / (w * p * D0); f maps with the branch's optimizer onto the
+    pass's denominator, f -> f * scale - s * x_i, and the branch gains
+    s{axis} and the garbage i{axis}."""
+    us, ws, D0 = centered
     D, make = den
     a0, p, dx = progression(f.grid.axes[axis].x0, f.grid.gamma)
     D2, make, scale = _rescale(D, make, 2 * p * D)
-    # s * x_i = u * (a0 + i * p) / (w * p * D), over D2 per w
-    per_w = (None, make(D2, p * D), make(D2, 2 * p * D))
-    # registers run j, f, the rows of axes 0..axis in pairs, then the s of
-    # the axes already passed, and the garbage follows them
     held = state.entries[0][0].schema
-    lo = 2 + 2 * axis
-    names = ("j", "f", *held.names[2:lo], f"s{axis}", *held.names[lo + 2 :], f"i{axis}")
-    schema = _schema(names, held.n_regs - 1)
-
-    def step(lab: BasisLabel) -> BasisLabel:
-        v = lab.values
-        i = v[0][axis]
-        center, lo_v, hi_v = v[1], v[lo], v[lo + 1]
-        if is_undefined(lo_v):
-            u, w = hi_v - center, 1
-        elif is_undefined(hi_v):
-            u, w = center - lo_v, 1
-        else:
-            u, w = hi_v - lo_v, 2
-        s = Fraction(u * dx, w * p * D)
-        shift = u * (a0 + i * p) * per_w[w]
-        rows = [r if is_undefined(r) else r * scale - shift for r in v[2:lo]]
-        return BasisLabel(schema, (v[0], center * scale - shift, *rows, s, *v[lo + 2 :], i))
-
-    return state.map_labels(step), Fraction(1), [D2, make]
+    schema = _schema(("j", "f", f"s{axis}", *held.names[2:], f"i{axis}"), held.n_regs + 1)
+    entries = []
+    for (lab, amp), u, w in zip(state.entries, us, ws):
+        j, value, *rest = lab.values
+        i = j[axis]
+        # s * x_i = u * (a0 + i * p) / (w * p * D0), over D2
+        value = value * scale - u * (a0 + i * p) * make(D2, w * p * D0)
+        entries.append((BasisLabel(schema, (j, value, Fraction(u * dx, w * p * D0), *rest, i)), amp))
+    return QState(entries=tuple(entries)), Fraction(1), [D2, make]
 
 
 def _verify(f, duals, final_state, rng_seed) -> VerificationReport:

@@ -1,7 +1,11 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and the package
+reads each private name it defines.
 
-``__init__`` is skipped (its imports are the package's re-exports), and so
-are ``from __future__`` imports.
+The import check skips ``__init__`` (its imports are the package's
+re-exports) and ``from __future__`` imports. A top-level ``_private``
+function, class or assignment counts as read when some module of the
+package, its own included, loads it as a name or as an attribute; tests
+do not count.
 """
 
 import ast
@@ -37,3 +41,44 @@ def test_the_check_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os.path\nfrom typing import Iterable, Optional\n"
     tree = ast.parse(source + "x: Optional[int] = os.sep\n")
     assert _unused(tree) == ["Iterable (line 3)"]
+
+
+def _unread_privates(trees: dict[str, ast.Module]) -> list[str]:
+    """Each top-level single-underscore name a module defines and no module
+    reads, with its module and line."""
+    defined = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.setdefault(name, (module, node.lineno))
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{m}.{name} (line {line})" for name, (m, line) in defined.items() if name not in read]
+
+
+def test_no_unread_private_name():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    unread = _unread_privates(trees)
+    assert not unread, f"private names no module reads: {', '.join(unread)}"
+
+
+def test_the_check_finds_an_unread_private_name():
+    a = ast.parse(
+        "_seen = 1\n_rebound = 2\n_rebound = 3\n__dunder__ = 4\n"
+        "def _called(): return _seen\ndef _via_attr(): pass\nclass _Left: pass\n"
+    )
+    b = ast.parse("from . import a\nx = a._via_attr()\ny = a._called()\n")
+    assert _unread_privates({"a": a, "b": b}) == ["a._rebound (line 2)", "a._Left (line 7)"]

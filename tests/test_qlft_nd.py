@@ -314,10 +314,82 @@ class TestAdaptiveNd:
         assert all(fstar < b for _, fstar, b in below)
 
 
+def _centered_quotient(f, idx, axis):
+    """The input's centered difference quotient along ``axis`` at ``idx``:
+    the mean of the forward quotients on either side of it, or the one
+    side there is at a line end."""
+    i, gamma = idx[axis], f.grid.gamma
+    line = [f.values.get((*idx[:axis], h, *idx[axis + 1 :])) for h in range(f.grid.shape[axis])]
+    sides = [(b - a) / gamma for a, b in zip(line, line[1:])][max(i - 1, 0) : i + 1]
+    return sum(sides) / len(sides)
+
+
+class TestAdaptiveClosedForm:
+    """Each adaptive label's s_a is the input's centered difference quotient
+    along axis a at j, and fstar = <s, x_j> - f(j)."""
+
+    @staticmethod
+    def _cases():
+        for seed in range(12):
+            for separable in (False, True):
+                f, _ = _wide_tensor(seed, separable)
+                yield f
+            # the axis-0 line through the origin, as a one-axis tensor
+            n = f.grid.shape[0]
+            line = tuple(f.values.get((i, *(0,) * (f.d - 1))) for i in range(n))
+            yield TensorSamples(TensorGrid(f.grid.axes[:1]), RatTensor((n,), line))
+
+    def test_labels_hold_the_inputs_centered_quotients(self):
+        dims = set()
+        for f in self._cases():
+            dims.add(f.d)
+
+            def labels():
+                run = run_qlft_nd_adaptive(f)
+                return [(lab.get("j"), lab.get("s"), lab.get("fstar")) for lab in run.final_state.labels()]
+
+            got = on_both_sides_of_the_guard(labels, f.values)
+            assert [j for j, _, _ in got] == list(f.values.indices())
+            for j, s, fstar in got:
+                assert s == tuple(_centered_quotient(f, j, a) for a in range(f.d))
+                assert fstar == sum(a * x for a, x in zip(s, f.grid.point(j))) - f.values.get(j)
+        assert dims == {1, 2, 3}
+
+
+class TestAdaptiveConvexityWalk:
+    """An adaptive run walks every input line once, and that walk is the
+    convexity check: its first NonConvexSlice is the one
+    ``require_convex_axes`` raises."""
+
+    def test_each_input_line_is_walked_once(self):
+        f = _separable_4x4()
+        real, walked = multi._lines, []
+
+        def counted(shape, flat, axis, check_convex):
+            for line in real(shape, flat, axis, check_convex):
+                walked.append((axis, line[0], check_convex))
+                yield line
+
+        with mock.patch.object(multi, "_lines", counted):
+            run_qlft_nd_adaptive(f)
+        assert walked == [(axis, (c,), True) for axis in range(2) for c in range(4)]
+
+    def test_nonconvex_along_axis_1_names_the_first_line(self):
+        # 8 x^2 plus a bump along axis 1 in row 1: every axis-0 line is
+        # convex, the axis-1 line at (1,) is not
+        grid = TensorGrid(axes=(RegularGrid(F(0), F(1), 3), RegularGrid(F(0), F(1), 4)))
+        vals = (0, 0, 0, 0, 8, 11, 9, 10, 32, 32, 32, 32)
+        f = TensorSamples(grid=grid, values=RatTensor((3, 4), tuple(map(F, vals))))
+        message = "axis 1 line at (1,) is not discretely convex"
+        for run in (f.require_convex_axes, lambda: run_qlft_nd_adaptive(f)):
+            with pytest.raises(NonConvexSlice) as exc:
+                run()
+            assert str(exc.value) == message
+
+
 class TestCarriedRegisters:
-    """A regular branch carries j, f and the s registers of the axes already
-    passed; an adaptive branch also carries the rows of the axes not yet
-    passed, and no others."""
+    """A branch of either mode carries j, f and the s registers of the axes
+    already passed, and no neighbor rows."""
 
     @staticmethod
     def _traced(run):
@@ -341,34 +413,36 @@ class TestCarriedRegisters:
     def _rows(lab):
         return tuple(n for n in lab.schema.names if n.startswith(("f_prev", "f_next")))
 
+    def _check_layout(self, states, d):
+        assert states[0][0] == "superposition"
+        for name, state in states:
+            for lab, _ in state.entries:
+                assert self._rows(lab) == ()
+                if name == "negate":
+                    assert reg_names(lab) == ("j", "fstar", "s")
+                elif name == "superposition":
+                    assert reg_names(lab) == ("j", "f")
+                else:
+                    axis = int(name.removeprefix("pass-axis"))
+                    assert reg_names(lab) == ("j", "f", *(f"s{a}" for a in range(axis, d)))
+
     def test_regular_states_hold_no_rows(self):
         for f in self._instances():
             d = f.d
-            states = self._traced(lambda: run_qlft_nd_regular(f, ks=(4,) * d, rng_seed=1))
-            assert states[0][0] == "superposition"
-            for name, state in states:
-                for lab, _ in state.entries:
-                    assert self._rows(lab) == ()
-                    if name == "negate":
-                        assert reg_names(lab) == ("j", "fstar", "s")
-                    elif name == "superposition":
-                        assert reg_names(lab) == ("j", "f")
-                    else:
-                        axis = int(name.removeprefix("pass-axis"))
-                        assert reg_names(lab) == ("j", "f", *(f"s{a}" for a in range(axis, d)))
+            self._check_layout(self._traced(lambda: run_qlft_nd_regular(f, ks=(4,) * d, rng_seed=1)), d)
 
-    def test_adaptive_states_hold_the_rows_of_the_axes_left(self):
+    def test_adaptive_states_hold_no_rows(self):
         for f in self._instances():
             d = f.d
             states = self._traced(lambda: run_qlft_nd_adaptive(f))
             assert [name for name, _ in states] == [
                 "superposition", *(f"pass-axis{a}" for a in reversed(range(d))), "negate"
             ]
-            for step, (_, state) in enumerate(states):
-                left = max(d - step, 0)  # axes 0..left-1 are not yet passed
-                rows = tuple(f"f_{s}{a}" for a in range(left) for s in ("prev", "next"))
+            self._check_layout(states, d)
+            for step, (_, state) in enumerate(states[1:-1]):
+                garbage = tuple(f"i{a}" for a in reversed(range(d - 1 - step, d)))
                 for lab, _ in state.entries:
-                    assert self._rows(lab) == rows
+                    assert tuple(k for k, _ in lab.garbage) == garbage
 
 
 class TestAcceptanceStatisticsNd:
@@ -390,9 +464,11 @@ class TestAcceptanceStatisticsNd:
 # value register maps v -> v - s * x_i with the branch's own s and x_i, an
 # adaptive branch takes centered_dual of its row gradients, and negate flips
 # the sign. A regular branch carries j, f and the s registers only; an
-# adaptive one also the rows of the axes not yet passed. The simulator
-# computes the same words on ints over a shared denominator; the reference
-# keeps the plain form to compare against.
+# adaptive one here also the rows of the axes not yet passed, which the
+# simulator's branches do not carry: it reads each centered point off the
+# input's lines, so the two agree only if the rows' differences stay the
+# input's. The simulator computes the same words on ints over a shared
+# denominator; the reference keeps the plain form to compare against.
 
 
 def _ref_advance(lab, axis, i, s, x_i):
