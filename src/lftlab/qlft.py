@@ -15,7 +15,9 @@ point from its local gradient registers and finishes garbage-free.
 Each step, like each nD pass, builds its output schema once and reads its
 registers at positions looked up by name once. Register arithmetic runs on
 the words' integer ratios (``as_integer_ratio``, exact for float samples
-too) and makes one ``Fraction`` per word written.
+too) and makes one ``Fraction`` per distinct word written: an interior
+gradient c_i is one word, held by branch i as ``c_hi`` and by branch i + 1
+as ``c_lo``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
 )
 from .grids import DualGrid, FunctionSpec, GradientVector
 from .qstate import UNDEFINED, Amplitude, BasisLabel, QState, Schema, _schema, is_undefined
-from .rational import Vec, exact_sum, frac, progression, split
+from .rational import Vec, exact_sum, progression, split
 from .transform import _gradients, regular_dual_grid
 from .witness import assignment_counts
 
@@ -104,21 +106,34 @@ def _read(state: QState, *names: str) -> tuple[Schema, list[int]]:
 
 
 def attach_gradients(state: QState) -> QState:
-    """Append the two local gradients (c_{i-1}, c_i) to every branch."""
+    """Append the two local gradients (c_{i-1}, c_i) to every branch.
+
+    A branch whose (x_prev, f_prev, x, f) are the very words the branch
+    before it held as (x, f, x_next, f_next), as in a prepared state, takes
+    that branch's c_hi as its c_lo: the interior gradient is one word. Any
+    other branch computes its c_lo from its own words.
+    """
     schema, (_, px, pf, pxn, pfn, pxp, pfp) = _read(
         state, "i", "x", "f", "x_next", "f_next", "x_prev", "f_prev"
     )
     n = schema.n_regs
     out = _schema((*schema.names[:n], "c_lo", "c_hi"), n + 2)
-
-    def add(lab: BasisLabel) -> BasisLabel:
+    entries = []
+    # the previous branch's (x, f, x_next, f_next) and c_hi
+    x0 = f0 = x1 = f1 = c_prev = None
+    for lab, amp in state.entries:
         v = lab.values
-        x, fv, x_prev, x_next = v[px], v[pf], v[pxp], v[pxn]
-        c_lo = UNDEFINED if is_undefined(x_prev) else _slope(x_prev, v[pfp], x, fv)
-        c_hi = UNDEFINED if is_undefined(x_next) else _slope(x, fv, x_next, v[pfn])
-        return BasisLabel(out, (*v[:n], c_lo, c_hi))
-
-    return state.map_labels(add)
+        x, fv, x_prev, f_prev, x_next, f_next = v[px], v[pf], v[pxp], v[pfp], v[pxn], v[pfn]
+        if is_undefined(x_prev):
+            c_lo = UNDEFINED
+        elif x_prev is x0 and f_prev is f0 and x is x1 and fv is f1:
+            c_lo = c_prev
+        else:
+            c_lo = _slope(x_prev, f_prev, x, fv)
+        c_hi = UNDEFINED if is_undefined(x_next) else _slope(x, fv, x_next, f_next)
+        entries.append((BasisLabel(out, (*v[:n], c_lo, c_hi)), amp))
+        x0, f0, x1, f1, c_prev = x, fv, x_next, f_next, c_hi
+    return QState(entries=tuple(entries))
 
 
 def _slope(x0, y0, x1, y1) -> Fraction:
@@ -349,16 +364,17 @@ def digital_to_analog(state: QState, rng_seed: int = 0) -> AnalogEncoding:
     sqrt(1/omega).
     """
     _, (pj, pv) = _read(state, "j", "fstar")
-    values = [frac(lab.values[pv]) for lab, _ in state.entries]
-    k = len(values)
-    vmax = max(abs(v) for v in values)
-    if vmax == 0:
-        raise AllZeroValues("cannot amplitude-encode the zero vector")
-    nums, dens = split(values)
+    nums, dens = split(lab.values[pv] for lab, _ in state.entries)
     sq_nums, sq_dens = [p * p for p in nums], [q * q for q in dens]
+    mn, md = 0, 1  # max v^2, by cross products
+    for p2, q2 in zip(sq_nums, sq_dens):
+        if p2 * md > mn * q2:
+            mn, md = p2, q2
+    if mn == 0:
+        raise AllZeroValues("cannot amplitude-encode the zero vector")
     alpha = exact_sum(sq_nums, sq_dens)
-    omega = alpha / (k * vmax * vmax)
     an, ad = alpha.as_integer_ratio()
+    omega = Fraction(an * md, ad * len(nums) * mn)
     one = _schema(("j",), 1)
     entries = []
     for (lab, _), p, p2, q2 in zip(state.entries, nums, sq_nums, sq_dens):

@@ -33,7 +33,7 @@ from functools import cache
 from typing import Callable, Iterable, Union
 
 from .errors import MalformedState
-from .rational import exact_sum, split
+from .rational import exact_sum
 
 UNDEFINED = "undef"
 Word = Union[Fraction, int, str]
@@ -121,7 +121,8 @@ class QState:
         return cls(entries=tuple((lab, amp) for lab in labs))
 
     def norm_sq(self) -> Fraction:
-        return exact_sum(*split(a.sq for _, a in self.entries))
+        sqs = [a.sq for _, a in self.entries]
+        return exact_sum([q.numerator for q in sqs], [q.denominator for q in sqs])
 
     def __len__(self) -> int:
         return len(self.entries)

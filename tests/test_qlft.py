@@ -423,5 +423,5 @@ class TestDigitalToAnalog:
         state = run.final_state.map_labels(
             lambda lab: label(("j", lab.get("i")), ("fstar", lab.get("fstar")))
         )
-        with pytest.raises(AllZeroValues):
+        with pytest.raises(AllZeroValues, match="^cannot amplitude-encode the zero vector$"):
             digital_to_analog(state)

@@ -68,6 +68,10 @@ class TestNorm:
         state = QState(entries=tuple((label(("j", j)), amp(sq)) for j, sq in enumerate(odd)))
         assert state.norm_sq() == sum(odd, F(0))
         assert type(state.norm_sq()) is F
+        # high-bit, pairwise different denominators and a bare int word
+        high = [F(3**60, 7**30), F(1, 2**70), 2, F(5**40 - 1, 11**25), F(0), F(1, 3**45)]
+        state = QState(entries=tuple((label(("j", j)), Amplitude(1, sq)) for j, sq in enumerate(high)))
+        assert pickle.dumps(state.norm_sq(), 4) == pickle.dumps(sum(high, F(0)), 4)
 
     def test_empty_state_norm_is_zero(self):
         assert QState(entries=()).norm_sq() == 0

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lftlab import fixtures, qlft
 from lftlab.errors import DegenerateGrid
@@ -57,13 +57,22 @@ def ref_prepare(f):
 
 
 def ref_gradients(state):
+    """Gradients by the Fraction formulas. Branch i's c_lo, when equal to
+    branch i-1's c_hi, is that very word: an interior gradient is one word
+    held by two branches."""
+    c_hi = {}
+    for lab in state.labels():
+        x, x_next = lab.get("x"), lab.get("x_next")
+        slope = UNDEFINED if x_next == UNDEFINED else (lab.get("f_next") - lab.get("f")) / (x_next - x)
+        c_hi[lab.get("i")] = slope
+
     def add(lab):
-        x, fv = lab.get("x"), lab.get("f")
+        i, x, fv = lab.get("i"), lab.get("x"), lab.get("f")
         x_prev, f_prev = lab.get("x_prev"), lab.get("f_prev")
-        x_next, f_next = lab.get("x_next"), lab.get("f_next")
         c_lo = UNDEFINED if x_prev == UNDEFINED else (fv - f_prev) / (x - x_prev)
-        c_hi = UNDEFINED if x_next == UNDEFINED else (f_next - fv) / (x_next - x)
-        return label(*lab.regs, ("c_lo", c_lo), ("c_hi", c_hi))
+        if c_lo != UNDEFINED and c_lo == c_hi.get(i - 1):
+            c_lo = c_hi[i - 1]
+        return label(*lab.regs, ("c_lo", c_lo), ("c_hi", c_hi[i]))
 
     return state.map_labels(add)
 
@@ -298,3 +307,77 @@ def test_runs_equal_fraction_pipeline(name, f):
         assert same(run, ref_run_regular(f, k, seed))
         assert same(digital_to_analog(run.final_state, seed), ref_analog(run.final_state, seed))
     assert same(run_qlft_1d_adaptive(f), ref_run_adaptive(f))
+
+
+def fresh(word):
+    """An equal word that is a distinct object (UNDEFINED stays itself)."""
+    return word if word == UNDEFINED else F(word.numerator, word.denominator)
+
+
+@given(f=specs())
+@settings(max_examples=60, deadline=None)
+def test_gradients_computes_each_interior_gradient_once(f):
+    calls = []
+    slope = qlft._slope
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qlft, "_slope", lambda *words: calls.append(words) or slope(*words))
+        got = attach_gradients(prepare_superposition(f))
+    assert len(calls) == f.n - 1
+    labs = got.labels()
+    for lo, hi in zip(labs, labs[1:]):
+        assert hi.get("c_lo") is lo.get("c_hi")
+
+
+@given(f=specs(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_gradients_of_rebuilt_or_permuted_branches_follow_the_formulas(f, data):
+    # branches whose neighbor words are equal but distinct objects, or that
+    # come in another order, compute their own gradients
+    prepared = prepare_superposition(f)
+    names = reg_names(prepared.entries[0][0])
+    rebuilt = data.draw(st.sets(st.integers(0, f.n - 1)))
+    entries = [
+        (label(*((n, lab.get(n) if n == "i" else fresh(lab.get(n))) for n in names)), a)
+        if lab.get("i") in rebuilt
+        else (lab, a)
+        for lab, a in prepared.entries
+    ]
+    state = QState(tuple(data.draw(st.permutations(entries))))
+    got = attach_gradients(state)
+    assert [lab.get("i") for lab in got.labels()] == [lab.get("i") for lab in state.labels()]
+    by_i = {lab.get("i"): lab for lab in got.labels()}
+    for ref in ref_gradients(state).labels():
+        lab = by_i[ref.get("i")]
+        assert lab == ref
+        assert all(type(lab.get(c)) is type(ref.get(c)) for c in ("c_lo", "c_hi"))
+    assert by_i[0].get("c_lo") is UNDEFINED and by_i[f.n - 1].get("c_hi") is UNDEFINED
+
+
+def fstar_state(values):
+    return QState.uniform(label(("j", j), ("fstar", v)) for j, v in enumerate(values))
+
+
+HIGH = F(3**90 + 1, 7**40)
+ANALOG_CASES = {
+    "negative-max": [F(1), F(-5), F(3, 2), F(0), F(-9, 2)],
+    "tied-max": [F(4, 3), F(1, 7), F(-4, 3), F(0)],
+    "tied-max-negative-first": [F(-8, 6), F(4, 3), F(1, 2)],
+    "single-nonzero": [F(0), F(0), F(-7, 3), F(0)],
+    "single-branch": [F(5, 11)],
+    "high-bit": [HIGH, -HIGH / 3, F(2**200 - 1, 3**101), F(-(2**130), 5**50), F(1, 10**40)],
+}
+
+
+@pytest.mark.parametrize("values", ANALOG_CASES.values(), ids=ANALOG_CASES.keys())
+def test_analog_encoding_edge_cases(values):
+    state = fstar_state(values)
+    for seed in (0, 7):
+        assert same(digital_to_analog(state, rng_seed=seed), ref_analog(state, seed))
+
+
+@given(values=st.lists(rationals(10**30, 10**20), min_size=1, max_size=12), seed=st.integers(0, 99))
+@settings(max_examples=100, deadline=None)
+def test_analog_encoding_equals_fraction_formulas(values, seed):
+    assume(any(v != 0 for v in values))
+    state = fstar_state(values)
+    assert same(digital_to_analog(state, rng_seed=seed), ref_analog(state, seed))
