@@ -207,9 +207,7 @@ def cmd_qlft(args) -> int:
     run, verification = (_qlft_1d if one_d else _qlft_nd)(args, instance, seed)
     p = run.success_probability
     # trials are drawn in turn from one stream, so trial 0 is the run's own draw
-    if args.mode == "adaptive":  # no post-selection: every trial succeeds at once
-        total = first = trials
-    elif p > 0:
+    if p > 0:
         total, first = retry_totals(p, random.Random(seed), trials)
     else:  # a pass rejected every branch
         total = first = 0

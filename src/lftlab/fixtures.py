@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import DegenerateGrid
 from .grids import FunctionSpec, RegularGrid
-from .multi import RatTensor, TensorGrid, TensorSamples
+from .multi import TensorGrid, TensorSamples
 from .rational import frac
 
 F = Fraction
@@ -126,8 +126,9 @@ def constant(value=0, n: int = 4) -> FunctionSpec:
     return FunctionSpec(grid=grid, samples=tuple(frac(value) for _ in range(n)))
 
 
-def random_convex_spec(rng: random.Random, n: int, denom: int = 8) -> FunctionSpec:
-    """Random convex samples built from a nondecreasing gradient sequence."""
+def random_convex_spec(rng: random.Random, n: int) -> FunctionSpec:
+    """Random convex samples, in eighths, from nondecreasing gradients."""
+    denom = 8
     grid = unit_grid(n)
     g0 = F(rng.randint(-2 * denom, 2 * denom), denom)
     increments = [F(rng.randint(0, denom), denom) for _ in range(n - 2)]
@@ -189,15 +190,3 @@ def hypercube_grid(d: int) -> TensorGrid:
     return TensorGrid(
         axes=tuple(RegularGrid(x0=F(0), gamma=F(1), n=2) for _ in range(d))
     )
-
-
-def hypercube_samples(z: Sequence[int], scale=1) -> TensorSamples:
-    """f(x) = scale * max_i |x_i - z_i| sampled on the hypercube vertices."""
-    d = len(z)
-    grid = hypercube_grid(d)
-    scale = frac(scale)
-    values = RatTensor.build(
-        grid.shape,
-        lambda idx: scale * max(abs(idx[i] - z[i]) for i in range(d)),
-    )
-    return TensorSamples(grid=grid, values=values)

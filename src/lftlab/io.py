@@ -16,13 +16,13 @@ from fractions import Fraction
 from typing import Union
 
 from .fixtures import (
-    hypercube_samples,
     random_convex_quadratic_nd,
     random_quadratic_spec,
     sampled,
     separable_sum,
 )
 from .grids import FunctionSpec, RegularGrid
+from .hardness import HiddenStringInstance
 from .multi import RatTensor, TensorGrid, TensorSamples
 from .rational import format_rational, frac
 
@@ -112,7 +112,7 @@ def _build(name, params: dict) -> Instance:
         bits = tuple(int(ch) for ch in z)
         scale = params.get("scale", "1")
         scale_val = Fraction(2) ** len(bits) if scale == "2^d" else frac(scale)
-        return hypercube_samples(bits, scale=scale_val)
+        return HiddenStringInstance(bits, scale_val).sample_tensor()
     if name == "separable-sum":
         return separable_sum(
             base=params.get("base", "quadratic-ex1"),

@@ -12,9 +12,10 @@ first maximum, so ties go to the lexicographically smallest multi-index.
 Every route computes on exact ints over a shared denominator, Fractions on
 return: samples, grid points and dual components are scaled to Python ints
 over one common denominator D, which each nested pass widens by an lcm
-rescale once its dual grid is known. A gradient rule compares the integer
-differences line[i+1] - line[i] with s * gamma * D, which orders them as
-the gradients would, sorted or not. Where D would be wider than
+rescale once its dual grid is known. Likewise optimizers are flat primal
+offsets inside, multi-indices on return. A gradient rule compares the
+integer differences line[i+1] - line[i] with s * gamma * D, which orders
+them as the gradients would, sorted or not. Where D would be wider than
 ``MAX_SHARED_BITS`` the same loops run on Fraction scalars over D = 1.
 """
 
@@ -253,23 +254,20 @@ def axis_transform(
     guard; the gradient rule then still runs but its result is only
     meaningful for callers that verify the outcome independently.
     """
-    held = [()] * len(values.flat)
     shape, (flat, D, _), _, _ = _pass(
-        values.shape, _lift(values.flat), held, axis, x_axis, dual, check_convex
+        values.shape, _lift(values.flat), axis, x_axis, dual, check_convex
     )
     return RatTensor(shape, _fractions(flat, D))
 
 
-def _pass(shape, scaled: Scaled, held: list, axis, x_axis, dual, check_convex):
-    """``axis_transform`` on scalars over D, with the optimizers carried.
+def _pass(shape, scaled: Scaled, axis, x_axis, dual, check_convex):
+    """``axis_transform`` on scalars over D, with the elements taken.
 
-    ``held`` is each input element's optimizer suffix: its indices along
-    the axes already passed. Returns the new shape; the output over
-    lcm(D, ds * dx), with ds and dx the denominators of the dual points and
-    of the axis points, as (scalars, D, make); each line's counts, keyed by
-    its fixed coordinates: how many dual points each axis index optimizes;
-    and each output element's optimizer suffix: the axis index it took,
-    ahead of the suffix held at that index.
+    Returns the new shape; the output over lcm(D, ds * dx), with ds and dx
+    the denominators of the dual points and of the axis points, as
+    (scalars, D, make); each line's counts, keyed by its fixed coordinates:
+    how many dual points each axis index optimizes; and for each output
+    element the flat offset, in the input, of the element it took.
     """
     n, k = shape[axis], dual.k
     new_shape = (*shape[:axis], k, *shape[axis + 1 :])
@@ -279,17 +277,16 @@ def _pass(shape, scaled: Scaled, held: list, axis, x_axis, dual, check_convex):
     if D2 != D:
         flat, D = [v * scale for v in flat], D2
     out = [None] * math.prod(new_shape)
-    suffixes = [None] * len(out)
+    taken = [None] * len(out)
     counts = {}
     lines = zip(_lines(shape, flat, axis, check_convex), _line_starts(new_shape, axis))
     for (comp, a, line, diffs), b in lines:
         opt = [_rule_index(diffs, t) for t in thresholds]
         run = slice(b, b + k * stride, stride)
         out[run] = [line[i] - row[i] for row, i in zip(sx, opt)]
-        tails = held[a : a + n * stride : stride]
-        suffixes[run] = [(i, *tails[i]) for i in opt]
+        taken[run] = [a + i * stride for i in opt]
         counts[comp] = [opt.count(i) for i in range(n)]
-    return new_shape, (out, D, make), counts, suffixes
+    return new_shape, (out, D, make), counts, taken
 
 
 def _shrink(v):
@@ -328,14 +325,24 @@ def lft_nd_regular(f: TensorSamples, duals: Sequence[DualGrid]) -> TensorConjuga
 
     Exact for inputs whose axis lines (including those of the intermediate
     partial transforms) are discretely convex; equals the brute force
-    enumeration elementwise there. Each optimizer is the multi-index the
-    passes carried to its dual multi-index, one axis index per pass.
+    enumeration elementwise there. Each optimizer is the primal multi-index
+    whose offset the passes carried to its dual multi-index.
     """
     if len(duals) != f.d:
         raise ValueError("need one dual grid per axis")
-    _, _, optimizer, (shape, flat, D, _) = _cascade(f, duals=duals)
+    _, _, origin, (shape, flat, D, _) = _cascade(f, duals=duals)
     values = RatTensor(shape, _fractions([-v for v in flat], D))
-    return TensorConjugate(values=values, optimizer=tuple(optimizer), duals=tuple(duals))
+    optimizer = tuple(_index(f.values.shape, pos) for pos in origin)
+    return TensorConjugate(values=values, optimizer=optimizer, duals=tuple(duals))
+
+
+def _index(shape: tuple[int, ...], pos: int) -> tuple[int, ...]:
+    """The multi-index at flat offset ``pos``: ``RatTensor.offset`` inverted."""
+    idx = []
+    for n in reversed(shape):
+        pos, i = divmod(pos, n)
+        idx.append(i)
+    return tuple(idx[::-1])
 
 
 def _cascade(
@@ -343,19 +350,19 @@ def _cascade(
     ks: Optional[Sequence[int]] = None,
     duals: Optional[Sequence[DualGrid]] = None,
     check_convex: bool = True,
-) -> tuple[tuple[DualGrid, ...], list[dict], list[tuple], tuple]:
+) -> tuple[tuple[DualGrid, ...], list[dict], list[int], tuple]:
     """The classical nested passes, last axis first.
 
     Each pass runs over ``duals[axis]`` when grids are given, else over the
     canonical grid of ``ks[axis]`` points spanning ``axis_bracket`` of the
-    tensor that pass receives. Every element carries its optimizer suffix
-    through the passes (see ``_pass``), so after the pass over axis 0 it
-    is the whole optimizer multi-index. Returns the per-axis grids, the
-    per-axis line counts of ``_pass``, the optimizer multi-indices in
+    tensor that pass receives. Every element carries the flat primal offset
+    of the element it took (see ``_pass``), composed over the passes, so
+    after the pass over axis 0 it is the optimizer. Returns the per-axis
+    grids, the per-axis line counts of ``_pass``, the optimizer offsets in
     row-major order and the final g tensor as (shape, scalars, D, make).
     """
     shape, scaled = f.values.shape, _lift(f.values.flat)
-    optimizer = [()] * f.grid.total
+    origin = range(f.grid.total)
     grids: list[Optional[DualGrid]] = [None] * f.d
     counts: list[Optional[dict]] = [None] * f.d
     for axis in range(f.d - 1, -1, -1):
@@ -363,10 +370,11 @@ def _cascade(
             grids[axis] = duals[axis]
         else:
             grids[axis] = regular_dual_grid(_bracket(shape, scaled, axis, f.grid.gamma), ks[axis])
-        shape, scaled, counts[axis], optimizer = _pass(
-            shape, scaled, optimizer, axis, f.grid.axes[axis], grids[axis], check_convex
+        shape, scaled, counts[axis], taken = _pass(
+            shape, scaled, axis, f.grid.axes[axis], grids[axis], check_convex
         )
-    return tuple(grids), counts, optimizer, (shape, *scaled)
+        origin = [origin[p] for p in taken]
+    return tuple(grids), counts, origin, (shape, *scaled)
 
 
 def _centered(shape: tuple[int, ...], flat: Sequence, axis: int) -> tuple[list, list]:
@@ -443,19 +451,19 @@ def lft_nd_brute(
     # each axis's distinct components, in order of first appearance
     ids = [{} for _ in range(d)]
     keys = [tuple(ids[a].setdefault(c, len(ids[a])) for a, c in enumerate(s)) for s in pts]
-    values, optimizer = _brute(f, ids, keys)
+    values, rows = _brute(f, ids, keys)
     shape = (len(pts),)
     return TensorConjugate(
         values=RatTensor(shape, tuple(values)),
-        optimizer=tuple(optimizer),
+        optimizer=tuple(_index(f.values.shape, row) for row in rows),
         dual_points=tuple(pts),
     )
 
 
 def _brute(f: TensorSamples, comps: Sequence[Sequence], keys: Sequence[tuple]) -> tuple[list, list]:
     """``lft_nd_brute`` at the dual points keys[j] names: component
-    comps[a][keys[j][a]] on axis a. Returns the values and the optimizer
-    multi-indices in ``keys`` order; equal keys share one value."""
+    comps[a][keys[j][a]] on axis a. Returns the values and the optimizers
+    as flat primal offsets in ``keys`` order; equal keys share one value."""
     if f.grid.total > MAX_BRUTE_POINTS:
         raise BruteCapExceeded(f"brute force capped at {MAX_BRUTE_POINTS} primal points")
     d = f.d
@@ -480,7 +488,7 @@ def _brute(f: TensorSamples, comps: Sequence[Sequence], keys: Sequence[tuple]) -
     maxima = [None] * d + [[-v for v in flat]]
     firsts = [None] * d
     values = [None] * len(keys)
-    optimizer = [None] * len(keys)
+    rows = [None] * len(keys)
     prev, last = (-1,) * d, None
     for j in sorted(range(len(keys)), key=lambda j: keys[j][::-1]):
         key = keys[j]
@@ -490,16 +498,14 @@ def _brute(f: TensorSamples, comps: Sequence[Sequence], keys: Sequence[tuple]) -
         for a in reversed(range(top)):
             maxima[a], firsts[a] = _axis_max(maxima[a + 1], terms[a][key[a]])
         prev = key
-        row, idx = 0, []
+        row = 0
         for a in range(d):
-            i = firsts[a][row]
-            idx.append(i)
-            row = row * axis_pts[a][2] + i
+            row = row * axis_pts[a][2] + firsts[a][row]
         # a repeated point shares its value
         values[j] = values[last] if not top else Fraction(maxima[0][0], D)
-        optimizer[j] = tuple(idx)
+        rows[j] = row
         last = j
-    return values, optimizer
+    return values, rows
 
 
 def product_dual_points(duals: Sequence[DualGrid]) -> tuple[tuple[Fraction, ...], ...]:

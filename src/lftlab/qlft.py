@@ -212,6 +212,11 @@ def geometric_attempts(p: Fraction, rng: random.Random) -> int:
     return retry_totals(p, rng, 1)[0]
 
 
+def aa_repetitions(p: Fraction) -> int:
+    """Amplitude-amplification rounds at success probability p > 0."""
+    return math.ceil((math.pi / 4) * math.sqrt(1 / float(p)))
+
+
 def indicator_postselect(
     state: QState, dual: DualGrid, rng_seed: int = 0
 ) -> tuple[QState, PostSelection]:
@@ -295,14 +300,11 @@ def run_qlft_1d_regular(
     _trace(steps, "postselect", state, acceptance=post.success_probability)
     state = finalize_conjugate(state, dual)
     _trace(steps, "conjugate", state)
-    expected_aa = math.ceil(
-        (math.pi / 4) * math.sqrt(1 / float(post.success_probability))
-    )
     return SimRun(
         final_state=state,
         success_probability=post.success_probability,
         attempts=post.attempts,
-        expected_aa_repetitions=expected_aa,
+        expected_aa_repetitions=aa_repetitions(post.success_probability),
         rng_seed=rng_seed,
         step_trace=tuple(steps),
         pass_acceptances=(post.success_probability,),

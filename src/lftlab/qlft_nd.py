@@ -57,7 +57,7 @@ from .errors import InvalidK
 from .grids import DualGrid
 from .multi import TensorSamples, lft_nd_brute
 from .multi import _brute, _cascade, _centered, _dual_products, _lift, _rescale
-from .qlft import SimRun, StepRecord, _check_pow2, _trace, geometric_attempts
+from .qlft import SimRun, StepRecord, _check_pow2, _trace, aa_repetitions, geometric_attempts
 from .rational import progression
 from .qstate import BasisLabel, QState, _schema
 
@@ -119,7 +119,7 @@ def _run_nd(f: TensorSamples, rng_seed: int, mode: str, ks: Optional[tuple] = No
     if not state.entries:
         final_state, attempts, expected_aa = None, 0, 0
     else:
-        attempts = geometric_attempts(success, rng) if success < 1 else 1
+        attempts = geometric_attempts(success, rng)
         # registers j, f, s0..s{d-1}, then the garbage
         schema = state.entries[0][0].schema
         final = _schema(("j", "fstar", "s", *schema.names[2 + f.d :]), 3)
@@ -131,7 +131,7 @@ def _run_nd(f: TensorSamples, rng_seed: int, mode: str, ks: Optional[tuple] = No
 
         final_state = state.map_labels(negate)
         _trace(steps, "negate", final_state)
-        expected_aa = math.ceil((math.pi / 4) * math.sqrt(1 / float(success)))
+        expected_aa = aa_repetitions(success)
 
     verification = _verify(f, duals, final_state, rng_seed)
     return SimRun(

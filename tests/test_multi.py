@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from lftlab import fixtures, multi
 from lftlab.errors import NonConvexSlice
 from lftlab.grids import DualGrid, RegularGrid
+from lftlab.hardness import HiddenStringInstance
 from lftlab.multi import (
     RatTensor,
     TensorGrid,
@@ -203,7 +204,7 @@ class TestNdAdaptive:
 
 class TestNdBrute:
     def test_hypercube_identity(self):
-        f = fixtures.hypercube_samples((1, 0, 1))
+        f = HiddenStringInstance((1, 0, 1)).sample_tensor()
         e2 = (0, 1, 0)
         res = lft_nd_brute(f, [e2])
         assert res.values.flat == (F(0),)
@@ -328,16 +329,14 @@ class TestStridedLines:
 
         def run():
             out = axis_transform(t, axis, x_axis, dual, check_convex=False)
-            # each input element holds its own flat offset as its suffix
-            held = [(pos,) for pos in range(len(t.flat))]
-            _, _, counts, carried = multi._pass(
-                t.shape, multi._lift(t.flat), held, axis, x_axis, dual, False
+            _, _, counts, taken = multi._pass(
+                t.shape, multi._lift(t.flat), axis, x_axis, dual, False
             )
-            return out, counts, carried
+            return out, counts, taken
 
-        got, counts, carried = on_both_sides_of_the_guard(run, t)
+        got, counts, taken = on_both_sides_of_the_guard(run, t)
         new_shape = (*t.shape[:axis], dual.k, *t.shape[axis + 1 :])
-        ref, ref_counts, ref_carried = {}, {}, {}
+        ref, ref_counts, ref_taken = {}, {}, {}
         for comp in complements(t.shape, axis):
             line = [t.get(at(comp, axis, i)) for i in range(t.shape[axis])]
             with pytest.raises(IndexError):  # one past the line's end
@@ -349,12 +348,12 @@ class TestStridedLines:
                 i = _reference_rule(c, s)
                 # the pass carries g = -(s x_i - f_i)
                 ref[at(comp, axis, j)] = line[i] - s * x_axis.point(i)
-                # the index taken, ahead of the suffix held at that index
-                ref_carried[at(comp, axis, j)] = (i, t.offset(at(comp, axis, i)))
+                # the flat offset, in the input, of the element taken
+                ref_taken[at(comp, axis, j)] = t.offset(at(comp, axis, i))
                 ref_counts[comp][i] += 1
         assert got == RatTensor.build(new_shape, ref.__getitem__)
         assert counts == ref_counts
-        assert carried == [ref_carried[idx] for idx in sorted(ref_carried)]
+        assert taken == [ref_taken[idx] for idx in sorted(ref_taken)]
 
 
 def _reference_brute(f, dual_points):

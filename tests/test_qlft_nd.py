@@ -14,7 +14,7 @@ import pytest
 
 from lftlab import fixtures, multi, qlft_nd
 from lftlab.errors import NonConvexSlice, NotPowerOfTwo
-from lftlab.grids import FunctionSpec, RegularGrid
+from lftlab.grids import DualGrid, FunctionSpec, RegularGrid
 from lftlab.multi import RatTensor, TensorGrid, TensorSamples, canonical_nd_dual_grids
 from lftlab.qlft import (
     _trace,
@@ -487,16 +487,18 @@ def _ref_advance(lab, axis, i, s, x_i):
 
 def _ref_cascade(f, duals):
     """The classical nested passes per element on Fractions over ``duals``,
-    last axis first, each line under ``_reference_rule`` (sorted or not):
-    per pass, each line's counts keyed by its fixed coordinates and each
-    element's optimizer suffix, the index taken ahead of the suffix held at
-    that index, in row-major order."""
+    last axis first, each line under ``_reference_rule`` (sorted or not).
+    Returns, per pass, each line's counts keyed by its fixed coordinates and
+    each output element's flat offset, in the pass's input, of the element
+    it took; and each final element's optimizer, the primal multi-index its
+    taken elements lead back to. Elements are in row-major order."""
     t = dict(zip(f.values.indices(), f.values.flat))
-    held = dict.fromkeys(t, ())
+    origin = {idx: idx for idx in t}
     shape, passes = list(f.values.shape), []
     for axis in reversed(range(f.d)):
         n, dual, x_axis = shape[axis], duals[axis], f.grid.axes[axis]
-        out, carried, counts = {}, {}, {}
+        offset = {idx: pos for pos, idx in enumerate(sorted(t))}
+        out, taken, carried, counts = {}, {}, {}, {}
         for comp in complements(shape, axis):
             line = [t[at(comp, axis, i)] for i in range(n)]
             c = [(b - a) / f.grid.gamma for a, b in zip(line, line[1:])]
@@ -505,11 +507,12 @@ def _ref_cascade(f, duals):
                 s = dual.point(j)
                 i = _reference_rule(c, s)
                 out[at(comp, axis, j)] = line[i] - s * x_axis.point(i)
-                carried[at(comp, axis, j)] = (i, *held[at(comp, axis, i)])
+                taken[at(comp, axis, j)] = offset[at(comp, axis, i)]
+                carried[at(comp, axis, j)] = origin[at(comp, axis, i)]
                 counts[comp][i] += 1
-        t, held, shape[axis] = out, carried, dual.k
-        passes.append((counts, [held[idx] for idx in sorted(held)]))
-    return passes
+        t, origin, shape[axis] = out, carried, dual.k
+        passes.append((counts, [taken[idx] for idx in sorted(taken)]))
+    return passes, [origin[idx] for idx in sorted(origin)]
 
 
 def _ref_regular_pass(state, f, axis, dual, line_counts):
@@ -558,8 +561,8 @@ def _ref_adaptive_pass(state, f, axis):
 
 def _reference_run(f, mode, ks=None, rng_seed=0):
     """(final state, step records, pass acceptances, verification report,
-    the regular cascade's per-pass counts and optimizer suffixes) of the
-    nested passes computed per branch on Fractions."""
+    the regular cascade's per-pass counts and taken offsets) of the nested
+    passes computed per branch on Fractions."""
     f.require_convex_axes()
     shape, steps, accepts = f.values.shape, [], []
     labels = []
@@ -575,7 +578,7 @@ def _reference_run(f, mode, ks=None, rng_seed=0):
     duals, passes = None, []
     if mode == "regular":
         duals = multi._cascade(f, ks=ks, check_convex=False)[0]
-        passes = _ref_cascade(f, duals)
+        passes, _ = _ref_cascade(f, duals)
     for step, axis in enumerate(reversed(range(f.d))):
         if mode == "regular":
             counts = passes[step][0]
@@ -655,7 +658,7 @@ class TestRegistersAgainstFractionReference:
             rng_seed = seed if mode == "regular" else 0  # adaptive runs draw nothing
 
             def simulate():
-                # each cascade pass's counts and optimizer suffixes
+                # each cascade pass's counts and taken offsets
                 passes = []
 
                 def recorded(*args):
@@ -677,7 +680,7 @@ class TestRegistersAgainstFractionReference:
                 assert got == want
                 continue
             (run, pickles, passes), (final, steps, accepts, report, ref_passes) = got, want
-            # every line's counts and every (line, j) optimizer index
+            # every line's counts and, for every (line, j), the index taken
             assert passes == ref_passes
             assert run.final_state == final
             # pickles compare the words' types too: Fractions, never ints
@@ -689,6 +692,30 @@ class TestRegistersAgainstFractionReference:
             assert run.verification == report
             statuses.add(report.status)
         assert len(statuses) > 1
+
+
+class TestCascadeOptimizers:
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 4, 3)])
+    def test_regular_optimizers_equal_the_reference(self, shape):
+        """``lft_nd_regular`` returns the primal multi-indices that the
+        reference passes compose, ties included: the samples do not depend
+        on x_0, so every axis-0 line of the last pass is constant and its
+        dual point 0 ties every index."""
+        d = len(shape)
+        axes = tuple(RegularGrid(x0=F(-1 - a, 3), gamma=F(1, 2), n=n) for a, n in enumerate(shape))
+        f = TensorSamples.from_function(
+            TensorGrid(axes), lambda *xs: sum(8 * x * x for x in xs[1:]) + xs[1] * xs[-1]
+        )
+        # the grids of axes 1.. reach past both ends of every line's gradients
+        duals = (
+            DualGrid(s0=F(-2), gamma_s=F(1), k=5),
+            *(DualGrid(s0=F(-12), gamma_s=F(4), k=9) for _ in range(d - 1)),
+        )
+        _, want = _ref_cascade(f, duals)
+        assert multi.lft_nd_regular(f, duals).optimizer == tuple(want)
+        # the cascade carries each optimizer as one int, its flat offset
+        carried = multi._cascade(f, duals=duals, check_convex=False)[2]
+        assert all(type(pos) is int for pos in carried)
 
 
 SWEEP = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "nd_verification_sweep.py")
