@@ -12,11 +12,11 @@ first maximum, so ties go to the lexicographically smallest multi-index.
 Every route computes on exact ints over a shared denominator, Fractions on
 return: samples, grid points and dual components are scaled to Python ints
 over one common denominator D, which each nested pass widens by an lcm
-rescale once its dual grid is known. Likewise optimizers are flat primal
-offsets inside, multi-indices on return. A gradient rule compares the
-integer differences line[i+1] - line[i] with s * gamma * D, which orders
-them as the gradients would, sorted or not. Where D would be wider than
-``MAX_SHARED_BITS`` the same loops run on Fraction scalars over D = 1.
+rescale once its dual grid is known; every division of those ints is
+exact by construction. Likewise optimizers are flat primal offsets inside,
+multi-indices on return. A gradient rule compares the integer differences
+line[i+1] - line[i] with s * gamma * D, which orders them as the gradients
+would, sorted or not.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
-from operator import add, floordiv, gt, sub
+from operator import add, gt, sub
 from typing import Callable, Optional, Sequence
 
 from .errors import BruteCapExceeded, NonConvexSlice
@@ -34,10 +34,6 @@ from .rational import frac, progression, split
 from .transform import _adaptive_points, _rule_index, regular_dual_grid
 
 MAX_BRUTE_POINTS = 1 << 20
-# Widest shared denominator, in bits, that the loops run on as ints. Past
-# it, ints that wide cost more than Fractions of the per-element ratios:
-# lft_nd_adaptive crosses over first, near 4 kbit (see CHANGES.md).
-MAX_SHARED_BITS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -153,63 +149,39 @@ class TensorConjugate:
         return self.dual_points[self.values.offset(idx)]
 
 
-# Scalars over a shared denominator: (values, D, make) with value_i =
-# values[i] / D. make(num, den) builds the scalar num / den: exact floor
-# division of ints while D fits MAX_SHARED_BITS, else a Fraction with D = 1.
-# A scalar that met a Fraction (dual points past the guard) stays one.
-Scaled = tuple[list, int, Callable]
-
-
-def _guard(D: int, make: Callable = floordiv) -> tuple[int, Callable]:
-    """D with exact int division, or D = 1 with Fractions once D is too
-    wide or the scalars are Fractions already."""
-    if make is floordiv and D.bit_length() <= MAX_SHARED_BITS:
-        return D, floordiv
-    return 1, Fraction
+# Scalars over a shared denominator: (values, D) with value_i = values[i] / D,
+# every value a Python int.
+Scaled = tuple[list, int]
 
 
 def _lift(values: Sequence, den: int = 1) -> Scaled:
-    """The values over the lcm of ``den`` and their denominators, which is
-    not built past the guard."""
+    """The values as ints over the lcm of ``den`` and their denominators."""
     nums, dens = split(values)
-    D, distinct = den, set(dens)
-    for q in distinct:
-        D = math.lcm(D, q)
-        if D.bit_length() > MAX_SHARED_BITS:
-            break
-    D, make = _guard(D)
-    per = {q: make(D, q) for q in distinct}
-    return [a * per[q] for a, q in zip(nums, dens)], D, make
+    distinct = set(dens)
+    D = math.lcm(den, *distinct)
+    per = {q: D // q for q in distinct}
+    return [a * per[q] for a, q in zip(nums, dens)], D
 
 
-def _rescale(D: int, make: Callable, den: int) -> tuple[int, Callable, object]:
-    """lcm(D, den), or 1 past the guard, with its make and the factor that
-    carries a scalar over D to it."""
-    D2, make = _guard(math.lcm(D, den), make)
-    return D2, make, make(D2, D)
+def _rescale(D: int, den: int) -> tuple[int, int]:
+    """lcm(D, den) and the factor that carries a scalar over D to it."""
+    D2 = math.lcm(D, den)
+    return D2, D2 // D
 
 
-def _widen(flat: list, D: int, make: Callable, den: int) -> Scaled:
-    """The same scalars over lcm(D, den), or over 1 past the guard."""
-    D2, make, scale = _rescale(D, make, den)
-    if D2 != D:
-        flat = [v * scale for v in flat]
-    return flat, D2, make
-
-
-def _dual_products(points: Sequence, x_axis: RegularGrid, D: int, make: Callable):
+def _dual_products(points: Sequence, x_axis: RegularGrid, D: int):
     """One pass's s_j * gamma and s_j * x_i tables over lcm(D, ds * dx), with
     ds and dx the denominators of the dual points and of the axis points.
-    Returns that D, its make, the rescale factor from the old D and the two
-    tables, indexed [j] and [j][i]."""
-    duals, ds, _ = _lift(points)
+    Returns that D, the rescale factor from the old D and the two tables,
+    indexed [j] and [j][i]."""
+    duals, ds = _lift(points)
     a0, p, dx = progression(x_axis.x0, x_axis.gamma)
-    D, make, scale = _rescale(D, make, ds * dx)
+    D, scale = _rescale(D, ds * dx)
     # gamma = p / dx and x_i = (a0 + i * p) / dx
-    unit = make(D, ds * dx)
+    unit = D // (ds * dx)
     s_unit = [s * unit for s in duals]
     sx = [[s * (a0 + i * p) for i in range(x_axis.n)] for s in s_unit]
-    return D, make, scale, [s * p for s in s_unit], sx
+    return D, scale, [s * p for s in s_unit], sx
 
 
 def _fractions(flat: Sequence, D: int) -> tuple[Fraction, ...]:
@@ -254,7 +226,7 @@ def axis_transform(
     guard; the gradient rule then still runs but its result is only
     meaningful for callers that verify the outcome independently.
     """
-    shape, (flat, D, _), _, _ = _pass(
+    shape, (flat, D), _, _ = _pass(
         values.shape, _lift(values.flat), axis, x_axis, dual, check_convex
     )
     return RatTensor(shape, _fractions(flat, D))
@@ -265,15 +237,15 @@ def _pass(shape, scaled: Scaled, axis, x_axis, dual, check_convex):
 
     Returns the new shape; the output over lcm(D, ds * dx), with ds and dx
     the denominators of the dual points and of the axis points, as
-    (scalars, D, make); each line's counts, keyed by its fixed coordinates:
+    (scalars, D); each line's counts, keyed by its fixed coordinates:
     how many dual points each axis index optimizes; and for each output
     element the flat offset, in the input, of the element it took.
     """
     n, k = shape[axis], dual.k
     new_shape = (*shape[:axis], k, *shape[axis + 1 :])
     stride = math.prod(shape[axis + 1 :])
-    flat, D, make = scaled
-    D2, make, scale, thresholds, sx = _dual_products(dual.points(), x_axis, D, make)
+    flat, D = scaled
+    D2, scale, thresholds, sx = _dual_products(dual.points(), x_axis, D)
     if D2 != D:
         flat, D = [v * scale for v in flat], D2
     out = [None] * math.prod(new_shape)
@@ -286,7 +258,7 @@ def _pass(shape, scaled: Scaled, axis, x_axis, dual, check_convex):
         out[run] = [line[i] - row[i] for row, i in zip(sx, opt)]
         taken[run] = [a + i * stride for i in opt]
         counts[comp] = [opt.count(i) for i in range(n)]
-    return new_shape, (out, D, make), counts, taken
+    return new_shape, (out, D), counts, taken
 
 
 def _shrink(v):
@@ -303,7 +275,7 @@ def axis_bracket(values: RatTensor, axis: int, gamma: Fraction) -> tuple[Fractio
 
 
 def _bracket(shape, scaled: Scaled, axis, gamma) -> tuple[Fraction, Fraction]:
-    flat, D, _ = scaled
+    flat, D = scaled
     ends = [(d[0], d[-1]) for *_, d in _lines(shape, flat, axis, check_convex=False)]
     lo, hi = min(e[0] for e in ends), max(e[1] for e in ends)
     return Fraction(lo) / (gamma * D), Fraction(hi) / (gamma * D)
@@ -330,7 +302,7 @@ def lft_nd_regular(f: TensorSamples, duals: Sequence[DualGrid]) -> TensorConjuga
     """
     if len(duals) != f.d:
         raise ValueError("need one dual grid per axis")
-    _, _, origin, (shape, flat, D, _) = _cascade(f, duals=duals)
+    _, _, origin, (shape, flat, D) = _cascade(f, duals=duals)
     values = RatTensor(shape, _fractions([-v for v in flat], D))
     optimizer = tuple(_index(f.values.shape, pos) for pos in origin)
     return TensorConjugate(values=values, optimizer=optimizer, duals=tuple(duals))
@@ -359,7 +331,7 @@ def _cascade(
     of the element it took (see ``_pass``), composed over the passes, so
     after the pass over axis 0 it is the optimizer. Returns the per-axis
     grids, the per-axis line counts of ``_pass``, the optimizer offsets in
-    row-major order and the final g tensor as (shape, scalars, D, make).
+    row-major order and the final g tensor as (shape, scalars, D).
     """
     shape, scaled = f.values.shape, _lift(f.values.flat)
     origin = range(f.grid.total)
@@ -395,7 +367,7 @@ def lft_nd_adaptive(f: TensorSamples) -> TensorConjugate:
     """Nested per-slice centered adaptive passes; K = N and the optimizer of
     each dual multi-point is the identically indexed primal point."""
     shape = f.values.shape
-    flat, D, make = _lift(f.values.flat)
+    flat, D = _lift(f.values.flat)
     # K = N keeps every flat position fixed, so each axis's dual components
     # line up with the final multi-indices
     s_parts: list = [None] * f.d
@@ -404,10 +376,11 @@ def lft_nd_adaptive(f: TensorSamples) -> TensorConjugate:
         a0, p, dx = progression(f.grid.axes[axis].x0, f.grid.gamma)
         us, ws = _centered(shape, flat, axis)
         s_parts[axis] = [Fraction(u * dx, w * p * D) for u, w in zip(us, ws)]
-        # s * x_i is an int over 2 * p * D
-        flat, D2, make = _widen(flat, D, make, 2 * p * D)
+        # s * x_i is an int over 2 * p * D, with w 1 or 2
+        D2, scale = _rescale(D, 2 * p * D)
+        per = {w: D2 // (w * p * D) for w in (1, 2)}
         xs = [a0 + pos // stride % n * p for pos in range(len(flat))]
-        flat = [v - u * x * make(D2, w * p * D) for v, u, w, x in zip(flat, us, ws, xs)]
+        flat = [v * scale - u * x * per[w] for v, u, w, x in zip(flat, us, ws, xs)]
         D = D2
     values = RatTensor(shape, _fractions([-v for v in flat], D))
     return TensorConjugate(
@@ -472,9 +445,9 @@ def _brute(f: TensorSamples, comps: Sequence[Sequence], keys: Sequence[tuple]) -
     # divide: x_i = (a0 + i * p) / dx on every axis, each s_a over ds
     dx = math.lcm(*(q for g in f.grid.axes for q in (g.x0.denominator, g.gamma.denominator)))
     axis_pts = [(int(g.x0 * dx), int(g.gamma * dx), g.n) for g in f.grid.axes]
-    nums, ds, _ = _lift([c for axis_comps in comps for c in axis_comps])
-    flat, D, make = _lift(f.values.flat, ds * dx)
-    unit = make(D, ds * dx)
+    nums, ds = _lift([c for axis_comps in comps for c in axis_comps])
+    flat, D = _lift(f.values.flat, ds * dx)
+    unit = D // (ds * dx)
     nums = iter(nums)
     terms = [
         [[s * unit * (a0 + i * p) for i in range(n)] for s in islice(nums, len(comps[a]))]

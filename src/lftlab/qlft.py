@@ -72,15 +72,11 @@ class SimRun:
     verification: Optional["object"] = None
 
 
-def is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def _check_pow2(n: int, what: str, strict: bool) -> None:
     # The algorithmic statement sizes registers as qubits, which wants
     # powers of two; the register-level simulation has no such need, so the
     # check is opt-in (the worked 5-point examples are simulated as-is).
-    if strict and not is_power_of_two(n):
+    if strict and not (n >= 1 and (n & (n - 1)) == 0):
         raise NotPowerOfTwo(f"{what} = {n} is not a power of two")
 
 

@@ -38,10 +38,9 @@ never assumed: a MISMATCH is a finding, not a crash.
 Branches are the labels of one ``QState`` per step, with garbage i{axis}
 (and m{axis} in regular mode) per passed axis. Each step records its
 computed norm, 0 if nothing survives. The value registers hold ints over
-one shared denominator D per run, widened once per pass as in ``multi``
-(Fractions over D = 1 past ``multi.MAX_SHARED_BITS``); the s registers
-hold the dual points, and the negate step makes the Fractions
-fstar = -f / D.
+one shared denominator D per run, widened once per pass as in ``multi``;
+the s registers hold the dual points, and the negate step makes the
+Fractions fstar = -f / D.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ def _run_nd(f: TensorSamples, rng_seed: int, mode: str, ks: Optional[tuple] = No
     rng = random.Random(rng_seed)
     steps: list[StepRecord] = []
     regular = mode == "regular"
-    flat, *den = _lift(f.values.flat)
+    flat, D = _lift(f.values.flat)
     duals = None
     if regular:
         f.require_convex_axes()
@@ -96,16 +95,16 @@ def _run_nd(f: TensorSamples, rng_seed: int, mode: str, ks: Optional[tuple] = No
     else:
         # every branch's centered point per axis, from the input's lines;
         # walking them axis 0 first is the convexity check
-        centered = [(*_centered(f.values.shape, flat, axis), den[0]) for axis in range(f.d)]
+        centered = [(*_centered(f.values.shape, flat, axis), D) for axis in range(f.d)]
     state = _superposition(f.values.shape, flat)
     _trace(steps, "superposition", state)
     pass_accepts: list[Fraction] = []
 
     for axis in range(f.d - 1, -1, -1):
         if regular:
-            state, acceptance, den = _regular_pass(state, f, axis, den, duals[axis], counts[axis])
+            state, acceptance, D = _regular_pass(state, f, axis, D, duals[axis], counts[axis])
         else:
-            state, acceptance, den = _adaptive_pass(state, f, axis, den, centered[axis])
+            state, acceptance, D = _adaptive_pass(state, f, axis, D, centered[axis])
         pass_accepts.append(acceptance)
         _trace(steps, f"pass-axis{axis}", state, acceptance)
         if not state.entries:
@@ -123,7 +122,6 @@ def _run_nd(f: TensorSamples, rng_seed: int, mode: str, ks: Optional[tuple] = No
         # registers j, f, s0..s{d-1}, then the garbage
         schema = state.entries[0][0].schema
         final = _schema(("j", "fstar", "s", *schema.names[2 + f.d :]), 3)
-        D = den[0]
 
         def negate(lab: BasisLabel) -> BasisLabel:
             v = lab.values
@@ -142,16 +140,16 @@ def _run_nd(f: TensorSamples, rng_seed: int, mode: str, ks: Optional[tuple] = No
 
 
 def _regular_pass(
-    state: QState, f: TensorSamples, axis: int, den: list, dual: DualGrid, line_counts: dict
-) -> tuple[QState, Fraction, list]:
+    state: QState, f: TensorSamples, axis: int, D: int, dual: DualGrid, line_counts: dict
+) -> tuple[QState, Fraction, int]:
     """Expand w copy slots per branch, keep the (branch, slot m) pairs the
     gates accept (slots m >= counts[i] fail membership and are not built),
     and renormalize over the survivors, sorted by j. ``line_counts`` are
     the cascade's counts of this pass, keyed by each line's fixed
     coordinates. A kept pair becomes (j with the axis coordinate set to
     the dual index, f mapped with the optimizer x_i, s{axis}, the registers
-    the branch held, i{axis}, m{axis}). Values arrive over den = [D, make]
-    and leave over the returned one."""
+    the branch held, i{axis}, m{axis}). Values arrive as ints over D and
+    leave over the returned denominator."""
     n_axis = f.grid.shape[axis]
     structure = {c: (k, list(accumulate(k, initial=0))) for c, k in line_counts.items()}
     w = max(map(max, line_counts.values()))
@@ -160,7 +158,7 @@ def _regular_pass(
     names = ("j", "f", f"s{axis}", *held.names[2:], f"i{axis}", f"m{axis}")
     schema = _schema(names, held.n_regs + 1)
     points = dual.points()
-    D, make, scale, _, sx = _dual_products(points, f.grid.axes[axis], *den)
+    D, scale, _, sx = _dual_products(points, f.grid.axes[axis], D)
     kept = []
     for lab, _ in state.entries:
         coords, value, *rest = lab.values
@@ -174,10 +172,10 @@ def _regular_pass(
             kept.append(BasisLabel(schema, (new, value * scale - sx[j][i], points[j], *rest, i, m)))
     kept.sort(key=lambda lab: lab.get("j"))
     acceptance = Fraction(len(kept), len(state) * w)
-    return (QState.uniform(kept) if kept else QState(entries=())), acceptance, [D, make]
+    return (QState.uniform(kept) if kept else QState(entries=())), acceptance, D
 
 
-def _adaptive_pass(state: QState, f: TensorSamples, axis: int, den: list, centered: tuple) -> tuple:
+def _adaptive_pass(state: QState, f: TensorSamples, axis: int, D: int, centered: tuple) -> tuple:
     """Each branch takes its centered dual point along ``axis``: ``centered``
     holds the (u, w) of every element of the input, over the input's
     denominator D0, in the row-major order of j that the adaptive states
@@ -186,9 +184,9 @@ def _adaptive_pass(state: QState, f: TensorSamples, axis: int, den: list, center
     pass's denominator, f -> f * scale - s * x_i, and the branch gains
     s{axis} and the garbage i{axis}."""
     us, ws, D0 = centered
-    D, make = den
     a0, p, dx = progression(f.grid.axes[axis].x0, f.grid.gamma)
-    D2, make, scale = _rescale(D, make, 2 * p * D)
+    D2, scale = _rescale(D, 2 * p * D)
+    per = {w: D2 // (w * p * D0) for w in (1, 2)}
     held = state.entries[0][0].schema
     schema = _schema(("j", "f", f"s{axis}", *held.names[2:], f"i{axis}"), held.n_regs + 1)
     entries = []
@@ -196,9 +194,9 @@ def _adaptive_pass(state: QState, f: TensorSamples, axis: int, den: list, center
         j, value, *rest = lab.values
         i = j[axis]
         # s * x_i = u * (a0 + i * p) / (w * p * D0), over D2
-        value = value * scale - u * (a0 + i * p) * make(D2, w * p * D0)
+        value = value * scale - u * (a0 + i * p) * per[w]
         entries.append((BasisLabel(schema, (j, value, Fraction(u * dx, w * p * D0), *rest, i)), amp))
-    return QState(entries=tuple(entries)), Fraction(1), [D2, make]
+    return QState(entries=tuple(entries)), Fraction(1), D2
 
 
 def _verify(f, duals, final_state, rng_seed) -> VerificationReport:

@@ -109,7 +109,8 @@ class QState:
         labs = [lab for lab, _ in self.entries]
         if len({lab.schema for lab in labs}) > 1:
             raise MalformedState("labels of one state must share one register schema")
-        if len({lab.values[:1] for lab in labs}) < len(labs) and len(set(labs)) < len(labs):
+        firsts = {lab.values[0] for lab in labs if lab.values}
+        if len(firsts) < len(labs) and len(set(labs)) < len(labs):
             raise MalformedState("duplicate basis label")
 
     @classmethod

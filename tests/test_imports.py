@@ -1,8 +1,8 @@
-"""Every module of the package uses each name it imports, and the package
-reads each private name it defines.
+"""Every module of the package, every test file and every script uses each
+name it imports, and the package reads each private name it defines.
 
-The import check skips ``__init__`` (its imports are the package's
-re-exports) and ``from __future__`` imports. A top-level ``_private``
+The import check skips the package's ``__init__`` (its imports are the
+package's re-exports) and ``from __future__`` imports. A top-level ``_private``
 function, class or assignment counts as read when some module of the
 package, its own included, loads it as a name or as an attribute; tests
 do not count.
@@ -13,8 +13,11 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lftlab"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lftlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# package modules keep their bare file names as test ids
+CHECKED = MODULES + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py"))
 
 
 def _unused(tree: ast.Module) -> list[str]:
@@ -31,7 +34,9 @@ def _unused(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", CHECKED, ids=lambda p: p.name if p.parent == SRC else p.relative_to(ROOT).as_posix()
+)
 def test_no_unused_import(path):
     unused = _unused(ast.parse(path.read_text(), filename=str(path)))
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"

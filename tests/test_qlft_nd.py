@@ -34,7 +34,6 @@ from test_multi import (
     as_tensor_1d,
     at,
     complements,
-    on_both_sides_of_the_guard,
     random_convex_tensor,
 )
 
@@ -47,6 +46,22 @@ class TestSeparableRegular:
         assert run.success_probability == 1
         assert run.attempts == 1
         assert run.verification.status == MATCH
+
+    @pytest.mark.parametrize(
+        "n, k, status, missing, accepts",
+        [
+            (5, 5, MATCH, 0, (F(1), F(1))),
+            # K != N: the gates cull labels of a kappa = 1 input
+            (5, 4, MISMATCH, 8, (F(2, 5), F(4, 5))),
+            (8, 16, MISMATCH, 64, (F(1, 2), F(2, 3))),
+        ],
+    )
+    def test_kappa_one_matches_only_at_k_equal_n(self, n, k, status, missing, accepts):
+        f = fixtures.separable_sum("quadratic-ex1", d=2, n=n)
+        run = run_qlft_nd_regular(f, ks=(k, k), rng_seed=1)
+        assert run.verification.status == status
+        assert len(run.verification.missing) == missing
+        assert run.pass_acceptances == accepts
 
     def test_values_equal_oracle(self):
         f = fixtures.separable_sum("quadratic-ex1", d=2, n=4)
@@ -348,7 +363,7 @@ class TestAdaptiveClosedForm:
                 run = run_qlft_nd_adaptive(f)
                 return [(lab.get("j"), lab.get("s"), lab.get("fstar")) for lab in run.final_state.labels()]
 
-            got = on_both_sides_of_the_guard(labels, f.values)
+            got = _outcome(labels)
             assert [j for j, _, _ in got] == list(f.values.indices())
             for j, s, fstar in got:
                 assert s == tuple(_centered_quotient(f, j, a) for a in range(f.d))
@@ -607,7 +622,7 @@ def _reference_run(f, mode, ks=None, rng_seed=0):
 def _wide_tensor(seed, separable=False):
     """A convex coupled bowl on 2 or 3 axes with non-unit spacing, nonzero
     offsets and perturbations over prime denominators; odd seeds may draw
-    2**4423 - 1, which puts the shared denominator past the guard. A
+    2**4423 - 1, which puts the shared denominator past 4096 bits. A
     ``separable`` bowl has no coupling and one perturbation per axis index,
     so it is a sum of one-axis functions."""
     rng = random.Random(seed)
@@ -640,13 +655,13 @@ class TestRegistersAgainstFractionReference:
     SEEDS = range(10)
     SEPARABLE_SEEDS = (10, 11)  # adaptive runs verify as MATCH on these
 
-    def test_wide_tensors_cross_the_guard(self):
+    def test_wide_tensors_pass_4096_bits(self):
+        # the int core meets the Fraction references at a denominator this wide
         widths = [
             math.lcm(*(v.denominator for v in _wide_tensor(seed)[0].values.flat)).bit_length()
             for seed in self.SEEDS
         ]
-        assert any(b > multi.MAX_SHARED_BITS for b in widths)
-        assert any(b <= multi.MAX_SHARED_BITS for b in widths)
+        assert max(widths) > 4096
 
     @pytest.mark.parametrize("mode", ["regular", "adaptive"])
     def test_runs_equal_the_reference(self, mode):
@@ -674,7 +689,7 @@ class TestRegistersAgainstFractionReference:
                 labels = () if run.final_state is None else run.final_state.labels()
                 return run, [pickle.dumps(lab) for lab in labels], passes
 
-            got = on_both_sides_of_the_guard(simulate, f.values)
+            got = _outcome(simulate)
             want = _outcome(lambda: _reference_run(f, mode, ks, rng_seed))
             if want[0] is NonConvexSlice:
                 assert got == want
