@@ -15,8 +15,8 @@ over one common denominator D, which each nested pass widens by an lcm
 rescale once its dual grid is known; every division of those ints is
 exact by construction. Likewise optimizers are flat primal offsets inside,
 multi-indices on return. A gradient rule compares the integer differences
-line[i+1] - line[i] with s * gamma * D, which orders them as the gradients
-would, sorted or not.
+line[i+1] - line[i], or a nonconvex line's envelope slopes (Fractions over
+D), with s * gamma * D, which orders them as the gradients would.
 """
 
 from __future__ import annotations
@@ -212,34 +212,42 @@ def _lines(shape: tuple[int, ...], flat: Sequence, axis: int, check_convex: bool
         yield comp, a, line, diffs
 
 
-def axis_transform(
-    values: RatTensor,
-    axis: int,
-    x_axis: RegularGrid,
-    dual: DualGrid,
-    check_convex: bool = True,
-) -> RatTensor:
+def axis_transform(values: RatTensor, axis: int, x_axis: RegularGrid, dual: DualGrid) -> RatTensor:
     """One-axis transform of a tensor; dual points clamp to each line's range.
 
     The output holds g = -(max over the axis), the form carried between
-    nested passes. ``check_convex=False`` skips the per-line convexity
-    guard; the gradient rule then still runs but its result is only
-    meaningful for callers that verify the outcome independently.
+    nested passes; it is exact on every line, convex or not.
     """
-    shape, (flat, D), _, _ = _pass(
-        values.shape, _lift(values.flat), axis, x_axis, dual, check_convex
-    )
+    shape, (flat, D), _, _ = _pass(values.shape, _lift(values.flat), axis, x_axis, dual)
     return RatTensor(shape, _fractions(flat, D))
 
 
-def _pass(shape, scaled: Scaled, axis, x_axis, dual, check_convex):
+def _envelope(line: Sequence) -> list:
+    """Step slopes of the lower convex envelope of (i, line[i]), collinear
+    points kept: step i gets the slope of the hull edge over it."""
+
+    def slope(a, b):
+        return Fraction(line[b] - line[a], b - a)
+
+    hull = [0]
+    for i in range(1, len(line)):
+        while len(hull) > 1 and slope(*hull[-2:]) > slope(hull[-1], i):
+            hull.pop()
+        hull.append(i)
+    return [slope(a, b) for a, b in zip(hull, hull[1:]) for _ in range(a, b)]
+
+
+def _pass(shape, scaled: Scaled, axis, x_axis, dual):
     """``axis_transform`` on scalars over D, with the elements taken.
 
-    Returns the new shape; the output over lcm(D, ds * dx), with ds and dx
-    the denominators of the dual points and of the axis points, as
-    (scalars, D); each line's counts, keyed by its fixed coordinates:
-    how many dual points each axis index optimizes; and for each output
-    element the flat offset, in the input, of the element it took.
+    The rule runs on each line's differences or, where they decrease
+    somewhere, on its ``_envelope`` slopes: it then lands on envelope
+    vertices only, and those attain the line's maximum. Returns the new
+    shape; the output over lcm(D, ds * dx), with ds and dx the
+    denominators of the dual points and of the axis points, as (scalars,
+    D); each line's counts, keyed by its fixed coordinates: how many dual
+    points each axis index optimizes; and for each output element the flat
+    offset, in the input, of the element it took.
     """
     n, k = shape[axis], dual.k
     new_shape = (*shape[:axis], k, *shape[axis + 1 :])
@@ -251,8 +259,10 @@ def _pass(shape, scaled: Scaled, axis, x_axis, dual, check_convex):
     out = [None] * math.prod(new_shape)
     taken = [None] * len(out)
     counts = {}
-    lines = zip(_lines(shape, flat, axis, check_convex), _line_starts(new_shape, axis))
+    lines = zip(_lines(shape, flat, axis, check_convex=False), _line_starts(new_shape, axis))
     for (comp, a, line, diffs), b in lines:
+        if any(map(gt, diffs, diffs[1:])):
+            diffs = _envelope(line)
         opt = [_rule_index(diffs, t) for t in thresholds]
         run = slice(b, b + k * stride, stride)
         out[run] = [line[i] - row[i] for row, i in zip(sx, opt)]
@@ -285,7 +295,7 @@ def canonical_nd_dual_grids(f: TensorSamples, ks: Sequence[int]) -> tuple[DualGr
     """Per-axis regular dual grids spanning each pass's shared range.
 
     Pass order is the last axis first; each later bracket is computed from
-    the exactly transformed intermediate tensor.
+    the exactly transformed intermediate tensor, convex or not.
     """
     if len(ks) != f.d:
         raise ValueError("need one dual size per axis")
@@ -295,10 +305,9 @@ def canonical_nd_dual_grids(f: TensorSamples, ks: Sequence[int]) -> tuple[DualGr
 def lft_nd_regular(f: TensorSamples, duals: Sequence[DualGrid]) -> TensorConjugate:
     """Nested one-axis transforms over given per-axis dual grids.
 
-    Exact for inputs whose axis lines (including those of the intermediate
-    partial transforms) are discretely convex; equals the brute force
-    enumeration elementwise there. Each optimizer is the primal multi-index
-    whose offset the passes carried to its dual multi-index.
+    Exact on every input, convex or not: its values equal the brute force
+    enumeration elementwise. Each optimizer is the primal multi-index whose
+    offset the passes carried to its dual multi-index, and attains its value.
     """
     if len(duals) != f.d:
         raise ValueError("need one dual grid per axis")
@@ -321,9 +330,8 @@ def _cascade(
     f: TensorSamples,
     ks: Optional[Sequence[int]] = None,
     duals: Optional[Sequence[DualGrid]] = None,
-    check_convex: bool = True,
 ) -> tuple[tuple[DualGrid, ...], list[dict], list[int], tuple]:
-    """The classical nested passes, last axis first.
+    """The classical nested passes, last axis first, exact on every input.
 
     Each pass runs over ``duals[axis]`` when grids are given, else over the
     canonical grid of ``ks[axis]`` points spanning ``axis_bracket`` of the
@@ -342,9 +350,7 @@ def _cascade(
             grids[axis] = duals[axis]
         else:
             grids[axis] = regular_dual_grid(_bracket(shape, scaled, axis, f.grid.gamma), ks[axis])
-        shape, scaled, counts[axis], taken = _pass(
-            shape, scaled, axis, f.grid.axes[axis], grids[axis], check_convex
-        )
+        shape, scaled, counts[axis], taken = _pass(shape, scaled, axis, f.grid.axes[axis], grids[axis])
         origin = [origin[p] for p in taken]
     return tuple(grids), counts, origin, (shape, *scaled)
 

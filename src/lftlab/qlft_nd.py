@@ -89,9 +89,7 @@ def _run_nd(f: TensorSamples, rng_seed: int, mode: str, ks: Optional[tuple] = No
     duals = None
     if regular:
         f.require_convex_axes()
-        # the pass structure; intermediate lines may be discretely nonconvex,
-        # where the cascade's rule still defines the counts the passes gate on
-        duals, counts, _, _ = _cascade(f, ks=ks, check_convex=False)
+        duals, counts, _, _ = _cascade(f, ks=ks)
     else:
         # every branch's centered point per axis, from the input's lines;
         # walking them axis 0 first is the convexity check

@@ -152,8 +152,8 @@ def _checked_counts(c: Vec, dual: DualGrid, clamp: bool) -> list[int]:
 def _rule_index(c: Sequence, s) -> int:
     """The clamped half-open gradient rule for one dual point: 0 when
     s <= c_0, n-1 when s >= c_{n-2}, else the bisection for the first
-    c_i >= s over c_0..c_{n-3}. The nested nD passes also run it on
-    intermediate lines whose gradients are not sorted."""
+    c_i >= s over c_0..c_{n-3}. The nested nD passes run it on sorted
+    slopes only: a nonconvex line's are its lower envelope's."""
     return 0 if s <= c[0] else len(c) if s >= c[-1] else bisect_left(c, s, 0, len(c) - 1)
 
 

@@ -74,18 +74,16 @@ def sweep_1d_instances(count=170, seed=2718):
 
 
 def sweep_nd_instances(seed=577):
-    from test_multi import random_convex_tensor
-
     rng = random.Random(seed)
     out = []
     for _ in range(20):
         n = rng.choice([4, 8, 16])
-        f = random_convex_tensor(rng, d=2, n=n, coupling=rng.choice([1, 2]))
+        f = fixtures.random_convex_quadratic_nd(rng, d=2, n=n, coupling=rng.choice([1, 2]))
         ks = tuple(rng.choice([4, 8, 16]) for _ in range(2))
         out.append((f, ks))
     for _ in range(10):
         n = rng.choice([4, 8])
-        f = random_convex_tensor(rng, d=3, n=n, coupling=1)
+        f = fixtures.random_convex_quadratic_nd(rng, d=3, n=n, coupling=1)
         ks = (4, 4, 4)
         out.append((f, ks))
     return out
@@ -181,8 +179,6 @@ def test_criterion_5_quantum_classical_agreement_1d():
 
 def test_criterion_6_nd_verification_reports():
     started = time.time()
-    from test_multi import random_convex_tensor
-
     produced = 0
     separable_checked = 0
     mismatch_log = []

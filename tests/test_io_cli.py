@@ -7,6 +7,7 @@ import pytest
 
 from lftlab import fixtures, multi
 from lftlab.cli import main
+from lftlab.errors import NonConvexSlice
 from lftlab.io import (
     ParseError,
     dump_document,
@@ -117,6 +118,19 @@ class TestCli:
         )
         assert main(["lft", str(inst), "--dual", "regular:3"]) == 2
         assert "nonconvex" in capsys.readouterr().err
+
+    def test_lft_nd_regular_exact_past_a_nonconvex_intermediate_line(self, tmp_path):
+        params = {"seed": 15, "n": 4, "d": 2, "coupling": 3}
+        doc = {"kind": "builtin", "name": "random-convex-quadratic", "params": params}
+        f = parse_instance(doc)
+        # the axis-1 pass leaves the axis-0 line at (1,) discretely nonconvex
+        g = multi.axis_transform(f.values, 1, f.grid.axes[1], multi.canonical_nd_dual_grids(f, (4, 4))[1])
+        with pytest.raises(NonConvexSlice, match=r"axis 0 line at \(1,\)"):
+            list(multi._lines(g.shape, multi._lift(g.flat)[0], 0, check_convex=True))
+        inst, out = tmp_path / "quad15.json", tmp_path / "res.json"
+        inst.write_text(json.dumps(doc))
+        assert main(["--out", str(out), "lft", str(inst), "--dual", "regular:4", "--brute"]) == 0
+        assert json.loads(out.read_text())["brute_check"] == "MATCH"
 
     def test_parse_error_exit_1(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

@@ -33,17 +33,22 @@ def as_tensor_1d(f):
     )
 
 
-def random_convex_tensor(rng, d, n, coupling=1, max_tries=20):
-    """Positive-definite quadratic whose nested partial transforms stay
-    discretely convex (retry until the cascade validates)."""
-    for _ in range(max_tries):
-        f = fixtures.random_convex_quadratic_nd(rng, d=d, n=n, coupling=coupling)
-        try:
-            canonical_nd_dual_grids(f, tuple(n for _ in range(d)))
-            return f
-        except NonConvexSlice:
-            continue
-    raise AssertionError("could not draw a nested-convex instance")
+def generator_case(seed):
+    """A seeded convex quadratic on 2 or 3 axes and its dual size per axis."""
+    r = random.Random(seed)
+    d = r.choice([2, 3])
+    n = r.randint(3, 8 if d == 2 else 5)
+    k = r.choice([2, 3, n, 2 * n])
+    c = r.randint(1, 3)
+    return fixtures.random_convex_quadratic_nd(r, d, n, c), (k,) * d
+
+
+def assert_attained(f, res):
+    """Every optimizer of a regular result attains its value."""
+    for pos, jidx in enumerate(res.values.indices()):
+        s, opt = res.dual_point(jidx), res.optimizer[pos]
+        achieved = sum(a * b for a, b in zip(s, f.grid.point(opt))) - f.values.get(opt)
+        assert achieved == res.values.get(jidx)
 
 
 class TestPartialTransform:
@@ -67,7 +72,7 @@ class TestPartialTransform:
         assert tuple(values.flat) == tuple(-v for v in ref.values)
 
     def test_slicewise_against_brute(self, rng):
-        f = random_convex_tensor(rng, d=2, n=5)
+        f = fixtures.random_convex_quadratic_nd(rng, d=2, n=5)
         dual = regular_dual_grid((F(-1), F(1)), 4)
         values = axis_transform(f.values, 1, f.grid.axes[1], dual)
         for i0 in range(5):
@@ -79,12 +84,17 @@ class TestPartialTransform:
             got = [values.get((i0, j)) for j in range(4)]
             assert got == [-v for v in brute.values]
 
-    def test_nonconvex_slice_rejected(self):
+    def test_nonconvex_slice_equals_brute(self):
+        # the line at (0,) is not convex; the pass takes its exact maximum
         grid = TensorGrid(axes=(fixtures.unit_grid(3), fixtures.unit_grid(3)))
         values = RatTensor((3, 3), tuple(map(F, (0, 1, 0, 0, 0, 0, 0, 0, 0))))
         t = TensorSamples(grid=grid, values=values)
-        with pytest.raises(NonConvexSlice):
-            axis_transform(t.values, 1, t.grid.axes[1], DualGrid.from_points([F(0)]))
+        dual = DualGrid.from_points([F(-3), F(0), F(1, 2), F(3)])
+        got = axis_transform(t.values, 1, t.grid.axes[1], dual)
+        for i0 in range(3):
+            line = tuple(t.values.get((i0, i1)) for i1 in range(3))
+            brute = lft_brute(fixtures.FunctionSpec(grid=t.grid.axes[1], samples=line), dual)
+            assert [got.get((i0, j)) for j in range(dual.k)] == [-v for v in brute.values]
 
 
 class TestNdRegular:
@@ -113,7 +123,7 @@ class TestNdRegular:
         for _ in range(12):
             d = rng.choice([2, 2, 3])
             n = rng.choice([4, 6, 8]) if d == 2 else 4
-            f = random_convex_tensor(rng, d=d, n=n, coupling=rng.choice([1, 2]))
+            f = fixtures.random_convex_quadratic_nd(rng, d=d, n=n, coupling=rng.choice([1, 2]))
             ks = tuple(rng.choice([3, 4, 5]) for _ in range(d))
             duals = canonical_nd_dual_grids(f, ks)
             res = lft_nd_regular(f, duals)
@@ -122,7 +132,7 @@ class TestNdRegular:
 
     def test_axis_order_independence(self, rng):
         # both nesting orders must equal the brute values
-        f = random_convex_tensor(rng, d=2, n=4)
+        f = fixtures.random_convex_quadratic_nd(rng, d=2, n=4)
         duals = canonical_nd_dual_grids(f, (4, 4))
         res = lft_nd_regular(f, duals)
         brute = lft_nd_brute(f, product_dual_points(duals))
@@ -139,17 +149,13 @@ class TestNdRegular:
                 ),
             ),
         )
-        try:
-            dualsT = (duals[1], duals[0])
-            resT = lft_nd_regular(fT, dualsT)
-        except NonConvexSlice:
-            pytest.skip("transposed cascade left the convex regime")
+        resT = lft_nd_regular(fT, (duals[1], duals[0]))
         for j0 in range(4):
             for j1 in range(4):
                 assert resT.values.get((j1, j0)) == res.values.get((j0, j1))
 
     def test_fenchel_young_all_pairs(self, rng):
-        f = random_convex_tensor(rng, d=2, n=4)
+        f = fixtures.random_convex_quadratic_nd(rng, d=2, n=4)
         duals = canonical_nd_dual_grids(f, (4, 4))
         res = lft_nd_regular(f, duals)
         for jidx in res.values.indices():
@@ -160,15 +166,19 @@ class TestNdRegular:
                 assert f.values.get(pidx) + v >= sum(a * b for a, b in zip(s, x))
 
     def test_optimizer_multi_indices_achieve_value(self, rng):
-        f = random_convex_tensor(rng, d=2, n=4)
+        f = fixtures.random_convex_quadratic_nd(rng, d=2, n=4)
         duals = canonical_nd_dual_grids(f, (3, 5))
+        assert_attained(f, lft_nd_regular(f, duals))
+
+    # generator seeds whose axis-1 (or axis-2) pass leaves a discretely
+    # nonconvex intermediate line
+    @pytest.mark.parametrize("seed", [5, 56, 138, 139, 178, 186])
+    def test_nonconvex_intermediate_lines_match_the_brute(self, seed):
+        f, ks = generator_case(seed)
+        duals = canonical_nd_dual_grids(f, ks)
         res = lft_nd_regular(f, duals)
-        for pos, jidx in enumerate(res.values.indices()):
-            s = res.dual_point(jidx)
-            opt = res.optimizer[pos]
-            x = f.grid.point(opt)
-            achieved = sum(a * b for a, b in zip(s, x)) - f.values.get(opt)
-            assert achieved == res.values.get(jidx)
+        assert res.values.flat == lft_nd_brute(f, product_dual_points(duals)).values.flat
+        assert_attained(f, res)
 
 
 class TestNdAdaptive:
@@ -192,8 +202,16 @@ class TestNdAdaptive:
         assert tuple(p[0] for p in res.dual_points) == ref.dual.points()
 
     def test_equality_at_own_index(self, rng):
-        f = random_convex_tensor(rng, d=2, n=4, coupling=2)
-        res = lft_nd_adaptive(f)
+        # the centered points need convex intermediate lines
+        for _ in range(20):
+            f = fixtures.random_convex_quadratic_nd(rng, d=2, n=4, coupling=2)
+            try:
+                res = lft_nd_adaptive(f)
+                break
+            except NonConvexSlice:
+                continue
+        else:
+            raise AssertionError("no draw kept its intermediate lines convex")
         for idx in res.values.indices():
             s = res.dual_point(idx)
             x = f.grid.point(idx)
@@ -265,21 +283,18 @@ def tensors(draw):
     return RatTensor(shape, tuple(flat))
 
 
-def _reference_rule(c, s):
-    """The clamped rule as a plain loop: pinned outside [c_0, c_{n-2}],
-    else a bisection for the first c_i >= s, also on unsorted c."""
-    if s <= c[0]:
-        return 0
-    if s >= c[-1]:
-        return len(c)
-    lo, hi = 0, len(c) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if c[mid] >= s:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def _reference_pick(line, xs, s):
+    """The index a pass takes on a line at dual point s, from the maxima
+    alone: the first maximizer of s x_i - line_i, or the last one once s
+    reaches the lower convex envelope's last slope and passes its first.
+    On a convex line this is the clamped gradient rule."""
+    vals = [s * x - v for x, v in zip(xs, line)]
+    best = max(vals)
+    first = min((v - line[0]) / (x - xs[0]) for v, x in zip(line[1:], xs[1:]))
+    last = max((line[-1] - v) / (xs[-1] - x) for v, x in zip(line[:-1], xs))
+    if s >= last and s > first:
+        return len(vals) - 1 - vals[::-1].index(best)
+    return vals.index(best)
 
 
 def complements(shape, axis):
@@ -313,19 +328,19 @@ class TestStridedLines:
         else:
             dual = DualGrid.from_points(points)
 
-        got = axis_transform(t, axis, x_axis, dual, check_convex=False)
-        _, _, counts, taken = multi._pass(t.shape, multi._lift(t.flat), axis, x_axis, dual, False)
+        got = axis_transform(t, axis, x_axis, dual)
+        _, _, counts, taken = multi._pass(t.shape, multi._lift(t.flat), axis, x_axis, dual)
         new_shape = (*t.shape[:axis], dual.k, *t.shape[axis + 1 :])
         ref, ref_counts, ref_taken = {}, {}, {}
         for comp in complements(t.shape, axis):
             line = [t.get(at(comp, axis, i)) for i in range(t.shape[axis])]
             with pytest.raises(IndexError):  # one past the line's end
                 t.get(at(comp, axis, t.shape[axis]))
-            c = [(b - a) / gamma for a, b in zip(line, line[1:])]
+            xs = [x_axis.point(i) for i in range(t.shape[axis])]
             ref_counts[comp] = [0] * t.shape[axis]
             for j in range(dual.k):
                 s = dual.point(j)
-                i = _reference_rule(c, s)
+                i = _reference_pick(line, xs, s)
                 # the pass carries g = -(s x_i - f_i)
                 ref[at(comp, axis, j)] = line[i] - s * x_axis.point(i)
                 # the flat offset, in the input, of the element taken
@@ -385,8 +400,8 @@ DUAL_ALPHABET = [0, 1, -1, F(1, 2), F(-2, 3), F(2), F(3), F(1, 1013), F(-1, 2**8
 def brute_cases(draw):
     """Samples on d = 1..4 axes with one non-unit spacing and per-axis
     offsets, nonconvex or a convex bowl plus the same perturbations, and
-    either a product dual set or an arbitrary list (repeated points and the
-    empty list included)."""
+    either a product dual set, with its per-axis components, or an arbitrary
+    list (repeated points and the empty list included) and None."""
     shape = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
     gamma = draw(st.sampled_from([F(1), F(1, 2), F(2, 3), F(3)]))
     axes = tuple(
@@ -403,19 +418,18 @@ def brute_cases(draw):
     comp = st.sampled_from(DUAL_ALPHABET)
     if draw(st.booleans()):
         per_axis = [draw(st.lists(comp, min_size=1, max_size=3)) for _ in shape]
-        pts = list(product(*per_axis))
-    else:
-        pts = draw(st.lists(st.tuples(*(comp for _ in shape)), max_size=8))
-        if pts:
-            pts += draw(st.lists(st.sampled_from(pts), max_size=3))
-    return f, pts
+        return f, list(product(*per_axis)), per_axis
+    pts = draw(st.lists(st.tuples(*(comp for _ in shape)), max_size=8))
+    if pts:
+        pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    return f, pts, None
 
 
 class TestBruteAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(case=brute_cases())
     def test_equals_flat_reference_loop(self, case):
-        f, pts = case
+        f, pts, per_axis = case
         res = lft_nd_brute(f, pts)
         values, optimizer = _reference_brute(f, pts)
         assert res.values.shape == (len(pts),)
@@ -423,6 +437,12 @@ class TestBruteAgainstReference:
         assert all(isinstance(v, F) for v in res.values.flat)
         assert res.optimizer == optimizer
         assert res.dual_points == tuple(pts)
+        if per_axis is not None:
+            # the nested passes are exact on these samples, convex or not
+            duals = [DualGrid.from_points(sorted(set(comps))) for comps in per_axis]
+            nested = lft_nd_regular(f, duals)
+            assert nested.values.flat == lft_nd_brute(f, product_dual_points(duals)).values.flat
+            assert_attained(f, nested)
 
         def adaptive():
             res = lft_nd_adaptive(f)

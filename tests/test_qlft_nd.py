@@ -30,11 +30,11 @@ from conftest import first_attempt_successes, reg_names
 from test_multi import (
     WIDE_PRIMES,
     _outcome,
-    _reference_rule,
+    _reference_pick,
     as_tensor_1d,
     at,
     complements,
-    random_convex_tensor,
+    generator_case,
 )
 
 
@@ -172,13 +172,7 @@ class TestVerificationReporting:
             f = fixtures.random_convex_quadratic_nd(
                 local, d=2, n=4, coupling=local.choice([1, 2, 3])
             )
-            try:
-                run = run_qlft_nd_regular(f, ks=(4, 4), rng_seed=seed)
-            except Exception as exc:  # only the convexity guard may fire
-                from lftlab.errors import NonConvexSlice
-
-                assert isinstance(exc, NonConvexSlice)
-                continue
+            run = run_qlft_nd_regular(f, ks=(4, 4), rng_seed=seed)
             assert run.verification is not None
             assert run.verification.rng_seed == seed
             statuses.append(run.verification.status)
@@ -191,10 +185,7 @@ class TestVerificationReporting:
         for seed in range(60):
             local = random.Random(seed)
             f = fixtures.random_convex_quadratic_nd(local, d=2, n=4, coupling=3)
-            try:
-                run = run_qlft_nd_regular(f, ks=(4, 4), rng_seed=seed)
-            except Exception:
-                continue
+            run = run_qlft_nd_regular(f, ks=(4, 4), rng_seed=seed)
             if run.verification.status == MISMATCH:
                 found = run
                 break
@@ -209,10 +200,7 @@ class TestVerificationReporting:
         for seed in range(80):
             local = random.Random(seed)
             f = fixtures.random_convex_quadratic_nd(local, d=2, n=8, coupling=1)
-            try:
-                run = run_qlft_nd_regular(f, ks=(4, 4), rng_seed=seed)
-            except Exception:
-                continue
+            run = run_qlft_nd_regular(f, ks=(4, 4), rng_seed=seed)
             if run.final_state is None:
                 aborted = run
                 break
@@ -246,19 +234,16 @@ class TestVerificationReporting:
         for axis in (1, 0):
             bracket = axis_bracket(t, axis, grid.gamma)
             expected[axis] = regular_dual_grid(bracket, 2)
-            t = axis_transform(t, axis, grid.axes[axis], expected[axis], check_convex=False)
+            t = axis_transform(t, axis, grid.axes[axis], expected[axis])
         assert run.verification.dual_grids == tuple(expected)
         assert run.verification.dual_grids[0].points() == (F(2), F(4))
         # the untransformed tensor would have given (0, 4) instead
         assert axis_bracket(f.values, 0, grid.gamma) == (F(0), F(4))
 
-    def test_nonconvex_intermediate_line_runs_unchecked(self):
-        # a coupled quadratic whose axis-1 pass leaves axis-0 lines discretely
-        # nonconvex: the checked cascade refuses it, while the simulator runs
-        # the same cascade unchecked and reports what the gate culled
-        from lftlab.errors import NonConvexSlice
-        from lftlab.multi import RatTensor, TensorGrid, TensorSamples
-
+    def test_nonconvex_intermediate_line_equals_brute(self):
+        # a coupled quadratic whose axis-1 pass leaves the axis-0 line at (2,)
+        # discretely nonconvex: the cascade takes that line's exact maximum,
+        # and the simulator reports what the gate culled
         vals = (
             "0 1/16 5/4 57/16 7 7/16 1 43/16 11/2 151/16 5/4 37/16 9/2 125/16 "
             "49/4 39/16 4 107/16 21/2 247/16 4 97/16 37/4 217/16 19"
@@ -266,10 +251,12 @@ class TestVerificationReporting:
         grid = TensorGrid(axes=(fixtures.unit_grid(5), fixtures.unit_grid(5)))
         f = TensorSamples(grid=grid, values=RatTensor((5, 5), tuple(map(F, vals))))
         f.require_convex_axes()
-        with pytest.raises(NonConvexSlice, match=r"axis 0 line at \(2,\)"):
-            canonical_nd_dual_grids(f, (5, 5))
         run = run_qlft_nd_regular(f, ks=(5, 5), rng_seed=0)
         v = run.verification
+        assert canonical_nd_dual_grids(f, (5, 5)) == v.dual_grids
+        nested = multi.lft_nd_regular(f, v.dual_grids)
+        brute = multi.lft_nd_brute(f, multi.product_dual_points(v.dual_grids))
+        assert nested.values.flat == brute.values.flat
         assert v.status == MISMATCH
         assert not v.extra and not v.value_mismatches
         assert v.missing == (
@@ -281,6 +268,19 @@ class TestVerificationReporting:
         axis1 = (F(1, 4), F(45, 8), F(11), F(131, 8), F(87, 4))
         assert tuple(g.points() for g in v.dual_grids) == (axis0, axis1)
 
+    @pytest.mark.parametrize(
+        "seed, missing, accepts",
+        [(138, 43, (F(7, 18), F(101, 448))), (178, 113, (F(55, 294), F(83, 495)))],
+    )
+    def test_nonconvex_intermediate_line_gates_on_exact_counts(self, seed, missing, accepts):
+        # an axis-0 line the axis-1 pass leaves nonconvex: the gate reads the
+        # exact assignment's counts there, so no label carries a wrong value
+        f, ks = generator_case(seed)
+        run = run_qlft_nd_regular(f, ks, rng_seed=seed)
+        v = run.verification
+        assert (v.status, len(v.missing), v.extra, v.value_mismatches) == (MISMATCH, missing, (), ())
+        assert run.pass_acceptances == accepts
+
 
 class TestAdaptiveNd:
     def test_separable_match(self):
@@ -291,7 +291,7 @@ class TestAdaptiveNd:
         assert run.verification.status == MATCH
 
     def test_fenchel_young_equality_per_label(self, rng):
-        f = random_convex_tensor(rng, d=2, n=4, coupling=2)
+        f = fixtures.random_convex_quadratic_nd(rng, d=2, n=4, coupling=2)
         run = run_qlft_nd_adaptive(f)
         for lab, _ in run.final_state.entries:
             idx = lab.get("j")
@@ -462,7 +462,7 @@ class TestCarriedRegisters:
 
 class TestAcceptanceStatisticsNd:
     def test_per_pass_ratio_is_exact_count_ratio(self, rng):
-        f = random_convex_tensor(rng, d=2, n=4, coupling=1)
+        f = fixtures.random_convex_quadratic_nd(rng, d=2, n=4, coupling=1)
         run = run_qlft_nd_regular(f, ks=(4, 4), rng_seed=0)
         for p in run.pass_acceptances:
             assert 0 <= p <= 1
@@ -502,7 +502,7 @@ def _ref_advance(lab, axis, i, s, x_i):
 
 def _ref_cascade(f, duals):
     """The classical nested passes per element on Fractions over ``duals``,
-    last axis first, each line under ``_reference_rule`` (sorted or not).
+    last axis first, each line under ``_reference_pick`` (convex or not).
     Returns, per pass, each line's counts keyed by its fixed coordinates and
     each output element's flat offset, in the pass's input, of the element
     it took; and each final element's optimizer, the primal multi-index its
@@ -516,11 +516,11 @@ def _ref_cascade(f, duals):
         out, taken, carried, counts = {}, {}, {}, {}
         for comp in complements(shape, axis):
             line = [t[at(comp, axis, i)] for i in range(n)]
-            c = [(b - a) / f.grid.gamma for a, b in zip(line, line[1:])]
+            xs = [x_axis.point(i) for i in range(n)]
             counts[comp] = [0] * n
             for j in range(dual.k):
                 s = dual.point(j)
-                i = _reference_rule(c, s)
+                i = _reference_pick(line, xs, s)
                 out[at(comp, axis, j)] = line[i] - s * x_axis.point(i)
                 taken[at(comp, axis, j)] = offset[at(comp, axis, i)]
                 carried[at(comp, axis, j)] = origin[at(comp, axis, i)]
@@ -592,7 +592,7 @@ def _reference_run(f, mode, ks=None, rng_seed=0):
     _trace(steps, "superposition", state)
     duals, passes = None, []
     if mode == "regular":
-        duals = multi._cascade(f, ks=ks, check_convex=False)[0]
+        duals = multi._cascade(f, ks=ks)[0]
         passes, _ = _ref_cascade(f, duals)
     for step, axis in enumerate(reversed(range(f.d))):
         if mode == "regular":
@@ -729,7 +729,7 @@ class TestCascadeOptimizers:
         _, want = _ref_cascade(f, duals)
         assert multi.lft_nd_regular(f, duals).optimizer == tuple(want)
         # the cascade carries each optimizer as one int, its flat offset
-        carried = multi._cascade(f, duals=duals, check_convex=False)[2]
+        carried = multi._cascade(f, duals=duals)[2]
         assert all(type(pos) is int for pos in carried)
 
 
