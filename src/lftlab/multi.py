@@ -163,25 +163,18 @@ def _lift(values: Sequence, den: int = 1) -> Scaled:
     return [a * per[q] for a, q in zip(nums, dens)], D
 
 
-def _rescale(D: int, den: int) -> tuple[int, int]:
-    """lcm(D, den) and the factor that carries a scalar over D to it."""
-    D2 = math.lcm(D, den)
-    return D2, D2 // D
-
-
 def _dual_products(points: Sequence, x_axis: RegularGrid, D: int):
-    """One pass's s_j * gamma and s_j * x_i tables over lcm(D, ds * dx), with
-    ds and dx the denominators of the dual points and of the axis points.
-    Returns that D, the rescale factor from the old D and the two tables,
-    indexed [j] and [j][i]."""
+    """One pass's s_j * x_i table, indexed [j][i], over lcm(D, ds * dx),
+    with ds and dx the denominators of the dual points and of the axis
+    points. Returns that D, the rescale factor from the old D and the
+    table; row[1] - row[0] is s_j * gamma."""
     duals, ds = _lift(points)
     a0, p, dx = progression(x_axis.x0, x_axis.gamma)
-    D, scale = _rescale(D, ds * dx)
+    D2 = math.lcm(D, ds * dx)
     # gamma = p / dx and x_i = (a0 + i * p) / dx
-    unit = D // (ds * dx)
-    s_unit = [s * unit for s in duals]
-    sx = [[s * (a0 + i * p) for i in range(x_axis.n)] for s in s_unit]
-    return D, scale, [s * p for s in s_unit], sx
+    unit = D2 // (ds * dx)
+    sx = [[s * unit * (a0 + i * p) for i in range(x_axis.n)] for s in duals]
+    return D2, D2 // D, sx
 
 
 def _fractions(flat: Sequence, D: int) -> tuple[Fraction, ...]:
@@ -200,16 +193,19 @@ def _line_starts(shape: tuple[int, ...], axis: int) -> list[int]:
 def _lines(shape: tuple[int, ...], flat: Sequence, axis: int, check_convex: bool):
     """Each line along ``axis`` in row-major order of its fixed coordinates:
     those coordinates, the flat offset of its first element, its values and
-    their differences. With ``check_convex`` the differences must never
-    decrease."""
+    the sorted slopes a gradient rule reads. Those are its differences or,
+    where they decrease somewhere, its ``_envelope`` slopes; with
+    ``check_convex`` such a line raises ``NonConvexSlice`` instead."""
     n, stride = shape[axis], math.prod(shape[axis + 1 :])
     comps = product(*(range(s) for a, s in enumerate(shape) if a != axis))
     for comp, a in zip(comps, _line_starts(shape, axis)):
         line = flat[a : a + n * stride : stride]
-        diffs = list(map(sub, line[1:], line))
-        if check_convex and any(map(gt, diffs, diffs[1:])):
-            raise NonConvexSlice(f"axis {axis} line at {comp} is not discretely convex")
-        yield comp, a, line, diffs
+        slopes = list(map(sub, line[1:], line))
+        if any(map(gt, slopes, slopes[1:])):
+            if check_convex:
+                raise NonConvexSlice(f"axis {axis} line at {comp} is not discretely convex")
+            slopes = _envelope(line)
+        yield comp, a, line, slopes
 
 
 def axis_transform(values: RatTensor, axis: int, x_axis: RegularGrid, dual: DualGrid) -> RatTensor:
@@ -240,30 +236,28 @@ def _envelope(line: Sequence) -> list:
 def _pass(shape, scaled: Scaled, axis, x_axis, dual):
     """``axis_transform`` on scalars over D, with the elements taken.
 
-    The rule runs on each line's differences or, where they decrease
-    somewhere, on its ``_envelope`` slopes: it then lands on envelope
-    vertices only, and those attain the line's maximum. Returns the new
-    shape; the output over lcm(D, ds * dx), with ds and dx the
-    denominators of the dual points and of the axis points, as (scalars,
-    D); each line's counts, keyed by its fixed coordinates: how many dual
-    points each axis index optimizes; and for each output element the flat
-    offset, in the input, of the element it took.
+    The rule runs on each line's slopes from ``_lines``; on a nonconvex
+    line it lands on envelope vertices only, and those attain the line's
+    maximum. Returns the new shape; the output over lcm(D, ds * dx), with
+    ds and dx the denominators of the dual points and of the axis points,
+    as (scalars, D); each line's counts, keyed by its fixed coordinates:
+    how many dual points each axis index optimizes; and for each output
+    element the flat offset, in the input, of the element it took.
     """
     n, k = shape[axis], dual.k
     new_shape = (*shape[:axis], k, *shape[axis + 1 :])
     stride = math.prod(shape[axis + 1 :])
     flat, D = scaled
-    D2, scale, thresholds, sx = _dual_products(dual.points(), x_axis, D)
+    D2, scale, sx = _dual_products(dual.points(), x_axis, D)
     if D2 != D:
         flat, D = [v * scale for v in flat], D2
+    thresholds = [row[1] - row[0] for row in sx]
     out = [None] * math.prod(new_shape)
     taken = [None] * len(out)
     counts = {}
     lines = zip(_lines(shape, flat, axis, check_convex=False), _line_starts(new_shape, axis))
-    for (comp, a, line, diffs), b in lines:
-        if any(map(gt, diffs, diffs[1:])):
-            diffs = _envelope(line)
-        opt = [_rule_index(diffs, t) for t in thresholds]
+    for (comp, a, line, slopes), b in lines:
+        opt = [_rule_index(slopes, t) for t in thresholds]
         run = slice(b, b + k * stride, stride)
         out[run] = [line[i] - row[i] for row, i in zip(sx, opt)]
         taken[run] = [a + i * stride for i in opt]
@@ -279,8 +273,10 @@ def _shrink(v):
 
 
 def axis_bracket(values: RatTensor, axis: int, gamma: Fraction) -> tuple[Fraction, Fraction]:
-    """Shared dual range for one axis: the minimum first gradient over all
-    lines up to the maximum last gradient, read off the boundary faces."""
+    """Shared dual range for one axis: the minimum first slope over all
+    lines up to the maximum last slope, over gamma. These are the slopes
+    the rule reads (``_lines``), a nonconvex line's envelope's, so the
+    range is never reversed."""
     return _bracket(values.shape, _lift(values.flat), axis, gamma)
 
 
@@ -295,7 +291,9 @@ def canonical_nd_dual_grids(f: TensorSamples, ks: Sequence[int]) -> tuple[DualGr
     """Per-axis regular dual grids spanning each pass's shared range.
 
     Pass order is the last axis first; each later bracket is computed from
-    the exactly transformed intermediate tensor, convex or not.
+    the exactly transformed intermediate tensor, convex or not. A range
+    runs from the first to the last slope the rule reads on each line
+    (``axis_bracket``): a nonconvex line's are its envelope's.
     """
     if len(ks) != f.d:
         raise ValueError("need one dual size per axis")
@@ -358,9 +356,8 @@ def _cascade(
 def _centered(shape: tuple[int, ...], flat: Sequence, axis: int) -> tuple[list, list]:
     """Each element's centered dual point along ``axis``, in row-major
     order, as ratios (u, w) of ``transform._adaptive_points`` on its line's
-    differences: over a shared D and with gamma = p / dx, the point is
-    u * dx / (w * p * D), and w is 1 or 2 on ints. Every line must be
-    discretely convex (``NonConvexSlice``)."""
+    differences, which ``_centered_step`` turns into points; w is 1 or 2
+    on ints. Every line must be discretely convex (``NonConvexSlice``)."""
     n, stride = shape[axis], math.prod(shape[axis + 1 :])
     us, ws = [None] * len(flat), [None] * len(flat)
     for _, a, _, diffs in _lines(shape, flat, axis, check_convex=True):
@@ -379,21 +376,30 @@ def lft_nd_adaptive(f: TensorSamples) -> TensorConjugate:
     s_parts: list = [None] * f.d
     for axis in range(f.d - 1, -1, -1):
         n, stride = shape[axis], math.prod(shape[axis + 1 :])
-        a0, p, dx = progression(f.grid.axes[axis].x0, f.grid.gamma)
-        us, ws = _centered(shape, flat, axis)
-        s_parts[axis] = [Fraction(u * dx, w * p * D) for u, w in zip(us, ws)]
-        # s * x_i is an int over 2 * p * D, with w 1 or 2
-        D2, scale = _rescale(D, 2 * p * D)
-        per = {w: D2 // (w * p * D) for w in (1, 2)}
-        xs = [a0 + pos // stride % n * p for pos in range(len(flat))]
-        flat = [v * scale - u * x * per[w] for v, u, w, x in zip(flat, us, ws, xs)]
-        D = D2
+        idx = [pos // stride % n for pos in range(len(flat))]
+        centered = (*_centered(shape, flat, axis), D)
+        flat, D, s_parts[axis] = _centered_step(flat, idx, centered, D, f.grid.axes[axis])
     values = RatTensor(shape, _fractions([-v for v in flat], D))
     return TensorConjugate(
         values=values,
         optimizer=tuple(values.indices()),
         dual_points=tuple(zip(*s_parts)),
     )
+
+
+def _centered_step(values: Sequence, idx: Sequence, centered: tuple, D: int, x_axis: RegularGrid):
+    """One adaptive pass on scalars over D: element e takes the point
+    s = u * dx / (w * p * D0) of ``centered = (us, ws, D0)`` (``_centered``
+    over a D0 that divides D, with gamma = p / dx) and maps with its
+    optimizer i = idx[e]: f -> f - s * x_i. Returns the mapped scalars
+    over 2 * p * D, that denominator and the points."""
+    us, ws, D0 = centered
+    a0, p, dx = progression(x_axis.x0, x_axis.gamma)
+    # s * x_i = u * (a0 + i * p) / (w * p * D0), with w 1 or 2
+    D2 = 2 * p * D
+    per = {w: D2 // (w * p * D0) for w in (1, 2)}
+    out = [v * 2 * p - u * (a0 + i * p) * per[w] for v, u, w, i in zip(values, us, ws, idx)]
+    return out, D2, [Fraction(u * dx, w * p * D0) for u, w in zip(us, ws)]
 
 
 def _axis_max(inner: list, terms: list) -> tuple[list, list[int]]:

@@ -16,18 +16,16 @@ carry none.
 
 Adaptive mode: the pass along an axis gives each branch s{axis}, the
 input's centered difference quotient along that axis at j (one-sided at a
-line end), and maps f with its optimizer x_i:
-
-    f -> f - s * x_i
-
-On the first pass s is the centered point of the line the pass
-transforms; on later passes it is a shortcut, since the partial
-transform's line may have another centered point. It is the shortcut of
-branches that carry neighbor rows and map each with their own optimizer,
-which leaves every row-center difference as in the input; so branches
-carry no rows. ``multi._centered`` gives every branch's point per axis
-from the input's lines, and gives ``multi.lft_nd_adaptive`` its points
-from the exact partial transforms.
+line end), and maps f with its optimizer by ``multi._centered_step``, the
+step ``multi.lft_nd_adaptive`` takes too. On the first pass s is the
+centered point of the line the pass transforms; on later passes it is a
+shortcut, since the partial transform's line may have another centered
+point. It is the shortcut of branches that carry neighbor rows and map
+each with their own optimizer, which leaves every row-center difference
+as in the input; so branches carry no rows. The two routes differ only in
+the points they pass that step: ``multi._centered`` gives every branch's
+point per axis from the input's lines, and gives ``multi.lft_nd_adaptive``
+its points from the exact partial transforms.
 
 Off the separable case neither mode is known to be correct, so every run
 is VERIFIED against the brute maximum (``multi.lft_nd_brute``) at the dual
@@ -55,9 +53,8 @@ from typing import Optional, Sequence
 from .errors import InvalidK
 from .grids import DualGrid
 from .multi import TensorSamples, lft_nd_brute
-from .multi import _brute, _cascade, _centered, _dual_products, _lift, _rescale
+from .multi import _brute, _cascade, _centered, _centered_step, _dual_products, _lift
 from .qlft import SimRun, StepRecord, _check_pow2, _trace, aa_repetitions, geometric_attempts
-from .rational import progression
 from .qstate import BasisLabel, QState, _schema
 
 MATCH = "MATCH"
@@ -156,7 +153,7 @@ def _regular_pass(
     names = ("j", "f", f"s{axis}", *held.names[2:], f"i{axis}", f"m{axis}")
     schema = _schema(names, held.n_regs + 1)
     points = dual.points()
-    D, scale, _, sx = _dual_products(points, f.grid.axes[axis], D)
+    D, scale, sx = _dual_products(points, f.grid.axes[axis], D)
     kept = []
     for lab, _ in state.entries:
         coords, value, *rest = lab.values
@@ -174,27 +171,21 @@ def _regular_pass(
 
 
 def _adaptive_pass(state: QState, f: TensorSamples, axis: int, D: int, centered: tuple) -> tuple:
-    """Each branch takes its centered dual point along ``axis``: ``centered``
-    holds the (u, w) of every element of the input, over the input's
-    denominator D0, in the row-major order of j that the adaptive states
-    keep (``multi._centered``). With gamma = p / dx the point is
-    s = u * dx / (w * p * D0); f maps with the branch's optimizer onto the
-    pass's denominator, f -> f * scale - s * x_i, and the branch gains
-    s{axis} and the garbage i{axis}."""
-    us, ws, D0 = centered
-    a0, p, dx = progression(f.grid.axes[axis].x0, f.grid.gamma)
-    D2, scale = _rescale(D, 2 * p * D)
-    per = {w: D2 // (w * p * D0) for w in (1, 2)}
+    """Each branch takes its centered dual point along ``axis`` and maps f
+    with its optimizer by ``multi._centered_step``. ``centered`` is
+    (us, ws, D0) of every element of the input (``multi._centered``), in
+    the row-major order of j that the adaptive states keep. The branch
+    gains s{axis} and the garbage i{axis}."""
+    idx = [lab.values[0][axis] for lab, _ in state.entries]
+    values = [lab.values[1] for lab, _ in state.entries]
+    values, D, points = _centered_step(values, idx, centered, D, f.grid.axes[axis])
     held = state.entries[0][0].schema
     schema = _schema(("j", "f", f"s{axis}", *held.names[2:], f"i{axis}"), held.n_regs + 1)
     entries = []
-    for (lab, amp), u, w in zip(state.entries, us, ws):
-        j, value, *rest = lab.values
-        i = j[axis]
-        # s * x_i = u * (a0 + i * p) / (w * p * D0), over D2
-        value = value * scale - u * (a0 + i * p) * per[w]
-        entries.append((BasisLabel(schema, (j, value, Fraction(u * dx, w * p * D0), *rest, i)), amp))
-    return QState(entries=tuple(entries)), Fraction(1), D2
+    for (lab, amp), value, s, i in zip(state.entries, values, points, idx):
+        j, _, *rest = lab.values
+        entries.append((BasisLabel(schema, (j, value, s, *rest, i)), amp))
+    return QState(entries=tuple(entries)), Fraction(1), D
 
 
 def _verify(f, duals, final_state, rng_seed) -> VerificationReport:

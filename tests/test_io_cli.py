@@ -132,6 +132,16 @@ class TestCli:
         assert main(["--out", str(out), "lft", str(inst), "--dual", "regular:4", "--brute"]) == 0
         assert json.loads(out.read_text())["brute_check"] == "MATCH"
 
+    def test_lft_nd_regular_canonical_range_on_a_concave_axis(self, tmp_path):
+        # every axis-1 line is 0 5 0: its first difference exceeds its last,
+        # so only the envelope's slopes give the pass an ordered range
+        grid = [{"x0": "0", "gamma_x": "1", "n": n} for n in (2, 3)]
+        doc = {"kind": "samples", "grid": grid, "samples": ["0", "5", "0", "0", "5", "0"]}
+        inst, out = tmp_path / "concave.json", tmp_path / "res.json"
+        inst.write_text(json.dumps(doc))
+        assert main(["--out", str(out), "lft", str(inst), "--dual", "regular:3", "--brute"]) == 0
+        assert json.loads(out.read_text())["brute_check"] == "MATCH"
+
     def test_parse_error_exit_1(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert main(["lft", str(missing)]) == 1

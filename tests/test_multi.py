@@ -443,6 +443,11 @@ class TestBruteAgainstReference:
             nested = lft_nd_regular(f, duals)
             assert nested.values.flat == lft_nd_brute(f, product_dual_points(duals)).values.flat
             assert_attained(f, nested)
+        # the canonical range of every pass is ordered, convex or not
+        ks = [2 + i % 2 for i in range(f.d)]
+        canonical = lft_nd_regular(f, canonical_nd_dual_grids(f, ks))
+        assert canonical.values.flat == lft_nd_brute(f, product_dual_points(canonical.duals)).values.flat
+        assert_attained(f, canonical)
 
         def adaptive():
             res = lft_nd_adaptive(f)
