@@ -6,7 +6,8 @@ Exit codes: 0 success; 1 parse or usage errors (any ``ValueError``,
 list that is not one integer or one per axis, ``qlft --dual-size`` without
 ``--mode regular``, ``qlft --omega``, ``lft --clamp`` and
 ``lft --dual adaptive:right|left`` on an nD instance, ``lft --clamp`` with an
-adaptive dual and ``hardness sampling --t`` below 0); 2 domain rejections (any
+adaptive dual, ``hardness sampling --t`` below 0, and an ``OverflowError``,
+such as a dual size too large to index); 2 domain rejections (any
 ``LftError``, such as nonconvex input, a power-of-two violation under
 --strict-pow2 or the hardness dimension cap). ``main`` maps both once and
 writes one ``error: ...`` line to stderr.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io as _io
 import os
 import random
@@ -313,7 +315,8 @@ def cmd_hardness(args) -> int:
         if not isinstance(instance, FunctionSpec):
             return _fail("rescale expects a one-dimensional instance", 1)
         g = discrete_gradients(instance)
-        dual = regular_dual_grid(nontrivial_dual_range(g), args.k or instance.n)
+        k = instance.n if args.k is None else args.k
+        dual = regular_dual_grid(nontrivial_dual_range(g), k)
         checks = rescaling_checks(rescale_instance(instance, dual))
         doc = {
             "command": "hardness",
@@ -378,7 +381,11 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and shared by every later
+    ``main`` call in the process: ``parse_args`` returns a fresh namespace
+    and leaves the parser unchanged."""
     parser = _Parser(
         prog="lftlab",
         description="Discrete Legendre-Fenchel transforms, simulator runs, and hardness reductions",
@@ -451,7 +458,7 @@ def main(argv=None) -> int:
         return _fail(f"nonconvex input: {exc}", 2)
     except LftError as exc:
         return _fail(str(exc), 2)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         return _fail(str(exc), 1)
 
 

@@ -23,6 +23,7 @@ from .transform import discrete_gradients, lft_regular
 from .witness import witness_params
 
 F = Fraction
+_BITS = frozenset((0, 1))
 
 
 @dataclass
@@ -56,7 +57,12 @@ class HiddenStringInstance:
         return cls(z=tuple(z), scale=F(2) ** len(tuple(z)))
 
     def evaluate(self, x: Sequence) -> Fraction:
+        """f(x), one query. An int 0/1 vertex of length d takes no rational
+        arithmetic: it is 0 at z and ``scale`` (the object itself) elsewhere."""
         self.query_counter += 1
+        x = tuple(x)
+        if len(x) == len(self.z) and _BITS.issuperset(x) and {*map(type, x)} == {int}:
+            return F(0) if x == self.z else self.scale
         worst = 0
         for xi, zi in zip(x, self.z):
             dev = xi - zi if isinstance(xi, int) else frac(xi) - zi
@@ -69,7 +75,7 @@ class HiddenStringInstance:
     def sample_tensor(self) -> TensorSamples:
         """Fresh hypercube samples; costs 2^d queries."""
         grid = hypercube_grid(self.d)
-        values = RatTensor.build(grid.shape, lambda idx: self.evaluate(idx))
+        values = RatTensor.build(grid.shape, self.evaluate)
         return TensorSamples(grid=grid, values=values)
 
 

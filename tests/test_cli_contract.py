@@ -123,3 +123,17 @@ def test_every_input_exits_0_1_or_2_with_one_line_diagnostic(doc, argv, not_json
     assert "Traceback" not in text
     assert text.count("\n") <= 1
     assert (code == 0) == (text == ""), text
+
+
+def test_a_dual_size_past_the_index_range_exits_1_with_one_line():
+    # K = 10^20 overflows the first interior count at once; a K that fits an
+    # index but not memory would exhaust memory instead, so none is tried
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(["fixtures", "emit", "--which", "ex1", "--out-dir", tmp]) == 0
+        argv = ["lft", os.path.join(tmp, "ex1.json"), "--dual", "regular:99999999999999999999"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    text = err.getvalue()
+    assert code == 1
+    assert text.startswith("error: ") and text.count("\n") == 1, text

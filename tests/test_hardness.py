@@ -43,6 +43,7 @@ class TestPointQueries:
                 z = tuple((bits >> i) & 1 for i in range(d))
                 inst = HiddenStringInstance.for_point_queries(z)
                 assert recover_via_point_queries(inst) == z
+                assert inst.query_counter == d * 2**d
 
     def test_counter_monotone(self):
         inst = HiddenStringInstance.for_point_queries((1, 1))
@@ -58,6 +59,48 @@ class TestPointQueries:
         monkeypatch.setattr(hardness, "lft_nd_brute", lambda samples, duals: fake)
         with pytest.raises(RecoveryFailed):
             recover_via_point_queries(HiddenStringInstance.for_point_queries((0,)))
+
+
+def _distance(inst, x):
+    """The oracle's definition, scale * max_i |x_i - z_i|, in Fractions."""
+    return inst.scale * max(abs(F(xi) - zi) for xi, zi in zip(x, inst.z))
+
+
+class TestOracle:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_every_vertex_as_tuple_and_list(self, d):
+        vertices = [tuple((bits >> i) & 1 for i in range(d)) for bits in range(2**d)]
+        for z in vertices:
+            for scale in (F(1), F(2) ** d, F(3, 7)):
+                inst = HiddenStringInstance(z=z, scale=scale)
+                for x in vertices:
+                    for point in (x, list(x)):
+                        before = inst.query_counter
+                        value = inst.evaluate(point)
+                        assert inst.query_counter == before + 1
+                        assert isinstance(value, F)
+                        assert value == _distance(inst, x) == (0 if x == z else scale)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            (F(1, 2), 0, 1),
+            (0.5, 1, 0),
+            (2, 0, 1),
+            (-1, 1, 1),
+            (1, 0, -1),
+            (F(1), 0, 1),
+            (1.0, 0.0, 1.0),
+            (True, False, True),
+            (1, 0),  # zip reads the shorter point's coordinates only
+            (1, 0, 1, 1),
+        ],
+    )
+    def test_other_points_keep_the_formula(self, x):
+        for scale in (F(1), F(8), F(3, 7)):
+            inst = HiddenStringInstance(z=(1, 0, 1), scale=scale)
+            assert inst.evaluate(x) == _distance(inst, x)
+            assert inst.query_counter == 1
 
 
 class TestSampling:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -6,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from lftlab import fixtures, multi
-from lftlab.cli import main
+from lftlab.cli import build_parser, main
 from lftlab.errors import NonConvexSlice
 from lftlab.io import (
     ParseError,
@@ -413,6 +415,10 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert (doc["w"], doc["w_rescaled"], doc["mapping"]) == (2, 2, "exact")
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_rescale_dual_size_below_2_exit_2(self, fixture_dir, capsys, k):
+        self._rejects(["hardness", "rescale", str(fixture_dir / "ex3.json"), "--k", k], 2, capsys)
+
     def test_hardness_dimension_cap_exit_2(self, capsys):
         assert main(["hardness", "point-queries", "--d", "17", "--z", "1" * 17]) == 2
 
@@ -422,6 +428,46 @@ class TestCli:
         assert main(["--out", str(out1)] + argv) == 0
         assert main(["--out", str(out2)] + argv) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_shared_parser_leaks_nothing_between_calls(self, fixture_dir, tmp_path):
+        ex1, out = str(fixture_dir / "ex1.json"), str(tmp_path / "res.out")
+        bad = self._samples(tmp_path / "bad.json", 3, ["0", "1", "0"])
+        lft = ["lft", ex1, "--dual", "regular:4"]
+        pq = ["hardness", "point-queries", "--d", "3", "--z", "101"]
+        calls = [
+            ["lft"],  # usage error, exit 1
+            ["--help"],
+            [*lft, "--precision", "3"],
+            lft,
+            ["--format", "csv", *lft],
+            lft,
+            ["--out", out, *pq],
+            [*pq, "--out", out],
+            pq,
+            ["lft", bad],  # nonconvex, exit 2
+            lft,
+        ]
+
+        def run(argv):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            written = None
+            if os.path.exists(out):
+                with open(out, "rb") as fh:
+                    written = fh.read()
+                os.remove(out)
+            return code, stdout.getvalue(), stderr.getvalue(), written
+
+        build_parser.cache_clear()
+        shared = [run(argv) for argv in calls]
+        assert build_parser.cache_info().currsize == 1
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert [r[0] for r in shared] == [1, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0]
+        assert shared == fresh
 
     def test_env_seed_default(self, fixture_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("LFTLAB_SEED", "123")
