@@ -14,9 +14,10 @@ return: samples, grid points and dual components are scaled to Python ints
 over one common denominator D, which each nested pass widens by an lcm
 rescale once its dual grid is known; every division of those ints is
 exact by construction. Likewise optimizers are flat primal offsets inside,
-multi-indices on return. A gradient rule compares the integer differences
-line[i+1] - line[i], or a nonconvex line's envelope slopes (Fractions over
-D), with s * gamma * D, which orders them as the gradients would.
+multi-indices on return, decoded one axis at a time. Each pass walks its
+lines once (``_lines``): their differences, or a nonconvex line's envelope
+slopes (Fractions over D), span a canonical grid and go to the 1D rule
+kernel, ``transform._rule_counts``, against the thresholds s_j * gamma * D.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Optional, Sequence
 from .errors import BruteCapExceeded, NonConvexSlice
 from .grids import DualGrid, RegularGrid
 from .rational import frac, progression, split
-from .transform import _adaptive_points, _rule_index, regular_dual_grid
+from .transform import _adaptive_points, _repeat_indices, _rule_counts, regular_dual_grid
 
 MAX_BRUTE_POINTS = 1 << 20
 
@@ -124,10 +125,7 @@ class TensorSamples:
 
     def require_convex_axes(self) -> None:
         """Second differences nonnegative along every axis-aligned line."""
-        flat = _lift(self.values.flat)[0]
-        for axis in range(self.d):
-            for _ in _lines(self.grid.shape, flat, axis, check_convex=True):
-                pass
+        _require_convex_axes(self.values.shape, _lift(self.values.flat)[0])
 
 
 @dataclass(frozen=True)
@@ -190,6 +188,13 @@ def _line_starts(shape: tuple[int, ...], axis: int) -> list[int]:
     return [b + r for b in range(0, math.prod(shape), block) for r in range(stride)]
 
 
+def _require_convex_axes(shape: tuple[int, ...], flat: Sequence) -> None:
+    """``TensorSamples.require_convex_axes`` on lifted values."""
+    for axis in range(len(shape)):
+        for _ in _lines(shape, flat, axis, check_convex=True):
+            pass
+
+
 def _lines(shape: tuple[int, ...], flat: Sequence, axis: int, check_convex: bool):
     """Each line along ``axis`` in row-major order of its fixed coordinates:
     those coordinates, the flat offset of its first element, its values and
@@ -214,7 +219,7 @@ def axis_transform(values: RatTensor, axis: int, x_axis: RegularGrid, dual: Dual
     The output holds g = -(max over the axis), the form carried between
     nested passes; it is exact on every line, convex or not.
     """
-    shape, (flat, D), _, _ = _pass(values.shape, _lift(values.flat), axis, x_axis, dual)
+    shape, _, (flat, D), _, _ = _pass(values.shape, _lift(values.flat), axis, x_axis, dual)
     return RatTensor(shape, _fractions(flat, D))
 
 
@@ -236,33 +241,37 @@ def _envelope(line: Sequence) -> list:
 def _pass(shape, scaled: Scaled, axis, x_axis, dual):
     """``axis_transform`` on scalars over D, with the elements taken.
 
-    The rule runs on each line's slopes from ``_lines``; on a nonconvex
-    line it lands on envelope vertices only, and those attain the line's
-    maximum. Returns the new shape; the output over lcm(D, ds * dx), with
-    ds and dx the denominators of the dual points and of the axis points,
-    as (scalars, D); each line's counts, keyed by its fixed coordinates:
-    how many dual points each axis index optimizes; and for each output
-    element the flat offset, in the input, of the element it took.
+    ``dual`` is a DualGrid, or the size of the canonical grid spanning the
+    lines' ``_bracket``. One walk gives that bracket and each line's slopes,
+    which ``_rule_counts`` reads against the thresholds s_j * gamma * D; on
+    a nonconvex line it lands on envelope vertices only, which attain the
+    line's maximum. Returns the new shape; the grid; the output over
+    lcm(D, ds * dx), ds and dx the denominators of the dual and the axis
+    points, as (scalars, D); each line's dual points per axis index, keyed
+    by its fixed coordinates; and each output element's taken input offset.
     """
-    n, k = shape[axis], dual.k
-    new_shape = (*shape[:axis], k, *shape[axis + 1 :])
     stride = math.prod(shape[axis + 1 :])
     flat, D = scaled
+    lines = list(_lines(shape, flat, axis, check_convex=False))
+    if not isinstance(dual, DualGrid):
+        dual = regular_dual_grid(_bracket(lines, D, x_axis.gamma), dual)
+    k = dual.k
+    new_shape = (*shape[:axis], k, *shape[axis + 1 :])
     D2, scale, sx = _dual_products(dual.points(), x_axis, D)
-    if D2 != D:
-        flat, D = [v * scale for v in flat], D2
-    thresholds = [row[1] - row[0] for row in sx]
+    # the slopes stay over D, so the thresholds are s_j * gamma * D
+    unit = x_axis.gamma * D
+    explicit = dual.explicit and tuple(s * unit for s in dual.explicit)
+    thresholds = DualGrid(dual.s0 * unit, dual.gamma_s * unit, k, dual.kind, explicit)
     out = [None] * math.prod(new_shape)
     taken = [None] * len(out)
     counts = {}
-    lines = zip(_lines(shape, flat, axis, check_convex=False), _line_starts(new_shape, axis))
-    for (comp, a, line, slopes), b in lines:
-        opt = [_rule_index(slopes, t) for t in thresholds]
+    for (comp, a, line, slopes), b in zip(lines, _line_starts(new_shape, axis)):
+        counts[comp] = _rule_counts(split(slopes), thresholds)
+        opt = _repeat_indices(counts[comp])
         run = slice(b, b + k * stride, stride)
-        out[run] = [line[i] - row[i] for row, i in zip(sx, opt)]
+        out[run] = [line[i] * scale - row[i] for row, i in zip(sx, opt)]
         taken[run] = [a + i * stride for i in opt]
-        counts[comp] = [opt.count(i) for i in range(n)]
-    return new_shape, (out, D), counts, taken
+    return new_shape, dual, (out, D2), counts, taken
 
 
 def _shrink(v):
@@ -277,13 +286,14 @@ def axis_bracket(values: RatTensor, axis: int, gamma: Fraction) -> tuple[Fractio
     lines up to the maximum last slope, over gamma. These are the slopes
     the rule reads (``_lines``), a nonconvex line's envelope's, so the
     range is never reversed."""
-    return _bracket(values.shape, _lift(values.flat), axis, gamma)
+    flat, D = _lift(values.flat)
+    return _bracket(list(_lines(values.shape, flat, axis, check_convex=False)), D, gamma)
 
 
-def _bracket(shape, scaled: Scaled, axis, gamma) -> tuple[Fraction, Fraction]:
-    flat, D = scaled
-    ends = [(d[0], d[-1]) for *_, d in _lines(shape, flat, axis, check_convex=False)]
-    lo, hi = min(e[0] for e in ends), max(e[1] for e in ends)
+def _bracket(lines: list, D: int, gamma) -> tuple[Fraction, Fraction]:
+    """``axis_bracket`` from one pass's ``_lines`` over D."""
+    lo = min(slopes[0] for *_, slopes in lines)
+    hi = max(slopes[-1] for *_, slopes in lines)
     return Fraction(lo) / (gamma * D), Fraction(hi) / (gamma * D)
 
 
@@ -297,7 +307,7 @@ def canonical_nd_dual_grids(f: TensorSamples, ks: Sequence[int]) -> tuple[DualGr
     """
     if len(ks) != f.d:
         raise ValueError("need one dual size per axis")
-    return _cascade(f, ks=ks)[0]
+    return _cascade(f, _lift(f.values.flat), ks)[0]
 
 
 def lft_nd_regular(f: TensorSamples, duals: Sequence[DualGrid]) -> TensorConjugate:
@@ -309,46 +319,38 @@ def lft_nd_regular(f: TensorSamples, duals: Sequence[DualGrid]) -> TensorConjuga
     """
     if len(duals) != f.d:
         raise ValueError("need one dual grid per axis")
-    _, _, origin, (shape, flat, D) = _cascade(f, duals=duals)
+    _, _, origin, (shape, flat, D) = _cascade(f, _lift(f.values.flat), duals)
     values = RatTensor(shape, _fractions([-v for v in flat], D))
-    optimizer = tuple(_index(f.values.shape, pos) for pos in origin)
+    optimizer = tuple(zip(*(_coords(f.values.shape, a, origin) for a in range(f.d))))
     return TensorConjugate(values=values, optimizer=optimizer, duals=tuple(duals))
 
 
-def _index(shape: tuple[int, ...], pos: int) -> tuple[int, ...]:
-    """The multi-index at flat offset ``pos``: ``RatTensor.offset`` inverted."""
-    idx = []
-    for n in reversed(shape):
-        pos, i = divmod(pos, n)
-        idx.append(i)
-    return tuple(idx[::-1])
+def _coords(shape: tuple[int, ...], axis: int, offsets: Sequence[int]) -> list[int]:
+    """The coordinate on ``axis`` of each flat offset."""
+    n, stride = shape[axis], math.prod(shape[axis + 1 :])
+    return [pos // stride % n for pos in offsets]
 
 
 def _cascade(
-    f: TensorSamples,
-    ks: Optional[Sequence[int]] = None,
-    duals: Optional[Sequence[DualGrid]] = None,
+    f: TensorSamples, scaled: Scaled, duals: Sequence
 ) -> tuple[tuple[DualGrid, ...], list[dict], list[int], tuple]:
-    """The classical nested passes, last axis first, exact on every input.
+    """The classical nested passes on ``scaled``, ``f`` lifted, last axis
+    first, exact on every input.
 
-    Each pass runs over ``duals[axis]`` when grids are given, else over the
-    canonical grid of ``ks[axis]`` points spanning ``axis_bracket`` of the
-    tensor that pass receives. Every element carries the flat primal offset
-    of the element it took (see ``_pass``), composed over the passes, so
-    after the pass over axis 0 it is the optimizer. Returns the per-axis
-    grids, the per-axis line counts of ``_pass``, the optimizer offsets in
-    row-major order and the final g tensor as (shape, scalars, D).
+    Each pass runs over ``duals[axis]``: a DualGrid, or the size of the
+    canonical grid spanning ``axis_bracket`` of the tensor that pass
+    receives. Every element carries the flat primal offset of the element
+    it took (see ``_pass``), composed over the passes, so after the pass
+    over axis 0 it is the optimizer. Returns the per-axis grids, the
+    per-axis line counts of ``_pass``, the optimizer offsets in row-major
+    order and the final g tensor as (shape, scalars, D).
     """
-    shape, scaled = f.values.shape, _lift(f.values.flat)
-    origin = range(f.grid.total)
+    shape, origin = f.values.shape, range(f.grid.total)
     grids: list[Optional[DualGrid]] = [None] * f.d
     counts: list[Optional[dict]] = [None] * f.d
     for axis in range(f.d - 1, -1, -1):
-        if duals is not None:
-            grids[axis] = duals[axis]
-        else:
-            grids[axis] = regular_dual_grid(_bracket(shape, scaled, axis, f.grid.gamma), ks[axis])
-        shape, scaled, counts[axis], taken = _pass(shape, scaled, axis, f.grid.axes[axis], grids[axis])
+        x_axis, dual = f.grid.axes[axis], duals[axis]
+        shape, grids[axis], scaled, counts[axis], taken = _pass(shape, scaled, axis, x_axis, dual)
         origin = [origin[p] for p in taken]
     return tuple(grids), counts, origin, (shape, *scaled)
 
@@ -375,8 +377,7 @@ def lft_nd_adaptive(f: TensorSamples) -> TensorConjugate:
     # line up with the final multi-indices
     s_parts: list = [None] * f.d
     for axis in range(f.d - 1, -1, -1):
-        n, stride = shape[axis], math.prod(shape[axis + 1 :])
-        idx = [pos // stride % n for pos in range(len(flat))]
+        idx = _coords(shape, axis, range(len(flat)))
         centered = (*_centered(shape, flat, axis), D)
         flat, D, s_parts[axis] = _centered_step(flat, idx, centered, D, f.grid.axes[axis])
     values = RatTensor(shape, _fractions([-v for v in flat], D))
@@ -440,7 +441,7 @@ def lft_nd_brute(
     shape = (len(pts),)
     return TensorConjugate(
         values=RatTensor(shape, tuple(values)),
-        optimizer=tuple(_index(f.values.shape, row) for row in rows),
+        optimizer=tuple(zip(*(_coords(f.values.shape, a, rows) for a in range(d)))),
         dual_points=tuple(pts),
     )
 

@@ -54,6 +54,7 @@ from .errors import InvalidK
 from .grids import DualGrid
 from .multi import TensorSamples, lft_nd_brute
 from .multi import _brute, _cascade, _centered, _centered_step, _dual_products, _lift
+from .multi import _require_convex_axes
 from .qlft import SimRun, StepRecord, _check_pow2, _trace, aa_repetitions, geometric_attempts
 from .qstate import BasisLabel, QState, _schema
 
@@ -85,8 +86,8 @@ def _run_nd(f: TensorSamples, rng_seed: int, mode: str, ks: Optional[tuple] = No
     flat, D = _lift(f.values.flat)
     duals = None
     if regular:
-        f.require_convex_axes()
-        duals, counts, _, _ = _cascade(f, ks=ks)
+        _require_convex_axes(f.values.shape, flat)
+        duals, counts, _, _ = _cascade(f, (flat, D), ks)
     else:
         # every branch's centered point per axis, from the input's lines;
         # walking them axis 0 first is the convexity check

@@ -13,13 +13,15 @@ containers split their values once, on construction (``FunctionSpec.ratios``,
 ``GradientVector.ratios``). The kernel's slopes and centered midpoints
 are not reduced to lowest terms: every consumer floor-divides,
 cross-multiplies or builds a ``Fraction``, which normalizes anyway. One
-count function (``_rule_counts``) gives the rule's multiplicities without
-a sweep over the dual points, and each value s_j x_i - f_i is one integer
+count function, ``_rule_counts``, gives the rule's multiplicities without
+a sweep over the dual points: it is the rule kernel of the 1D routes and
+of every nested nD pass. Each value s_j x_i - f_i is one integer
 fraction, made a ``Fraction`` only when the result is returned.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,10 +87,13 @@ def regular_dual_grid(rng: tuple[Number, Number], k: int) -> DualGrid:
     """Regular grid with s_0 = lo and s_{k-1} = hi.
 
     A degenerate range (lo == hi) yields k coincident points with zero
-    spacing rather than an error, so constant functions stay usable.
+    spacing rather than an error, so constant functions stay usable. A k
+    past the index range, which no route could hold, is an OverflowError.
     """
     if k < 2:
         raise InvalidK(f"need k >= 2 dual points, got {k}")
+    if k > sys.maxsize:
+        raise OverflowError(f"k = {k} dual points exceed the index range")
     lo, hi = frac(rng[0]), frac(rng[1])
     if lo > hi:
         raise ValueError("dual range is reversed")
@@ -147,14 +152,6 @@ def _checked_counts(c: Vec, dual: DualGrid, clamp: bool) -> list[int]:
         s = next(s for s in dual.points() if s < lo or s > hi)
         raise OutOfRangeDual(f"dual point {s} outside [{lo}, {hi}]; clamp to proceed")
     return _rule_counts(c, dual)
-
-
-def _rule_index(c: Sequence, s) -> int:
-    """The clamped half-open gradient rule for one dual point: 0 when
-    s <= c_0, n-1 when s >= c_{n-2}, else the bisection for the first
-    c_i >= s over c_0..c_{n-3}. The nested nD passes run it on sorted
-    slopes only: a nonconvex line's are its lower envelope's."""
-    return 0 if s <= c[0] else len(c) if s >= c[-1] else bisect_left(c, s, 0, len(c) - 1)
 
 
 def optimizer_map(

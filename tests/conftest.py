@@ -1,4 +1,6 @@
 import random
+from bisect import bisect_left
+
 import pytest
 
 from lftlab import fixtures
@@ -23,6 +25,13 @@ def ex3():
 def canonical_dual(f, k=None):
     g = discrete_gradients(f)
     return regular_dual_grid(nontrivial_dual_range(g), k or f.n)
+
+
+def rule_index(c, s):
+    """The clamped half-open gradient rule for one dual point, the per-point
+    reference for ``optimizer_map``: 0 when s <= c_0, n-1 when s >= c_{n-2},
+    else the bisection for the first c_i >= s over c_0..c_{n-3}."""
+    return 0 if s <= c[0] else len(c) if s >= c[-1] else bisect_left(c, s, 0, len(c) - 1)
 
 
 def reg_names(lab):

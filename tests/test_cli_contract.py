@@ -126,14 +126,26 @@ def test_every_input_exits_0_1_or_2_with_one_line_diagnostic(doc, argv, not_json
 
 
 def test_a_dual_size_past_the_index_range_exits_1_with_one_line():
-    # K = 10^20 overflows the first interior count at once; a K that fits an
-    # index but not memory would exhaust memory instead, so none is tried
+    # K = 10^20 is past sys.maxsize: regular_dual_grid, which every route
+    # below passes through, rejects it before any point or label is built.
+    # A K that fits an index but not memory would exhaust memory instead,
+    # so none is tried.
+    huge = "99999999999999999999"
     with tempfile.TemporaryDirectory() as tmp:
         assert main(["fixtures", "emit", "--which", "ex1", "--out-dir", tmp]) == 0
-        argv = ["lft", os.path.join(tmp, "ex1.json"), "--dual", "regular:99999999999999999999"]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv)
-    text = err.getvalue()
-    assert code == 1
-    assert text.startswith("error: ") and text.count("\n") == 1, text
+        ex1, s2 = os.path.join(tmp, "ex1.json"), os.path.join(tmp, "s2.json")
+        with open(s2, "w") as fh:
+            json.dump({"kind": "builtin", "name": "separable-sum", "params": {"d": 2, "n": 5}}, fh)
+        argvs = [
+            ["lft", ex1, "--dual", f"regular:{huge}"],
+            ["lft", s2, "--dual", f"regular:{huge}"],
+            ["qlft", s2, "--mode", "regular", "--dual-size", f"{huge},2"],
+            ["qlft", ex1, "--mode", "regular", "--dual-size", huge],
+        ]
+        for argv in argvs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            text = err.getvalue()
+            assert code == 1, argv
+            assert text.startswith("error: ") and text.count("\n") == 1, text

@@ -8,11 +8,11 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import rule_index
 from lftlab.errors import DegenerateGrid, NonConvexInput, OutOfRangeDual
 from lftlab.grids import DualGrid, FunctionSpec, GradientVector, RegularGrid
 from lftlab.rational import split
 from lftlab.transform import (
-    _rule_index,
     adaptive_dual_points,
     discrete_gradients,
     lft_adaptive,
@@ -127,7 +127,7 @@ def check_against_references(f, exact, dual):
 
     g = discrete_gradients(f)
     assert optimizer_map(g, dual, clamp=True) == idx
-    assert tuple(_rule_index(g.c, s) for s in dual.points()) == idx
+    assert tuple(rule_index(g.c, s) for s in dual.points()) == idx
     assert assignment_counts(g, dual) == counts
     if dual.kind == "adaptive" or dual.gamma_s > 0:
         report = witness_params(g, dual)

@@ -329,7 +329,7 @@ class TestStridedLines:
             dual = DualGrid.from_points(points)
 
         got = axis_transform(t, axis, x_axis, dual)
-        _, _, counts, taken = multi._pass(t.shape, multi._lift(t.flat), axis, x_axis, dual)
+        *_, counts, taken = multi._pass(t.shape, multi._lift(t.flat), axis, x_axis, dual)
         new_shape = (*t.shape[:axis], dual.k, *t.shape[axis + 1 :])
         ref, ref_counts, ref_taken = {}, {}, {}
         for comp in complements(t.shape, axis):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import rule_index
 from lftlab import fixtures
 from lftlab.grids import FunctionSpec
 from lftlab.qlft import (
@@ -86,11 +87,9 @@ def test_monotone_assignment(f, k):
 @given(f=convex_specs(), k=st.integers(2, 12))
 @settings(max_examples=100, deadline=None)
 def test_single_point_assignment_matches_batch(f, k):
-    from lftlab.transform import _rule_index
-
     g, dual = nondegenerate_dual(f, k)
     batch = optimizer_map(g, dual)
-    assert batch == tuple(_rule_index(g.c, s) for s in dual.points())
+    assert batch == tuple(rule_index(g.c, s) for s in dual.points())
 
 
 @given(f=convex_specs(), k=st.integers(3, 12))

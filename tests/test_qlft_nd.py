@@ -163,6 +163,25 @@ class TestD1Reduction:
         assert nd_vals == one_vals
         assert nd.verification.status == MATCH
 
+    @pytest.mark.parametrize("n", [4, 5, 8, 16])
+    def test_random_convex_inputs_match_the_1d_runs(self, n):
+        for seed in range(5):
+            f = fixtures.random_convex_spec(random.Random(seed), n)
+            t = as_tensor_1d(f)
+            for k in (2, 4, n, 2 * n):
+                nd = run_qlft_nd_regular(t, ks=(k,), rng_seed=1)
+                one = run_qlft_1d_regular(f, k, rng_seed=1)
+                assert nd.success_probability == one.success_probability
+                nd_labels = {(lab.get("j")[0], lab.get("fstar")) for lab, _ in nd.final_state.entries}
+                assert nd_labels == set(conjugate_pairs(one))
+            nd = run_qlft_nd_adaptive(t)
+            one = run_qlft_1d_adaptive(f)
+            nd_labels = {
+                (lab.get("j")[0], lab.get("fstar"), lab.get("s")[0]) for lab, _ in nd.final_state.entries
+            }
+            one_labels = {(lab.get("i"), lab.get("fstar"), lab.get("s")) for lab, _ in one.final_state.entries}
+            assert nd_labels == one_labels
+
 
 class TestVerificationReporting:
     def test_reports_always_produced(self, rng):
@@ -402,6 +421,50 @@ class TestAdaptiveConvexityWalk:
             assert str(exc.value) == message
 
 
+class TestOneWalkPerPass:
+    """A canonical pass walks each line once, for its bracket and its rule
+    alike, and a regular run lifts its input once."""
+
+    def test_each_line_is_walked_and_enveloped_once_per_pass(self):
+        f, ks = generator_case(5)  # 5x5x5, K = 5, one nonconvex line
+        real_lines, real_envelope = multi._lines, multi._envelope
+        walked, enveloped = [], []
+
+        def lines(shape, flat, axis, check_convex):
+            for line in real_lines(shape, flat, axis, check_convex):
+                walked.append(axis)
+                yield line
+
+        def envelope(line):
+            enveloped.append(line)
+            return real_envelope(line)
+
+        with mock.patch.object(multi, "_lines", lines), mock.patch.object(multi, "_envelope", envelope):
+            canonical_nd_dual_grids(f, ks)
+        assert sorted(walked) == [0] * 25 + [1] * 25 + [2] * 25
+        assert len(enveloped) == 1
+
+    def test_a_regular_run_lifts_its_input_once(self):
+        f, ks = generator_case(5)
+        real_lift, real_verify = multi._lift, qlft_nd._verify
+        lifts, verifying = [], []
+
+        def lift(values, *args):
+            if values is f.values.flat and not verifying:
+                lifts.append(args)
+            return real_lift(values, *args)
+
+        def verify(*args):
+            # the brute judge lifts the samples over its own denominator
+            verifying.append(True)
+            return real_verify(*args)
+
+        with mock.patch.object(multi, "_lift", lift), mock.patch.object(qlft_nd, "_lift", lift):
+            with mock.patch.object(qlft_nd, "_verify", verify):
+                run_qlft_nd_regular(f, ks, rng_seed=5)
+        assert lifts == [()]
+
+
 class TestCarriedRegisters:
     """A branch of either mode carries j, f and the s registers of the axes
     already passed, and no neighbor rows."""
@@ -592,7 +655,7 @@ def _reference_run(f, mode, ks=None, rng_seed=0):
     _trace(steps, "superposition", state)
     duals, passes = None, []
     if mode == "regular":
-        duals = multi._cascade(f, ks=ks)[0]
+        duals = canonical_nd_dual_grids(f, ks)
         passes, _ = _ref_cascade(f, duals)
     for step, axis in enumerate(reversed(range(f.d))):
         if mode == "regular":
@@ -678,7 +741,7 @@ class TestRegistersAgainstFractionReference:
 
                 def recorded(*args):
                     out = cascade_pass(*args)
-                    passes.append(out[2:])
+                    passes.append(out[3:])
                     return out
 
                 with mock.patch.object(multi, "_pass", recorded):
@@ -729,7 +792,7 @@ class TestCascadeOptimizers:
         _, want = _ref_cascade(f, duals)
         assert multi.lft_nd_regular(f, duals).optimizer == tuple(want)
         # the cascade carries each optimizer as one int, its flat offset
-        carried = multi._cascade(f, duals=duals)[2]
+        carried = multi._cascade(f, multi._lift(f.values.flat), duals)[2]
         assert all(type(pos) is int for pos in carried)
 
 
