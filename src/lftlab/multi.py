@@ -16,8 +16,9 @@ rescale once its dual grid is known; every division of those ints is
 exact by construction. Likewise optimizers are flat primal offsets inside,
 multi-indices on return, decoded one axis at a time. Each pass walks its
 lines once (``_lines``): their differences, or a nonconvex line's envelope
-slopes (Fractions over D), span a canonical grid and go to the 1D rule
-kernel, ``transform._rule_counts``, against the thresholds s_j * gamma * D.
+slopes, as the numerator and denominator lists the 1D rule kernel reads
+(over D), span a canonical grid and go to ``transform._rule_counts``
+against the thresholds s_j * gamma * D.
 """
 
 from __future__ import annotations
@@ -198,18 +199,19 @@ def _require_convex_axes(shape: tuple[int, ...], flat: Sequence) -> None:
 def _lines(shape: tuple[int, ...], flat: Sequence, axis: int, check_convex: bool):
     """Each line along ``axis`` in row-major order of its fixed coordinates:
     those coordinates, the flat offset of its first element, its values and
-    the sorted slopes a gradient rule reads. Those are its differences or,
-    where they decrease somewhere, its ``_envelope`` slopes; with
-    ``check_convex`` such a line raises ``NonConvexSlice`` instead."""
+    the sorted slopes a gradient rule reads, as the kernel's ratios: its
+    differences over 1 or, where they decrease somewhere, its ``_envelope``
+    slopes; with ``check_convex`` such a line raises ``NonConvexSlice``."""
     n, stride = shape[axis], math.prod(shape[axis + 1 :])
     comps = product(*(range(s) for a, s in enumerate(shape) if a != axis))
     for comp, a in zip(comps, _line_starts(shape, axis)):
         line = flat[a : a + n * stride : stride]
-        slopes = list(map(sub, line[1:], line))
-        if any(map(gt, slopes, slopes[1:])):
+        diffs = list(map(sub, line[1:], line))
+        slopes = diffs, [1] * len(diffs)
+        if any(map(gt, diffs, diffs[1:])):
             if check_convex:
                 raise NonConvexSlice(f"axis {axis} line at {comp} is not discretely convex")
-            slopes = _envelope(line)
+            slopes = split(_envelope(line))
         yield comp, a, line, slopes
 
 
@@ -266,7 +268,7 @@ def _pass(shape, scaled: Scaled, axis, x_axis, dual):
     taken = [None] * len(out)
     counts = {}
     for (comp, a, line, slopes), b in zip(lines, _line_starts(new_shape, axis)):
-        counts[comp] = _rule_counts(split(slopes), thresholds)
+        counts[comp] = _rule_counts(slopes, thresholds)
         opt = _repeat_indices(counts[comp])
         run = slice(b, b + k * stride, stride)
         out[run] = [line[i] * scale - row[i] for row, i in zip(sx, opt)]
@@ -292,9 +294,9 @@ def axis_bracket(values: RatTensor, axis: int, gamma: Fraction) -> tuple[Fractio
 
 def _bracket(lines: list, D: int, gamma) -> tuple[Fraction, Fraction]:
     """``axis_bracket`` from one pass's ``_lines`` over D."""
-    lo = min(slopes[0] for *_, slopes in lines)
-    hi = max(slopes[-1] for *_, slopes in lines)
-    return Fraction(lo) / (gamma * D), Fraction(hi) / (gamma * D)
+    lo = min(Fraction(nums[0], dens[0]) for *_, (nums, dens) in lines)
+    hi = max(Fraction(nums[-1], dens[-1]) for *_, (nums, dens) in lines)
+    return lo / (gamma * D), hi / (gamma * D)
 
 
 def canonical_nd_dual_grids(f: TensorSamples, ks: Sequence[int]) -> tuple[DualGrid, ...]:
@@ -364,7 +366,7 @@ def _centered(shape: tuple[int, ...], flat: Sequence, axis: int) -> tuple[list, 
     us, ws = [None] * len(flat), [None] * len(flat)
     for _, a, _, diffs in _lines(shape, flat, axis, check_convex=True):
         run = slice(a, a + n * stride, stride)
-        us[run], ws[run] = _adaptive_points(split(diffs), "centered")
+        us[run], ws[run] = _adaptive_points(diffs, "centered")
     return us, ws
 
 

@@ -4,10 +4,12 @@ The stochastic regular pipeline mirrors the four algorithmic steps:
 uniform superposition with three-point stencils, gradient registers,
 copy-slot expansion with an acceptance indicator that is measured and
 post-selected, and the final conjugate arithmetic with uncomputation.
-Post-selection success has exactly rational probability K/(N W); retries
-are drawn geometrically from a seeded generator, while amplitude
-amplification is accounted as an expected repetition count rather than
-simulated at gate level.
+Post-selection success has exactly rational probability K/(N W). The 1D
+post-selection and each regular nD pass (``qlft_nd``) keep copy slots by
+one rule (``_keep``). Every run ends in one record (``_finish``): geometric
+retries from a seeded generator and an expected amplitude-amplification
+count (accounted, not simulated at gate level), both at the product of its
+pass acceptances and 0 when a pass rejected every branch.
 
 The adaptive pipeline is deterministic: each branch derives its own dual
 point from its local gradient registers and finishes garbage-free.
@@ -229,10 +231,6 @@ def indicator_postselect(
     if accepted != dual.k:
         raise AcceptanceMismatch(f"{accepted} accepted pairs for {dual.k} dual points")
     w = max(counts)
-    n = len(state)
-    expanded = n * w
-    success = Fraction(accepted, expanded)
-
     _, (pi, px, pf) = _read(state, "i", "x", "f")
     out = _schema(("j", "x_star", "f_at_star", "m", "i"), 5)
     kept = []
@@ -240,17 +238,23 @@ def indicator_postselect(
         v = lab.values
         i, x, fv = v[pi], v[px], v[pf]
         kept.extend(BasisLabel(out, (firsts[i] + m, x, fv, m, i)) for m in range(counts[i]))
-    kept.sort(key=lambda lab: lab.values[0])
-    post = QState.uniform(kept)
-    rng = random.Random(rng_seed)
-    attempts = geometric_attempts(success, rng)
+    post, success = _keep(kept, len(state), w)
     return post, PostSelection(
         success_probability=success,
-        attempts=attempts,
+        attempts=geometric_attempts(success, random.Random(rng_seed)),
         w=w,
-        expanded=expanded,
+        expanded=len(state) * w,
         accepted=accepted,
     )
+
+
+def _keep(kept: list, branches: int, w: int) -> tuple[QState, Fraction]:
+    """The accepted copy slots, sorted by their first register j and
+    renormalized (the zero state if none survive), and the acceptance
+    survivors / (branches * w)."""
+    kept.sort(key=lambda lab: lab.values[0])
+    post = QState.uniform(kept) if kept else QState(entries=())
+    return post, Fraction(len(kept), branches * w)
 
 
 def finalize_conjugate(state: QState, dual: DualGrid) -> QState:
@@ -278,6 +282,22 @@ def _trace(steps: list[StepRecord], name: str, state: QState, acceptance=None) -
     )
 
 
+def _finish(state, steps, success, pass_acceptances, rng_seed=0, verification=None) -> SimRun:
+    """Every route's run record: one geometric draw from ``rng_seed`` and
+    ``aa_repetitions`` at ``success``, 0 and 0 if no branch survived."""
+    survived = state is not None
+    return SimRun(
+        final_state=state,
+        success_probability=success,
+        attempts=geometric_attempts(success, random.Random(rng_seed)) if survived else 0,
+        expected_aa_repetitions=aa_repetitions(success) if survived else 0,
+        rng_seed=rng_seed,
+        step_trace=tuple(steps),
+        pass_acceptances=pass_acceptances,
+        verification=verification,
+    )
+
+
 def run_qlft_1d_regular(
     f: FunctionSpec, k: int, rng_seed: int = 0, strict_pow2: bool = False
 ) -> SimRun:
@@ -296,15 +316,8 @@ def run_qlft_1d_regular(
     _trace(steps, "postselect", state, acceptance=post.success_probability)
     state = finalize_conjugate(state, dual)
     _trace(steps, "conjugate", state)
-    return SimRun(
-        final_state=state,
-        success_probability=post.success_probability,
-        attempts=post.attempts,
-        expected_aa_repetitions=aa_repetitions(post.success_probability),
-        rng_seed=rng_seed,
-        step_trace=tuple(steps),
-        pass_acceptances=(post.success_probability,),
-    )
+    success = post.success_probability
+    return _finish(state, steps, success, (success,), rng_seed=rng_seed)
 
 
 def run_qlft_1d_adaptive(f: FunctionSpec, strict_pow2: bool = False) -> SimRun:
@@ -335,15 +348,7 @@ def run_qlft_1d_adaptive(f: FunctionSpec, strict_pow2: bool = False) -> SimRun:
 
     state = state.map_labels(fin)
     _trace(steps, "conjugate", state)
-    return SimRun(
-        final_state=state,
-        success_probability=Fraction(1),
-        attempts=1,
-        expected_aa_repetitions=1,
-        rng_seed=0,
-        step_trace=tuple(steps),
-        pass_acceptances=(Fraction(1),),
-    )
+    return _finish(state, steps, Fraction(1), (Fraction(1),))
 
 
 @dataclass(frozen=True)

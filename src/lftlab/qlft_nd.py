@@ -35,16 +35,16 @@ never assumed: a MISMATCH is a finding, not a crash.
 
 Branches are the labels of one ``QState`` per step, with garbage i{axis}
 (and m{axis} in regular mode) per passed axis. Each step records its
-computed norm, 0 if nothing survives. The value registers hold ints over
-one shared denominator D per run, widened once per pass as in ``multi``;
-the s registers hold the dual points, and the negate step makes the
-Fractions fstar = -f / D.
+computed norm, 0 if nothing survives. A pass keeps its copy slots, and a
+run ends, as a 1D run does (``qlft._keep``, ``qlft._finish``). The value
+registers hold ints over one shared denominator D per run, widened once
+per pass as in ``multi``; the s registers hold the dual points, and the
+negate step makes the Fractions fstar = -f / D.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
@@ -55,7 +55,7 @@ from .grids import DualGrid
 from .multi import TensorSamples, lft_nd_brute
 from .multi import _brute, _cascade, _centered, _centered_step, _dual_products, _lift
 from .multi import _require_convex_axes
-from .qlft import SimRun, StepRecord, _check_pow2, _trace, aa_repetitions, geometric_attempts
+from .qlft import SimRun, StepRecord, _check_pow2, _finish, _keep, _trace
 from .qstate import BasisLabel, QState, _schema
 
 MATCH = "MATCH"
@@ -79,13 +79,12 @@ def _superposition(shape: tuple[int, ...], flat: list) -> QState:
     return QState.uniform(BasisLabel(schema, pair) for pair in zip(product(*map(range, shape)), flat))
 
 
-def _run_nd(f: TensorSamples, rng_seed: int, mode: str, ks: Optional[tuple] = None) -> SimRun:
-    rng = random.Random(rng_seed)
+def _run_nd(f: TensorSamples, rng_seed: int, ks: Optional[tuple] = None) -> SimRun:
+    """Regular nested passes over dual sizes ``ks``; adaptive without them."""
     steps: list[StepRecord] = []
-    regular = mode == "regular"
     flat, D = _lift(f.values.flat)
     duals = None
-    if regular:
+    if ks is not None:
         _require_convex_axes(f.values.shape, flat)
         duals, counts, _, _ = _cascade(f, (flat, D), ks)
     else:
@@ -97,7 +96,7 @@ def _run_nd(f: TensorSamples, rng_seed: int, mode: str, ks: Optional[tuple] = No
     pass_accepts: list[Fraction] = []
 
     for axis in range(f.d - 1, -1, -1):
-        if regular:
+        if duals is not None:
             state, acceptance, D = _regular_pass(state, f, axis, D, duals[axis], counts[axis])
         else:
             state, acceptance, D = _adaptive_pass(state, f, axis, D, centered[axis])
@@ -109,12 +108,8 @@ def _run_nd(f: TensorSamples, rng_seed: int, mode: str, ks: Optional[tuple] = No
             # not raised: the verification marks every label missing.
             break
 
-    success = math.prod(pass_accepts, start=Fraction(1))
-
-    if not state.entries:
-        final_state, attempts, expected_aa = None, 0, 0
-    else:
-        attempts = geometric_attempts(success, rng)
+    final_state = None
+    if state.entries:
         # registers j, f, s0..s{d-1}, then the garbage
         schema = state.entries[0][0].schema
         final = _schema(("j", "fstar", "s", *schema.names[2 + f.d :]), 3)
@@ -125,13 +120,10 @@ def _run_nd(f: TensorSamples, rng_seed: int, mode: str, ks: Optional[tuple] = No
 
         final_state = state.map_labels(negate)
         _trace(steps, "negate", final_state)
-        expected_aa = aa_repetitions(success)
 
-    verification = _verify(f, duals, final_state, rng_seed)
-    return SimRun(
-        final_state=final_state, success_probability=success, attempts=attempts,
-        expected_aa_repetitions=expected_aa, rng_seed=rng_seed, step_trace=tuple(steps),
-        pass_acceptances=tuple(pass_accepts), verification=verification,
+    return _finish(
+        final_state, steps, math.prod(pass_accepts, start=Fraction(1)), tuple(pass_accepts),
+        rng_seed=rng_seed, verification=_verify(f, duals, final_state, rng_seed),
     )
 
 
@@ -166,9 +158,7 @@ def _regular_pass(
             j = firsts[i] + m
             new = (*coords[:axis], j, *coords[axis + 1 :])
             kept.append(BasisLabel(schema, (new, value * scale - sx[j][i], points[j], *rest, i, m)))
-    kept.sort(key=lambda lab: lab.get("j"))
-    acceptance = Fraction(len(kept), len(state) * w)
-    return (QState.uniform(kept) if kept else QState(entries=())), acceptance, D
+    return (*_keep(kept, len(state), w), D)
 
 
 def _adaptive_pass(state: QState, f: TensorSamples, axis: int, D: int, centered: tuple) -> tuple:
@@ -237,7 +227,7 @@ def run_qlft_nd_regular(
         _check_pow2(n, f"N{axis}", strict_pow2)
     for axis, k in enumerate(ks):
         _check_pow2(k, f"K{axis}", strict_pow2)
-    return _run_nd(f, rng_seed, "regular", ks=tuple(ks))
+    return _run_nd(f, rng_seed, ks=tuple(ks))
 
 
 def run_qlft_nd_adaptive(f: TensorSamples, strict_pow2: bool = False) -> SimRun:
@@ -245,4 +235,4 @@ def run_qlft_nd_adaptive(f: TensorSamples, strict_pow2: bool = False) -> SimRun:
     each label against the brute maximum at its own s registers."""
     for axis, n in enumerate(f.grid.shape):
         _check_pow2(n, f"N{axis}", strict_pow2)
-    return _run_nd(f, 0, "adaptive")
+    return _run_nd(f, 0)

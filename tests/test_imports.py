@@ -1,5 +1,6 @@
 """Every module of the package, every test file and every script uses each
-name it imports, and the package reads each private name it defines.
+name it imports, and the package reads each private name it defines. One
+place in the package builds a simulator run record (``SimRun``).
 
 The import check skips the package's ``__init__`` (its imports are the
 package's re-exports) and ``from __future__`` imports. A top-level ``_private``
@@ -87,3 +88,13 @@ def test_the_check_finds_an_unread_private_name():
     )
     b = ast.parse("from . import a\nx = a._via_attr()\ny = a._called()\n")
     assert _unread_privates({"a": a, "b": b}) == ["a._rebound (line 2)", "a._Left (line 7)"]
+
+
+def test_one_place_builds_every_simulator_run():
+    calls = [
+        f"{p.name}:{node.lineno}"
+        for p in MODULES
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "SimRun"
+    ]
+    assert len(calls) == 1, f"SimRun( is called at {', '.join(calls)}; route every run through qlft._finish"

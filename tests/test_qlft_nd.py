@@ -172,10 +172,12 @@ class TestD1Reduction:
                 nd = run_qlft_nd_regular(t, ks=(k,), rng_seed=1)
                 one = run_qlft_1d_regular(f, k, rng_seed=1)
                 assert nd.success_probability == one.success_probability
+                assert (nd.attempts, nd.expected_aa_repetitions) == (one.attempts, one.expected_aa_repetitions)
                 nd_labels = {(lab.get("j")[0], lab.get("fstar")) for lab, _ in nd.final_state.entries}
                 assert nd_labels == set(conjugate_pairs(one))
             nd = run_qlft_nd_adaptive(t)
             one = run_qlft_1d_adaptive(f)
+            assert (nd.attempts, nd.expected_aa_repetitions) == (one.attempts, one.expected_aa_repetitions)
             nd_labels = {
                 (lab.get("j")[0], lab.get("fstar"), lab.get("s")[0]) for lab, _ in nd.final_state.entries
             }
@@ -225,6 +227,7 @@ class TestVerificationReporting:
                 break
         assert aborted is not None
         assert aborted.success_probability == 0
+        assert aborted.attempts == 0 and aborted.expected_aa_repetitions == 0
         last = aborted.step_trace[-1]
         assert last.name.startswith("pass-axis") and last.acceptance == 0
         assert last.label_count == 0 and last.norm_sq == 0
