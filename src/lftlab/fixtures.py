@@ -20,7 +20,7 @@ from typing import Callable
 from .errors import DegenerateGrid
 from .grids import FunctionSpec, RegularGrid
 from .multi import TensorGrid, TensorSamples
-from .rational import frac
+from .rational import frac, reduced
 
 F = Fraction
 
@@ -29,64 +29,64 @@ def unit_grid(n: int) -> RegularGrid:
     """n equispaced points covering [0, 1]."""
     if n < 2:
         raise DegenerateGrid(f"need at least 2 grid points, got {n}")
-    return RegularGrid(x0=F(0), gamma=F(1, n - 1), n=n)
+    return RegularGrid(x0=F(0), gamma=reduced(1, n - 1), n=n)
 
 
 def ex1_function(x: Fraction) -> Fraction:
-    return x * x - F(3, 4) * x + F(1, 2)
+    return x * x - reduced(3, 4) * x + reduced(1, 2)
 
 
 def ex1_conjugate(s: Fraction) -> Fraction:
     s = frac(s)
-    if s < F(-3, 4):
-        return F(-1, 2)
-    if s > F(5, 4):
-        return s - F(3, 4)
-    return s * s / 4 + F(3, 8) * s - F(23, 64)
+    if s < reduced(-3, 4):
+        return reduced(-1, 2)
+    if s > reduced(5, 4):
+        return s - reduced(3, 4)
+    return s * s / 4 + reduced(3, 8) * s - reduced(23, 64)
 
 
 def ex2_function(x: Fraction) -> Fraction:
     x = frac(x)
-    if x < F(1, 4):
+    if x < reduced(1, 4):
         return F(0)
-    if x < F(1, 2):
-        return x / 4 - F(1, 16)
-    if x < F(3, 4):
-        return x / 2 - F(3, 16)
-    return F(3, 4) * x - F(6, 16)
+    if x < reduced(1, 2):
+        return x / 4 - reduced(1, 16)
+    if x < reduced(3, 4):
+        return x / 2 - reduced(3, 16)
+    return reduced(3, 4) * x - reduced(6, 16)
 
 
 def ex2_conjugate(s: Fraction) -> Fraction:
     s = frac(s)
     if s < 0:
         return F(0)
-    if s < F(1, 4):
+    if s < reduced(1, 4):
         return s / 4
-    if s < F(1, 2):
-        return s / 2 - F(1, 16)
-    if s < F(3, 4):
-        return F(3, 4) * s - F(3, 16)
-    return s - F(6, 16)
+    if s < reduced(1, 2):
+        return s / 2 - reduced(1, 16)
+    if s < reduced(3, 4):
+        return reduced(3, 4) * s - reduced(3, 16)
+    return s - reduced(6, 16)
 
 
 def ex3_function(x: Fraction) -> Fraction:
     x = frac(x)
-    if x < F(1, 4):
+    if x < reduced(1, 4):
         return F(0)
-    if x < F(3, 4):
-        return x / 2 - F(1, 8)
-    return x - F(1, 2)
+    if x < reduced(3, 4):
+        return x / 2 - reduced(1, 8)
+    return x - reduced(1, 2)
 
 
 def ex3_conjugate(s: Fraction) -> Fraction:
     s = frac(s)
     if s < 0:
         return F(0)
-    if s < F(1, 2):
+    if s < reduced(1, 2):
         return s / 4
     if s < 1:
-        return F(3, 4) * s - F(1, 4)
-    return s - F(1, 2)
+        return reduced(3, 4) * s - reduced(1, 4)
+    return s - reduced(1, 2)
 
 
 _CLOSED_FORMS: dict[str, tuple[Callable, Callable]] = {
@@ -130,12 +130,12 @@ def random_convex_spec(rng: random.Random, n: int) -> FunctionSpec:
     """Random convex samples, in eighths, from nondecreasing gradients."""
     denom = 8
     grid = unit_grid(n)
-    g0 = F(rng.randint(-2 * denom, 2 * denom), denom)
-    increments = [F(rng.randint(0, denom), denom) for _ in range(n - 2)]
+    g0 = reduced(rng.randint(-2 * denom, 2 * denom), denom)
+    increments = [reduced(rng.randint(0, denom), denom) for _ in range(n - 2)]
     c = [g0]
     for inc in increments:
         c.append(c[-1] + inc)
-    samples = [F(rng.randint(-denom, denom), denom)]
+    samples = [reduced(rng.randint(-denom, denom), denom)]
     for ci in c:
         samples.append(samples[-1] + grid.gamma * ci)
     return FunctionSpec(grid=grid, samples=tuple(samples))
@@ -143,9 +143,9 @@ def random_convex_spec(rng: random.Random, n: int) -> FunctionSpec:
 
 def random_quadratic_spec(rng: random.Random, n: int) -> FunctionSpec:
     """Random convex quadratic a x^2 + b x + c with rational coefficients."""
-    a = F(rng.randint(1, 12), rng.randint(1, 3))
-    b = F(rng.randint(-8, 8), rng.randint(1, 4))
-    c = F(rng.randint(-4, 4), rng.randint(1, 4))
+    a = reduced(rng.randint(1, 12), rng.randint(1, 3))
+    b = reduced(rng.randint(-8, 8), rng.randint(1, 4))
+    c = reduced(rng.randint(-4, 4), rng.randint(1, 4))
     grid = unit_grid(n)
     return FunctionSpec(
         grid=grid,
@@ -176,7 +176,7 @@ def random_convex_quadratic_nd(
         ]
         for i in range(d)
     ]
-    a = [F(rng.randint(-4, 4), 2) for _ in range(d)]
+    a = [reduced(rng.randint(-4, 4), 2) for _ in range(d)]
     grid = TensorGrid(axes=tuple(unit_grid(n) for _ in range(d)))
 
     def fn(*xs):

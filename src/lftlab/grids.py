@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegenerateGrid, InvalidK, NonConvexInput
-from .rational import Number, Vec, frac, nondecreasing, progression, split
+from .rational import Number, Vec, frac, nondecreasing, progression, reduced, split
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class RegularGrid:
 
     def points(self) -> tuple[Fraction, ...]:
         a, p, den = progression(self.x0, self.gamma)
-        return tuple(Fraction(a + i * p, den) for i in range(self.n))
+        return tuple(reduced(a + i * p, den) for i in range(self.n))
 
     @property
     def hi(self) -> Fraction:
@@ -95,7 +95,7 @@ class DualGrid:
         if self.kind == "adaptive":
             return self.explicit
         a, p, den = progression(self.s0, self.gamma_s)
-        return tuple(Fraction(a + j * p, den) for j in range(self.k))
+        return tuple(reduced(a + j * p, den) for j in range(self.k))
 
     @property
     def lo(self) -> Fraction:
@@ -139,6 +139,17 @@ class FunctionSpec:
         return self.grid.n
 
 
+def _checked_ratios(c: Sequence) -> Vec:
+    """The ratios of gradients c_0..c_{n-2}, split once and checked: at
+    least two of them, nondecreasing."""
+    if len(c) < 2:
+        raise DegenerateGrid("need at least two discrete gradients")
+    ratios = split(c)
+    if not nondecreasing(ratios):
+        raise NonConvexInput("gradients must be nondecreasing")
+    return ratios
+
+
 @dataclass(frozen=True)
 class GradientVector:
     """Forward-difference gradients c_0..c_{n-2}, nondecreasing.
@@ -155,12 +166,7 @@ class GradientVector:
     def __post_init__(self):
         vals = tuple(frac(v) if not isinstance(v, float) else v for v in self.c)
         object.__setattr__(self, "c", vals)
-        if len(vals) < 2:
-            raise DegenerateGrid("need at least two discrete gradients")
-        ratios = split(vals)
-        if not nondecreasing(ratios):
-            raise NonConvexInput("gradients must be nondecreasing")
-        object.__setattr__(self, "ratios", ratios)
+        object.__setattr__(self, "ratios", _checked_ratios(vals))
 
     @property
     def n(self) -> int:

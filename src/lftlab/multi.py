@@ -17,8 +17,8 @@ exact by construction. Likewise optimizers are flat primal offsets inside,
 multi-indices on return, decoded one axis at a time. Each pass walks its
 lines once (``_lines``): their differences, or a nonconvex line's envelope
 slopes, as the numerator and denominator lists the 1D rule kernel reads
-(over D), span a canonical grid and go to ``transform._rule_counts``
-against the thresholds s_j * gamma * D.
+(over D), span a canonical grid and go to ``transform._rule`` against
+the thresholds s_j * gamma * D, which it reads once per pass.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from typing import Callable, Optional, Sequence
 
 from .errors import BruteCapExceeded, NonConvexSlice
 from .grids import DualGrid, RegularGrid
-from .rational import frac, progression, split
-from .transform import _adaptive_points, _repeat_indices, _rule_counts, regular_dual_grid
+from .rational import frac, progression, reduced, split
+from .transform import _adaptive_points, _repeat_indices, _rule, regular_dual_grid
 
 MAX_BRUTE_POINTS = 1 << 20
 
@@ -177,7 +177,7 @@ def _dual_products(points: Sequence, x_axis: RegularGrid, D: int):
 
 
 def _fractions(flat: Sequence, D: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v, D) for v in flat)
+    return tuple(reduced(v, D) for v in flat)
 
 
 def _line_starts(shape: tuple[int, ...], axis: int) -> list[int]:
@@ -230,7 +230,7 @@ def _envelope(line: Sequence) -> list:
     points kept: step i gets the slope of the hull edge over it."""
 
     def slope(a, b):
-        return Fraction(line[b] - line[a], b - a)
+        return reduced(line[b] - line[a], b - a)
 
     hull = [0]
     for i in range(1, len(line)):
@@ -245,7 +245,7 @@ def _pass(shape, scaled: Scaled, axis, x_axis, dual):
 
     ``dual`` is a DualGrid, or the size of the canonical grid spanning the
     lines' ``_bracket``. One walk gives that bracket and each line's slopes,
-    which ``_rule_counts`` reads against the thresholds s_j * gamma * D; on
+    which ``_rule`` reads against the thresholds s_j * gamma * D; on
     a nonconvex line it lands on envelope vertices only, which attain the
     line's maximum. Returns the new shape; the grid; the output over
     lcm(D, ds * dx), ds and dx the denominators of the dual and the axis
@@ -264,11 +264,12 @@ def _pass(shape, scaled: Scaled, axis, x_axis, dual):
     unit = x_axis.gamma * D
     explicit = dual.explicit and tuple(s * unit for s in dual.explicit)
     thresholds = DualGrid(dual.s0 * unit, dual.gamma_s * unit, k, dual.kind, explicit)
+    rule = _rule(thresholds)
     out = [None] * math.prod(new_shape)
     taken = [None] * len(out)
     counts = {}
     for (comp, a, line, slopes), b in zip(lines, _line_starts(new_shape, axis)):
-        counts[comp] = _rule_counts(slopes, thresholds)
+        counts[comp] = rule(slopes)
         opt = _repeat_indices(counts[comp])
         run = slice(b, b + k * stride, stride)
         out[run] = [line[i] * scale - row[i] for row, i in zip(sx, opt)]
@@ -294,8 +295,8 @@ def axis_bracket(values: RatTensor, axis: int, gamma: Fraction) -> tuple[Fractio
 
 def _bracket(lines: list, D: int, gamma) -> tuple[Fraction, Fraction]:
     """``axis_bracket`` from one pass's ``_lines`` over D."""
-    lo = min(Fraction(nums[0], dens[0]) for *_, (nums, dens) in lines)
-    hi = max(Fraction(nums[-1], dens[-1]) for *_, (nums, dens) in lines)
+    lo = min(reduced(nums[0], dens[0]) for *_, (nums, dens) in lines)
+    hi = max(reduced(nums[-1], dens[-1]) for *_, (nums, dens) in lines)
     return lo / (gamma * D), hi / (gamma * D)
 
 
@@ -402,7 +403,7 @@ def _centered_step(values: Sequence, idx: Sequence, centered: tuple, D: int, x_a
     D2 = 2 * p * D
     per = {w: D2 // (w * p * D0) for w in (1, 2)}
     out = [v * 2 * p - u * (a0 + i * p) * per[w] for v, u, w, i in zip(values, us, ws, idx)]
-    return out, D2, [Fraction(u * dx, w * p * D0) for u, w in zip(us, ws)]
+    return out, D2, [reduced(u * dx, w * p * D0) for u, w in zip(us, ws)]
 
 
 def _axis_max(inner: list, terms: list) -> tuple[list, list[int]]:
@@ -490,7 +491,7 @@ def _brute(f: TensorSamples, comps: Sequence[Sequence], keys: Sequence[tuple]) -
         for a in range(d):
             row = row * axis_pts[a][2] + firsts[a][row]
         # a repeated point shares its value
-        values[j] = values[last] if not top else Fraction(maxima[0][0], D)
+        values[j] = values[last] if not top else reduced(maxima[0][0], D)
         rows[j] = row
         last = j
     return values, rows

@@ -17,9 +17,12 @@ point from its local gradient registers and finishes garbage-free.
 Each step, like each nD pass, builds its output schema once and reads its
 registers at positions looked up by name once. Register arithmetic runs on
 the words' integer ratios (``as_integer_ratio``, exact for float samples
-too) and makes one ``Fraction`` per distinct word written: an interior
-gradient c_i is one word, held by branch i as ``c_hi`` and by branch i + 1
-as ``c_lo``.
+too) and makes one ``Fraction`` per distinct word written, through
+``rational.reduced``: an interior gradient c_i is one word, held by branch
+i as ``c_hi`` and by branch i + 1 as ``c_lo``. Post-selection splits the
+gathered ``c_hi`` words once and checks them on those ratios with the same
+check as ``GradientVector`` (``grids._checked_ratios``), then counts with
+the rule kernel (``transform._rule``) on the same ratios.
 """
 
 from __future__ import annotations
@@ -38,11 +41,10 @@ from .errors import (
     MalformedState,
     NotPowerOfTwo,
 )
-from .grids import DualGrid, FunctionSpec, GradientVector
+from .grids import DualGrid, FunctionSpec, _checked_ratios
 from .qstate import UNDEFINED, Amplitude, BasisLabel, QState, Schema, _schema, is_undefined
-from .rational import Vec, exact_sum, progression, split
-from .transform import _gradients, regular_dual_grid
-from .witness import assignment_counts
+from .rational import Vec, exact_sum, progression, reduced, split
+from .transform import _gradients, _rule, regular_dual_grid
 
 
 @dataclass(frozen=True)
@@ -138,13 +140,13 @@ def _slope(x0, y0, x1, y1) -> Fraction:
     """(y1 - y0) / (x1 - x0) on the words' integer ratios."""
     (a, b), (c, d) = x0.as_integer_ratio(), x1.as_integer_ratio()
     (e, g), (h, k) = y0.as_integer_ratio(), y1.as_integer_ratio()
-    return Fraction((h * g - e * k) * b * d, g * k * (c * b - a * d))
+    return reduced((h * g - e * k) * b * d, g * k * (c * b - a * d))
 
 
 def _dual_value(s: tuple[int, int], x, f) -> Fraction:
     """s*x - f for s = sn/sd on the words' integer ratios."""
     (sn, sd), (xn, xd), (fn, fd) = s, x.as_integer_ratio(), f.as_integer_ratio()
-    return Fraction(sn * xn * fd - fn * sd * xd, sd * xd * fd)
+    return reduced(sn * xn * fd - fn * sd * xd, sd * xd * fd)
 
 
 def _dual_ratios(dual: DualGrid) -> Vec:
@@ -156,8 +158,10 @@ def _dual_ratios(dual: DualGrid) -> Vec:
     return [a + j * p for j in range(dual.k)], [den] * dual.k
 
 
-def _gather_gradients(state: QState) -> GradientVector:
-    """Reassemble c_0..c_{n-2} from the branch gradient registers."""
+def _gather_gradients(state: QState) -> Vec:
+    """Reassemble c_0..c_{n-2} from the branch gradient registers, as the
+    ratios the rule kernel reads, split once and checked as a
+    ``GradientVector``'s are."""
     _, (pi, pc) = _read(state, "i", "c_hi")
     n = len(state)
     c: list = [None] * (n - 1)
@@ -167,7 +171,7 @@ def _gather_gradients(state: QState) -> GradientVector:
             c[i] = lab.values[pc]
     if any(v is None or is_undefined(v) for v in c):
         raise MalformedState("gradient registers are incomplete")
-    return GradientVector(c=tuple(c))
+    return _checked_ratios(c)
 
 
 def centered_dual(c_lo, c_hi):
@@ -178,7 +182,7 @@ def centered_dual(c_lo, c_hi):
     if is_undefined(c_hi):
         return c_lo
     (a, b), (c, d) = c_lo.as_integer_ratio(), c_hi.as_integer_ratio()
-    return Fraction(a * d + c * b, 2 * b * d)
+    return reduced(a * d + c * b, 2 * b * d)
 
 
 def retry_totals(p: Fraction, rng: random.Random, trials: int) -> tuple[int, int]:
@@ -223,7 +227,7 @@ def indicator_postselect(
     The success branch holds exactly K labels, renormalized to a uniform
     superposition and relabeled by dual index with optimizer registers.
     """
-    counts = assignment_counts(_gather_gradients(state), dual)
+    counts = _rule(dual)(_gather_gradients(state))
     firsts = list(accumulate(counts, initial=0))
     accepted = firsts[-1]
     if accepted == 0:
@@ -254,7 +258,7 @@ def _keep(kept: list, branches: int, w: int) -> tuple[QState, Fraction]:
     survivors / (branches * w)."""
     kept.sort(key=lambda lab: lab.values[0])
     post = QState.uniform(kept) if kept else QState(entries=())
-    return post, Fraction(len(kept), branches * w)
+    return post, reduced(len(kept), branches * w)
 
 
 def finalize_conjugate(state: QState, dual: DualGrid) -> QState:
@@ -377,14 +381,14 @@ def digital_to_analog(state: QState, rng_seed: int = 0) -> AnalogEncoding:
         raise AllZeroValues("cannot amplitude-encode the zero vector")
     alpha = exact_sum(sq_nums, sq_dens)
     an, ad = alpha.as_integer_ratio()
-    omega = Fraction(an * md, ad * len(nums) * mn)
+    omega = reduced(an * md, ad * len(nums) * mn)
     one = _schema(("j",), 1)
     entries = []
     for (lab, _), p, p2, q2 in zip(state.entries, nums, sq_nums, sq_dens):
         if p == 0:
             continue  # zero-amplitude branches drop out of the support
         # v^2 / alpha for v = p/q
-        amp = Amplitude(sign=1 if p > 0 else -1, sq=Fraction(p2 * ad, q2 * an))
+        amp = Amplitude(sign=1 if p > 0 else -1, sq=reduced(p2 * ad, q2 * an))
         entries.append((BasisLabel(one, (lab.values[pj],)), amp))
     encoded = QState(entries=tuple(entries))
     rng = random.Random(rng_seed)

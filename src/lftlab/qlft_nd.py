@@ -57,6 +57,7 @@ from .multi import _brute, _cascade, _centered, _centered_step, _dual_products, 
 from .multi import _require_convex_axes
 from .qlft import SimRun, StepRecord, _check_pow2, _finish, _keep, _trace
 from .qstate import BasisLabel, QState, _schema
+from .rational import reduced
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -116,7 +117,7 @@ def _run_nd(f: TensorSamples, rng_seed: int, ks: Optional[tuple] = None) -> SimR
 
         def negate(lab: BasisLabel) -> BasisLabel:
             v = lab.values
-            return BasisLabel(final, (v[0], Fraction(-v[1], D), v[2 : 2 + f.d], *v[2 + f.d :]))
+            return BasisLabel(final, (v[0], reduced(-v[1], D), v[2 : 2 + f.d], *v[2 + f.d :]))
 
         final_state = state.map_labels(negate)
         _trace(steps, "negate", final_state)

@@ -4,6 +4,9 @@ Amplitudes of every state arising here are real with exactly rational
 squared magnitude (uniform 1/sqrt(M) layers and value-weighted encodings
 v_j/sqrt(alpha)), so an amplitude is stored as a sign plus an exact
 squared magnitude and norms are checked with equality, not tolerance.
+A uniform layer's 1/M is made by ``rational.reduced``, and an amplitude
+reads a ``Fraction`` square's sign from its numerator, so building one
+does no ``Fraction`` comparison.
 
 Register words are exact rationals or integers; out-of-grid neighbor
 slots hold the tagged UNDEFINED word, which any arithmetic use would
@@ -33,7 +36,7 @@ from functools import cache
 from typing import Callable, Iterable, Union
 
 from .errors import MalformedState
-from .rational import exact_sum
+from .rational import exact_sum, reduced
 
 UNDEFINED = "undef"
 Word = Union[Fraction, int, str]
@@ -47,7 +50,9 @@ class Amplitude:
     def __post_init__(self):
         if self.sign not in (-1, 1):
             raise ValueError("amplitude sign must be +1 or -1")
-        if self.sq < 0:
+        # a Fraction's sign is its numerator's, read without a Fraction compare
+        sq = self.sq
+        if (sq.numerator if type(sq) is Fraction else sq) < 0:
             raise ValueError("squared magnitude must be nonnegative")
 
 
@@ -118,7 +123,7 @@ class QState:
         labs = tuple(labels)
         if not labs:
             raise MalformedState("cannot build a state over zero labels")
-        amp = Amplitude(sign=1, sq=Fraction(1, len(labs)))
+        amp = Amplitude(sign=1, sq=reduced(1, len(labs)))
         return cls(entries=tuple((lab, amp) for lab in labs))
 
     def norm_sq(self) -> Fraction:

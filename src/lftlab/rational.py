@@ -6,7 +6,10 @@ never suffers rounding and no integer grows with the number of elements;
 ``fractions.Fraction`` appears only at the API boundary. Sample and
 gradient containers split their values once, when they are built; the
 slopes the kernel derives from them stay unreduced, since each use
-floor-divides, cross-multiplies or builds a normalizing ``Fraction``.
+floor-divides, cross-multiplies or builds a ``Fraction`` through
+``reduced``. ``reduced`` is the one place where two ints become a
+``Fraction``: it reduces by ``math.gcd`` as ``Fraction(n, d)`` does and
+fills the two slots directly, without the constructor's type dispatch.
 Serialized documents write rationals as "p/q" strings. Float samples enter
 the kernel by exact conversion and face the same exact checks as rationals.
 """
@@ -14,13 +17,33 @@ the kernel by exact conversion and face the same exact checks as rationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import le, mul
 from typing import Iterable, Union
 
 Rational = Union[Fraction, int]
 Vec = tuple[list[int], list[int]]  # numerators, positive denominators
 Number = Union[Fraction, int, float]
+_new = object.__new__
+
+
+def reduced(n: int, d: int) -> Fraction:
+    """``Fraction(n, d)`` for ints n and d: in lowest terms, with a positive
+    denominator, and ``ZeroDivisionError`` on d = 0. The slots are filled
+    directly, as the standard library's ``Fraction._from_coprime_ints``
+    (3.12+) does, so the result is equal, hashes and pickles the same."""
+    if not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        n //= g
+        d //= g
+    f = _new(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
 
 
 def frac(value: Number | str) -> Fraction:
@@ -68,7 +91,7 @@ def exact_sum(nums: Iterable[int], dens: Iterable[int]) -> Fraction:
         else:
             m = lcm(den, q)
             num, den = num * (m // den) + p * (m // q), m
-    return Fraction(num, den)
+    return reduced(num, den)
 
 
 def format_rational(value: Number) -> str:

@@ -12,10 +12,11 @@ each integer is as wide as the element it holds. The sample and gradient
 containers split their values once, on construction (``FunctionSpec.ratios``,
 ``GradientVector.ratios``). The kernel's slopes and centered midpoints
 are not reduced to lowest terms: every consumer floor-divides,
-cross-multiplies or builds a ``Fraction``, which normalizes anyway. One
-count function, ``_rule_counts``, gives the rule's multiplicities without
-a sweep over the dual points: it is the rule kernel of the 1D routes and
-of every nested nD pass. Each value s_j x_i - f_i is one integer
+cross-multiplies or builds a ``Fraction`` (``rational.reduced``), which
+normalizes anyway. One count function, ``_rule``, gives the rule's
+multiplicities without a sweep over the dual points: it is the rule kernel
+of the 1D routes and of every nested nD pass, which reads its grid once
+and counts every line with it. Each value s_j x_i - f_i is one integer
 fraction, made a ``Fraction`` only when the result is returned.
 """
 
@@ -33,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import DegenerateGrid, InvalidK, NonConvexInput, OutOfRangeDual
 from .grids import DualGrid, FunctionSpec, GradientVector, RegularGrid
-from .rational import Number, Vec, frac, nondecreasing, progression, split
+from .rational import Number, Vec, frac, nondecreasing, progression, reduced, split
 
 ADAPTIVE_VARIANTS = ("centered", "right", "left")
 
@@ -75,7 +76,7 @@ def _gradients(f: FunctionSpec) -> Vec:
 
 def discrete_gradients(f: FunctionSpec) -> GradientVector:
     """Forward differences (f(x_{i+1}) - f(x_i)) / gamma_x for all i."""
-    return GradientVector(c=tuple(map(Fraction, *_gradients(f))), grid=f.grid)
+    return GradientVector(c=tuple(map(reduced, *_gradients(f))), grid=f.grid)
 
 
 def nontrivial_dual_range(g: GradientVector) -> tuple[Fraction, Fraction]:
@@ -105,8 +106,11 @@ def regular_dual_grid(rng: tuple[Number, Number], k: int) -> DualGrid:
 _by_value = cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1])
 
 
-def _rule_counts(c: Vec, dual: DualGrid) -> list[int]:
-    """Dual points per primal index under the clamped half-open gradient rule.
+def _rule(dual: DualGrid) -> Callable[[Vec], list[int]]:
+    """The gradient rule against one dual grid: a function from gradients
+    c to the dual points per primal index under the clamped half-open rule.
+    The grid is read here, once, however many gradient vectors the rule
+    then counts (an nD pass counts one per line).
 
     s goes to 0 when s <= c_0, else to n-1 when s >= c_{n-2}, else to the
     i with c_{i-1} < s <= c_i. With N<=(t), N<(t) the numbers of dual
@@ -121,23 +125,33 @@ def _rule_counts(c: Vec, dual: DualGrid) -> list[int]:
     [0, K] or capping it at top rewrites only a head and a tail, found by
     bisection.
     """
-    (cn, cd), k = c, dual.k
+    k = dual.k
     a, p, b = progression(dual.s0, dual.gamma_s)
     if dual.kind == "regular" and p:
-        # s_j = (a + j*p) / b <= n/d  <=>  j <= (n*b - a*d) / (p*d)
-        at_most = [(n * b - a * d) // (p * d) + 1 for n, d in zip(cn, cd)]
-        n, d = cn[-1], cd[-1]
-        below_top = min(max(-((a * d - n * b) // (p * d)), 0), k)
+
+        def bounds(cn: list[int], cd: list[int]) -> tuple[list[int], int]:
+            # s_j = (a + j*p) / b <= n/d  <=>  j <= (n*b - a*d) / (p*d)
+            at_most = [(n * b - a * d) // (p * d) + 1 for n, d in zip(cn, cd)]
+            n, d = cn[-1], cd[-1]
+            return at_most, min(max(-((a * d - n * b) // (p * d)), 0), k)
+
     else:
-        points = list(zip(*split(dual.explicit or (dual.s0,) * k)))
-        at_most = [bisect_right(points, _by_value(t), key=_by_value) for t in zip(cn, cd)]
-        below_top = bisect_left(points, _by_value((cn[-1], cd[-1])), key=_by_value)
-    first = min(max(at_most[0], 0), k)
-    top = max(below_top, first)
-    head = bisect_right(at_most, 0)
-    tail = bisect_right(at_most, top, head)
-    capped = [0] * head + at_most[head:tail] + [top] * (len(at_most) - tail)
-    return [first, *map(sub, capped[1:], capped), k - top]
+        points = list(map(_by_value, zip(*split(dual.explicit or (dual.s0,) * k))))
+
+        def bounds(cn: list[int], cd: list[int]) -> tuple[list[int], int]:
+            at_most = [bisect_right(points, _by_value(t)) for t in zip(cn, cd)]
+            return at_most, bisect_left(points, _by_value((cn[-1], cd[-1])))
+
+    def counts(c: Vec) -> list[int]:
+        at_most, below_top = bounds(*c)
+        first = min(max(at_most[0], 0), k)
+        top = max(below_top, first)
+        head = bisect_right(at_most, 0)
+        tail = bisect_right(at_most, top, head)
+        capped = [0] * head + at_most[head:tail] + [top] * (len(at_most) - tail)
+        return [first, *map(sub, capped[1:], capped), k - top]
+
+    return counts
 
 
 def _repeat_indices(counts: Sequence[int]) -> tuple[int, ...]:
@@ -145,13 +159,13 @@ def _repeat_indices(counts: Sequence[int]) -> tuple[int, ...]:
 
 
 def _checked_counts(c: Vec, dual: DualGrid, clamp: bool) -> list[int]:
-    """``_rule_counts``; unless ``clamp``, every dual point must lie in
+    """``_rule``'s counts; unless ``clamp``, every dual point must lie in
     the closed nontrivial range [c_0, c_{n-2}]."""
-    lo, hi = Fraction(c[0][0], c[1][0]), Fraction(c[0][-1], c[1][-1])
+    lo, hi = reduced(c[0][0], c[1][0]), reduced(c[0][-1], c[1][-1])
     if not clamp and (dual.lo < lo or dual.hi > hi):
         s = next(s for s in dual.points() if s < lo or s > hi)
         raise OutOfRangeDual(f"dual point {s} outside [{lo}, {hi}]; clamp to proceed")
-    return _rule_counts(c, dual)
+    return _rule(dual)(c)
 
 
 def optimizer_map(
@@ -190,7 +204,7 @@ def _conjugate_values(
         sn = range(s0, s0 + dual.k * step, step) if step else repeat(s0, dual.k)
         nums = [n * xs[i] - fs[i] for n, i in zip(sn, idx)]
         dens = [ls[i] for i in idx]
-    return tuple(map(Fraction, nums, dens))
+    return tuple(map(reduced, nums, dens))
 
 
 def lft_regular(f: FunctionSpec, dual: DualGrid, clamp: bool = False) -> ConjugateResult:
@@ -226,13 +240,13 @@ def adaptive_dual_points(g: GradientVector, variant: str = "centered") -> tuple:
     The boundary midpoints collapse onto c_0 and c_{n-2}, so every point
     lies in the nontrivial range.
     """
-    return tuple(map(Fraction, *_adaptive_points(g.ratios, variant)))
+    return tuple(map(reduced, *_adaptive_points(g.ratios, variant)))
 
 
 def lft_adaptive(f: FunctionSpec, variant: str = "centered") -> ConjugateResult:
     """Adaptive-dual transform; each dual point's optimizer is its own index."""
     ratios = _adaptive_points(_gradients(f), variant)
-    points = tuple(map(Fraction, *ratios))
+    points = tuple(map(reduced, *ratios))
     dual = DualGrid(s0=points[0], gamma_s=Fraction(0), k=f.n, kind="adaptive", explicit=points)
     idx = tuple(range(f.n))
     values = _conjugate_values(f, dual, idx, ratios)

@@ -17,7 +17,8 @@ from typing import Optional
 
 from .errors import EmptyAcceptance, IndexOutOfRange, ZeroSpacing
 from .grids import DualGrid, GradientVector
-from .transform import _rule_counts, _slopes
+from .rational import reduced
+from .transform import _rule, _slopes
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,7 @@ class WitnessReport:
 
 def assignment_counts(g: GradientVector, dual: DualGrid) -> tuple[int, ...]:
     """How many dual points each primal index optimizes (clamped rule)."""
-    return tuple(_rule_counts(g.ratios, dual))
+    return tuple(_rule(dual)(g.ratios))
 
 
 def witness_params(g: GradientVector, dual: DualGrid) -> WitnessReport:
@@ -38,7 +39,7 @@ def witness_params(g: GradientVector, dual: DualGrid) -> WitnessReport:
     if dual.kind == "regular" and dual.gamma_s == 0:
         raise ZeroSpacing("witness parameters need a positive dual spacing")
     c = g.ratios
-    w = max(_rule_counts(c, dual))
+    w = max(_rule(dual)(c))
     if w < 1:
         raise EmptyAcceptance("no primal index optimizes any dual point")
     w_floor = None
@@ -49,7 +50,7 @@ def witness_params(g: GradientVector, dual: DualGrid) -> WitnessReport:
         raise ValueError("gradient vector lacks its primal grid")
     span = g.grid.hi - g.grid.x0
     nu = (g.hi - g.lo) / span
-    success = Fraction(dual.k, g.n * w)
+    success = reduced(dual.k, g.n * w)
     return WitnessReport(w=w, nu=nu, success_probability=success, w_floor=w_floor)
 
 
@@ -64,7 +65,7 @@ def _slot(i: int, m: int, g: GradientVector, dual: DualGrid) -> tuple[int, int]:
     cn, cd = g.ratios
     pos = 0 if i == 0 else 4 if i == g.n - 1 else 2
     at = (0, max(i - 1, 0), min(i, len(cn) - 1), -1)
-    counts = _rule_counts(([cn[t] for t in at], [cd[t] for t in at]), dual)
+    counts = _rule(dual)(([cn[t] for t in at], [cd[t] for t in at]))
     return sum(counts[:pos]), counts[pos]
 
 

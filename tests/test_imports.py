@@ -1,6 +1,7 @@
 """Every module of the package, every test file and every script uses each
 name it imports, and the package reads each private name it defines. One
-place in the package builds a simulator run record (``SimRun``).
+place in the package builds a simulator run record (``SimRun``), and one
+makes a ``Fraction`` from two ints (``rational.reduced``).
 
 The import check skips the package's ``__init__`` (its imports are the
 package's re-exports) and ``from __future__`` imports. A top-level ``_private``
@@ -98,3 +99,49 @@ def test_one_place_builds_every_simulator_run():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "SimRun"
     ]
     assert len(calls) == 1, f"SimRun( is called at {', '.join(calls)}; route every run through qlft._finish"
+
+
+def _fraction_pairs(tree: ast.Module) -> list[int]:
+    """Lines that build a Fraction from a numerator and a denominator:
+    ``Fraction``, ``fractions.Fraction`` or a name bound to either, called
+    with two arguments or a ``denominator``, or mapped by ``map``."""
+    names = {"Fraction"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            names |= {a.asname for a in node.names if a.name == "Fraction" and a.asname}
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Name) and node.value.id in names:
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+
+    def is_fraction(expr):
+        return (isinstance(expr, ast.Name) and expr.id in names) or (
+            isinstance(expr, ast.Attribute) and expr.attr == "Fraction"
+        )
+
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (is_fraction(node.func) and (len(node.args) > 1 or any(k.arg == "denominator" for k in node.keywords)))
+            or (isinstance(node.func, ast.Name) and node.func.id == "map" and node.args and is_fraction(node.args[0]))
+        )
+    )
+
+
+def test_one_place_makes_a_fraction_from_two_ints():
+    calls = [
+        f"{p.name}:{line}"
+        for p in MODULES
+        if p.name != "rational.py"
+        for line in _fraction_pairs(ast.parse(p.read_text(), filename=str(p)))
+    ]
+    assert not calls, f"two-int Fractions built at {', '.join(calls)}; use rational.reduced"
+
+
+def test_the_check_finds_every_two_int_fraction():
+    source = (
+        "import fractions\nfrom fractions import Fraction\nF = Fraction\n"
+        "a = Fraction(1)\nb = Fraction(1, 2)\nc = F(3, 4)\nd = fractions.Fraction(5, 6)\n"
+        "e = map(Fraction, xs, ys)\ng = Fraction(7, denominator=8)\nh = F('1/2')\n"
+    )
+    assert _fraction_pairs(ast.parse(source)) == [5, 6, 7, 8, 9]

@@ -1,5 +1,6 @@
 import gc
 import math
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -7,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lftlab import fixtures, multi
+from lftlab import fixtures, multi, transform
 from lftlab.errors import NonConvexSlice
 from lftlab.grids import DualGrid, RegularGrid
 from lftlab.hardness import HiddenStringInstance
@@ -169,6 +170,22 @@ class TestNdRegular:
         f = fixtures.random_convex_quadratic_nd(rng, d=2, n=4)
         duals = canonical_nd_dual_grids(f, (3, 5))
         assert_attained(f, lft_nd_regular(f, duals))
+
+    @pytest.mark.parametrize("seed", [5, 56, 138, 139])
+    def test_explicit_copies_of_the_grids_give_the_same_result(self, seed, monkeypatch):
+        f, ks = generator_case(seed)
+        duals = canonical_nd_dual_grids(f, ks)
+        copies = [DualGrid.from_points(g.points()) for g in duals]
+        want = lft_nd_regular(f, duals)
+        split = transform.split
+        calls = []
+        monkeypatch.setattr(transform, "split", lambda v: calls.append(1) or split(v))
+        got = lft_nd_regular(f, copies)
+        # the rule reads each pass's explicit grid once, not once per line
+        assert len(calls) == f.d
+        assert pickle.dumps((got.values, got.optimizer), protocol=4) == pickle.dumps(
+            (want.values, want.optimizer), protocol=4
+        )
 
     # generator seeds whose axis-1 (or axis-2) pass leaves a discretely
     # nonconvex intermediate line

@@ -25,7 +25,7 @@ from lftlab.qlft import (
     run_qlft_1d_adaptive,
     run_qlft_1d_regular,
 )
-from lftlab.qstate import UNDEFINED, label
+from lftlab.qstate import UNDEFINED, QState, label
 from lftlab.transform import (
     discrete_gradients,
     lft_adaptive,
@@ -218,6 +218,39 @@ class TestPostselect:
         got = {(lab.get("j"), lab.get("x_star")) for lab, _ in post.entries}
         expect = {(j, xs[i]) for j, i in enumerate(assignment)}
         assert got == expect
+
+    @staticmethod
+    def hand_built(c_hi, at=None):
+        """Branches i (0.. unless ``at`` names them) on the integer grid with
+        the given c_hi words; postselection reads no other gradient register."""
+        return QState.uniform(
+            label(("i", i), ("x", F(i)), ("f", F(0)), ("c_hi", c))
+            for i, c in zip(at or range(len(c_hi)), c_hi)
+        )
+
+    def test_hand_built_state_counts_as_the_kernel_does(self):
+        c = [F(-1), F(1, 2), F(1, 2), F(3)]
+        dual = DualGrid.from_points([F(-2), F(0), F(1, 2), F(1), F(4)])
+        post, outcome = indicator_postselect(self.hand_built([*c, UNDEFINED]), dual)
+        assert [lab.get("i") for lab in post.labels()] == [0, 1, 1, 3, 4]
+        assert outcome.w == 2 and outcome.accepted == 5
+
+    def test_decreasing_gradient_words_raise(self):
+        dual = DualGrid.from_points([F(0), F(1)])
+        with pytest.raises(NonConvexInput, match=r"^gradients must be nondecreasing$"):
+            indicator_postselect(self.hand_built([F(0), F(2), F(1), UNDEFINED]), dual)
+
+    def test_one_gradient_raises(self):
+        dual = DualGrid.from_points([F(0), F(1)])
+        with pytest.raises(DegenerateGrid, match=r"^need at least two discrete gradients$"):
+            indicator_postselect(self.hand_built([F(1), UNDEFINED]), dual)
+
+    @pytest.mark.parametrize("at", [None, (0, 2, 3, 4)])
+    def test_missing_gradient_word_raises(self, at):
+        # an UNDEFINED interior word, or no branch 1 at all
+        c_hi = [F(0), UNDEFINED if at is None else F(1), F(2), UNDEFINED]
+        with pytest.raises(MalformedState, match=r"^gradient registers are incomplete$"):
+            indicator_postselect(self.hand_built(c_hi, at), DualGrid.from_points([F(0), F(1)]))
 
     def test_post_state_renormalized(self, ex3):
         state = attach_gradients(prepare_superposition(ex3))

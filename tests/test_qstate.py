@@ -13,6 +13,23 @@ def amp(sq):
     return Amplitude(sign=1, sq=F(sq))
 
 
+class TestAmplitude:
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_sign_other_than_plus_minus_one_raises(self, sign):
+        with pytest.raises(ValueError, match=r"^amplitude sign must be \+1 or -1$"):
+            Amplitude(sign=sign, sq=F(1, 2))
+
+    @pytest.mark.parametrize("sq", [F(-1, 3), F(-5), -1, F(-1, 2**80)])
+    def test_negative_squared_magnitude_raises(self, sq):
+        with pytest.raises(ValueError, match=r"^squared magnitude must be nonnegative$"):
+            Amplitude(sign=1, sq=sq)
+
+    @pytest.mark.parametrize("sq", [F(0), 0, F(1, 3), 1, F(2**80, 3)])
+    def test_nonnegative_squared_magnitude_is_kept(self, sq):
+        a = Amplitude(sign=-1, sq=sq)
+        assert a.sq is sq and a.sign == -1
+
+
 class TestDistinctLabels:
     def test_duplicate_with_colliding_first_register_raises(self):
         lab = label(("i", 0), ("x", F(1, 3)))
