@@ -9,17 +9,25 @@ Three closed-form convex functions on [0,1] serve as golden fixtures:
 Each comes with its exact continuous conjugate for convergence checks.
 The ex3 conjugate's middle branch is 3s/4 - 1/4, the unique continuous
 interpolant of its kink values (s/4 at 1/2 and s - 1/2 at 1).
+
+The instance generators compute every sample's numerator on Python ints,
+over a denominator they know in advance, and make each sample a
+``Fraction`` once, through ``rational.reduced``. Each draws from its rng in
+a fixed order and gives every axis its own ``RegularGrid``, so one seed
+gives one output, pickle for pickle.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate, product
+from operator import mul
 from typing import Callable
 
 from .errors import DegenerateGrid
 from .grids import FunctionSpec, RegularGrid
-from .multi import TensorGrid, TensorSamples
+from .multi import RatTensor, TensorGrid, TensorSamples, _lift
 from .rational import frac, reduced
 
 F = Fraction
@@ -130,34 +138,33 @@ def random_convex_spec(rng: random.Random, n: int) -> FunctionSpec:
     """Random convex samples, in eighths, from nondecreasing gradients."""
     denom = 8
     grid = unit_grid(n)
-    g0 = reduced(rng.randint(-2 * denom, 2 * denom), denom)
-    increments = [reduced(rng.randint(0, denom), denom) for _ in range(n - 2)]
-    c = [g0]
-    for inc in increments:
-        c.append(c[-1] + inc)
-    samples = [reduced(rng.randint(-denom, denom), denom)]
-    for ci in c:
-        samples.append(samples[-1] + grid.gamma * ci)
-    return FunctionSpec(grid=grid, samples=tuple(samples))
+    g0 = rng.randint(-2 * denom, 2 * denom)
+    # the gradients' numerators over denom, all drawn before s0
+    grads = list(accumulate((rng.randint(0, denom) for _ in range(n - 2)), initial=g0))
+    # s_{k+1} = s_k + c_k / (n - 1): the samples' numerators over denom * (n - 1)
+    sums = accumulate(grads, initial=rng.randint(-denom, denom) * (n - 1))
+    return FunctionSpec(grid=grid, samples=tuple(reduced(s, denom * (n - 1)) for s in sums))
 
 
 def random_quadratic_spec(rng: random.Random, n: int) -> FunctionSpec:
     """Random convex quadratic a x^2 + b x + c with rational coefficients."""
-    a = reduced(rng.randint(1, 12), rng.randint(1, 3))
-    b = reduced(rng.randint(-8, 8), rng.randint(1, 4))
-    c = reduced(rng.randint(-4, 4), rng.randint(1, 4))
+    an, ad = rng.randint(1, 12), rng.randint(1, 3)
+    bn, bd = rng.randint(-8, 8), rng.randint(1, 4)
+    cn, cd = rng.randint(-4, 4), rng.randint(1, 4)
     grid = unit_grid(n)
-    return FunctionSpec(
-        grid=grid,
-        samples=tuple(a * x * x + b * x + c for x in grid.points()),
-    )
+    m = n - 1  # at x = i / m: (A i^2 + B i + C) / (ad bd cd m^2)
+    A, B, C = an * bd * cd, bn * ad * cd * m, cn * ad * bd * m * m
+    den = ad * bd * cd * m * m
+    return FunctionSpec(grid=grid, samples=tuple(reduced(A * i * i + B * i + C, den) for i in range(n)))
 
 
 def separable_sum(base: str = "quadratic-ex1", d: int = 2, n: int = 5) -> TensorSamples:
     """f(x_0..x_{d-1}) = sum of one fixture function per coordinate."""
     fn, _ = _CLOSED_FORMS[base]
     grid = TensorGrid(axes=tuple(unit_grid(n) for _ in range(d)))
-    return TensorSamples.from_function(grid, lambda *xs: sum(fn(x) for x in xs))
+    nums, den = _lift([fn(x) for x in grid.axes[0].points()])
+    flat = tuple(reduced(sum(k), den) for k in product(nums, repeat=d))
+    return TensorSamples(grid=grid, values=RatTensor(grid.shape, flat))
 
 
 def random_convex_quadratic_nd(
@@ -176,14 +183,15 @@ def random_convex_quadratic_nd(
         ]
         for i in range(d)
     ]
-    a = [reduced(rng.randint(-4, 4), 2) for _ in range(d)]
+    a2 = [rng.randint(-4, 4) for _ in range(d)]  # a = a2 / 2
     grid = TensorGrid(axes=tuple(unit_grid(n) for _ in range(d)))
-
-    def fn(*xs):
-        quad = sum(Q[i][j] * xs[i] * xs[j] for i in range(d) for j in range(d))
-        return quad + sum(a[i] * xs[i] for i in range(d))
-
-    return TensorSamples.from_function(grid, fn)
+    m = n - 1  # at x = k / m: (2 k^T Q k + m <a2, k>) / (2 m^2)
+    nums = (
+        2 * sum(q * ki * kj for Qi, ki in zip(Q, k) for q, kj in zip(Qi, k)) + m * sum(map(mul, a2, k))
+        for k in product(range(n), repeat=d)
+    )
+    values = RatTensor(grid.shape, tuple(reduced(v, 2 * m * m) for v in nums))
+    return TensorSamples(grid=grid, values=values)
 
 
 def hypercube_grid(d: int) -> TensorGrid:

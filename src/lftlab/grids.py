@@ -168,6 +168,18 @@ class GradientVector:
         object.__setattr__(self, "c", vals)
         object.__setattr__(self, "ratios", _checked_ratios(vals))
 
+    @classmethod
+    def _of_checked(cls, ratios: Vec, grid: Optional[RegularGrid]) -> "GradientVector":
+        """The vector over ratios already checked as ``_checked_ratios``
+        checks them: each gradient becomes a ``Fraction`` once, and
+        ``ratios`` holds their lowest terms, as the constructor's would."""
+        c = tuple(map(reduced, *ratios))
+        g = object.__new__(cls)
+        g.__dict__.update(
+            c=c, grid=grid, ratios=([v.numerator for v in c], [v.denominator for v in c])
+        )
+        return g
+
     @property
     def n(self) -> int:
         """Number of primal points of the underlying function."""

@@ -10,6 +10,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 from fractions import Fraction
@@ -100,11 +101,23 @@ def parse_instance(doc: dict) -> Instance:
     raise ParseError(f"unknown instance kind {kind!r}")
 
 
+def _int_param(params: dict, name: str, default: int) -> int:
+    """An integer builtin parameter: an int (not a bool) or an integer
+    string; anything else is a ParseError naming the parameter."""
+    value = params.get(name, default)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            return int(value)
+    raise ParseError(f"builtin parameter {name!r} must be an integer, got {value!r}")
+
+
 def _build(name, params: dict) -> Instance:
     if name not in BUILTINS:
         raise ParseError(f"unknown builtin {name!r}; choose from {BUILTINS}")
     if name in ("quadratic-ex1", "pwl-ex2", "pwl-ex3"):
-        return sampled(name, n=int(params.get("n", 5)))
+        return sampled(name, n=_int_param(params, "n", 5))
     if name == "hypercube-z":
         z = params.get("z")
         if not isinstance(z, str) or any(ch not in "01" for ch in z) or not z:
@@ -116,17 +129,20 @@ def _build(name, params: dict) -> Instance:
     if name == "separable-sum":
         return separable_sum(
             base=params.get("base", "quadratic-ex1"),
-            d=int(params.get("d", 2)),
-            n=int(params.get("n", 5)),
+            d=_int_param(params, "d", 2),
+            n=_int_param(params, "n", 5),
         )
     # random-convex-quadratic
-    seed = int(params.get("seed", 0))
-    n = int(params.get("n", 8))
-    d = int(params.get("d", 1))
+    seed = _int_param(params, "seed", 0)
+    n = _int_param(params, "n", 8)
+    d = _int_param(params, "d", 1)
+    coupling = _int_param(params, "coupling", 1)
+    if coupling < 0:
+        raise ParseError(f"builtin parameter 'coupling' must be >= 0, got {coupling}")
     rng = random.Random(seed)
     if d == 1:
         return random_quadratic_spec(rng, n)
-    return random_convex_quadratic_nd(rng, d=d, n=n, coupling=int(params.get("coupling", 1)))
+    return random_convex_quadratic_nd(rng, d=d, n=n, coupling=coupling)
 
 
 def load_instance(path: str) -> Instance:

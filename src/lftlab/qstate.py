@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
+from operator import is_
 from typing import Callable, Iterable, Union
 
 from .errors import MalformedState
@@ -127,7 +129,14 @@ class QState:
         return cls(entries=tuple((lab, amp) for lab in labs))
 
     def norm_sq(self) -> Fraction:
-        sqs = [a.sq for _, a in self.entries]
+        """The exact sum of the squared magnitudes; when every entry holds
+        one ``Amplitude`` object, as a uniform layer does, its ``sq`` times
+        the count (told apart by identity, at C speed)."""
+        amps = [a for _, a in self.entries]
+        if amps and all(map(is_, amps, repeat(amps[0]))):
+            sq = amps[0].sq
+            return reduced(sq.numerator * len(amps), sq.denominator)
+        sqs = [a.sq for a in amps]
         return exact_sum([q.numerator for q in sqs], [q.denominator for q in sqs])
 
     def __len__(self) -> int:

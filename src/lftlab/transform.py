@@ -75,8 +75,9 @@ def _gradients(f: FunctionSpec) -> Vec:
 
 
 def discrete_gradients(f: FunctionSpec) -> GradientVector:
-    """Forward differences (f(x_{i+1}) - f(x_i)) / gamma_x for all i."""
-    return GradientVector(c=tuple(map(reduced, *_gradients(f))), grid=f.grid)
+    """Forward differences (f(x_{i+1}) - f(x_i)) / gamma_x for all i; the
+    kernel has checked them, so the vector does not check them again."""
+    return GradientVector._of_checked(_gradients(f), f.grid)
 
 
 def nontrivial_dual_range(g: GradientVector) -> tuple[Fraction, Fraction]:

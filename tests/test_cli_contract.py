@@ -8,6 +8,7 @@ import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lftlab.cli import main
@@ -149,3 +150,40 @@ def test_a_dual_size_past_the_index_range_exits_1_with_one_line():
             text = err.getvalue()
             assert code == 1, argv
             assert text.startswith("error: ") and text.count("\n") == 1, text
+
+
+def _lft_builtin(name, params):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "b.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"kind": "builtin", "name": name, "params": params}, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["lft", path, "--dual", "adaptive"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "name,params,bad",
+    [
+        ("random-convex-quadratic", {"n": 8.9}, "'n'"),
+        ("random-convex-quadratic", {"seed": 3.99}, "'seed'"),
+        ("random-convex-quadratic", {"n": True}, "'n'"),
+        ("random-convex-quadratic", {"d": 2, "coupling": -1}, "'coupling' must be >= 0"),
+        ("random-convex-quadratic", {"coupling": "1/2"}, "'coupling'"),
+        ("separable-sum", {"d": 2.0}, "'d'"),
+        ("quadratic-ex1", {"n": "5.0"}, "'n'"),
+    ],
+)
+def test_a_builtin_integer_parameter_that_is_no_integer_exits_1(name, params, bad):
+    code, out, err = _lft_builtin(name, params)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: builtin parameter ") and bad in err and err.count("\n") == 1, err
+
+
+def test_a_builtin_integer_parameter_may_be_an_integer_string():
+    ints = {"n": 6, "d": 2, "seed": 3, "coupling": 2}
+    assert _lft_builtin("random-convex-quadratic", {k: str(v) for k, v in ints.items()}) == _lft_builtin(
+        "random-convex-quadratic", ints
+    )
+    assert _lft_builtin("random-convex-quadratic", ints)[0] == 0

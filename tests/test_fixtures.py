@@ -4,8 +4,9 @@ An output's digest is the sha256 of the protocol-4 pickle of the output
 together with the rng's next ``random()`` draw, so a change to the values,
 to which objects the output shares (one ``RegularGrid`` per axis) or to the
 order of the rng's draws fails here. A ``Fraction`` pickles as its
-numerator and denominator on every supported Python. Each pin is the sha256 of the
-digests of one generator over its seeds, cut to 16 hex digits.
+numerator and denominator on every supported Python. Each pin is the
+sha256 of the digests of one generator over its seeds, cut to 16 hex
+digits.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from lftlab import fixtures
+from lftlab.errors import DegenerateGrid
 from lftlab.multi import TensorGrid, TensorSamples
 
 PINS_1D = {
@@ -57,7 +59,7 @@ def _digest(output, rng=None) -> bytes:
     drawn = None if rng is None else rng.random()
     buf = io.BytesIO()
     pickler = pickle.Pickler(buf, protocol=4)
-    # every Python writes a Fraction as its two ints, as 3.11+ does anyway
+    # the same bytes whichever way a Python version reduces a Fraction
     pickler.dispatch_table = {Fraction: lambda f: (Fraction, (f.numerator, f.denominator))}
     pickler.dump((output, drawn))
     return hashlib.sha256(buf.getvalue()).digest()
@@ -92,6 +94,20 @@ def test_random_convex_quadratic_nd_is_pinned(d, n, coupling):
 @pytest.mark.parametrize("base,d,n", list(PINS_SUM))
 def test_separable_sum_is_pinned(base, d, n):
     assert _pin([_digest(fixtures.separable_sum(base, d=d, n=n))]) == PINS_SUM[base, d, n]
+
+
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_a_grid_of_fewer_than_two_points_is_degenerate(n):
+    rng = random.Random(0)
+    makes = [
+        lambda: fixtures.random_convex_spec(rng, n),
+        lambda: fixtures.random_quadratic_spec(rng, n),
+        lambda: fixtures.random_convex_quadratic_nd(rng, d=2, n=n),
+        lambda: fixtures.separable_sum(d=2, n=n),
+    ]
+    for make in makes:
+        with pytest.raises(DegenerateGrid, match="need at least 2 grid points"):
+            make()
 
 
 def test_the_pins_see_a_shared_axis_grid():

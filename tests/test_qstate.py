@@ -3,8 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from lftlab import qstate
 from lftlab.errors import MalformedState
+from lftlab.qlft import digital_to_analog
 from lftlab.qstate import UNDEFINED, Amplitude, QState, is_undefined, label
+from lftlab.rational import exact_sum
 
 from conftest import reg_names
 
@@ -92,6 +95,42 @@ class TestNorm:
 
     def test_empty_state_norm_is_zero(self):
         assert QState(entries=()).norm_sq() == 0
+
+    @pytest.fixture
+    def summed(self, monkeypatch):
+        """Counts the calls of the exact sum."""
+        calls, real = [], qstate.exact_sum
+
+        def counted(nums, dens):
+            calls.append(1)
+            return real(nums, dens)
+
+        monkeypatch.setattr(qstate, "exact_sum", counted)
+        return calls
+
+    @pytest.mark.parametrize("size", [1, 3, 7, 4096])
+    @pytest.mark.parametrize("sq", [F(1, 6), F(2, 7), 3, F(0)])
+    def test_one_shared_amplitude_is_its_square_times_the_count(self, summed, size, sq):
+        shared = Amplitude(sign=-1, sq=sq)
+        state = QState(entries=tuple((label(("j", j)), shared) for j in range(size)))
+        exact = exact_sum([F(sq).numerator] * size, [F(sq).denominator] * size)
+        assert pickle.dumps(state.norm_sq(), 4) == pickle.dumps(exact, 4)
+        assert pickle.dumps(QState.uniform(state.labels()).norm_sq(), 4) == pickle.dumps(F(1), 4)
+        assert not summed
+
+    def test_equal_but_distinct_amplitudes_take_the_sum(self, summed):
+        state = QState(entries=tuple((label(("j", j)), amp(F(1, 3))) for j in range(3)))
+        assert state.entries[0][1] == state.entries[1][1]
+        assert pickle.dumps(state.norm_sq(), 4) == pickle.dumps(F(1), 4)
+        assert summed == [1]
+
+    def test_an_analog_state_takes_the_sum(self, summed):
+        flat = QState.uniform([label(("j", j), ("fstar", F(-2, 3))) for j in range(4)])
+        state = digital_to_analog(flat).state
+        assert len({a for _, a in state.entries}) == 1 < len({id(a) for _, a in state.entries})
+        summed.clear()
+        assert pickle.dumps(state.norm_sq(), 4) == pickle.dumps(F(1), 4)
+        assert summed == [1]
 
 
 class TestRegisters:
