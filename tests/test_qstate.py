@@ -6,7 +6,7 @@ import pytest
 from lftlab import qstate
 from lftlab.errors import MalformedState
 from lftlab.qlft import digital_to_analog
-from lftlab.qstate import UNDEFINED, Amplitude, QState, is_undefined, label
+from lftlab.qstate import UNDEFINED, Amplitude, BasisLabel, QState, _schema, is_undefined, label
 from lftlab.rational import exact_sum
 
 from conftest import reg_names
@@ -31,6 +31,85 @@ class TestAmplitude:
     def test_nonnegative_squared_magnitude_is_kept(self, sq):
         a = Amplitude(sign=-1, sq=sq)
         assert a.sq is sq and a.sign == -1
+
+
+class TestRecordContract:
+    """``BasisLabel`` and ``Amplitude`` are value records: equal by their
+    fields (a label's schema by identity), hashed as the tuple of their
+    fields, immutable, and unpickled onto the interned schema."""
+
+    SCHEMA = _schema(("i", "x", "m"), 2)
+
+    def records(self):
+        """(record, its field names, its field values) of each class."""
+        values, sq = (0, F(1, 3), 2), F(1, 3)
+        return [
+            (BasisLabel(self.SCHEMA, values), ("schema", "values"), (self.SCHEMA, values)),
+            (Amplitude(-1, sq), ("sign", "sq"), (-1, sq)),
+        ]
+
+    def test_equality(self):
+        lab = BasisLabel(self.SCHEMA, (0, F(1, 3), 2))
+        same = BasisLabel(self.SCHEMA, (F(0), F(2, 6), 2))  # equal words of other types
+        assert lab == same and not lab != same and lab.values is not same.values
+        for other in (
+            BasisLabel(self.SCHEMA, (0, F(1, 3), 3)),
+            BasisLabel(_schema(("i", "x", "m"), 3), (0, F(1, 3), 2)),
+            BasisLabel(_schema(("j", "x", "m"), 2), (0, F(1, 3), 2)),
+        ):
+            assert lab != other and not lab == other
+        a = Amplitude(1, F(1, 4))
+        assert a == Amplitude(1, F(2, 8)) == Amplitude(True, F(1, 4)) and not a != Amplitude(1, F(1, 4))
+        for other in (Amplitude(-1, F(1, 4)), Amplitude(1, F(1, 2))):
+            assert a != other and not a == other
+
+    def test_a_foreign_object_is_never_equal(self):
+        for record, _, fields in self.records():
+            for other in (fields, list(fields), None, object(), self.SCHEMA):
+                assert record != other and not record == other
+                assert other != record and not other == record
+
+    def test_hash_is_the_hash_of_the_fields(self):
+        for record, _, fields in self.records():
+            assert hash(record) == hash(fields)
+        assert hash(BasisLabel(self.SCHEMA, (0, F(1, 3), 2))) == hash(BasisLabel(self.SCHEMA, (F(0), F(1, 3), 2)))
+        assert len({Amplitude(1, F(1, 2)), Amplitude(1, F(2, 4)), Amplitude(-1, F(1, 2))}) == 2
+
+    def test_fields_read_back_as_given(self):
+        for record, names, fields in self.records():
+            assert all(getattr(record, n) is v for n, v in zip(names, fields))
+
+    def test_keyword_construction(self):
+        for record, names, fields in self.records():
+            assert type(record)(**dict(zip(names, fields))) == record
+
+    def test_repr(self):
+        lab, amp = (r for r, _, _ in self.records())
+        assert repr(lab) == (
+            "BasisLabel(schema=Schema(names=('i', 'x', 'm'), n_regs=2), values=(0, Fraction(1, 3), 2))"
+        )
+        assert repr(amp) == "Amplitude(sign=-1, sq=Fraction(1, 3))"
+        assert repr(label()) == "BasisLabel(schema=Schema(names=(), n_regs=0), values=())"
+
+    def test_fields_can_be_neither_set_nor_deleted(self):
+        for record, names, fields in self.records():
+            for name in (*names, "other"):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, fields[0])
+            for name in names:
+                with pytest.raises(AttributeError):
+                    delattr(record, name)
+            assert all(getattr(record, n) is v for n, v in zip(names, fields))
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        for record, names, fields in self.records():
+            copy = pickle.loads(pickle.dumps(record, protocol))
+            assert type(copy) is type(record) and copy == record
+            assert hash(copy) == hash(record)
+        lab = label(("j", 1), ("fstar", F(-2, 3)), garbage=(("m", 0),))
+        copy = pickle.loads(pickle.dumps(lab, protocol))
+        assert copy == lab and copy.schema is _schema(("j", "fstar", "m"), 2)
 
 
 class TestDistinctLabels:
