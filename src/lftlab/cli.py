@@ -6,11 +6,11 @@ Exit codes: 0 success; 1 parse or usage errors (any ``ValueError``,
 list that is not one integer or one per axis, ``qlft --dual-size`` without
 ``--mode regular``, ``qlft --omega``, ``lft --clamp`` and
 ``lft --dual adaptive:right|left`` on an nD instance, ``lft --clamp`` with an
-adaptive dual, ``hardness sampling --t`` below 0, and an ``OverflowError``,
-such as a dual size too large to index); 2 domain rejections (any
-``LftError``, such as nonconvex input, a power-of-two violation under
---strict-pow2 or the hardness dimension cap). ``main`` maps both once and
-writes one ``error: ...`` line to stderr.
+adaptive dual, ``hardness --d`` below 1, ``hardness sampling --t`` below 0,
+and an ``OverflowError``, such as a dual size too large to index); 2 domain
+rejections (any ``LftError``, such as nonconvex input, a power-of-two
+violation under --strict-pow2 or the hardness dimension cap). ``main`` maps
+both once and writes one ``error: ...`` line to stderr.
 
 ``lft`` and ``qlft`` each build one result document for 1D and nD
 instances; only running the transform or the simulator differs by kind.
@@ -274,6 +274,8 @@ def _qlft_nd(args, instance: TensorSamples, seed: int):
 
 
 def cmd_hardness(args) -> int:
+    if args.sub != "rescale" and args.d < 1:
+        return _fail(f"--d must be at least 1, got {args.d}", 1)
     if args.sub != "rescale" and args.d > HARDNESS_DIM_CAP:
         return _fail(f"dimension {args.d} exceeds cap {HARDNESS_DIM_CAP}", 2)
     if args.sub == "point-queries":

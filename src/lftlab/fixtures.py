@@ -12,7 +12,8 @@ interpolant of its kink values (s/4 at 1/2 and s - 1/2 at 1).
 
 The instance generators compute every sample's numerator on Python ints,
 over a denominator they know in advance, and make each sample a
-``Fraction`` once, through ``rational.reduced``. Each draws from its rng in
+``Fraction`` once, through ``rational.reduced``; a 1D spec reads its ratios
+off those samples (``FunctionSpec._of_reduced``). Each draws from its rng in
 a fixed order and gives every axis its own ``RegularGrid``, so one seed
 gives one output, pickle for pickle.
 """
@@ -143,7 +144,7 @@ def random_convex_spec(rng: random.Random, n: int) -> FunctionSpec:
     grads = list(accumulate((rng.randint(0, denom) for _ in range(n - 2)), initial=g0))
     # s_{k+1} = s_k + c_k / (n - 1): the samples' numerators over denom * (n - 1)
     sums = accumulate(grads, initial=rng.randint(-denom, denom) * (n - 1))
-    return FunctionSpec(grid=grid, samples=tuple(reduced(s, denom * (n - 1)) for s in sums))
+    return FunctionSpec._of_reduced(grid, tuple(reduced(s, denom * (n - 1)) for s in sums))
 
 
 def random_quadratic_spec(rng: random.Random, n: int) -> FunctionSpec:
@@ -155,7 +156,7 @@ def random_quadratic_spec(rng: random.Random, n: int) -> FunctionSpec:
     m = n - 1  # at x = i / m: (A i^2 + B i + C) / (ad bd cd m^2)
     A, B, C = an * bd * cd, bn * ad * cd * m, cn * ad * bd * m * m
     den = ad * bd * cd * m * m
-    return FunctionSpec(grid=grid, samples=tuple(reduced(A * i * i + B * i + C, den) for i in range(n)))
+    return FunctionSpec._of_reduced(grid, tuple(reduced(A * i * i + B * i + C, den) for i in range(n)))
 
 
 def separable_sum(base: str = "quadratic-ex1", d: int = 2, n: int = 5) -> TensorSamples:

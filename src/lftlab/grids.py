@@ -134,6 +134,21 @@ class FunctionSpec:
             )
         object.__setattr__(self, "ratios", split(vals))
 
+    @classmethod
+    def _of_reduced(cls, grid: RegularGrid, samples: tuple) -> "FunctionSpec":
+        """The spec over one reduced ``Fraction`` per grid point, as the
+        instance generators make them: ``ratios`` is read off the samples
+        once, with no ``frac`` or ``split`` pass, and holds what the
+        constructor's would."""
+        f = object.__new__(cls)
+        f.__dict__.update(
+            grid=grid,
+            samples=samples,
+            closed_form=None,
+            ratios=([v.numerator for v in samples], [v.denominator for v in samples]),
+        )
+        return f
+
     @property
     def n(self) -> int:
         return self.grid.n

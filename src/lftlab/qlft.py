@@ -122,7 +122,7 @@ def attach_gradients(state: QState) -> QState:
     # the previous branch's (x, f, x_next, f_next) and c_hi
     x0 = f0 = x1 = f1 = c_prev = None
     for lab, amp in state.entries:
-        v = lab.values
+        v = lab._values
         x, fv, x_prev, f_prev, x_next, f_next = v[px], v[pf], v[pxp], v[pfp], v[pxn], v[pfn]
         if is_undefined(x_prev):
             c_lo = UNDEFINED
@@ -166,9 +166,9 @@ def _gather_gradients(state: QState) -> Vec:
     n = len(state)
     c: list = [None] * (n - 1)
     for lab, _ in state.entries:
-        i = lab.values[pi]
+        i = lab._values[pi]
         if i < n - 1:
-            c[i] = lab.values[pc]
+            c[i] = lab._values[pc]
     if any(v is None or is_undefined(v) for v in c):
         raise MalformedState("gradient registers are incomplete")
     return _checked_ratios(c)
@@ -239,7 +239,7 @@ def indicator_postselect(
     out = _schema(("j", "x_star", "f_at_star", "m", "i"), 5)
     kept = []
     for lab, _ in state.entries:
-        v = lab.values
+        v = lab._values
         i, x, fv = v[pi], v[px], v[pf]
         kept.extend(BasisLabel(out, (firsts[i] + m, x, fv, m, i)) for m in range(counts[i]))
     post, success = _keep(kept, len(state), w)
@@ -256,7 +256,7 @@ def _keep(kept: list, branches: int, w: int) -> tuple[QState, Fraction]:
     """The accepted copy slots, sorted by their first register j and
     renormalized (the zero state if none survive), and the acceptance
     survivors / (branches * w)."""
-    kept.sort(key=lambda lab: lab.values[0])
+    kept.sort(key=lambda lab: lab._values[0])
     post = QState.uniform(kept) if kept else QState(entries=())
     return post, reduced(len(kept), branches * w)
 
@@ -268,7 +268,7 @@ def finalize_conjugate(state: QState, dual: DualGrid) -> QState:
     sn, sd = _dual_ratios(dual)
 
     def fin(lab: BasisLabel) -> BasisLabel:
-        v = lab.values
+        v = lab._values
         j, x = v[pj], v[px]
         return BasisLabel(out, (j, _dual_value((sn[j], sd[j]), x, v[pf]), x, v[pm], v[pi]))
 
@@ -337,7 +337,7 @@ def run_qlft_1d_adaptive(f: FunctionSpec, strict_pow2: bool = False) -> SimRun:
     picked = _schema(("i", "x", "f", "s"), 4)
 
     def pick_dual(lab: BasisLabel) -> BasisLabel:
-        v = lab.values
+        v = lab._values
         return BasisLabel(picked, (v[pi], v[px], v[pf], centered_dual(v[plo], v[phi])))
 
     state = state.map_labels(pick_dual)
@@ -346,7 +346,7 @@ def run_qlft_1d_adaptive(f: FunctionSpec, strict_pow2: bool = False) -> SimRun:
     final = _schema(("i", "x", "s", "fstar"), 4)
 
     def fin(lab: BasisLabel) -> BasisLabel:
-        v = lab.values
+        v = lab._values
         s, x = v[qs], v[qx]
         return BasisLabel(final, (v[qi], x, s, _dual_value(s.as_integer_ratio(), x, v[qf])))
 
@@ -371,7 +371,7 @@ def digital_to_analog(state: QState, rng_seed: int = 0) -> AnalogEncoding:
     sqrt(1/omega).
     """
     _, (pj, pv) = _read(state, "j", "fstar")
-    nums, dens = split(lab.values[pv] for lab, _ in state.entries)
+    nums, dens = split(lab._values[pv] for lab, _ in state.entries)
     sq_nums, sq_dens = [p * p for p in nums], [q * q for q in dens]
     mn, md = 0, 1  # max v^2, by cross products
     for p2, q2 in zip(sq_nums, sq_dens):
@@ -389,7 +389,7 @@ def digital_to_analog(state: QState, rng_seed: int = 0) -> AnalogEncoding:
             continue  # zero-amplitude branches drop out of the support
         # v^2 / alpha for v = p/q
         amp = Amplitude(sign=1 if p > 0 else -1, sq=reduced(p2 * ad, q2 * an))
-        entries.append((BasisLabel(one, (lab.values[pj],)), amp))
+        entries.append((BasisLabel(one, (lab._values[pj],)), amp))
     encoded = QState(entries=tuple(entries))
     rng = random.Random(rng_seed)
     attempts = geometric_attempts(omega, rng)

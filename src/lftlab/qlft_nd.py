@@ -116,7 +116,7 @@ def _run_nd(f: TensorSamples, rng_seed: int, ks: Optional[tuple] = None) -> SimR
         final = _schema(("j", "fstar", "s", *schema.names[2 + f.d :]), 3)
 
         def negate(lab: BasisLabel) -> BasisLabel:
-            v = lab.values
+            v = lab._values
             return BasisLabel(final, (v[0], reduced(-v[1], D), v[2 : 2 + f.d], *v[2 + f.d :]))
 
         final_state = state.map_labels(negate)
@@ -150,7 +150,7 @@ def _regular_pass(
     D, scale, sx = _dual_products(points, f.grid.axes[axis], D)
     kept = []
     for lab, _ in state.entries:
-        coords, value, *rest = lab.values
+        coords, value, *rest = lab._values
         counts, firsts = structure[coords[:axis] + coords[axis + 1 :]]
         i = coords[axis]
         for m in range(counts[i]):
@@ -168,14 +168,14 @@ def _adaptive_pass(state: QState, f: TensorSamples, axis: int, D: int, centered:
     (us, ws, D0) of every element of the input (``multi._centered``), in
     the row-major order of j that the adaptive states keep. The branch
     gains s{axis} and the garbage i{axis}."""
-    idx = [lab.values[0][axis] for lab, _ in state.entries]
-    values = [lab.values[1] for lab, _ in state.entries]
+    idx = [lab._values[0][axis] for lab, _ in state.entries]
+    values = [lab._values[1] for lab, _ in state.entries]
     values, D, points = _centered_step(values, idx, centered, D, f.grid.axes[axis])
     held = state.entries[0][0].schema
     schema = _schema(("j", "f", f"s{axis}", *held.names[2:], f"i{axis}"), held.n_regs + 1)
     entries = []
     for (lab, amp), value, s, i in zip(state.entries, values, points, idx):
-        j, _, *rest = lab.values
+        j, _, *rest = lab._values
         entries.append((BasisLabel(schema, (j, value, s, *rest, i)), amp))
     return QState(entries=tuple(entries)), Fraction(1), D
 

@@ -187,3 +187,20 @@ def test_a_builtin_integer_parameter_may_be_an_integer_string():
         "random-convex-quadratic", ints
     )
     assert _lft_builtin("random-convex-quadratic", ints)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hardness", "point-queries", "--d", "-1", "--z", ""],
+        ["hardness", "point-queries", "--d", "0", "--z", ""],
+        ["hardness", "sampling", "--d", "0"],
+        ["hardness", "sampling", "--d", "-3", "--z", "01", "--t", "2"],
+    ],
+)
+def test_a_hardness_dimension_below_1_exits_1_naming_the_flag(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    d = argv[argv.index("--d") + 1]
+    assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: --d must be at least 1, got {d}\n")

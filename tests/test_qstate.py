@@ -101,6 +101,10 @@ class TestRecordContract:
                     delattr(record, name)
             assert all(getattr(record, n) is v for n, v in zip(names, fields))
 
+    def test_records_hold_no_instance_dict(self):
+        for record, _, _ in self.records():
+            assert not hasattr(record, "__dict__")
+
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_pickle_round_trip(self, protocol):
         for record, names, fields in self.records():
