@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from lftlab import fixtures, multi, transform
 from lftlab.errors import NonConvexSlice
-from lftlab.grids import DualGrid, RegularGrid
+from lftlab.grids import DualGrid, FunctionSpec, RegularGrid
 from lftlab.hardness import HiddenStringInstance
 from lftlab.multi import (
     RatTensor,
@@ -472,3 +472,64 @@ class TestBruteAgainstReference:
 
         want = _outcome(lambda: _reference_adaptive(f))
         assert _outcome(adaptive) == want
+
+
+@st.composite
+def brute_1d_cases(draw):
+    """1D samples, nonconvex, convex, or floats across 2^-200..2^200, and a
+    dual grid: regular from c_0 to c_{n-2} (its last point is the tie
+    s = c_{n-2}) or wider, zero-spacing, or explicit with repeated points.
+    Returns the samples, the grid and whether the samples are convex."""
+    n = draw(st.integers(2, 7))
+    gamma = draw(st.sampled_from([F(1), F(1, 2), F(2, 3), F(3)]))
+    grid = RegularGrid(x0=draw(st.fractions(-2, 2, max_denominator=3)), gamma=gamma, n=n)
+    kind = draw(st.sampled_from(["nonconvex", "convex", "float"]))
+    if kind == "float":
+        word = st.builds(math.ldexp, st.integers(-(2**20), 2**20), st.integers(-200, 200))
+        samples = draw(st.lists(word, min_size=n, max_size=n))
+    else:
+        samples = draw(st.lists(st.sampled_from(SAMPLE_ALPHABET), min_size=n, max_size=n))
+        if kind == "convex":
+            # second differences of 8 outweigh any perturbation of the alphabet
+            samples = [v + 4 * i * i for i, v in enumerate(samples)]
+    f = FunctionSpec(grid=grid, samples=tuple(samples))
+    exact = list(map(F, f.samples))
+    c = [(b - a) / gamma for a, b in zip(exact, exact[1:])]
+    lo, hi = min(c[0], c[-1]), max(c[0], c[-1])
+    dual_kind = draw(st.sampled_from(["range", "wide", "zero", "explicit"]))
+    k = draw(st.integers(2, 9))
+    if dual_kind == "range":
+        dual = regular_dual_grid((lo, hi), k)
+    elif dual_kind == "wide":
+        width = (hi - lo + 1) * F(draw(st.integers(1, 8)), 8)
+        dual = regular_dual_grid((lo - width, hi + width), k)
+    elif dual_kind == "zero":
+        dual = DualGrid(s0=draw(st.sampled_from(c + DUAL_ALPHABET)), gamma_s=0, k=k)
+    else:
+        pts = draw(st.lists(st.sampled_from(c + DUAL_ALPHABET), min_size=1, max_size=k))
+        pts += draw(st.lists(st.sampled_from(pts), min_size=1, max_size=3))
+        dual = DualGrid.from_points(sorted(pts))
+    return f, dual, kind == "convex"
+
+
+class TestOneAxisBrute:
+    @settings(max_examples=200, deadline=None)
+    @given(case=brute_1d_cases())
+    def test_equals_flat_reference_loop(self, case):
+        f, dual, convex = case
+        res = lft_brute(f, dual)
+        # the reference reads exact samples: a float less a Fraction is a float
+        exact = TensorSamples(
+            grid=TensorGrid(axes=(f.grid,)), values=RatTensor((f.n,), tuple(map(F, f.samples)))
+        )
+        values, optimizer = _reference_brute(exact, [(s,) for s in dual.points()])
+        assert res.dual == dual
+        assert res.values == values
+        assert all(type(v) is F for v in res.values)
+        assert res.optimizer_index == tuple(i for (i,) in optimizer)
+        if convex:
+            # at s = c_{n-2} the first maximum is the first i with c_i = c_{n-2}
+            c = [(b - a) / f.grid.gamma for a, b in zip(f.samples, f.samples[1:])]
+            for s, i in zip(dual.points(), res.optimizer_index):
+                if s == c[-1]:
+                    assert i == c.index(c[-1])
