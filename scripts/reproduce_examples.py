@@ -7,13 +7,12 @@ the classical values, and the analog-encoding weight of the conjugate.
 """
 
 import argparse
-from lftlab import fixtures
+from lftlab import fixtures, lft_brute
 from lftlab.qlft import conjugate_pairs, digital_to_analog, run_qlft_1d_regular
 from lftlab.rational import format_rational as fmt
 from lftlab.transform import (
     discrete_gradients,
     lft_adaptive,
-    lft_brute,
     lft_regular,
     nontrivial_dual_range,
     regular_dual_grid,

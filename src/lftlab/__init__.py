@@ -32,7 +32,6 @@ from .transform import (
     discrete_gradients,
     double_transform,
     lft_adaptive,
-    lft_brute,
     lft_regular,
     nontrivial_dual_range,
     optimizer_map,
@@ -51,6 +50,7 @@ from .multi import (
     TensorGrid,
     TensorSamples,
     canonical_nd_dual_grids,
+    lft_brute,
     lft_nd_adaptive,
     lft_nd_brute,
     lft_nd_regular,

@@ -49,6 +49,7 @@ from .hardness import (
 from .multi import (
     TensorSamples,
     canonical_nd_dual_grids,
+    lft_brute,
     lft_nd_adaptive,
     lft_nd_brute,
     lft_nd_regular,
@@ -66,7 +67,6 @@ from .transform import (
     check_adaptive_variant,
     discrete_gradients,
     lft_adaptive,
-    lft_brute,
     lft_regular,
     nontrivial_dual_range,
     regular_dual_grid,

@@ -4,7 +4,8 @@ The d-dimensional conjugate factorizes into d nested one-dimensional
 transforms: each pass replaces one primal axis by a dual axis, carrying
 the negated partial transform g = -(max over that axis), and the final
 negation restores f*. Row-major layout with axis 0 slowest; the brute
-evaluation over all primal points is the oracle for everything here.
+evaluation over all primal points is the oracle for everything here and,
+on one axis (``lft_brute``), for the 1D routes.
 It assumes no convexity and no gradient rule: every primal point enters
 the max, taken one axis at a time from the last, and each axis keeps its
 first maximum, so ties go to the lexicographically smallest multi-index.
@@ -31,9 +32,9 @@ from operator import add, gt, sub
 from typing import Callable, Optional, Sequence
 
 from .errors import BruteCapExceeded, NonConvexSlice
-from .grids import DualGrid, RegularGrid
+from .grids import DualGrid, FunctionSpec, RegularGrid
 from .rational import frac, progression, reduced, split
-from .transform import _adaptive_points, _repeat_indices, _rule, regular_dual_grid
+from .transform import ConjugateResult, _adaptive_points, _repeat_indices, _rule, regular_dual_grid
 
 MAX_BRUTE_POINTS = 1 << 20
 
@@ -406,10 +407,13 @@ def _centered_step(values: Sequence, idx: Sequence, centered: tuple, D: int, x_a
     return out, D2, [reduced(u * dx, w * p * D0) for u, w in zip(us, ws)]
 
 
-def _axis_max(inner: list, terms: list) -> tuple[list, list[int]]:
+def _axis_max(inner: list, terms: Sequence) -> tuple[list, list[int]]:
     """Row maxima of terms + row over the rows of ``inner`` (len(terms)
-    entries each), with the first index attaining each maximum."""
+    entries each), with the first index attaining each maximum. Terms that
+    several rows read are listed first, once."""
     n = len(terms)
+    if len(inner) > n:
+        terms = list(terms)
     maxima, firsts = [], []
     for row in range(0, len(inner), n):
         cands = list(map(add, terms, inner[row : row + n]))
@@ -449,6 +453,22 @@ def lft_nd_brute(
     )
 
 
+def lft_brute(f: FunctionSpec, dual: DualGrid) -> ConjugateResult:
+    """``lft_nd_brute`` on one axis, the oracle for the 1D routes; float
+    samples convert exactly. On convex samples its first maximum is the
+    gradient rule's index except at s = c_{n-2} > c_0: the rule pins n-1,
+    this keeps the first i with c_i = c_{n-2}. Both attain the value."""
+    tensor = TensorSamples(grid=TensorGrid(axes=(f.grid,)), values=RatTensor((f.n,), f.samples))
+    res = lft_nd_brute(tensor, [(s,) for s in dual.points()])
+    opt = tuple(i for (i,) in res.optimizer)
+    return ConjugateResult(dual=dual, values=res.values.flat, optimizer_index=opt)
+
+
+def _products(s: int, a0: int, p: int, n: int) -> Sequence[int]:
+    """s * (a0 + i * p) for i < n, an axis's products s_a x_i, as a range."""
+    return range(s * a0, s * (a0 + n * p), s * p) if s else (0,) * n
+
+
 def _brute(f: TensorSamples, comps: Sequence[Sequence], keys: Sequence[tuple]) -> tuple[list, list]:
     """``lft_nd_brute`` at the dual points keys[j] names: component
     comps[a][keys[j][a]] on axis a. Returns the values and the optimizers
@@ -456,25 +476,28 @@ def _brute(f: TensorSamples, comps: Sequence[Sequence], keys: Sequence[tuple]) -
     if f.grid.total > MAX_BRUTE_POINTS:
         raise BruteCapExceeded(f"brute force capped at {MAX_BRUTE_POINTS} primal points")
     d = f.d
-    # s_a x_a for each axis and each distinct s_a (n_a products apiece),
-    # as scalars over one D that the samples' denominators and ds * dx
-    # divide: x_i = (a0 + i * p) / dx on every axis, each s_a over ds
+    # s_a x_i on each axis for each distinct s_a (n_a products apiece), as
+    # scalars over one D that the samples' denominators and ds * dx divide:
+    # x_i = (a0 + i * p) / dx on every axis, each s_a over ds
     dx = math.lcm(*(q for g in f.grid.axes for q in (g.x0.denominator, g.gamma.denominator)))
     axis_pts = [(int(g.x0 * dx), int(g.gamma * dx), g.n) for g in f.grid.axes]
     nums, ds = _lift([c for axis_comps in comps for c in axis_comps])
     flat, D = _lift(f.values.flat, ds * dx)
+    flat = [-v for v in flat]  # g = -f, where the maxima start
     unit = D // (ds * dx)
     nums = iter(nums)
-    terms = [
-        [[s * unit * (a0 + i * p) for i in range(n)] for s in islice(nums, len(comps[a]))]
-        for a, (a0, p, n) in enumerate(axis_pts)
-    ]
+    scaled = [[s * unit for s in islice(nums, len(axis_comps))] for axis_comps in comps]
+    # Rows of the earlier axes are listed once and kept: every suffix reads
+    # them again. A last-axis row is read once per component, the points
+    # being sorted by it (below), so it is made then and stays a range unless
+    # several prefixes read it: the one-axis brute holds O(N + K) words.
+    terms = [[list(_products(s, *axis_pts[a])) for s in scaled[a]] for a in range(d - 1)]
     # maxima[a] holds the max over axes a.. for every primal prefix
     # x_0..x_{a-1}, firsts[a] the first index on axis a attaining it; both
     # depend on s[a:] only. Sorted by their components from the last axis,
     # points sharing a suffix come one after another, so each suffix's
     # table is built once and only one table per axis is alive at a time.
-    maxima = [None] * d + [[-v for v in flat]]
+    maxima = [None] * d + [flat]
     firsts = [None] * d
     values = [None] * len(keys)
     rows = [None] * len(keys)
@@ -485,7 +508,8 @@ def _brute(f: TensorSamples, comps: Sequence[Sequence], keys: Sequence[tuple]) -
         while top and key[top - 1] == prev[top - 1]:
             top -= 1
         for a in reversed(range(top)):
-            maxima[a], firsts[a] = _axis_max(maxima[a + 1], terms[a][key[a]])
+            sx = terms[a][key[a]] if a < d - 1 else _products(scaled[a][key[a]], *axis_pts[a])
+            maxima[a], firsts[a] = _axis_max(maxima[a + 1], sx)
         prev = key
         row = 0
         for a in range(d):

@@ -3,8 +3,9 @@
 The fast path assigns each dual point its optimizer through the gradient
 rule: x*_j is the grid point x_i whose gradient interval (c_{i-1}, c_i]
 contains s_j, with dual points at or below c_0 pinned to x_0 and points
-at or above c_{n-2} pinned to x_{n-1}. The brute-force evaluation of the
-defining maximum is kept alongside as the independent oracle.
+at or above c_{n-2} pinned to x_{n-1}. The independent oracle, the
+brute-force evaluation of the defining maximum, is ``multi.lft_brute``:
+the one-axis case of the d-dimensional brute.
 
 The fast path runs on Python ints: samples, gradients and dual points are
 held as lists of numerators and denominators (see ``rational.split``), so
@@ -252,33 +253,6 @@ def lft_adaptive(f: FunctionSpec, variant: str = "centered") -> ConjugateResult:
     idx = tuple(range(f.n))
     values = _conjugate_values(f, dual, idx, ratios)
     return ConjugateResult(dual=dual, values=values, optimizer_index=idx)
-
-
-def lft_brute(f: FunctionSpec, dual: DualGrid) -> ConjugateResult:
-    """Exhaustive max over all primal points; the oracle for everything else.
-
-    Accepts nonconvex samples. Ties resolve to the smallest maximizing
-    index. On convex samples that agrees with the half-open gradient rule
-    except at s = c_{n-2} > c_0: the rule pins n-1 there, while this
-    returns the first i with c_i = c_{n-2} (n-2 unless the top gradient
-    repeats). Both indices attain the same value.
-    """
-    xs = f.grid.points()
-    fs = [frac(v) for v in f.samples]  # float samples convert exactly
-    values = []
-    idx = []
-    for j in range(dual.k):
-        s = dual.point(j)
-        best = s * xs[0] - fs[0]
-        best_i = 0
-        for i in range(1, f.n):
-            cand = s * xs[i] - fs[i]
-            if cand > best:
-                best = cand
-                best_i = i
-        values.append(best)
-        idx.append(best_i)
-    return ConjugateResult(dual=dual, values=tuple(values), optimizer_index=tuple(idx))
 
 
 def double_transform(f: FunctionSpec, k: Optional[int] = None) -> ConjugateResult:

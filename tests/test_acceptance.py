@@ -19,6 +19,7 @@ from lftlab import fixtures
 from lftlab.grids import DualGrid, FunctionSpec, RegularGrid
 from lftlab.multi import (
     canonical_nd_dual_grids,
+    lft_brute,
     lft_nd_brute,
     lft_nd_regular,
     product_dual_points,
@@ -42,7 +43,6 @@ from lftlab.transform import (
     convergence_gap,
     discrete_gradients,
     lft_adaptive,
-    lft_brute,
     lft_regular,
 )
 from lftlab.witness import dual_index, in_acceptance_set, witness_params

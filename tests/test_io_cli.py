@@ -189,6 +189,13 @@ class TestCli:
         )
         self._rejects([command[0], str(inst), *command[1:]], 2, capsys)
 
+    def test_1d_brute_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        # one cap at every d: a 1D brute check is the one-axis nD brute
+        monkeypatch.setattr(multi, "MAX_BRUTE_POINTS", 10)
+        inst = self._samples(tmp_path / "eleven.json", 11, [str(i * i) for i in range(11)])
+        assert main(["lft", inst, "--brute"]) == 2
+        assert capsys.readouterr().err == "error: brute force capped at 10 primal points\n"
+
     def test_qlft_ex3_acceptance(self, fixture_dir, tmp_path):
         out = tmp_path / "res.json"
         code = main(

@@ -11,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import rule_index
 from lftlab.errors import DegenerateGrid, NonConvexInput, OutOfRangeDual
 from lftlab.grids import DualGrid, FunctionSpec, GradientVector, RegularGrid
+from lftlab.multi import lft_brute
 from lftlab.rational import split
 from lftlab.transform import (
     adaptive_dual_points,
     discrete_gradients,
     lft_adaptive,
-    lft_brute,
     lft_regular,
     optimizer_map,
     regular_dual_grid,

@@ -2,6 +2,7 @@ import gc
 import math
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction as F
 from itertools import product
 
@@ -18,12 +19,13 @@ from lftlab.multi import (
     TensorSamples,
     axis_transform,
     canonical_nd_dual_grids,
+    lft_brute,
     lft_nd_adaptive,
     lft_nd_brute,
     lft_nd_regular,
     product_dual_points,
 )
-from lftlab.transform import lft_adaptive, lft_brute, lft_regular, regular_dual_grid
+from lftlab.transform import lft_adaptive, lft_regular, regular_dual_grid
 
 from conftest import canonical_dual
 
@@ -260,6 +262,24 @@ class TestNdBrute:
         f = fixtures.separable_sum("quadratic-ex1", d=2, n=4)
         with pytest.raises(ValueError, match=f"has {len(point)} components; the samples have 2"):
             lft_nd_brute(f, [(F(0), F(0)), point])
+
+    def test_one_axis_brute_holds_no_product_table(self):
+        # a K x N table of the products s_j x_i peaks near 11 MB at
+        # N = K = 512; a last-axis row is made only when read, as a range,
+        # so this brute holds O(N + K) words
+        n = 512
+        grid = RegularGrid(x0=F(-1), gamma=F(2, n - 1), n=n)
+        f = TensorSamples(
+            grid=TensorGrid(axes=(grid,)), values=RatTensor((n,), tuple(x * x for x in grid.points()))
+        )
+        pts = [(s,) for s in regular_dual_grid((F(-2), F(2)), n).points()]
+        tracemalloc.start()
+        try:
+            lft_nd_brute(f, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_leaves_no_cyclic_garbage(self):
         # perfbench pauses the cyclic GC during a pass: tables kept alive by

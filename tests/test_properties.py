@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from conftest import rule_index
-from lftlab import fixtures
+from lftlab import fixtures, lft_brute
 from lftlab.grids import FunctionSpec
 from lftlab.qlft import (
     attach_gradients,
@@ -19,7 +19,6 @@ from lftlab.transform import (
     discrete_gradients,
     double_transform,
     lft_adaptive,
-    lft_brute,
     lft_regular,
     nontrivial_dual_range,
     optimizer_map,

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from lftlab import fixtures
+from lftlab import fixtures, lft_brute
 from lftlab.errors import (
     DegenerateGrid,
     InvalidK,
@@ -14,7 +14,6 @@ from lftlab.transform import (
     discrete_gradients,
     double_transform,
     lft_adaptive,
-    lft_brute,
     lft_regular,
     nontrivial_dual_range,
     optimizer_map,
