@@ -3,6 +3,10 @@
 Grids are sorted and, in the regular case, equispaced. A dual grid is
 either regular (``s0 + j*gamma_s``) or adaptive (an explicit sorted point
 list chosen from the gradient structure of the transformed function).
+Grids carry the integer form every route computes on, made only here: a
+regular grid's ``progression`` (a, p, den), point j being (a + j*p) / den,
+computed from its fields; an explicit grid's ``ratios``, its points split
+once when it is built, kept out of equality, hashing, repr and pickles.
 """
 
 from __future__ import annotations
@@ -34,8 +38,12 @@ class RegularGrid:
     def point(self, i: int) -> Fraction:
         return self.x0 + i * self.gamma
 
+    @property
+    def progression(self) -> tuple[int, int, int]:
+        return progression(self.x0, self.gamma)
+
     def points(self) -> tuple[Fraction, ...]:
-        a, p, den = progression(self.x0, self.gamma)
+        a, p, den = self.progression
         return tuple(reduced(a + i * p, den) for i in range(self.n))
 
     @property
@@ -57,6 +65,7 @@ class DualGrid:
     k: int
     kind: str = "regular"
     explicit: Optional[tuple[Fraction, ...]] = None
+    ratios: Optional[Vec] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "s0", frac(self.s0))
@@ -73,29 +82,44 @@ class DualGrid:
         else:
             if self.explicit is None or len(self.explicit) != self.k:
                 raise ValueError("adaptive dual grid needs an explicit point list of length k")
-            pts = tuple(frac(p) for p in self.explicit)
-            if not nondecreasing(split(pts)):
+            object.__setattr__(self, "explicit", tuple(map(frac, self.explicit)))
+            object.__setattr__(self, "ratios", split(self.explicit))
+            if not nondecreasing(self.ratios):
                 raise ValueError("dual points must be sorted")
-            object.__setattr__(self, "explicit", pts)
+
+    def __getstate__(self) -> dict:
+        return {name: v for name, v in self.__dict__.items() if name != "ratios"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, ratios=state["explicit"] and split(state["explicit"]))
 
     @classmethod
     def from_points(cls, points: Sequence[Number]) -> "DualGrid":
         """An explicit (adaptive-kind) grid over the sorted points."""
-        pts = tuple(frac(p) for p in points)
+        pts = tuple(points)
         if not pts:
             raise InvalidK("dual grid needs at least one point, got none")
-        return cls(s0=pts[0], gamma_s=Fraction(0), k=len(pts), kind="adaptive", explicit=pts)
+        s0 = frac(pts[0])
+        return cls(s0=s0, gamma_s=Fraction(0), k=len(pts), kind="adaptive", explicit=(s0, *pts[1:]))
 
     def point(self, j: int) -> Fraction:
         if self.kind == "adaptive":
             return self.explicit[j]
         return self.s0 + j * self.gamma_s
 
+    @property
+    def progression(self) -> tuple[int, int, int]:
+        return progression(self.s0, self.gamma_s)
+
+    def point_ratios(self) -> Vec:
+        """``ratios``, or on a regular grid lists made from ``progression``."""
+        if self.ratios is not None:
+            return self.ratios
+        a, p, den = self.progression
+        return [a + j * p for j in range(self.k)], [den] * self.k
+
     def points(self) -> tuple[Fraction, ...]:
-        if self.kind == "adaptive":
-            return self.explicit
-        a, p, den = progression(self.s0, self.gamma_s)
-        return tuple(reduced(a + j * p, den) for j in range(self.k))
+        return self.explicit or tuple(map(reduced, *self.point_ratios()))
 
     @property
     def lo(self) -> Fraction:

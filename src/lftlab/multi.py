@@ -13,13 +13,15 @@ first maximum, so ties go to the lexicographically smallest multi-index.
 Every route computes on exact ints over a shared denominator, Fractions on
 return: samples, grid points and dual components are scaled to Python ints
 over one common denominator D, which each nested pass widens by an lcm
-rescale once its dual grid is known; every division of those ints is
-exact by construction. Likewise optimizers are flat primal offsets inside,
-multi-indices on return, decoded one axis at a time. Each pass walks its
-lines once (``_lines``): their differences, or a nonconvex line's envelope
-slopes, as the numerator and denominator lists the 1D rule kernel reads
-(over D), span a canonical grid and go to ``transform._rule`` against
-the thresholds s_j * gamma * D, which it reads once per pass.
+rescale once its dual grid is known; grid points come from the grids'
+integer forms (``RegularGrid.progression``, ``DualGrid.point_ratios``),
+and every division of those ints is exact by construction. Likewise
+optimizers are flat primal offsets inside, multi-indices on return,
+decoded one axis at a time. Each pass walks its lines once (``_lines``):
+their differences, or a nonconvex line's envelope slopes, as the
+numerator and denominator lists the 1D rule kernel reads (over D), span a
+canonical grid and go to ``transform._rule``, which scales the dual
+grid's integer form by gamma * D on ints once per pass.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import BruteCapExceeded, NonConvexSlice
 from .grids import DualGrid, FunctionSpec, RegularGrid
-from .rational import frac, progression, reduced, split
+from .rational import frac, reduced, split
 from .transform import ConjugateResult, _adaptive_points, _repeat_indices, _rule, regular_dual_grid
 
 MAX_BRUTE_POINTS = 1 << 20
@@ -163,13 +165,15 @@ def _lift(values: Sequence, den: int = 1) -> Scaled:
     return [a * per[q] for a, q in zip(nums, dens)], D
 
 
-def _dual_products(points: Sequence, x_axis: RegularGrid, D: int):
+def _dual_products(dual: DualGrid, x_axis: RegularGrid, D: int):
     """One pass's s_j * x_i table, indexed [j][i], over lcm(D, ds * dx),
     with ds and dx the denominators of the dual points and of the axis
     points. Returns that D, the rescale factor from the old D and the
     table; row[1] - row[0] is s_j * gamma."""
-    duals, ds = _lift(points)
-    a0, p, dx = progression(x_axis.x0, x_axis.gamma)
+    sn, sd = dual.point_ratios()
+    ds = math.lcm(*sd)
+    duals = [n * (ds // d) for n, d in zip(sn, sd)]
+    a0, p, dx = x_axis.progression
     D2 = math.lcm(D, ds * dx)
     # gamma = p / dx and x_i = (a0 + i * p) / dx
     unit = D2 // (ds * dx)
@@ -260,12 +264,10 @@ def _pass(shape, scaled: Scaled, axis, x_axis, dual):
         dual = regular_dual_grid(_bracket(lines, D, x_axis.gamma), dual)
     k = dual.k
     new_shape = (*shape[:axis], k, *shape[axis + 1 :])
-    D2, scale, sx = _dual_products(dual.points(), x_axis, D)
-    # the slopes stay over D, so the thresholds are s_j * gamma * D
-    unit = x_axis.gamma * D
-    explicit = dual.explicit and tuple(s * unit for s in dual.explicit)
-    thresholds = DualGrid(dual.s0 * unit, dual.gamma_s * unit, k, dual.kind, explicit)
-    rule = _rule(thresholds)
+    D2, scale, sx = _dual_products(dual, x_axis, D)
+    # the slopes stay over D, so the thresholds are s_j * gamma * D, gamma = p / dx
+    _, p, dx = x_axis.progression
+    rule = _rule(dual, (p * D, dx))
     out = [None] * math.prod(new_shape)
     taken = [None] * len(out)
     counts = {}
@@ -399,7 +401,7 @@ def _centered_step(values: Sequence, idx: Sequence, centered: tuple, D: int, x_a
     optimizer i = idx[e]: f -> f - s * x_i. Returns the mapped scalars
     over 2 * p * D, that denominator and the points."""
     us, ws, D0 = centered
-    a0, p, dx = progression(x_axis.x0, x_axis.gamma)
+    a0, p, dx = x_axis.progression
     # s * x_i = u * (a0 + i * p) / (w * p * D0), with w 1 or 2
     D2 = 2 * p * D
     per = {w: D2 // (w * p * D0) for w in (1, 2)}
@@ -479,8 +481,9 @@ def _brute(f: TensorSamples, comps: Sequence[Sequence], keys: Sequence[tuple]) -
     # s_a x_i on each axis for each distinct s_a (n_a products apiece), as
     # scalars over one D that the samples' denominators and ds * dx divide:
     # x_i = (a0 + i * p) / dx on every axis, each s_a over ds
-    dx = math.lcm(*(q for g in f.grid.axes for q in (g.x0.denominator, g.gamma.denominator)))
-    axis_pts = [(int(g.x0 * dx), int(g.gamma * dx), g.n) for g in f.grid.axes]
+    forms = [(*g.progression, g.n) for g in f.grid.axes]
+    dx = math.lcm(*(den for _, _, den, _ in forms))
+    axis_pts = [(a0 * (dx // den), p * (dx // den), n) for a0, p, den, n in forms]
     nums, ds = _lift([c for axis_comps in comps for c in axis_comps])
     flat, D = _lift(f.values.flat, ds * dx)
     flat = [-v for v in flat]  # g = -f, where the maxima start

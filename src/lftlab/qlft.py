@@ -22,7 +22,8 @@ too) and makes one ``Fraction`` per distinct word written, through
 i as ``c_hi`` and by branch i + 1 as ``c_lo``. Post-selection splits the
 gathered ``c_hi`` words once and checks them on those ratios with the same
 check as ``GradientVector`` (``grids._checked_ratios``), then counts with
-the rule kernel (``transform._rule``) on the same ratios.
+the rule kernel (``transform._rule``) on the same ratios. The conjugate
+step reads the dual points' ratios off the grid (``DualGrid.point_ratios``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .grids import DualGrid, FunctionSpec, _checked_ratios
 from .qstate import UNDEFINED, Amplitude, BasisLabel, QState, Schema, _schema, is_undefined
-from .rational import Vec, exact_sum, progression, reduced, split
+from .rational import Vec, exact_sum, reduced, split
 from .transform import _gradients, _rule, regular_dual_grid
 
 
@@ -147,15 +148,6 @@ def _dual_value(s: tuple[int, int], x, f) -> Fraction:
     """s*x - f for s = sn/sd on the words' integer ratios."""
     (sn, sd), (xn, xd), (fn, fd) = s, x.as_integer_ratio(), f.as_integer_ratio()
     return reduced(sn * xn * fd - fn * sd * xd, sd * xd * fd)
-
-
-def _dual_ratios(dual: DualGrid) -> Vec:
-    """Numerators and denominators of every dual point; a regular grid's
-    come from its integer progression."""
-    if dual.kind == "adaptive":
-        return split(dual.explicit)
-    a, p, den = progression(dual.s0, dual.gamma_s)
-    return [a + j * p for j in range(dual.k)], [den] * dual.k
 
 
 def _gather_gradients(state: QState) -> Vec:
@@ -265,7 +257,7 @@ def finalize_conjugate(state: QState, dual: DualGrid) -> QState:
     """Compute f*(s_j) = s_j x*_j - f(x*_j), uncompute f, keep garbage."""
     _, (pj, px, pf, pm, pi) = _read(state, "j", "x_star", "f_at_star", "m", "i")
     out = _schema(("j", "fstar", "x_star", "m", "i"), 2)
-    sn, sd = _dual_ratios(dual)
+    sn, sd = dual.point_ratios()
 
     def fin(lab: BasisLabel) -> BasisLabel:
         v = lab._values
@@ -276,14 +268,7 @@ def finalize_conjugate(state: QState, dual: DualGrid) -> QState:
 
 
 def _trace(steps: list[StepRecord], name: str, state: QState, acceptance=None) -> None:
-    steps.append(
-        StepRecord(
-            name=name,
-            label_count=len(state),
-            norm_sq=state.norm_sq(),
-            acceptance=acceptance,
-        )
-    )
+    steps.append(StepRecord(name, len(state), state.norm_sq(), acceptance))
 
 
 def _finish(state, steps, success, pass_acceptances, rng_seed=0, verification=None) -> SimRun:
@@ -403,7 +388,4 @@ def digital_to_analog(state: QState, rng_seed: int = 0) -> AnalogEncoding:
 
 def conjugate_pairs(run: SimRun) -> tuple[tuple[int, Fraction], ...]:
     """(j, f*(s_j)) pairs of a successful regular run, sorted by j."""
-    pairs = []
-    for lab, _ in run.final_state.entries:
-        pairs.append((lab.get("j"), lab.get("fstar")))
-    return tuple(sorted(pairs))
+    return tuple(sorted((lab.get("j"), lab.get("fstar")) for lab, _ in run.final_state.entries))

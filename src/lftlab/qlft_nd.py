@@ -147,7 +147,7 @@ def _regular_pass(
     names = ("j", "f", f"s{axis}", *held.names[2:], f"i{axis}", f"m{axis}")
     schema = _schema(names, held.n_regs + 1)
     points = dual.points()
-    D, scale, sx = _dual_products(points, f.grid.axes[axis], D)
+    D, scale, sx = _dual_products(dual, f.grid.axes[axis], D)
     kept = []
     for lab, _ in state.entries:
         coords, value, *rest = lab._values

@@ -4,14 +4,14 @@ The 1D kernel holds samples, gradients and dual points as lists of
 numerators and denominators (``split``), so the half-open optimizer rule
 never suffers rounding and no integer grows with the number of elements;
 ``fractions.Fraction`` appears only at the API boundary. Sample and
-gradient containers split their values once, when they are built; the
-slopes the kernel derives from them stay unreduced, since each use
-floor-divides, cross-multiplies or builds a ``Fraction`` through
-``reduced``. ``reduced`` is the one place where two ints become a
-``Fraction``: it reduces by ``math.gcd`` as ``Fraction(n, d)`` does and
-fills the two slots directly, without the constructor's type dispatch.
-Serialized documents write rationals as "p/q" strings. Float samples enter
-the kernel by exact conversion and face the same exact checks as rationals.
+gradient containers and explicit dual grids split their values once, when
+they are built, and a regular grid's points come from its ``progression``
+(``grids`` makes both); the slopes the kernel derives stay unreduced, since
+each use floor-divides, cross-multiplies or builds a ``Fraction`` through
+``reduced``, the one place where two ints become a ``Fraction``: it
+reduces by ``math.gcd`` as ``Fraction(n, d)`` does and fills the two slots
+directly, without the constructor's type dispatch. Serialized documents
+write rationals as "p/q" strings; floats convert exactly.
 """
 
 from __future__ import annotations
@@ -50,13 +50,9 @@ def frac(value: Number | str) -> Fraction:
     """Coerce to an exact Fraction. Strings use the "p/q" wire form."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        # exact binary expansion; callers wanting decimal semantics should
-        # pass a string instead
+    if isinstance(value, (int, str, float)):
+        # a float by its exact binary expansion; callers wanting decimal
+        # semantics should pass a string instead
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 

@@ -7,12 +7,12 @@ at or above c_{n-2} pinned to x_{n-1}. The independent oracle, the
 brute-force evaluation of the defining maximum, is ``multi.lft_brute``:
 the one-axis case of the d-dimensional brute.
 
-The fast path runs on Python ints: samples, gradients and dual points are
-held as lists of numerators and denominators (see ``rational.split``), so
-each integer is as wide as the element it holds. The sample and gradient
-containers split their values once, on construction (``FunctionSpec.ratios``,
-``GradientVector.ratios``). The kernel's slopes and centered midpoints
-are not reduced to lowest terms: every consumer floor-divides,
+The fast path runs on Python ints, each as wide as the element it holds,
+kept by the containers from construction: the numerators and denominators
+of samples, gradients and explicit dual points (``FunctionSpec.ratios``,
+``GradientVector.ratios``, ``DualGrid.ratios``) and a regular grid's
+``progression`` (see ``grids``). The kernel's slopes and centered
+midpoints are not reduced to lowest terms: every consumer floor-divides,
 cross-multiplies or builds a ``Fraction`` (``rational.reduced``), which
 normalizes anyway. One count function, ``_rule``, gives the rule's
 multiplicities without a sweep over the dual points: it is the rule kernel
@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import DegenerateGrid, InvalidK, NonConvexInput, OutOfRangeDual
 from .grids import DualGrid, FunctionSpec, GradientVector, RegularGrid
-from .rational import Number, Vec, frac, nondecreasing, progression, reduced, split
+from .rational import Number, Vec, frac, nondecreasing, reduced
 
 ADAPTIVE_VARIANTS = ("centered", "right", "left")
 
@@ -108,11 +108,11 @@ def regular_dual_grid(rng: tuple[Number, Number], k: int) -> DualGrid:
 _by_value = cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1])
 
 
-def _rule(dual: DualGrid) -> Callable[[Vec], list[int]]:
-    """The gradient rule against one dual grid: a function from gradients
-    c to the dual points per primal index under the clamped half-open rule.
-    The grid is read here, once, however many gradient vectors the rule
-    then counts (an nD pass counts one per line).
+def _rule(dual: DualGrid, unit: tuple[int, int] = (1, 1)) -> Callable[[Vec], list[int]]:
+    """The gradient rule against one dual grid, its points times u / v for
+    ``unit = (u, v)``, u, v > 0: a function from gradients c to the dual
+    points per primal index under the clamped half-open rule. The grid's
+    integer form is read here, once, however many lines the rule counts.
 
     s goes to 0 when s <= c_0, else to n-1 when s >= c_{n-2}, else to the
     i with c_{i-1} < s <= c_i. With N<=(t), N<(t) the numbers of dual
@@ -127,9 +127,10 @@ def _rule(dual: DualGrid) -> Callable[[Vec], list[int]]:
     [0, K] or capping it at top rewrites only a head and a tail, found by
     bisection.
     """
-    k = dual.k
-    a, p, b = progression(dual.s0, dual.gamma_s)
-    if dual.kind == "regular" and p:
+    k, (u, v) = dual.k, unit
+    if dual.kind == "regular" and dual.gamma_s:
+        a, p, b = dual.progression
+        a, p, b = a * u, p * u, b * v
 
         def bounds(cn: list[int], cd: list[int]) -> tuple[list[int], int]:
             # s_j = (a + j*p) / b <= n/d  <=>  j <= (n*b - a*d) / (p*d)
@@ -138,7 +139,7 @@ def _rule(dual: DualGrid) -> Callable[[Vec], list[int]]:
             return at_most, min(max(-((a * d - n * b) // (p * d)), 0), k)
 
     else:
-        points = list(map(_by_value, zip(*split(dual.explicit or (dual.s0,) * k))))
+        points = [_by_value((n * u, d * v)) for n, d in zip(*dual.point_ratios())]
 
         def bounds(cn: list[int], cd: list[int]) -> tuple[list[int], int]:
             at_most = [bisect_right(points, _by_value(t)) for t in zip(cn, cd)]
@@ -182,26 +183,23 @@ def optimizer_map(
     return _repeat_indices(_checked_counts(g.ratios, dual, clamp))
 
 
-def _conjugate_values(
-    f: FunctionSpec, dual: DualGrid, idx: Sequence[int], points: Optional[Vec] = None
-) -> tuple:
+def _conjugate_values(f: FunctionSpec, dual: DualGrid, idx: Sequence[int]) -> tuple:
     """s_j x_i - f_i for i = idx[j], each one integer fraction made a
-    Fraction on return. ``points`` are the ratios of an adaptive grid's
-    points when the caller already holds them."""
+    Fraction on return."""
     fn, fd = f.ratios
-    a, dx, xd = progression(f.grid.x0, f.grid.gamma)
+    a, dx, xd = f.grid.progression
     # over ls[i] = lcm(xd, q_i): x_i = xs[i] / ls[i] and f_i = fs[i] / ls[i], so
     # s x_i - f_i = (sn * xs[i] - fs[i] * sd) / (ls[i] * sd) for s = sn / sd
     ls = [lcm(xd, q) for q in fd]
     xs = [(a + i * dx) * (m // xd) for i, m in enumerate(ls)]
     fs = [p * (m // q) for p, q, m in zip(fn, fd, ls)]
-    if dual.kind == "adaptive":
-        sn, sd = points or split(dual.explicit)
+    if dual.ratios is not None:
+        sn, sd = dual.ratios
         nums = [n * xs[i] - fs[i] * d for n, d, i in zip(sn, sd, idx)]
         dens = [ls[i] * d for d, i in zip(sd, idx)]
     else:
         # one denominator sd for all points s_j = (s0 + j * step) / sd
-        s0, step, sd = progression(dual.s0, dual.gamma_s)
+        s0, step, sd = dual.progression
         fs, ls = [v * sd for v in fs], [m * sd for m in ls]
         sn = range(s0, s0 + dual.k * step, step) if step else repeat(s0, dual.k)
         nums = [n * xs[i] - fs[i] for n, i in zip(sn, idx)]
@@ -247,12 +245,9 @@ def adaptive_dual_points(g: GradientVector, variant: str = "centered") -> tuple:
 
 def lft_adaptive(f: FunctionSpec, variant: str = "centered") -> ConjugateResult:
     """Adaptive-dual transform; each dual point's optimizer is its own index."""
-    ratios = _adaptive_points(_gradients(f), variant)
-    points = tuple(map(reduced, *ratios))
-    dual = DualGrid(s0=points[0], gamma_s=Fraction(0), k=f.n, kind="adaptive", explicit=points)
+    dual = DualGrid.from_points(map(reduced, *_adaptive_points(_gradients(f), variant)))
     idx = tuple(range(f.n))
-    values = _conjugate_values(f, dual, idx, ratios)
-    return ConjugateResult(dual=dual, values=values, optimizer_index=idx)
+    return ConjugateResult(dual=dual, values=_conjugate_values(f, dual, idx), optimizer_index=idx)
 
 
 def double_transform(f: FunctionSpec, k: Optional[int] = None) -> ConjugateResult:

@@ -1,7 +1,8 @@
 """Every module of the package, every test file and every script uses each
 name it imports, and the package reads each private name it defines. One
-place in the package builds a simulator run record (``SimRun``), and one
-makes a ``Fraction`` from two ints (``rational.reduced``).
+place in the package builds a simulator run record (``SimRun``), one
+makes a ``Fraction`` from two ints (``rational.reduced``), and one turns a
+grid into ints (``grids``).
 
 The import check skips the package's ``__init__`` (its imports are the
 package's re-exports) and ``from __future__`` imports. A top-level ``_private``
@@ -145,3 +146,44 @@ def test_the_check_finds_every_two_int_fraction():
         "e = map(Fraction, xs, ys)\ng = Fraction(7, denominator=8)\nh = F('1/2')\n"
     )
     assert _fraction_pairs(ast.parse(source)) == [5, 6, 7, 8, 9]
+
+
+def _grid_ints(tree: ast.Module) -> list[int]:
+    """Lines that make a grid's integer form: a call of ``progression``
+    (by name or as an attribute), or a ``split`` call with a ``.explicit``
+    attribute anywhere in its arguments."""
+
+    def named(call, name):
+        f = call.func
+        return (isinstance(f, ast.Name) and f.id == name) or (isinstance(f, ast.Attribute) and f.attr == name)
+
+    def reads_explicit(call):
+        args = [*call.args, *(k.value for k in call.keywords)]
+        return any(isinstance(n, ast.Attribute) and n.attr == "explicit" for a in args for n in ast.walk(a))
+
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (named(node, "progression") or (named(node, "split") and reads_explicit(node)))
+    )
+
+
+def test_one_place_turns_a_grid_into_ints():
+    calls = [
+        f"{p.name}:{line}"
+        for p in MODULES
+        if p.name != "grids.py"
+        for line in _grid_ints(ast.parse(p.read_text(), filename=str(p)))
+    ]
+    assert not calls, f"grid integer forms made at {', '.join(calls)}; read grids' progression or ratios"
+
+
+def test_the_check_finds_every_grid_split_and_progression():
+    source = (
+        "from . import rational\nfrom .rational import progression, split\n"
+        "a = progression(g.x0, g.gamma)\nb = rational.progression(s0, step)\nc = split(dual.explicit)\n"
+        "d = split(dual.explicit or (dual.s0,) * k)\ne = split(s * u for s in dual.explicit)\n"
+        "f = split(values=g.explicit)\nh = split(samples)\ni = g.progression\nj = dual.explicit\n"
+    )
+    assert _grid_ints(ast.parse(source)) == [3, 4, 5, 6, 7, 8]

@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lftlab import fixtures, multi, transform
+from lftlab import fixtures, grids, multi, rational, transform
 from lftlab.errors import NonConvexSlice
 from lftlab.grids import DualGrid, FunctionSpec, RegularGrid
 from lftlab.hardness import HiddenStringInstance
@@ -179,12 +179,22 @@ class TestNdRegular:
         duals = canonical_nd_dual_grids(f, ks)
         copies = [DualGrid.from_points(g.points()) for g in duals]
         want = lft_nd_regular(f, duals)
-        split = transform.split
         calls = []
-        monkeypatch.setattr(transform, "split", lambda v: calls.append(1) or split(v))
+        for module in (transform, multi, grids):
+
+            def recording(values, name=module.__name__):
+                values = list(values)
+                calls.append((name, values))
+                return rational.split(values)
+
+            monkeypatch.setattr(module, "split", recording, raising=False)
         got = lft_nd_regular(f, copies)
-        # the rule reads each pass's explicit grid once, not once per line
-        assert len(calls) == f.d
+        # the copies were split once, when they were built: the passes build
+        # no grid and split none of the copies' points (multi splits only
+        # the samples and the envelopes of nonconvex lines)
+        points = {id(s) for g in copies for s in g.explicit}
+        again = [name for name, v in calls if name != "lftlab.multi" or points & set(map(id, v))]
+        assert again == []
         assert pickle.dumps((got.values, got.optimizer), protocol=4) == pickle.dumps(
             (want.values, want.optimizer), protocol=4
         )
