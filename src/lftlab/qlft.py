@@ -14,16 +14,22 @@ pass acceptances and 0 when a pass rejected every branch.
 The adaptive pipeline is deterministic: each branch derives its own dual
 point from its local gradient registers and finishes garbage-free.
 
-Each step, like each nD pass, builds its output schema once and reads its
-registers at positions looked up by name once. Register arithmetic runs on
-the words' integer ratios (``as_integer_ratio``, exact for float samples
-too) and makes one ``Fraction`` per distinct word written, through
-``rational.reduced``: an interior gradient c_i is one word, held by branch
-i as ``c_hi`` and by branch i + 1 as ``c_lo``. Post-selection splits the
-gathered ``c_hi`` words once and checks them on those ratios with the same
-check as ``GradientVector`` (``grids._checked_ratios``), then counts with
-the rule kernel (``transform._rule``) on the same ratios. The conjugate
-step reads the dual points' ratios off the grid (``DualGrid.point_ratios``).
+The one-call runs compute on int words, as the nD simulator does: x_i =
+X_i / den on the grid's ``progression``, f_i = F_i / D over D, the lcm of
+the samples' denominators, the gradients c_i = G_i / (D p) and the
+centered points S_i / (2 D p). Nondecreasing G is a run's one convexity
+check, and post-selection counts on the G with the rule kernel
+(``transform._rule``). A ``Fraction`` is made once per final word, through
+``rational.reduced``. The public steps (``prepare_superposition``,
+``attach_gradients``, ``indicator_postselect``, ``finalize_conjugate``)
+are the boundary for hand-built states of ``Fraction`` or float words: each
+builds its output schema once, reads its registers at positions looked up
+by name once, and passes the words' integer ratios (``as_integer_ratio``,
+exact for floats) to the int formulas the runs use: the slope ``_rise``,
+the centered point ``_mid`` and s*x - f ``_value``. There an interior
+gradient c_i is one word, held by branch i as ``c_hi`` and by branch i + 1
+as ``c_lo``, and post-selection checks the gathered ``c_hi`` words as
+``GradientVector`` does (``grids._checked_ratios``).
 """
 
 from __future__ import annotations
@@ -32,8 +38,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Optional
+from itertools import accumulate, repeat
+from math import lcm
+from typing import Optional, Sequence
 
 from .errors import (
     AcceptanceMismatch,
@@ -44,7 +51,7 @@ from .errors import (
 )
 from .grids import DualGrid, FunctionSpec, _checked_ratios
 from .qstate import UNDEFINED, Amplitude, BasisLabel, QState, Schema, _schema, is_undefined
-from .rational import Vec, exact_sum, reduced, split
+from .rational import Vec, exact_sum, nondecreasing, reduced, split
 from .transform import _gradients, _rule, regular_dual_grid
 
 
@@ -89,10 +96,15 @@ def prepare_superposition(f: FunctionSpec) -> QState:
     """Uniform superposition over i with three adjacent points per branch."""
     if f.n > 2:  # two points are always convex; the kernel needs three
         _gradients(f)
+    return _superposed(f.grid.points(), f.samples)
+
+
+def _superposed(xs: Sequence, fs: Sequence) -> QState:
+    """The superposition over the points' and the samples' words; the
+    out-of-grid neighbors of branches 0 and n - 1 are UNDEFINED."""
     schema = _schema(("i", "x_prev", "x", "x_next", "f_prev", "f", "f_next"), 7)
-    xs, fs = f.grid.points(), f.samples
     rows = zip(
-        range(f.n), (UNDEFINED, *xs[:-1]), xs, (*xs[1:], UNDEFINED),
+        range(len(xs)), (UNDEFINED, *xs[:-1]), xs, (*xs[1:], UNDEFINED),
         (UNDEFINED, *fs[:-1]), fs, (*fs[1:], UNDEFINED),
     )
     return QState.uniform([BasisLabel(schema, values) for values in rows])
@@ -137,17 +149,35 @@ def attach_gradients(state: QState) -> QState:
     return QState(entries=tuple(entries))
 
 
+def _rise(x0: int, x1: int, xd: int, y0: int, y1: int, yd: int) -> tuple[int, int]:
+    """The slope (y1 - y0) / (x1 - x0) of words x over xd and y over yd,
+    unreduced."""
+    return (y1 - y0) * xd, (x1 - x0) * yd
+
+
+def _mid(lo: int, hi: int, d: int) -> tuple[int, int]:
+    """The centered dual point (lo + hi) / (2 d) of two gradients over d,
+    unreduced."""
+    return lo + hi, 2 * d
+
+
+def _value(sn: int, fn: int, d: int, xn: int, xd: int) -> Fraction:
+    """s*x - f for s = sn/d and f = fn/d over one d and x = xn/xd, one
+    Fraction."""
+    return reduced(sn * xn - fn * xd, d * xd)
+
+
 def _slope(x0, y0, x1, y1) -> Fraction:
-    """(y1 - y0) / (x1 - x0) on the words' integer ratios."""
+    """``_rise`` of Fraction or float words, on their integer ratios."""
     (a, b), (c, d) = x0.as_integer_ratio(), x1.as_integer_ratio()
     (e, g), (h, k) = y0.as_integer_ratio(), y1.as_integer_ratio()
-    return reduced((h * g - e * k) * b * d, g * k * (c * b - a * d))
+    return reduced(*_rise(a * d, c * b, b * d, e * k, h * g, g * k))
 
 
-def _dual_value(s: tuple[int, int], x, f) -> Fraction:
-    """s*x - f for s = sn/sd on the words' integer ratios."""
-    (sn, sd), (xn, xd), (fn, fd) = s, x.as_integer_ratio(), f.as_integer_ratio()
-    return reduced(sn * xn * fd - fn * sd * xd, sd * xd * fd)
+def _dual_value(sn: int, sd: int, x, f) -> Fraction:
+    """``_value`` at s = sn/sd for Fraction or float words x and f."""
+    (xn, xd), (fn, fd) = x.as_integer_ratio(), f.as_integer_ratio()
+    return _value(sn * fd, fn * sd, sd * fd, xn, xd)
 
 
 def _gather_gradients(state: QState) -> Vec:
@@ -174,7 +204,7 @@ def centered_dual(c_lo, c_hi):
     if is_undefined(c_hi):
         return c_lo
     (a, b), (c, d) = c_lo.as_integer_ratio(), c_hi.as_integer_ratio()
-    return reduced(a * d + c * b, 2 * b * d)
+    return reduced(*_mid(a * d, c * b, b * d))
 
 
 def retry_totals(p: Fraction, rng: random.Random, trials: int) -> tuple[int, int]:
@@ -220,12 +250,27 @@ def indicator_postselect(
     superposition and relabeled by dual index with optimizer registers.
     """
     counts = _rule(dual)(_gather_gradients(state))
+    post, success, w = _slots(state, counts, dual.k)
+    return post, PostSelection(
+        success_probability=success,
+        attempts=geometric_attempts(success, random.Random(rng_seed)),
+        w=w,
+        expanded=len(state) * w,
+        accepted=dual.k,
+    )
+
+
+def _slots(state: QState, counts: list[int], k: int) -> tuple[QState, Fraction, int]:
+    """Expand branch i into its counts[i] accepted copy slots (j, x_star,
+    f_at_star, m, i), j counting on from the slots of the branches before
+    it, and keep them (``_keep``): the post-selected state, its acceptance
+    and w = max(counts). The slots must number k."""
     firsts = list(accumulate(counts, initial=0))
     accepted = firsts[-1]
     if accepted == 0:
         raise EmptyAcceptance("no (index, copy) pair is accepted")
-    if accepted != dual.k:
-        raise AcceptanceMismatch(f"{accepted} accepted pairs for {dual.k} dual points")
+    if accepted != k:
+        raise AcceptanceMismatch(f"{accepted} accepted pairs for {k} dual points")
     w = max(counts)
     _, (pi, px, pf) = _read(state, "i", "x", "f")
     out = _schema(("j", "x_star", "f_at_star", "m", "i"), 5)
@@ -234,14 +279,7 @@ def indicator_postselect(
         v = lab._values
         i, x, fv = v[pi], v[px], v[pf]
         kept.extend(BasisLabel(out, (firsts[i] + m, x, fv, m, i)) for m in range(counts[i]))
-    post, success = _keep(kept, len(state), w)
-    return post, PostSelection(
-        success_probability=success,
-        attempts=geometric_attempts(success, random.Random(rng_seed)),
-        w=w,
-        expanded=len(state) * w,
-        accepted=accepted,
-    )
+    return (*_keep(kept, len(state), w), w)
 
 
 def _keep(kept: list, branches: int, w: int) -> tuple[QState, Fraction]:
@@ -262,7 +300,7 @@ def finalize_conjugate(state: QState, dual: DualGrid) -> QState:
     def fin(lab: BasisLabel) -> BasisLabel:
         v = lab._values
         j, x = v[pj], v[px]
-        return BasisLabel(out, (j, _dual_value((sn[j], sd[j]), x, v[pf]), x, v[pm], v[pi]))
+        return BasisLabel(out, (j, _dual_value(sn[j], sd[j], x, v[pf]), x, v[pm], v[pi]))
 
     return state.map_labels(fin)
 
@@ -287,55 +325,77 @@ def _finish(state, steps, success, pass_acceptances, rng_seed=0, verification=No
     )
 
 
+def _int_gradients(f: FunctionSpec, steps: list[StepRecord]) -> tuple:
+    """A one-call run's superposition and gradient steps on int words:
+    x_i = xs[i] / den on the grid's ``progression``, f_i = fs[i] / d over d,
+    the lcm of the samples' denominators, and c_i = g[i] / gd[i], where
+    every gd[i] is p * d. The int gradients are the run's one convexity
+    check; on a decrease ``_gradients`` raises its exact error."""
+    a, p, den = f.grid.progression
+    fn, fd = f.ratios
+    d = lcm(*set(fd))
+    xs = list(range(a, a + f.n * p, p))
+    fs = [v * (d // q) for v, q in zip(fn, fd)]
+    g, gd = zip(*map(_rise, xs, xs[1:], repeat(den), fs, fs[1:], repeat(d)))
+    if not nondecreasing((g, gd)):
+        _gradients(f)
+    state = _superposed(xs, fs)
+    _trace(steps, "superposition", state)
+    out = _schema((*state.entries[0][0].schema.names, "c_lo", "c_hi"), 9)
+    state = QState.uniform([
+        BasisLabel(out, (*lab._values, lo, hi))
+        for (lab, _), lo, hi in zip(state.entries, (UNDEFINED, *g), (*g, UNDEFINED))
+    ])
+    _trace(steps, "gradients", state)
+    return state, xs, fs, den, d, g, gd
+
+
 def run_qlft_1d_regular(
     f: FunctionSpec, k: int, rng_seed: int = 0, strict_pow2: bool = False
 ) -> SimRun:
-    """Full stochastic pipeline on the canonical regular dual grid."""
+    """Full stochastic pipeline on the canonical regular dual grid, on int
+    words; each final word is made a ``Fraction`` once."""
     _check_pow2(f.n, "N", strict_pow2)
     _check_pow2(k, "K", strict_pow2)
     steps: list[StepRecord] = []
-    state = prepare_superposition(f)
-    _trace(steps, "superposition", state)
-    state = attach_gradients(state)
-    _trace(steps, "gradients", state)
-    # the range [c_0, c_{n-2}] is in the c_hi registers of branches 0 and n-2
-    lo, hi = (state.entries[i][0].get("c_hi") for i in (0, f.n - 2))
-    dual = regular_dual_grid((lo, hi), k)
-    state, post = indicator_postselect(state, dual, rng_seed=rng_seed)
-    _trace(steps, "postselect", state, acceptance=post.success_probability)
-    state = finalize_conjugate(state, dual)
+    state, xs, _, den, d, g, gd = _int_gradients(f, steps)
+    dual = regular_dual_grid((reduced(g[0], gd[0]), reduced(g[-1], gd[-1])), k)
+    if f.n < 3:
+        _checked_ratios(g)  # raises DegenerateGrid: one gradient
+    state, success, _ = _slots(state, _rule(dual)((g, gd)), k)
+    _trace(steps, "postselect", state, acceptance=success)
+    # s_j = (sa + j*sp) / sd and f_i = fs[i] / d, both over sd * d
+    sa, sp, sd = dual.progression
+    sa, sp, sdd = sa * d, sp * d, sd * d
+    words = [reduced(x, den) for x in xs]  # the slots of a branch share its x_star
+    out = _schema(("j", "fstar", "x_star", "m", "i"), 2)
+    state = QState.uniform([
+        BasisLabel(out, (j, _value(sa + j * sp, fv * sd, sdd, x, den), words[i], m, i))
+        for j, x, fv, m, i in [lab._values for lab, _ in state.entries]
+    ])
     _trace(steps, "conjugate", state)
-    success = post.success_probability
     return _finish(state, steps, success, (success,), rng_seed=rng_seed)
 
 
 def run_qlft_1d_adaptive(f: FunctionSpec, strict_pow2: bool = False) -> SimRun:
-    """Deterministic adaptive pipeline; no garbage registers remain."""
+    """Deterministic adaptive pipeline on int words; no garbage registers
+    remain, and each final word is made a ``Fraction`` once."""
     _check_pow2(f.n, "N", strict_pow2)
     steps: list[StepRecord] = []
-    state = prepare_superposition(f)
-    _trace(steps, "superposition", state)
-    state = attach_gradients(state)
-    _trace(steps, "gradients", state)
-
-    _, (pi, px, pf, plo, phi) = _read(state, "i", "x", "f", "c_lo", "c_hi")
+    state, xs, fs, den, d, g, gd = _int_gradients(f, steps)
+    # a boundary branch's point is its one gradient, the midpoint of it and itself
+    s, sd = zip(*map(_mid, (g[0], *g), (*g, g[-1]), repeat(gd[0])))
     picked = _schema(("i", "x", "f", "s"), 4)
-
-    def pick_dual(lab: BasisLabel) -> BasisLabel:
-        v = lab._values
-        return BasisLabel(picked, (v[pi], v[px], v[pf], centered_dual(v[plo], v[phi])))
-
-    state = state.map_labels(pick_dual)
+    state = QState.uniform([BasisLabel(picked, row) for row in zip(range(f.n), xs, fs, s)])
     _trace(steps, "adaptive-dual", state)
-    qi, qx, qf, qs = (picked.index[name] for name in ("i", "x", "f", "s"))
+    # at n = 2 both branches' point is c_0, one word
+    points = [reduced(v, q) for v, q in zip(s, sd)] if f.n > 2 else [reduced(s[0], sd[0])] * 2
+    lift = sd[0] // d  # f_i = fs[i] * lift / sd[i]
     final = _schema(("i", "x", "s", "fstar"), 4)
-
-    def fin(lab: BasisLabel) -> BasisLabel:
-        v = lab._values
-        s, x = v[qs], v[qx]
-        return BasisLabel(final, (v[qi], x, s, _dual_value(s.as_integer_ratio(), x, v[qf])))
-
-    state = state.map_labels(fin)
+    state = QState.uniform([
+        BasisLabel(final, (i, reduced(x, den), pt, _value(v, fv * lift, q, x, den)))
+        for i, x, fv, v, q, pt in zip(range(f.n), xs, fs, s, sd, points)
+    ])
     _trace(steps, "conjugate", state)
     return _finish(state, steps, Fraction(1), (Fraction(1),))
 

@@ -97,6 +97,12 @@ class TestConvexityCheck:
         with pytest.raises(NonConvexInput, match=r"^second differences go negative \(min -3\.0\)$"):
             prepare_superposition(f)
 
+    @pytest.mark.parametrize("run", [run_qlft_1d_adaptive, lambda f: run_qlft_1d_regular(f, 4)])
+    def test_float_nonconvex_runs_keep_float_message(self, run):
+        f = FunctionSpec(RegularGrid(0, 1, 4), (0.0, 2.0, 1.0, 5.0))
+        with pytest.raises(NonConvexInput, match=r"^second differences go negative \(min -3\.0\)$"):
+            run(f)
+
     def test_two_points(self):
         f = FunctionSpec(RegularGrid(0, 1, 2), (F(1), F(3)))
         run = run_qlft_1d_adaptive(f)

@@ -309,6 +309,71 @@ def test_runs_equal_fraction_pipeline(name, f):
     assert same(run_qlft_1d_adaptive(f), ref_run_adaptive(f))
 
 
+def exact(f):
+    """The spec over the exact Fraction values of its samples."""
+    return FunctionSpec(f.grid, tuple(map(F, f.samples)))
+
+
+EDGES = {
+    # floats convert exactly: dyadic samples, and samples like 0.1 whose
+    # binary expansions need wide denominators
+    "float-dyadic": FunctionSpec(RegularGrid(F(-3, 2), F(1, 2), 6), (2.25, 1.0, 0.25, 0.0, 0.25, 1.0)),
+    "float-wide": FunctionSpec(RegularGrid(0, F(1, 3), 4), (0.0, 0.1, 0.3, 0.7)),
+    # its dual range is one point: the canonical grid has zero spacing
+    "constant": fixtures.constant(F(-5, 3), n=5),
+    # both adaptive branches take c_0, one word
+    "two-points": FunctionSpec(RegularGrid(F(-3, 2), F(2, 7), 2), (F(1, 3), F(-2, 5))),
+    # gradients -1, 0, 0, 2: zero words in the gradient and dual registers
+    "zero-gradient": FunctionSpec(RegularGrid(0, 1, 5), (F(2), F(1), F(1), F(1), F(3))),
+    "negative-x0": FunctionSpec(
+        RegularGrid(F(-17, 6), F(3, 4), 6), tuple(F(i * i, 5) - F(7, 3) * i for i in range(6))
+    ),
+}
+
+
+@pytest.mark.parametrize("f", EDGES.values(), ids=EDGES.keys())
+def test_edge_inputs_equal_fraction_pipeline(f):
+    ref = exact(f)
+    if f.n > 2:
+        for k, seed in ((f.n, 3), (2 * f.n + 1, 11)):
+            assert same(run_qlft_1d_regular(f, k, rng_seed=seed), ref_run_regular(ref, k, seed))
+    assert same(run_qlft_1d_adaptive(f), ref_run_adaptive(ref))
+
+
+def counted_calls(run, f, *args):
+    """How often ``run`` calls ``qlft.reduced`` and ``Fraction.as_integer_ratio``."""
+    calls = {"reduced": 0, "as_integer_ratio": 0}
+    reduced, ratio = qlft.reduced, F.as_integer_ratio
+
+    def counting(name, fn):
+        def wrapped(*a):
+            calls[name] += 1
+            return fn(*a)
+
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qlft, "reduced", counting("reduced", reduced))
+        mp.setattr(F, "as_integer_ratio", counting("as_integer_ratio", ratio))
+        run(f, *args)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["convex", "quadratic"])
+def test_one_call_runs_make_one_fraction_per_final_word(kind):
+    # the runs compute on ints: one reduced per final word plus O(1), and
+    # no word's ratio read per branch
+    n = 64
+    f = seeded(kind, 5, n)
+    for k in (n, 3 * n):
+        calls = counted_calls(run_qlft_1d_regular, f, k)
+        assert calls["reduced"] <= k + n + 3
+        assert calls["as_integer_ratio"] <= 8
+    calls = counted_calls(run_qlft_1d_adaptive, f)
+    assert calls["reduced"] <= 3 * n
+    assert calls["as_integer_ratio"] <= 8
+
+
 def fresh(word):
     """An equal word that is a distinct object (UNDEFINED stays itself)."""
     return word if word == UNDEFINED else F(word.numerator, word.denominator)
