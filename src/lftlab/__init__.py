@@ -27,7 +27,6 @@ from .errors import (
 from .grids import DualGrid, FunctionSpec, GradientVector, RegularGrid
 from .transform import (
     ConjugateResult,
-    adaptive_dual_points,
     convergence_gap,
     discrete_gradients,
     double_transform,
@@ -39,7 +38,6 @@ from .transform import (
 )
 from .witness import (
     WitnessReport,
-    assignment_counts,
     dual_index,
     in_acceptance_set,
     witness_params,

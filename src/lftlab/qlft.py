@@ -14,22 +14,27 @@ pass acceptances and 0 when a pass rejected every branch.
 The adaptive pipeline is deterministic: each branch derives its own dual
 point from its local gradient registers and finishes garbage-free.
 
-The one-call runs compute on int words, as the nD simulator does: x_i =
-X_i / den on the grid's ``progression``, f_i = F_i / D over D, the lcm of
-the samples' denominators, the gradients c_i = G_i / (D p) and the
-centered points S_i / (2 D p). Nondecreasing G is a run's one convexity
-check, and post-selection counts on the G with the rule kernel
-(``transform._rule``). A ``Fraction`` is made once per final word, through
-``rational.reduced``. The public steps (``prepare_superposition``,
-``attach_gradients``, ``indicator_postselect``, ``finalize_conjugate``)
-are the boundary for hand-built states of ``Fraction`` or float words: each
-builds its output schema once, reads its registers at positions looked up
-by name once, and passes the words' integer ratios (``as_integer_ratio``,
-exact for floats) to the int formulas the runs use: the slope ``_rise``,
-the centered point ``_mid`` and s*x - f ``_value``. There an interior
-gradient c_i is one word, held by branch i as ``c_hi`` and by branch i + 1
-as ``c_lo``, and post-selection checks the gathered ``c_hi`` words as
-``GradientVector`` does (``grids._checked_ratios``).
+The one-call runs compute on int words in the 1D kernel's integer forms:
+x_i = X_i / den on the grid's ``progression``, and each sample, gradient
+and centered point a (numerator, denominator) pair, the samples' from
+``FunctionSpec.ratios``, the gradients' from ``transform._slopes`` and the
+adaptive run's points from ``transform._adaptive_points``, so ``transform``
+alone decides how a 1D function's gradients and dual points become ints.
+Nondecreasing gradients are a run's one convexity check, and
+post-selection counts on them with the rule kernel (``transform._rule``).
+s*x - f is ``_value``, with s and f over one denominator made from the
+branch's own: the dual grid's times the sample's in a regular run, the
+point's in an adaptive one. A ``Fraction`` is made once per final word,
+through ``rational.reduced``. The public steps
+(``prepare_superposition``, ``attach_gradients``, ``indicator_postselect``,
+``finalize_conjugate``) are the boundary for hand-built states of
+``Fraction`` or float words: each builds its output schema once, reads its
+registers at positions looked up by name once, and passes the words'
+integer ratios (``as_integer_ratio``, exact for floats) to int formulas:
+the slope ``_slope`` and s*x - f ``_value``. There an interior gradient c_i
+is one word, held by branch i as ``c_hi`` and by branch i + 1 as ``c_lo``,
+and post-selection checks the gathered ``c_hi`` words as ``GradientVector``
+does (``grids._checked_ratios``).
 """
 
 from __future__ import annotations
@@ -38,8 +43,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from math import lcm
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import (
@@ -52,7 +56,7 @@ from .errors import (
 from .grids import DualGrid, FunctionSpec, _checked_ratios
 from .qstate import UNDEFINED, Amplitude, BasisLabel, QState, Schema, _schema, is_undefined
 from .rational import Vec, exact_sum, nondecreasing, reduced, split
-from .transform import _gradients, _rule, regular_dual_grid
+from .transform import _adaptive_points, _gradients, _rule, _slopes, regular_dual_grid
 
 
 @dataclass(frozen=True)
@@ -149,18 +153,6 @@ def attach_gradients(state: QState) -> QState:
     return QState(entries=tuple(entries))
 
 
-def _rise(x0: int, x1: int, xd: int, y0: int, y1: int, yd: int) -> tuple[int, int]:
-    """The slope (y1 - y0) / (x1 - x0) of words x over xd and y over yd,
-    unreduced."""
-    return (y1 - y0) * xd, (x1 - x0) * yd
-
-
-def _mid(lo: int, hi: int, d: int) -> tuple[int, int]:
-    """The centered dual point (lo + hi) / (2 d) of two gradients over d,
-    unreduced."""
-    return lo + hi, 2 * d
-
-
 def _value(sn: int, fn: int, d: int, xn: int, xd: int) -> Fraction:
     """s*x - f for s = sn/d and f = fn/d over one d and x = xn/xd, one
     Fraction."""
@@ -168,10 +160,11 @@ def _value(sn: int, fn: int, d: int, xn: int, xd: int) -> Fraction:
 
 
 def _slope(x0, y0, x1, y1) -> Fraction:
-    """``_rise`` of Fraction or float words, on their integer ratios."""
+    """The slope (y1 - y0) / (x1 - x0) of Fraction or float words, on their
+    integer ratios."""
     (a, b), (c, d) = x0.as_integer_ratio(), x1.as_integer_ratio()
     (e, g), (h, k) = y0.as_integer_ratio(), y1.as_integer_ratio()
-    return reduced(*_rise(a * d, c * b, b * d, e * k, h * g, g * k))
+    return reduced((h * g - e * k) * b * d, (c * b - a * d) * g * k)
 
 
 def _dual_value(sn: int, sd: int, x, f) -> Fraction:
@@ -194,17 +187,6 @@ def _gather_gradients(state: QState) -> Vec:
     if any(v is None or is_undefined(v) for v in c):
         raise MalformedState("gradient registers are incomplete")
     return _checked_ratios(c)
-
-
-def centered_dual(c_lo, c_hi):
-    """A branch's centered adaptive dual point from its two local gradients;
-    a boundary branch, whose missing gradient is UNDEFINED, takes the other."""
-    if is_undefined(c_lo):
-        return c_hi
-    if is_undefined(c_hi):
-        return c_lo
-    (a, b), (c, d) = c_lo.as_integer_ratio(), c_hi.as_integer_ratio()
-    return reduced(*_mid(a * d, c * b, b * d))
 
 
 def retry_totals(p: Fraction, rng: random.Random, trials: int) -> tuple[int, int]:
@@ -327,27 +309,26 @@ def _finish(state, steps, success, pass_acceptances, rng_seed=0, verification=No
 
 def _int_gradients(f: FunctionSpec, steps: list[StepRecord]) -> tuple:
     """A one-call run's superposition and gradient steps on int words:
-    x_i = xs[i] / den on the grid's ``progression``, f_i = fs[i] / d over d,
-    the lcm of the samples' denominators, and c_i = g[i] / gd[i], where
-    every gd[i] is p * d. The int gradients are the run's one convexity
-    check; on a decrease ``_gradients`` raises its exact error."""
+    x_i = xs[i] / den on the grid's ``progression``, the samples f_i the
+    pairs fs[i] of ``f.ratios`` and the gradients the kernel's ratios c
+    (``transform._slopes``), held as pairs. The gradients are the run's one
+    convexity check; on a decrease ``_gradients`` raises its exact error."""
     a, p, den = f.grid.progression
-    fn, fd = f.ratios
-    d = lcm(*set(fd))
     xs = list(range(a, a + f.n * p, p))
-    fs = [v * (d // q) for v, q in zip(fn, fd)]
-    g, gd = zip(*map(_rise, xs, xs[1:], repeat(den), fs, fs[1:], repeat(d)))
-    if not nondecreasing((g, gd)):
+    fs = list(zip(*f.ratios))
+    c = _slopes(f.ratios, f.grid.gamma)
+    if not nondecreasing(c):
         _gradients(f)
     state = _superposed(xs, fs)
     _trace(steps, "superposition", state)
+    g = list(zip(*c))
     out = _schema((*state.entries[0][0].schema.names, "c_lo", "c_hi"), 9)
     state = QState.uniform([
         BasisLabel(out, (*lab._values, lo, hi))
         for (lab, _), lo, hi in zip(state.entries, (UNDEFINED, *g), (*g, UNDEFINED))
     ])
     _trace(steps, "gradients", state)
-    return state, xs, fs, den, d, g, gd
+    return state, xs, fs, den, c
 
 
 def run_qlft_1d_regular(
@@ -358,20 +339,20 @@ def run_qlft_1d_regular(
     _check_pow2(f.n, "N", strict_pow2)
     _check_pow2(k, "K", strict_pow2)
     steps: list[StepRecord] = []
-    state, xs, _, den, d, g, gd = _int_gradients(f, steps)
-    dual = regular_dual_grid((reduced(g[0], gd[0]), reduced(g[-1], gd[-1])), k)
+    state, xs, _, den, c = _int_gradients(f, steps)
+    cn, cd = c
+    dual = regular_dual_grid((reduced(cn[0], cd[0]), reduced(cn[-1], cd[-1])), k)
     if f.n < 3:
-        _checked_ratios(g)  # raises DegenerateGrid: one gradient
-    state, success, _ = _slots(state, _rule(dual)((g, gd)), k)
+        _checked_ratios(cn)  # raises DegenerateGrid: one gradient
+    state, success, _ = _slots(state, _rule(dual)(c), k)
     _trace(steps, "postselect", state, acceptance=success)
-    # s_j = (sa + j*sp) / sd and f_i = fs[i] / d, both over sd * d
+    # s_j = (sa + j*sp) / sd and f_i = fn / fd, both over sd * fd
     sa, sp, sd = dual.progression
-    sa, sp, sdd = sa * d, sp * d, sd * d
     words = [reduced(x, den) for x in xs]  # the slots of a branch share its x_star
     out = _schema(("j", "fstar", "x_star", "m", "i"), 2)
     state = QState.uniform([
-        BasisLabel(out, (j, _value(sa + j * sp, fv * sd, sdd, x, den), words[i], m, i))
-        for j, x, fv, m, i in [lab._values for lab, _ in state.entries]
+        BasisLabel(out, (j, _value((sa + j * sp) * fd, fn * sd, sd * fd, x, den), words[i], m, i))
+        for j, x, (fn, fd), m, i in [lab._values for lab, _ in state.entries]
     ])
     _trace(steps, "conjugate", state)
     return _finish(state, steps, success, (success,), rng_seed=rng_seed)
@@ -382,19 +363,20 @@ def run_qlft_1d_adaptive(f: FunctionSpec, strict_pow2: bool = False) -> SimRun:
     remain, and each final word is made a ``Fraction`` once."""
     _check_pow2(f.n, "N", strict_pow2)
     steps: list[StepRecord] = []
-    state, xs, fs, den, d, g, gd = _int_gradients(f, steps)
-    # a boundary branch's point is its one gradient, the midpoint of it and itself
-    s, sd = zip(*map(_mid, (g[0], *g), (*g, g[-1]), repeat(gd[0])))
+    state, xs, fs, den, c = _int_gradients(f, steps)
+    sn, sd = _adaptive_points(c, "centered")
+    del c  # freed here, not at return: the gradients' ints would add to the peak memory
     picked = _schema(("i", "x", "f", "s"), 4)
-    state = QState.uniform([BasisLabel(picked, row) for row in zip(range(f.n), xs, fs, s)])
+    state = QState.uniform([BasisLabel(picked, row) for row in zip(range(f.n), xs, fs, zip(sn, sd))])
     _trace(steps, "adaptive-dual", state)
     # at n = 2 both branches' point is c_0, one word
-    points = [reduced(v, q) for v, q in zip(s, sd)] if f.n > 2 else [reduced(s[0], sd[0])] * 2
-    lift = sd[0] // d  # f_i = fs[i] * lift / sd[i]
+    points = list(map(reduced, sn, sd)) if f.n > 2 else [reduced(sn[0], sd[0])] * 2
+    # a point's denominator is a multiple of its branch's sample denominator,
+    # as the kernel puts each slope over a multiple of its two samples'
     final = _schema(("i", "x", "s", "fstar"), 4)
     state = QState.uniform([
-        BasisLabel(final, (i, reduced(x, den), pt, _value(v, fv * lift, q, x, den)))
-        for i, x, fv, v, q, pt in zip(range(f.n), xs, fs, s, sd, points)
+        BasisLabel(final, (i, reduced(x, den), pt, _value(v, fn * (q // fd), q, x, den)))
+        for i, x, (fn, fd), v, q, pt in zip(range(f.n), xs, fs, sn, sd, points)
     ])
     _trace(steps, "conjugate", state)
     return _finish(state, steps, Fraction(1), (Fraction(1),))

@@ -8,9 +8,9 @@ A uniform layer's 1/M is made by ``rational.reduced``, and an amplitude
 reads a ``Fraction`` square's sign from its numerator, so building one
 does no ``Fraction`` comparison.
 
-Register words are exact rationals or integers; out-of-grid neighbor
-slots hold the tagged UNDEFINED word, which any arithmetic use would
-raise on rather than silently absorb.
+Register words are exact rationals, integers or (numerator, denominator)
+pairs of ints; out-of-grid neighbor slots hold the tagged UNDEFINED word,
+which any arithmetic use would raise on rather than silently absorb.
 
 A label holds one value per register; the register names live once, in a
 schema that every label of a state shares: the names in order, how many of
@@ -52,7 +52,7 @@ from .errors import MalformedState
 from .rational import exact_sum, reduced
 
 UNDEFINED = "undef"
-Word = Union[Fraction, int, str]
+Word = Union[Fraction, int, str, tuple[int, int]]
 
 
 class Amplitude:

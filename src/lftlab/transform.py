@@ -12,13 +12,15 @@ kept by the containers from construction: the numerators and denominators
 of samples, gradients and explicit dual points (``FunctionSpec.ratios``,
 ``GradientVector.ratios``, ``DualGrid.ratios``) and a regular grid's
 ``progression`` (see ``grids``). The kernel's slopes and centered
-midpoints are not reduced to lowest terms: every consumer floor-divides,
-cross-multiplies or builds a ``Fraction`` (``rational.reduced``), which
-normalizes anyway. One count function, ``_rule``, gives the rule's
-multiplicities without a sweep over the dual points: it is the rule kernel
-of the 1D routes and of every nested nD pass, which reads its grid once
-and counts every line with it. Each value s_j x_i - f_i is one integer
-fraction, made a ``Fraction`` only when the result is returned.
+midpoints are each over the lcm of its two operands' denominators, and not
+reduced to lowest terms: every consumer floor-divides, cross-multiplies or
+builds a ``Fraction`` (``rational.reduced``), which normalizes anyway. The
+1D simulator's one-call runs (``qlft``) hold them as register words. One
+count function, ``_rule``, gives the rule's multiplicities without a sweep
+over the dual points: it is the rule kernel of the 1D routes and of every
+nested nD pass, which reads its grid once and counts every line with it.
+Each value s_j x_i - f_i is one integer fraction, made a ``Fraction`` only
+when the result is returned.
 """
 
 from __future__ import annotations
@@ -54,10 +56,12 @@ class ConjugateResult:
 
 def _slopes(v: Vec, step: Number) -> Vec:
     """(v_{i+1} - v_i) / step, for step > 0, as ratios not reduced to
-    lowest terms (positive denominators)."""
+    lowest terms (positive denominators), each over the lcm of its two
+    values' denominators times step's numerator: a multiple of both."""
     (p, q), (g, h) = v, step.as_integer_ratio()
-    nums = [(b * r - a * s) * h for a, r, b, s in zip(p, q, p[1:], q[1:])]
-    return nums, [r * s * g for r, s in zip(q, q[1:])]
+    ms = list(map(lcm, q, q[1:]))
+    nums = [(b * (m // s) - a * (m // r)) * h for a, r, b, s, m in zip(p, q, p[1:], q[1:], ms)]
+    return nums, [m * g for m in ms]
 
 
 def _gradients(f: FunctionSpec) -> Vec:
@@ -221,26 +225,24 @@ def check_adaptive_variant(variant: str) -> None:
 
 
 def _adaptive_points(c: Vec, variant: str) -> Vec:
-    """The adaptive dual points, exact, from the exact gradients."""
+    """The adaptive dual points, one per primal index, from the exact
+    gradients; the boundary midpoints collapse onto c_0 and c_{n-2}."""
     check_adaptive_variant(variant)
     cn, cd = c
     if variant == "centered":
-        # the midpoint of a/d and b/e is (a*e + b*d) / (2*d*e)
-        mn = [a * e + b * d for a, d, b, e in zip(cn, cd, cn[1:], cd[1:])]
-        md = [2 * d * e for d, e in zip(cd, cd[1:])]
-        return [cn[0], *mn, cn[-1]], [cd[0], *md, cd[-1]]
+        # the midpoint of a/d and b/d is (a + b) / (2*d); unequal d and e
+        # rescale to their lcm first
+        mn, md = [cn[0]], [cd[0]]
+        for a, d, b, e in zip(cn, cd, cn[1:], cd[1:]):
+            if d != e:
+                m = lcm(d, e)
+                a, b, d = a * (m // d), b * (m // e), m
+            mn.append(a + b)
+            md.append(2 * d)
+        return mn + cn[-1:], md + cd[-1:]
     if variant == "right":
         return cn + cn[-1:], cd + cd[-1:]
     return cn[:1] + cn, cd[:1] + cd
-
-
-def adaptive_dual_points(g: GradientVector, variant: str = "centered") -> tuple:
-    """Adaptive dual points with one point per primal index (k = n).
-
-    The boundary midpoints collapse onto c_0 and c_{n-2}, so every point
-    lies in the nontrivial range.
-    """
-    return tuple(map(reduced, *_adaptive_points(g.ratios, variant)))
 
 
 def lft_adaptive(f: FunctionSpec, variant: str = "centered") -> ConjugateResult:

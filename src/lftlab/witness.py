@@ -29,11 +29,6 @@ class WitnessReport:
     w_floor: Optional[int] = None
 
 
-def assignment_counts(g: GradientVector, dual: DualGrid) -> tuple[int, ...]:
-    """How many dual points each primal index optimizes (clamped rule)."""
-    return tuple(_rule(dual)(g.ratios))
-
-
 def witness_params(g: GradientVector, dual: DualGrid) -> WitnessReport:
     """Sharing parameter, slope ratio, and exact success probability K/(N W)."""
     if dual.kind == "regular" and dual.gamma_s == 0:

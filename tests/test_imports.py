@@ -2,7 +2,8 @@
 name it imports, and the package reads each private name it defines. One
 place in the package builds a simulator run record (``SimRun``), one
 makes a ``Fraction`` from two ints (``rational.reduced``), and one turns a
-grid into ints (``grids``).
+grid into ints (``grids``). The 1D simulator (``qlft``) takes no ``lcm``: its
+words are the kernel's ratios, each over its own denominator.
 
 The import check skips the package's ``__init__`` (its imports are the
 package's re-exports) and ``from __future__`` imports. A top-level ``_private``
@@ -148,14 +149,16 @@ def test_the_check_finds_every_two_int_fraction():
     assert _fraction_pairs(ast.parse(source)) == [5, 6, 7, 8, 9]
 
 
+def _named(call: ast.Call, name: str) -> bool:
+    """Whether ``call`` calls ``name``, by name or as an attribute."""
+    f = call.func
+    return (isinstance(f, ast.Name) and f.id == name) or (isinstance(f, ast.Attribute) and f.attr == name)
+
+
 def _grid_ints(tree: ast.Module) -> list[int]:
     """Lines that make a grid's integer form: a call of ``progression``
     (by name or as an attribute), or a ``split`` call with a ``.explicit``
     attribute anywhere in its arguments."""
-
-    def named(call, name):
-        f = call.func
-        return (isinstance(f, ast.Name) and f.id == name) or (isinstance(f, ast.Attribute) and f.attr == name)
 
     def reads_explicit(call):
         args = [*call.args, *(k.value for k in call.keywords)]
@@ -165,7 +168,7 @@ def _grid_ints(tree: ast.Module) -> list[int]:
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and (named(node, "progression") or (named(node, "split") and reads_explicit(node)))
+        and (_named(node, "progression") or (_named(node, "split") and reads_explicit(node)))
     )
 
 
@@ -187,3 +190,26 @@ def test_the_check_finds_every_grid_split_and_progression():
         "f = split(values=g.explicit)\nh = split(samples)\ni = g.progression\nj = dual.explicit\n"
     )
     assert _grid_ints(ast.parse(source)) == [3, 4, 5, 6, 7, 8]
+
+
+def _lcm_reads(tree: ast.Module) -> list[int]:
+    """Lines that read ``lcm``, by name or as an attribute: a call, or the
+    function passed on (to ``map``, say)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "lcm") or (isinstance(node, ast.Attribute) and node.attr == "lcm")
+    )
+
+
+def test_the_1d_simulator_takes_no_lcm():
+    reads = _lcm_reads(ast.parse((SRC / "qlft.py").read_text(), filename="qlft.py"))
+    assert not reads, f"qlft.py reads lcm at lines {reads}; read the kernel's ratios (transform)"
+
+
+def test_the_check_finds_every_lcm_read():
+    source = (
+        "import math\nfrom math import gcd, lcm\na = lcm(2, 3)\nb = math.lcm(*ds)\n"
+        "c = gcd(2, 3)\nd = list(map(lcm, q, q[1:]))\ne = lcm_of(q)\n"
+    )
+    assert _lcm_reads(ast.parse(source)) == [3, 4, 6]

@@ -14,7 +14,7 @@ from lftlab.grids import DualGrid, FunctionSpec, GradientVector, RegularGrid
 from lftlab.multi import lft_brute
 from lftlab.rational import split
 from lftlab.transform import (
-    adaptive_dual_points,
+    _rule,
     discrete_gradients,
     lft_adaptive,
     lft_regular,
@@ -22,7 +22,6 @@ from lftlab.transform import (
     regular_dual_grid,
 )
 from lftlab.witness import (
-    assignment_counts,
     dual_index,
     in_acceptance_set,
     witness_params,
@@ -128,7 +127,7 @@ def check_against_references(f, exact, dual):
     g = discrete_gradients(f)
     assert optimizer_map(g, dual, clamp=True) == idx
     assert tuple(rule_index(g.c, s) for s in dual.points()) == idx
-    assert assignment_counts(g, dual) == counts
+    assert tuple(_rule(dual)(g.ratios)) == counts
     if dual.kind == "adaptive" or dual.gamma_s > 0:
         report = witness_params(g, dual)
         assert report.w == max(counts)
@@ -186,7 +185,7 @@ def test_adaptive_kernel_matches_references(f, variant):
     }[variant]
     xs = f.grid.points()
     res = lft_adaptive(f, variant)
-    assert res.dual.points() == tuple(pts) == adaptive_dual_points(discrete_gradients(f), variant)
+    assert res.dual.points() == tuple(pts)
     assert res.optimizer_index == tuple(range(f.n))
     assert res.values == tuple(s * x - v for s, x, v in zip(pts, xs, f.samples))
     assert res.values == lft_brute(f, res.dual).values

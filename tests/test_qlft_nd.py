@@ -18,7 +18,6 @@ from lftlab.grids import DualGrid, FunctionSpec, RegularGrid
 from lftlab.multi import RatTensor, TensorGrid, TensorSamples, canonical_nd_dual_grids
 from lftlab.qlft import (
     _trace,
-    centered_dual,
     conjugate_pairs,
     run_qlft_1d_adaptive,
     run_qlft_1d_regular,
@@ -543,13 +542,14 @@ class TestAcceptanceStatisticsNd:
 
 # The register arithmetic of the nested passes per branch on Fractions: every
 # value register maps v -> v - s * x_i with the branch's own s and x_i, an
-# adaptive branch takes centered_dual of its row gradients, and negate flips
-# the sign. A regular branch carries j, f and the s registers only; an
-# adaptive one here also the rows of the axes not yet passed, which the
-# simulator's branches do not carry: it reads each centered point off the
-# input's lines, so the two agree only if the rows' differences stay the
-# input's. The simulator computes the same words on ints over a shared
-# denominator; the reference keeps the plain form to compare against.
+# adaptive branch takes the mean of its two row gradients (at a line end the
+# one it has), and negate flips the sign. A regular branch carries j, f and
+# the s registers only; an adaptive one here also the rows of the axes not
+# yet passed, which the simulator's branches do not carry: it reads each
+# centered point off the input's lines, so the two agree only if the rows'
+# differences stay the input's. The simulator computes the same words on
+# ints over a shared denominator; the reference keeps the plain form to
+# compare against.
 
 
 def _ref_advance(lab, axis, i, s, x_i):
@@ -634,7 +634,7 @@ def _ref_adaptive_pass(state, f, axis):
         center, lo_v, hi_v = lab.get("f"), lab.get(f"f_prev{axis}"), lab.get(f"f_next{axis}")
         c_lo = UNDEFINED if is_undefined(lo_v) else (center - lo_v) / gamma
         c_hi = UNDEFINED if is_undefined(hi_v) else (hi_v - center) / gamma
-        s = centered_dual(c_lo, c_hi)
+        s = c_hi if is_undefined(c_lo) else c_lo if is_undefined(c_hi) else (c_lo + c_hi) / 2
         return _ref_advance(lab, axis, i, s, f.grid.axes[axis].point(i))
 
     return state.map_labels(step)

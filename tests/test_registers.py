@@ -23,7 +23,6 @@ from lftlab.qlft import (
     SimRun,
     StepRecord,
     attach_gradients,
-    centered_dual,
     digital_to_analog,
     finalize_conjugate,
     geometric_attempts,
@@ -33,7 +32,7 @@ from lftlab.qlft import (
     run_qlft_1d_regular,
 )
 from lftlab.qstate import UNDEFINED, Amplitude, QState, label
-from lftlab.transform import discrete_gradients
+from lftlab.transform import _adaptive_points, _slopes, discrete_gradients
 
 from conftest import canonical_dual, reg_names
 
@@ -243,9 +242,10 @@ def test_conjugate_registers_and_omega(f, data):
 @settings(max_examples=120, deadline=None)
 def test_centered_dual_registers(f):
     assert same(run_qlft_1d_adaptive(f), ref_run_adaptive(f))
-    for lab in ref_gradients(prepare_superposition(f)).labels():
-        c_lo, c_hi = lab.get("c_lo"), lab.get("c_hi")
-        assert same(centered_dual(c_lo, c_hi), ref_centered(c_lo, c_hi))
+    # the kernel's centered points, which the adaptive run reads
+    points = list(map(F, *_adaptive_points(_slopes(f.ratios, f.grid.gamma), "centered")))
+    labs = ref_gradients(prepare_superposition(f)).labels()
+    assert points == [ref_centered(lab.get("c_lo"), lab.get("c_hi")) for lab in labs]
 
 
 def reordered(state, order):
@@ -270,11 +270,6 @@ def test_steps_read_registers_in_any_order(f, data):
     post = indicator_postselect(moved(grads), dual, seed)
     assert same(post, ref_post)
     assert same(finalize_conjugate(moved(post[0]), dual), ref_finalize(ref_post[0], dual))
-    # the adaptive steps, fed a gradient state in reversed register order
-    names = reg_names(grads.entries[0][0])[::-1]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qlft, "attach_gradients", lambda state: reordered(attach_gradients(state), names))
-        assert same(run_qlft_1d_adaptive(f), ref_run_adaptive(f))
 
 
 @given(f=specs(min_n=3), data=st.data())
@@ -328,6 +323,11 @@ EDGES = {
     "negative-x0": FunctionSpec(
         RegularGrid(F(-17, 6), F(3, 4), 6), tuple(F(i * i, 5) - F(7, 3) * i for i in range(6))
     ),
+    # pairwise coprime sample denominators: no two words share a denominator
+    "coprime-denominators": FunctionSpec(
+        RegularGrid(F(-2, 3), F(5, 7), 6),
+        tuple(i * i + F(1, p) for i, p in enumerate((1009, 1013, 1019, 1021, 1031, 1033))),
+    ),
 }
 
 
@@ -372,6 +372,59 @@ def test_one_call_runs_make_one_fraction_per_final_word(kind):
     calls = counted_calls(run_qlft_1d_adaptive, f)
     assert calls["reduced"] <= 3 * n
     assert calls["as_integer_ratio"] <= 8
+
+
+def primes_above(lo, count):
+    """The ``count`` least primes above ``lo``."""
+    found, p = [], lo
+    while len(found) < count:
+        p += 1
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            found.append(p)
+    return found
+
+
+def widest_denominator(run, f, *args):
+    """The bit length of the widest denominator ``run`` passes to ``qlft.reduced``."""
+    widest = 0
+    reduced = qlft.reduced
+
+    def measuring(n, d):
+        nonlocal widest
+        widest = max(widest, d.bit_length())
+        return reduced(n, d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qlft, "reduced", measuring)
+        run(f, *args)
+    return widest
+
+
+NARROW = {
+    # f_i = i^2 + 1/p_i over distinct primes p_i: one denominator for all
+    # samples would hold all n primes and grow with n; each word here holds
+    # a few of them and the width of the dual grid's spacing
+    "coprime": (
+        FunctionSpec(RegularGrid(0, 1, 64), tuple(i * i + F(1, p) for i, p in enumerate(primes_above(1000, 64)))),
+        80,
+        80,
+    ),
+    # samples over one q = 1009 * 1013 (20 bits): each slope and centered
+    # point stays over q times the grid's factors, not over q^2 or q^4
+    "one-denominator": (
+        FunctionSpec(
+            RegularGrid(F(-2, 3), F(5, 7), 64), tuple(F(7 * i * i + 3 * i + 1, 1009 * 1013) for i in range(64))
+        ),
+        56,
+        32,
+    ),
+}
+
+
+@pytest.mark.parametrize("f,regular,adaptive", NARROW.values(), ids=NARROW.keys())
+def test_register_words_stay_narrow(f, regular, adaptive):
+    assert widest_denominator(run_qlft_1d_regular, f, f.n) <= regular
+    assert widest_denominator(run_qlft_1d_adaptive, f) <= adaptive
 
 
 def fresh(word):

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from lftlab import fixtures
 from lftlab.errors import IndexOutOfRange, ZeroSpacing
 from lftlab.grids import DualGrid, GradientVector
-from lftlab.transform import discrete_gradients, optimizer_map, regular_dual_grid
+from lftlab.transform import _rule, discrete_gradients, optimizer_map, regular_dual_grid
 from lftlab.witness import (
-    assignment_counts,
     dual_index,
     in_acceptance_set,
     witness_params,
@@ -39,7 +38,7 @@ def test_ex3_witness(ex3):
 def test_ex1_witness_by_direct_count(ex1):
     g = discrete_gradients(ex1)
     dual = canonical_dual(ex1, 4)
-    counts = assignment_counts(g, dual)
+    counts = _rule(dual)(g.ratios)
     report = witness_params(g, dual)
     assert report.w == max(counts) == 1
     assert report.success_probability == F(4, 5)
