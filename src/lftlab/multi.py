@@ -6,9 +6,11 @@ the negated partial transform g = -(max over that axis), and the final
 negation restores f*. Row-major layout with axis 0 slowest; the brute
 evaluation over all primal points is the oracle for everything here and,
 on one axis (``lft_brute``), for the 1D routes.
-It assumes no convexity and no gradient rule: every primal point enters
-the max, taken one axis at a time from the last, and each axis keeps its
-first maximum, so ties go to the lexicographically smallest multi-index.
+It assumes no convexity and no gradient rule: every candidate enters the
+max, taken one axis at a time from the last, as one packed int key: with M
+primal points, its value times M plus M - 1 - its row-major offset. So a
+plain max breaks ties to the lexicographically smallest multi-index. Dual
+points that differ only on axis 0 share every table and take one max each.
 
 Every route computes on exact ints over a shared denominator, Fractions on
 return: samples, grid points and dual components are scaled to Python ints
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import groupby, product
 from operator import add, gt, sub
 from typing import Callable, Optional, Sequence
 
@@ -280,13 +282,6 @@ def _pass(shape, scaled: Scaled, axis, x_axis, dual):
     return new_shape, dual, (out, D2), counts, taken
 
 
-def _shrink(v):
-    """Integral Fractions as plain ints, the form of returned dual points."""
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return v.numerator
-    return v
-
-
 def axis_bracket(values: RatTensor, axis: int, gamma: Fraction) -> tuple[Fraction, Fraction]:
     """Shared dual range for one axis: the minimum first slope over all
     lines up to the maximum last slope, over gamma. These are the slopes
@@ -409,49 +404,40 @@ def _centered_step(values: Sequence, idx: Sequence, centered: tuple, D: int, x_a
     return out, D2, [reduced(u * dx, w * p * D0) for u, w in zip(us, ws)]
 
 
-def _axis_max(inner: list, terms: Sequence) -> tuple[list, list[int]]:
-    """Row maxima of terms + row over the rows of ``inner`` (len(terms)
-    entries each), with the first index attaining each maximum. Terms that
-    several rows read are listed first, once."""
-    n = len(terms)
-    if len(inner) > n:
-        terms = list(terms)
-    maxima, firsts = [], []
-    for row in range(0, len(inner), n):
-        cands = list(map(add, terms, inner[row : row + n]))
-        best = max(cands)
-        maxima.append(best)
-        firsts.append(cands.index(best))
-    return maxima, firsts
-
-
-def lft_nd_brute(
-    f: TensorSamples, dual_points: Sequence[tuple]
-) -> TensorConjugate:
+def lft_nd_brute(f: TensorSamples, dual_points: Sequence[tuple]) -> TensorConjugate:
     """Exhaustive max over all primal points for each dual multi-point.
 
-    Every primal point enters the max, taken one axis at a time from the
-    last: max_x (s.x - f(x)) = max_{x_0} (s_0 x_0 + max_{x_1} (s_1 x_1 +
-    ... - f(x))). Each axis keeps its first maximum, so ties resolve to
-    the lexicographically smallest primal multi-index. Dual points that
-    share a suffix s[a:] share its table, which is built once. Accepts
-    arbitrary (also nonconvex) samples and any list of dual points with
-    d components each.
+    Every candidate s.x - f(x) is formed and compared, one axis at a time
+    from the last: max_x (s.x - f(x)) = max_{x_0} (s_0 x_0 + max_{x_1}
+    (s_1 x_1 + ... - f(x))). Ties resolve to the lexicographically
+    smallest primal multi-index. Dual points that share a suffix s[1:]
+    share its tables, which are built once. Accepts arbitrary (also
+    nonconvex) samples and any list of dual points with d int, float or
+    Fraction components each. Components are told apart by their integer
+    ratios, one axis at a time, so equal components of any type are one.
     """
     d = f.d
-    pts = [tuple(_shrink(frac(c)) for c in p) for p in dual_points]
+    pts = [tuple(p) for p in dual_points]
     for s in pts:
         if len(s) != d:
             raise ValueError(f"dual point {s} has {len(s)} components; the samples have {d} axes")
     # each axis's distinct components, in order of first appearance
-    ids = [{} for _ in range(d)]
-    keys = [tuple(ids[a].setdefault(c, len(ids[a])) for a, c in enumerate(s)) for s in pts]
-    values, rows = _brute(f, ids, keys)
-    shape = (len(pts),)
+    comps, ids, cols = [], [], []
+    for col in list(zip(*pts)) or [()] * d:
+        ratios = [c.as_integer_ratio() for c in col]
+        seen = {}
+        ids.append([seen.setdefault(r, len(seen)) for r in ratios])
+        comps.append([[n for n, _ in seen], [q for _, q in seen]])
+        # returned as ints when integral, else as given, floats as Fractions
+        cols.append([
+            n if q == 1 else c if isinstance(c, Fraction) else reduced(n, q)
+            for c, (n, q) in zip(col, ratios)
+        ])
+    values, rows = _brute(f, comps, list(zip(*ids)))
     return TensorConjugate(
-        values=RatTensor(shape, tuple(values)),
+        values=RatTensor((len(pts),), tuple(values)),
         optimizer=tuple(zip(*(_coords(f.values.shape, a, rows) for a in range(d)))),
-        dual_points=tuple(pts),
+        dual_points=tuple(zip(*cols)),
     )
 
 
@@ -466,61 +452,72 @@ def lft_brute(f: FunctionSpec, dual: DualGrid) -> ConjugateResult:
     return ConjugateResult(dual=dual, values=res.values.flat, optimizer_index=opt)
 
 
-def _products(s: int, a0: int, p: int, n: int) -> Sequence[int]:
-    """s * (a0 + i * p) for i < n, an axis's products s_a x_i, as a range."""
-    return range(s * a0, s * (a0 + n * p), s * p) if s else (0,) * n
+def _products(s: int, a0: int, p: int, n: int, stride: int) -> range:
+    """s * (a0 + i * p) + (n - 1 - i) * stride for i < n: an axis's
+    products s_a x_i, each with its tie term, as a range. Its step is
+    never 0, since s is a multiple of the key base M and 0 < stride < M."""
+    start, step = s * a0 + (n - 1) * stride, s * p - stride
+    return range(start, start + n * step, step)
 
 
 def _brute(f: TensorSamples, comps: Sequence[Sequence], keys: Sequence[tuple]) -> tuple[list, list]:
-    """``lft_nd_brute`` at the dual points keys[j] names: component
-    comps[a][keys[j][a]] on axis a. Returns the values and the optimizers
-    as flat primal offsets in ``keys`` order; equal keys share one value."""
+    """``lft_nd_brute`` at the dual points keys[j] names: on axis a the
+    component nums[c] / dens[c] of comps[a] = (nums, dens), c = keys[j][a].
+    Returns the values and the optimizers as flat primal offsets in
+    ``keys`` order; equal keys share one value.
+
+    Each candidate is one int key, value * M + (M - 1 - offset), with M
+    the number of primal points, the value over D and the offset
+    row-major: values that differ differ by at least M, and the tie terms
+    sum to less, so a plain max takes the largest value and, among equal
+    ones, the smallest offset, the lexicographically smallest
+    multi-index. divmod by M gives both back."""
     if f.grid.total > MAX_BRUTE_POINTS:
         raise BruteCapExceeded(f"brute force capped at {MAX_BRUTE_POINTS} primal points")
-    d = f.d
-    # s_a x_i on each axis for each distinct s_a (n_a products apiece), as
-    # scalars over one D that the samples' denominators and ds * dx divide:
-    # x_i = (a0 + i * p) / dx on every axis, each s_a over ds
+    d, M = f.d, f.grid.total
+    # s_a x_i on each axis for each distinct s_a, over one D that the
+    # samples' denominators and ds * dx divide: x_i = (a0 + i * p) / dx on
+    # every axis, each s_a over ds. Keys scale them by M.
     forms = [(*g.progression, g.n) for g in f.grid.axes]
     dx = math.lcm(*(den for _, _, den, _ in forms))
-    axis_pts = [(a0 * (dx // den), p * (dx // den), n) for a0, p, den, n in forms]
-    nums, ds = _lift([c for axis_comps in comps for c in axis_comps])
+    axis_pts = [
+        (a0 * (dx // den), p * (dx // den), n, math.prod(f.grid.shape[a + 1 :]))
+        for a, (a0, p, den, n) in enumerate(forms)
+    ]
+    ds = math.lcm(*(q for _, dens in comps for q in dens))
     flat, D = _lift(f.values.flat, ds * dx)
-    flat = [-v for v in flat]  # g = -f, where the maxima start
-    unit = D // (ds * dx)
-    nums = iter(nums)
-    scaled = [[s * unit for s in islice(nums, len(axis_comps))] for axis_comps in comps]
-    # Rows of the earlier axes are listed once and kept: every suffix reads
-    # them again. A last-axis row is read once per component, the points
-    # being sorted by it (below), so it is made then and stays a range unless
-    # several prefixes read it: the one-axis brute holds O(N + K) words.
+    flat = [-v * M for v in flat]  # g = -f, where the maxima start
+    unit = D // (ds * dx) * M
+    scaled = [[s * (ds // q) * unit for s, q in zip(*axis_comps)] for axis_comps in comps]
+    # Rows of axes 0..d-2 are listed once: every suffix reads them again. A
+    # last-axis row is made when read, once per component, the points being
+    # sorted by it; a one-axis brute keeps it a range and so holds O(N + K)
+    # words. maxima[a] holds the max over axes a.. for every primal prefix
+    # x_0..x_{a-1} and depends on s[a:] only: the tables of axes 1.. are
+    # built once per suffix s[1:], one per axis alive at a time, and axis 0
+    # takes one max per component.
     terms = [[list(_products(s, *axis_pts[a])) for s in scaled[a]] for a in range(d - 1)]
-    # maxima[a] holds the max over axes a.. for every primal prefix
-    # x_0..x_{a-1}, firsts[a] the first index on axis a attaining it; both
-    # depend on s[a:] only. Sorted by their components from the last axis,
-    # points sharing a suffix come one after another, so each suffix's
-    # table is built once and only one table per axis is alive at a time.
     maxima = [None] * d + [flat]
-    firsts = [None] * d
-    values = [None] * len(keys)
-    rows = [None] * len(keys)
-    prev, last = (-1,) * d, None
-    for j in sorted(range(len(keys)), key=lambda j: keys[j][::-1]):
-        key = keys[j]
+    values, rows = [None] * len(keys), [None] * len(keys)
+    prev = (None,) * d
+    order = sorted(range(len(keys)), key=lambda j: keys[j][::-1])
+    for suffix, group in groupby(order, key=lambda j: keys[j][1:]):
         top = d
-        while top and key[top - 1] == prev[top - 1]:
+        while top > 1 and suffix[top - 2] == prev[top - 2]:
             top -= 1
-        for a in reversed(range(top)):
-            sx = terms[a][key[a]] if a < d - 1 else _products(scaled[a][key[a]], *axis_pts[a])
-            maxima[a], firsts[a] = _axis_max(maxima[a + 1], sx)
-        prev = key
-        row = 0
-        for a in range(d):
-            row = row * axis_pts[a][2] + firsts[a][row]
-        # a repeated point shares its value
-        values[j] = values[last] if not top else reduced(maxima[0][0], D)
-        rows[j] = row
-        last = j
+        for a in range(top - 1, 0, -1):
+            c = suffix[a - 1]
+            sx = terms[a][c] if a < d - 1 else list(_products(scaled[a][c], *axis_pts[a]))
+            inner, n = maxima[a + 1], len(sx)
+            maxima[a] = [max(map(add, sx, inner[r : r + n])) for r in range(0, len(inner), n)]
+        prev = suffix
+        for c, same in groupby(group, key=lambda j: keys[j][0]):
+            sx = terms[0][c] if d > 1 else _products(scaled[0][c], *axis_pts[0])
+            num, tie = divmod(max(map(add, sx, maxima[1])), M)
+            # a repeated point shares its value
+            value, row = reduced(num, D), M - 1 - tie
+            for j in same:
+                values[j], rows[j] = value, row
     return values, rows
 
 

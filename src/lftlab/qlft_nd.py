@@ -193,7 +193,7 @@ def _verify(f, duals, final_state, rng_seed) -> VerificationReport:
     got = {lab.get("j"): lab.get("fstar") for lab, _ in entries}
     if duals is not None:
         keys = list(product(*(range(g.k) for g in duals)))
-        values, _ = _brute(f, [g.points() for g in duals], keys)
+        values, _ = _brute(f, [g.point_ratios() for g in duals], keys)
     else:
         keys = [lab.get("j") for lab, _ in entries]
         values = lft_nd_brute(f, [lab.get("s") for lab, _ in entries]).values.flat

@@ -5,8 +5,13 @@ pickle to the bytes pinned here: each pin is the sha256 of the digests
 (``test_fixtures._digest``) of one case's outputs, cut to 16 hex digits. A
 change to a value, an optimizer, the returned dual points or which of
 them are one shared object fails here.
+
+The brute compares one packed int key per candidate, value * M + (M - 1 -
+offset) over M primal points; the tests below pin its tie break and its
+signs.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -27,6 +32,7 @@ from lftlab.qlft_nd import run_qlft_nd_adaptive, run_qlft_nd_regular
 from lftlab.transform import regular_dual_grid
 
 from test_fixtures import _digest, _pin
+from test_multi import _reference_brute
 
 
 def _nd_verify_inputs():
@@ -133,3 +139,53 @@ PINS = {
 @pytest.mark.parametrize("case", list(CASES))
 def test_pickles_are_pinned(case):
     assert _pin([_digest(out) for out in CASES[case]()]) == PINS[case]
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 2, 2), (2, 2, 3, 2)])
+@pytest.mark.parametrize("c", [F(0), F(-7, 3), F(5)])
+def test_an_all_tie_tensor_takes_the_first_point(shape, c):
+    # at s = 0 every candidate is -c: all M keys tie on the value
+    f = _tensor(shape, [c] * math.prod(shape), gamma=F(1, 3), x0=F(-2))
+    res = lft_nd_brute(f, [(0,) * len(shape), (F(0),) * len(shape)])
+    assert res.values.flat == (-c, -c)
+    assert res.optimizer == ((0,) * len(shape),) * 2
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 2)])
+def test_all_negative_values(shape):
+    # every candidate is below 0, so every key is negative and divmod
+    # floors it; small alphabets leave ties among the negative values
+    rng = random.Random(sum(shape))
+    flat = [F(rng.choice([40, 41, 83]), rng.choice([1, 2])) for _ in range(math.prod(shape))]
+    f = _tensor(shape, flat, x0=F(-3, 2))
+    comps = [-2, F(-1, 3), 0, F(1, 2), 3]
+    pts = [tuple(rng.choice(comps) for _ in shape) for _ in range(12)]
+    res = lft_nd_brute(f, pts)
+    values, optimizer = _reference_brute(f, pts)
+    assert all(v < 0 for v in res.values.flat)
+    assert res.values.flat == values
+    assert res.optimizer == optimizer
+
+
+def test_one_axis_with_more_dual_points_than_primal_points():
+    f = _tensor((3,), [F(1), F(-1, 2), F(1)], gamma=F(1, 2), x0=F(-1))
+    pts = [(F(j, 2) - 3,) for j in range(12)]
+    res = lft_nd_brute(f, pts)
+    assert (res.values.flat, res.optimizer) == _reference_brute(f, pts)
+    dual = DualGrid.from_points([p for (p,) in pts])
+    one = lft_brute(FunctionSpec(grid=f.grid.axes[0], samples=f.values.flat), dual)
+    assert one.values == res.values.flat
+    assert one.optimizer_index == tuple(i for (i,) in res.optimizer)
+
+
+def test_a_point_repeated_apart_shares_one_value():
+    f = fixtures.random_convex_quadratic_nd(random.Random(8), d=2, n=4, coupling=2)
+    # the same point as one object, as an equal Fraction and as floats
+    pts = [(F(1, 2), 1), (0, 3), (F(1, 2), 1), (-1, 0), (F(2, 4), F(1)), (0.5, 1.0)]
+    res = lft_nd_brute(f, pts)
+    first = res.values.flat[0]
+    assert all(res.values.flat[j] is first for j in (2, 4, 5))
+    assert res.values.flat[1] is not first
+    assert len({res.optimizer[j] for j in (0, 2, 4, 5)}) == 1
+    exact = [tuple(map(F, p)) for p in pts]
+    assert (res.values.flat, res.optimizer) == _reference_brute(f, exact)
