@@ -14,10 +14,13 @@ points that differ only on axis 0 share every table and take one max each.
 
 Every route computes on exact ints over a shared denominator, Fractions on
 return: samples, grid points and dual components are scaled to Python ints
-over one common denominator D, which each nested pass widens by an lcm
-rescale once its dual grid is known; grid points come from the grids'
-integer forms (``RegularGrid.progression``, ``DualGrid.point_ratios``),
-and every division of those ints is exact by construction. Likewise
+over one common denominator D, which each nested pass, and the brute, widens
+by an lcm rescale once its dual points are known. The samples' ints are
+their lift, ``TensorSamples.lifted``, made once when they are built, so no
+route lifts them again; grid points come from the grids' integer forms
+(``RegularGrid.progression``, ``DualGrid.point_ratios``), and every
+division of those ints is exact by construction. A pass's shared dual range
+compares the lines' end slopes by integer cross products. Likewise
 optimizers are flat primal offsets inside, multi-indices on return,
 decoded one axis at a time. Each pass walks its lines once (``_lines``):
 their differences, or a nonconvex line's envelope slopes, as the
@@ -29,7 +32,7 @@ grid's integer form by gamma * D on ints once per pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby, product
 from operator import add, gt, sub
@@ -111,14 +114,28 @@ class TensorGrid:
 
 @dataclass(frozen=True)
 class TensorSamples:
+    """Samples on a tensor grid. ``lifted`` holds the values as ints over
+    one denominator D (``_lift``), the form every nD route reads; it is
+    derived once, when the samples are built, so it stays out of the
+    constructor, equality, hashing, the repr and pickles, and loading
+    rebuilds it."""
+
     grid: TensorGrid
     values: RatTensor
+    lifted: Scaled = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.values.shape != self.grid.shape:
             raise ValueError(
                 f"value shape {self.values.shape} does not match grid {self.grid.shape}"
             )
+        object.__setattr__(self, "lifted", _lift(self.values.flat))
+
+    def __getstate__(self) -> dict:
+        return {name: v for name, v in self.__dict__.items() if name != "lifted"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, lifted=_lift(state["values"].flat))
 
     @classmethod
     def from_function(cls, grid: TensorGrid, fn: Callable[..., Fraction]) -> "TensorSamples":
@@ -131,7 +148,9 @@ class TensorSamples:
 
     def require_convex_axes(self) -> None:
         """Second differences nonnegative along every axis-aligned line."""
-        _require_convex_axes(self.values.shape, _lift(self.values.flat)[0])
+        for axis in range(self.d):
+            for _ in _lines(self.values.shape, self.lifted[0], axis, check_convex=True):
+                pass
 
 
 @dataclass(frozen=True)
@@ -155,16 +174,16 @@ class TensorConjugate:
 
 # Scalars over a shared denominator: (values, D) with value_i = values[i] / D,
 # every value a Python int.
-Scaled = tuple[list, int]
+Scaled = tuple[Sequence[int], int]
 
 
-def _lift(values: Sequence, den: int = 1) -> Scaled:
-    """The values as ints over the lcm of ``den`` and their denominators."""
+def _lift(values: Sequence) -> tuple[tuple[int, ...], int]:
+    """The values as a tuple of ints over the lcm of their denominators."""
     nums, dens = split(values)
     distinct = set(dens)
-    D = math.lcm(den, *distinct)
+    D = math.lcm(*distinct)
     per = {q: D // q for q in distinct}
-    return [a * per[q] for a, q in zip(nums, dens)], D
+    return tuple([a * per[q] for a, q in zip(nums, dens)]), D
 
 
 def _dual_products(dual: DualGrid, x_axis: RegularGrid, D: int):
@@ -194,13 +213,6 @@ def _line_starts(shape: tuple[int, ...], axis: int) -> list[int]:
     stride = math.prod(shape[axis + 1 :])
     block = shape[axis] * stride
     return [b + r for b in range(0, math.prod(shape), block) for r in range(stride)]
-
-
-def _require_convex_axes(shape: tuple[int, ...], flat: Sequence) -> None:
-    """``TensorSamples.require_convex_axes`` on lifted values."""
-    for axis in range(len(shape)):
-        for _ in _lines(shape, flat, axis, check_convex=True):
-            pass
 
 
 def _lines(shape: tuple[int, ...], flat: Sequence, axis: int, check_convex: bool):
@@ -291,11 +303,20 @@ def axis_bracket(values: RatTensor, axis: int, gamma: Fraction) -> tuple[Fractio
     return _bracket(list(_lines(values.shape, flat, axis, check_convex=False)), D, gamma)
 
 
-def _bracket(lines: list, D: int, gamma) -> tuple[Fraction, Fraction]:
-    """``axis_bracket`` from one pass's ``_lines`` over D."""
-    lo = min(reduced(nums[0], dens[0]) for *_, (nums, dens) in lines)
-    hi = max(reduced(nums[-1], dens[-1]) for *_, (nums, dens) in lines)
-    return lo / (gamma * D), hi / (gamma * D)
+def _bracket(lines: list, D: int, gamma: Fraction) -> tuple[Fraction, Fraction]:
+    """``axis_bracket`` from one pass's ``_lines`` over D. The lines' end
+    slopes are compared by integer cross products; only the two extremes
+    become Fractions."""
+    ends = [(nums[0], dens[0], nums[-1], dens[-1]) for *_, (nums, dens) in lines]
+    lo, lo_d, hi, hi_d = ends[0]
+    for a, b, c, e in ends:
+        if a * lo_d < lo * b:
+            lo, lo_d = a, b
+        if c * hi_d > hi * e:
+            hi, hi_d = c, e
+    # slope / (gamma * D) with gamma = p / dx
+    p, dx = gamma.as_integer_ratio()
+    return reduced(lo * dx, lo_d * p * D), reduced(hi * dx, hi_d * p * D)
 
 
 def canonical_nd_dual_grids(f: TensorSamples, ks: Sequence[int]) -> tuple[DualGrid, ...]:
@@ -308,7 +329,7 @@ def canonical_nd_dual_grids(f: TensorSamples, ks: Sequence[int]) -> tuple[DualGr
     """
     if len(ks) != f.d:
         raise ValueError("need one dual size per axis")
-    return _cascade(f, _lift(f.values.flat), ks)[0]
+    return _cascade(f, ks)[0]
 
 
 def lft_nd_regular(f: TensorSamples, duals: Sequence[DualGrid]) -> TensorConjugate:
@@ -320,7 +341,7 @@ def lft_nd_regular(f: TensorSamples, duals: Sequence[DualGrid]) -> TensorConjuga
     """
     if len(duals) != f.d:
         raise ValueError("need one dual grid per axis")
-    _, _, origin, (shape, flat, D) = _cascade(f, _lift(f.values.flat), duals)
+    _, _, origin, (shape, flat, D) = _cascade(f, duals)
     values = RatTensor(shape, _fractions([-v for v in flat], D))
     optimizer = tuple(zip(*(_coords(f.values.shape, a, origin) for a in range(f.d))))
     return TensorConjugate(values=values, optimizer=optimizer, duals=tuple(duals))
@@ -332,11 +353,9 @@ def _coords(shape: tuple[int, ...], axis: int, offsets: Sequence[int]) -> list[i
     return [pos // stride % n for pos in offsets]
 
 
-def _cascade(
-    f: TensorSamples, scaled: Scaled, duals: Sequence
-) -> tuple[tuple[DualGrid, ...], list[dict], list[int], tuple]:
-    """The classical nested passes on ``scaled``, ``f`` lifted, last axis
-    first, exact on every input.
+def _cascade(f: TensorSamples, duals: Sequence) -> tuple[tuple[DualGrid, ...], list[dict], list[int], tuple]:
+    """The classical nested passes on ``f.lifted``, last axis first, exact
+    on every input.
 
     Each pass runs over ``duals[axis]``: a DualGrid, or the size of the
     canonical grid spanning ``axis_bracket`` of the tensor that pass
@@ -346,7 +365,7 @@ def _cascade(
     per-axis line counts of ``_pass``, the optimizer offsets in row-major
     order and the final g tensor as (shape, scalars, D).
     """
-    shape, origin = f.values.shape, range(f.grid.total)
+    shape, scaled, origin = f.values.shape, f.lifted, range(f.grid.total)
     grids: list[Optional[DualGrid]] = [None] * f.d
     counts: list[Optional[dict]] = [None] * f.d
     for axis in range(f.d - 1, -1, -1):
@@ -373,7 +392,7 @@ def lft_nd_adaptive(f: TensorSamples) -> TensorConjugate:
     """Nested per-slice centered adaptive passes; K = N and the optimizer of
     each dual multi-point is the identically indexed primal point."""
     shape = f.values.shape
-    flat, D = _lift(f.values.flat)
+    flat, D = f.lifted
     # K = N keeps every flat position fixed, so each axis's dual components
     # line up with the final multi-indices
     s_parts: list = [None] * f.d
@@ -421,24 +440,33 @@ def lft_nd_brute(f: TensorSamples, dual_points: Sequence[tuple]) -> TensorConjug
     for s in pts:
         if len(s) != d:
             raise ValueError(f"dual point {s} has {len(s)} components; the samples have {d} axes")
-    # each axis's distinct components, in order of first appearance
-    comps, ids, cols = [], [], []
-    for col in list(zip(*pts)) or [()] * d:
-        ratios = [c.as_integer_ratio() for c in col]
-        seen = {}
-        ids.append([seen.setdefault(r, len(seen)) for r in ratios])
-        comps.append([[n for n, _ in seen], [q for _, q in seen]])
-        # returned as ints when integral, else as given, floats as Fractions
-        cols.append([
-            n if q == 1 else c if isinstance(c, Fraction) else reduced(n, q)
-            for c, (n, q) in zip(col, ratios)
-        ])
-    values, rows = _brute(f, comps, list(zip(*ids)))
+    columns, comps, keys = _components(pts, d)
+    values, rows = _brute(f, comps, keys)
+    # components returned as ints when integral, else as given, floats as Fractions
+    cols = [
+        [n if q == 1 else c if isinstance(c, Fraction) else reduced(n, q) for c, (n, q) in zip(col, ratios)]
+        for col, ratios in columns
+    ]
     return TensorConjugate(
         values=RatTensor((len(pts),), tuple(values)),
         optimizer=tuple(zip(*(_coords(f.values.shape, a, rows) for a in range(d)))),
         dual_points=tuple(zip(*cols)),
     )
+
+
+def _components(pts: Sequence[tuple], d: int) -> tuple[list, list, list]:
+    """The dual points as ``_brute`` reads them: each axis's distinct
+    components, told apart by their integer ratios in order of first
+    appearance, as (nums, dens), and each point's key of component
+    indices; also each axis's column of components with their ratios."""
+    columns, comps, ids = [], [], []
+    for col in list(zip(*pts)) or [()] * d:
+        ratios = [c.as_integer_ratio() for c in col]
+        seen = {}
+        ids.append([seen.setdefault(r, len(seen)) for r in ratios])
+        comps.append([[n for n, _ in seen], [q for _, q in seen]])
+        columns.append((col, ratios))
+    return columns, comps, list(zip(*ids))
 
 
 def lft_brute(f: FunctionSpec, dual: DualGrid) -> ConjugateResult:
@@ -475,9 +503,9 @@ def _brute(f: TensorSamples, comps: Sequence[Sequence], keys: Sequence[tuple]) -
     if f.grid.total > MAX_BRUTE_POINTS:
         raise BruteCapExceeded(f"brute force capped at {MAX_BRUTE_POINTS} primal points")
     d, M = f.d, f.grid.total
-    # s_a x_i on each axis for each distinct s_a, over one D that the
-    # samples' denominators and ds * dx divide: x_i = (a0 + i * p) / dx on
-    # every axis, each s_a over ds. Keys scale them by M.
+    # s_a x_i on each axis for each distinct s_a, over D = lcm(D0, ds * dx),
+    # the samples' lift over D0 widened by one factor: x_i = (a0 + i * p) / dx
+    # on every axis, each s_a over ds. Keys scale them by M.
     forms = [(*g.progression, g.n) for g in f.grid.axes]
     dx = math.lcm(*(den for _, _, den, _ in forms))
     axis_pts = [
@@ -485,8 +513,10 @@ def _brute(f: TensorSamples, comps: Sequence[Sequence], keys: Sequence[tuple]) -
         for a, (a0, p, den, n) in enumerate(forms)
     ]
     ds = math.lcm(*(q for _, dens in comps for q in dens))
-    flat, D = _lift(f.values.flat, ds * dx)
-    flat = [-v * M for v in flat]  # g = -f, where the maxima start
+    flat, D0 = f.lifted
+    D = math.lcm(D0, ds * dx)
+    widen = -(D // D0) * M
+    flat = [v * widen for v in flat]  # g = -f, where the maxima start
     unit = D // (ds * dx) * M
     scaled = [[s * (ds // q) * unit for s, q in zip(*axis_comps)] for axis_comps in comps]
     # Rows of axes 0..d-2 are listed once: every suffix reads them again. A

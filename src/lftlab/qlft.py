@@ -312,12 +312,13 @@ def _int_gradients(f: FunctionSpec, steps: list[StepRecord]) -> tuple:
     x_i = xs[i] / den on the grid's ``progression``, the samples f_i the
     pairs fs[i] of ``f.ratios`` and the gradients the kernel's ratios c
     (``transform._slopes``), held as pairs. The gradients are the run's one
-    convexity check; on a decrease ``_gradients`` raises its exact error."""
+    convexity check; on fewer than 3 points or a decrease ``_gradients``
+    raises the kernel's exact error."""
     a, p, den = f.grid.progression
     xs = list(range(a, a + f.n * p, p))
     fs = list(zip(*f.ratios))
     c = _slopes(f.ratios, f.grid.gamma)
-    if not nondecreasing(c):
+    if f.n < 3 or not nondecreasing(c):
         _gradients(f)
     state = _superposed(xs, fs)
     _trace(steps, "superposition", state)
@@ -342,8 +343,6 @@ def run_qlft_1d_regular(
     state, xs, _, den, c = _int_gradients(f, steps)
     cn, cd = c
     dual = regular_dual_grid((reduced(cn[0], cd[0]), reduced(cn[-1], cd[-1])), k)
-    if f.n < 3:
-        _checked_ratios(cn)  # raises DegenerateGrid: one gradient
     state, success, _ = _slots(state, _rule(dual)(c), k)
     _trace(steps, "postselect", state, acceptance=success)
     # s_j = (sa + j*sp) / sd and f_i = fn / fd, both over sd * fd
@@ -369,14 +368,12 @@ def run_qlft_1d_adaptive(f: FunctionSpec, strict_pow2: bool = False) -> SimRun:
     picked = _schema(("i", "x", "f", "s"), 4)
     state = QState.uniform([BasisLabel(picked, row) for row in zip(range(f.n), xs, fs, zip(sn, sd))])
     _trace(steps, "adaptive-dual", state)
-    # at n = 2 both branches' point is c_0, one word
-    points = list(map(reduced, sn, sd)) if f.n > 2 else [reduced(sn[0], sd[0])] * 2
     # a point's denominator is a multiple of its branch's sample denominator,
     # as the kernel puts each slope over a multiple of its two samples'
     final = _schema(("i", "x", "s", "fstar"), 4)
     state = QState.uniform([
         BasisLabel(final, (i, reduced(x, den), pt, _value(v, fn * (q // fd), q, x, den)))
-        for i, x, (fn, fd), v, q, pt in zip(range(f.n), xs, fs, sn, sd, points)
+        for i, x, (fn, fd), v, q, pt in zip(range(f.n), xs, fs, sn, sd, map(reduced, sn, sd))
     ])
     _trace(steps, "conjugate", state)
     return _finish(state, steps, Fraction(1), (Fraction(1),))

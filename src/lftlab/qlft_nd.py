@@ -28,9 +28,12 @@ point per axis from the input's lines, and gives ``multi.lft_nd_adaptive``
 its points from the exact partial transforms.
 
 Off the separable case neither mode is known to be correct, so every run
-is VERIFIED against the brute maximum (``multi.lft_nd_brute``) at the dual
-points the run itself names: the product of a regular run's per-axis
-grids, each adaptive label's own s registers. The outcome is reported,
+is VERIFIED against the brute maximum (``multi.lft_nd_brute``'s core,
+``multi._brute``) at the dual points the run itself names: the product of a
+regular run's per-axis grids, each adaptive label's own s registers, told
+apart per axis as ``lft_nd_brute`` tells them (``multi._components``). The
+judge reads the final labels' j, fstar and s words directly and the
+samples' lift, so it builds no brute result. The outcome is reported,
 never assumed: a MISMATCH is a finding, not a crash.
 
 Branches are the labels of one ``QState`` per step, with garbage i{axis}
@@ -38,8 +41,9 @@ Branches are the labels of one ``QState`` per step, with garbage i{axis}
 computed norm, 0 if nothing survives. A pass keeps its copy slots, and a
 run ends, as a 1D run does (``qlft._keep``, ``qlft._finish``). The value
 registers hold ints over one shared denominator D per run, widened once
-per pass as in ``multi``; the s registers hold the dual points, and the
-negate step makes the Fractions fstar = -f / D.
+per pass as in ``multi`` from the samples' lift (``TensorSamples.lifted``);
+the s registers hold the dual points, and the negate step makes the
+Fractions fstar = -f / D.
 """
 
 from __future__ import annotations
@@ -52,10 +56,8 @@ from typing import Optional, Sequence
 
 from .errors import InvalidK
 from .grids import DualGrid
-from .multi import TensorSamples, lft_nd_brute
-from .multi import _brute, _cascade, _centered, _centered_step, _dual_products, _lift
-from .multi import _require_convex_axes
-from .qlft import SimRun, StepRecord, _check_pow2, _finish, _keep, _trace
+from .multi import TensorSamples, _brute, _cascade, _centered, _centered_step, _components, _dual_products
+from .qlft import SimRun, StepRecord, _check_pow2, _finish, _keep, _read, _trace
 from .qstate import BasisLabel, QState, _schema
 from .rational import reduced
 
@@ -73,7 +75,7 @@ class VerificationReport:
     dual_grids: tuple = ()  # per-axis grids the comparison ran on (regular mode)
 
 
-def _superposition(shape: tuple[int, ...], flat: list) -> QState:
+def _superposition(shape: tuple[int, ...], flat: Sequence) -> QState:
     """Uniform superposition over the grid indices j; each branch carries
     its value f, in row-major order of j."""
     schema = _schema(("j", "f"), 2)
@@ -83,11 +85,11 @@ def _superposition(shape: tuple[int, ...], flat: list) -> QState:
 def _run_nd(f: TensorSamples, rng_seed: int, ks: Optional[tuple] = None) -> SimRun:
     """Regular nested passes over dual sizes ``ks``; adaptive without them."""
     steps: list[StepRecord] = []
-    flat, D = _lift(f.values.flat)
+    flat, D = f.lifted
     duals = None
     if ks is not None:
-        _require_convex_axes(f.values.shape, flat)
-        duals, counts, _, _ = _cascade(f, (flat, D), ks)
+        f.require_convex_axes()
+        duals, counts, _, _ = _cascade(f, ks)
     else:
         # every branch's centered point per axis, from the input's lines;
         # walking them axis 0 first is the convexity check
@@ -112,14 +114,13 @@ def _run_nd(f: TensorSamples, rng_seed: int, ks: Optional[tuple] = None) -> SimR
     final_state = None
     if state.entries:
         # registers j, f, s0..s{d-1}, then the garbage
-        schema = state.entries[0][0].schema
-        final = _schema(("j", "fstar", "s", *schema.names[2 + f.d :]), 3)
-
-        def negate(lab: BasisLabel) -> BasisLabel:
-            v = lab._values
-            return BasisLabel(final, (v[0], reduced(-v[1], D), v[2 : 2 + f.d], *v[2 + f.d :]))
-
-        final_state = state.map_labels(negate)
+        d, schema = f.d, state.entries[0][0].schema
+        final = _schema(("j", "fstar", "s", *schema.names[2 + d :]), 3)
+        rows = [(lab._values, amp) for lab, amp in state.entries]
+        final_state = QState(entries=tuple(
+            (BasisLabel(final, (v[0], reduced(-v[1], D), v[2 : 2 + d], *v[2 + d :])), amp)
+            for v, amp in rows
+        ))
         _trace(steps, "negate", final_state)
 
     return _finish(
@@ -189,14 +190,18 @@ def _verify(f, duals, final_state, rng_seed) -> VerificationReport:
     is extra, and a label whose fstar differs from the brute value is a
     value mismatch, recorded as (j, fstar, brute value).
     """
-    entries = () if final_state is None else final_state.entries
-    got = {lab.get("j"): lab.get("fstar") for lab, _ in entries}
+    rows = []
+    if final_state is not None:
+        _, (pj, pv, ps) = _read(final_state, "j", "fstar", "s")
+        rows = [(lab._values[pj], lab._values[pv], lab._values[ps]) for lab, _ in final_state.entries]
+    got = {j: fstar for j, fstar, _ in rows}
     if duals is not None:
         keys = list(product(*(range(g.k) for g in duals)))
         values, _ = _brute(f, [g.point_ratios() for g in duals], keys)
     else:
-        keys = [lab.get("j") for lab, _ in entries]
-        values = lft_nd_brute(f, [lab.get("s") for lab, _ in entries]).values.flat
+        keys = [j for j, *_ in rows]
+        _, comps, points = _components([s for *_, s in rows], f.d)
+        values, _ = _brute(f, comps, points)
     expect = dict(zip(keys, values))
     missing = tuple(sorted(set(expect) - set(got)))
     extra = tuple(sorted(set(got) - set(expect)))

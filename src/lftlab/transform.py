@@ -29,7 +29,6 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import chain, repeat
 from math import lcm
 from operator import sub
@@ -108,10 +107,6 @@ def regular_dual_grid(rng: tuple[Number, Number], k: int) -> DualGrid:
     return DualGrid(s0=lo, gamma_s=gamma_s, k=k, kind="regular")
 
 
-# orders (numerator, positive denominator) pairs by value
-_by_value = cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1])
-
-
 def _rule(dual: DualGrid, unit: tuple[int, int] = (1, 1)) -> Callable[[Vec], list[int]]:
     """The gradient rule against one dual grid, its points times u / v for
     ``unit = (u, v)``, u, v > 0: a function from gradients c to the dual
@@ -124,7 +119,8 @@ def _rule(dual: DualGrid, unit: tuple[int, int] = (1, 1)) -> Callable[[Vec], lis
     0 gets N<=(c_0), index n-1 gets K - top, interior i gets
     min(N<=(c_i), top) - min(N<=(c_{i-1}), top). N<= and N< come by floor
     and ceil division on a regular grid with positive spacing, else by
-    bisection over the sorted points.
+    bisection over the indices of the sorted points, each probe one
+    integer cross product with the grid's ratios.
 
     Precondition: the gradients c are nondecreasing (every caller passes
     checked ones), so N<=(c_i) is nondecreasing in i, and clamping it to
@@ -143,11 +139,18 @@ def _rule(dual: DualGrid, unit: tuple[int, int] = (1, 1)) -> Callable[[Vec], lis
             return at_most, min(max(-((a * d - n * b) // (p * d)), 0), k)
 
     else:
-        points = [_by_value((n * u, d * v)) for n, d in zip(*dual.point_ratios())]
+        sn, sd = dual.point_ratios()
+        js = range(k)
+
+        def versus(n: int, d: int) -> Callable[[int], int]:
+            # the sign of s_j * u / v - n / d, by cross products: it is
+            # nondecreasing in j, so bisection over the indices reads log K points
+            ud, nv = u * d, n * v
+            return lambda j: sn[j] * ud - nv * sd[j]
 
         def bounds(cn: list[int], cd: list[int]) -> tuple[list[int], int]:
-            at_most = [bisect_right(points, _by_value(t)) for t in zip(cn, cd)]
-            return at_most, bisect_left(points, _by_value((cn[-1], cd[-1])))
+            at_most = [bisect_right(js, 0, key=versus(n, d)) for n, d in zip(cn, cd)]
+            return at_most, bisect_left(js, 0, key=versus(cn[-1], cd[-1]))
 
     def counts(c: Vec) -> list[int]:
         at_most, below_top = bounds(*c)

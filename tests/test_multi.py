@@ -54,6 +54,56 @@ def assert_attained(f, res):
         assert achieved == res.values.get(jidx)
 
 
+LIFT_CASES = {
+    **{
+        f"separable_sum {base}": lambda base=base: fixtures.separable_sum(base, d=2, n=5)
+        for base in ("quadratic-ex1", "pwl-ex2", "pwl-ex3")
+    },
+    "random_convex_quadratic_nd": lambda: fixtures.random_convex_quadratic_nd(random.Random(4), 3, 4, 2),
+    "sample_tensor": lambda: HiddenStringInstance.for_sampling((1, 0, 1)).sample_tensor(),
+    # an int, a float and a Fraction value
+    "hand-built": lambda: TensorSamples(
+        grid=TensorGrid(axes=(RegularGrid(0, F(1, 3), 3), RegularGrid(F(1, 2), F(1, 3), 2))),
+        values=RatTensor((3, 2), (3, 0.1, F(-2, 7), 5, F(1, 6), 0.25)),
+    ),
+}
+
+
+class TestLiftedSamples:
+    """Samples keep their values as ints over one denominator, built once
+    with them, out of equality, hashing, the repr and pickles."""
+
+    @pytest.mark.parametrize("case", list(LIFT_CASES))
+    def test_the_lift_is_the_values_over_one_denominator(self, case):
+        f = LIFT_CASES[case]()
+        flat, D = f.lifted
+        assert f.lifted == multi._lift(f.values.flat)
+        assert type(flat) is tuple and all(type(v) is int for v in flat)
+        assert D == math.lcm(*(F(v).denominator for v in f.values.flat))
+        assert [F(v, D) for v in flat] == [F(v) for v in f.values.flat]
+
+    def test_equality_hash_and_repr_read_the_fields_only(self):
+        f = LIFT_CASES["hand-built"]()
+        same = TensorSamples(grid=f.grid, values=f.values)
+        object.__setattr__(same, "lifted", ((), 1))
+        assert f == same and hash(f) == hash(same)
+        assert "lifted" not in repr(f)
+        assert repr(f) == f"TensorSamples(grid={f.grid!r}, values={f.values!r})"
+
+    @pytest.mark.parametrize("case", list(LIFT_CASES))
+    def test_a_pickle_leaves_the_lift_out_and_loading_rebuilds_it(self, case):
+        f = LIFT_CASES[case]()
+        data = pickle.dumps(f, protocol=4)
+        assert b"lifted" not in data
+        loaded = pickle.loads(data)
+        assert loaded == f and loaded.lifted == f.lifted
+        assert pickle.dumps(loaded, protocol=4) == data
+        ks = (3,) * f.d
+        assert lft_nd_regular(loaded, canonical_nd_dual_grids(loaded, ks)) == lft_nd_regular(
+            f, canonical_nd_dual_grids(f, ks)
+        )
+
+
 class TestPartialTransform:
     def test_separable_splits(self, rng):
         # g(x0, s1) = q(x0) - q*(s1) for f = q(x0) + q(x1)

@@ -104,14 +104,11 @@ class TestConvexityCheck:
             run(f)
 
     def test_two_points(self):
+        # both runs refuse two points with the kernel's error, as lft_adaptive does
         f = FunctionSpec(RegularGrid(0, 1, 2), (F(1), F(3)))
-        run = run_qlft_1d_adaptive(f)
-        assert [(lab.get("s"), lab.get("fstar")) for lab, _ in run.final_state.entries] == [
-            (F(2), F(-1)),
-            (F(2), F(-1)),
-        ]
-        with pytest.raises(DegenerateGrid):
-            run_qlft_1d_regular(f, 4)
+        for run in (run_qlft_1d_adaptive, lambda f: run_qlft_1d_regular(f, 4), lft_adaptive):
+            with pytest.raises(DegenerateGrid, match=r"^need n >= 3 primal points, got 2$"):
+                run(f)
 
 
 class TestFloatSamples:

@@ -425,7 +425,7 @@ class TestAdaptiveConvexityWalk:
 
 class TestOneWalkPerPass:
     """A canonical pass walks each line once, for its bracket and its rule
-    alike, and a regular run lifts its input once."""
+    alike, and the samples are lifted once, when they are built."""
 
     def test_each_line_is_walked_and_enveloped_once_per_pass(self):
         f, ks = generator_case(5)  # 5x5x5, K = 5, one nonconvex line
@@ -447,24 +447,27 @@ class TestOneWalkPerPass:
         assert len(enveloped) == 1
 
     def test_a_regular_run_lifts_its_input_once(self):
-        f, ks = generator_case(5)
-        real_lift, real_verify = multi._lift, qlft_nd._verify
-        lifts, verifying = [], []
+        # the samples lift their values when they are built; no nD route
+        # lifts them again, the brute judge included
+        case, ks = generator_case(5)
+        real_lift = multi._lift
+        lifted = []
 
-        def lift(values, *args):
-            if values is f.values.flat and not verifying:
-                lifts.append(args)
-            return real_lift(values, *args)
+        def lift(values):
+            lifted.append(values)
+            return real_lift(values)
 
-        def verify(*args):
-            # the brute judge lifts the samples over its own denominator
-            verifying.append(True)
-            return real_verify(*args)
-
-        with mock.patch.object(multi, "_lift", lift), mock.patch.object(qlft_nd, "_lift", lift):
-            with mock.patch.object(qlft_nd, "_verify", verify):
-                run_qlft_nd_regular(f, ks, rng_seed=5)
-        assert lifts == [()]
+        with mock.patch.object(multi, "_lift", lift):
+            f = TensorSamples(grid=case.grid, values=case.values)
+            assert len(lifted) == 1 and lifted[0] is f.values.flat
+            run_qlft_nd_regular(f, ks, rng_seed=5)
+            run_qlft_nd_adaptive(f)
+            duals = canonical_nd_dual_grids(f, ks)
+            multi.lft_nd_regular(f, duals)
+            multi.lft_nd_adaptive(f)
+            multi.lft_nd_brute(f, multi.product_dual_points(duals))
+            f.require_convex_axes()
+        assert len(lifted) == 1
 
 
 class TestCarriedRegisters:
@@ -795,7 +798,7 @@ class TestCascadeOptimizers:
         _, want = _ref_cascade(f, duals)
         assert multi.lft_nd_regular(f, duals).optimizer == tuple(want)
         # the cascade carries each optimizer as one int, its flat offset
-        carried = multi._cascade(f, multi._lift(f.values.flat), duals)[2]
+        carried = multi._cascade(f, duals)[2]
         assert all(type(pos) is int for pos in carried)
 
 

@@ -241,6 +241,11 @@ def test_conjugate_registers_and_omega(f, data):
 @given(f=specs())
 @settings(max_examples=120, deadline=None)
 def test_centered_dual_registers(f):
+    if f.n < 3:
+        # the kernel needs three points; the run refuses two as it does
+        with pytest.raises(DegenerateGrid, match=r"^need n >= 3 primal points, got 2$"):
+            run_qlft_1d_adaptive(f)
+        return
     assert same(run_qlft_1d_adaptive(f), ref_run_adaptive(f))
     # the kernel's centered points, which the adaptive run reads
     points = list(map(F, *_adaptive_points(_slopes(f.ratios, f.grid.gamma), "centered")))
@@ -316,7 +321,7 @@ EDGES = {
     "float-wide": FunctionSpec(RegularGrid(0, F(1, 3), 4), (0.0, 0.1, 0.3, 0.7)),
     # its dual range is one point: the canonical grid has zero spacing
     "constant": fixtures.constant(F(-5, 3), n=5),
-    # both adaptive branches take c_0, one word
+    # refused by both runs, as by the kernel
     "two-points": FunctionSpec(RegularGrid(F(-3, 2), F(2, 7), 2), (F(1, 3), F(-2, 5))),
     # gradients -1, 0, 0, 2: zero words in the gradient and dual registers
     "zero-gradient": FunctionSpec(RegularGrid(0, 1, 5), (F(2), F(1), F(1), F(1), F(3))),
@@ -334,9 +339,13 @@ EDGES = {
 @pytest.mark.parametrize("f", EDGES.values(), ids=EDGES.keys())
 def test_edge_inputs_equal_fraction_pipeline(f):
     ref = exact(f)
-    if f.n > 2:
-        for k, seed in ((f.n, 3), (2 * f.n + 1, 11)):
-            assert same(run_qlft_1d_regular(f, k, rng_seed=seed), ref_run_regular(ref, k, seed))
+    if f.n < 3:
+        for run in (run_qlft_1d_adaptive, lambda f: run_qlft_1d_regular(f, 3)):
+            with pytest.raises(DegenerateGrid, match=r"^need n >= 3 primal points, got 2$"):
+                run(f)
+        return
+    for k, seed in ((f.n, 3), (2 * f.n + 1, 11)):
+        assert same(run_qlft_1d_regular(f, k, rng_seed=seed), ref_run_regular(ref, k, seed))
     assert same(run_qlft_1d_adaptive(f), ref_run_adaptive(ref))
 
 

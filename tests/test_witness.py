@@ -153,3 +153,23 @@ class TestAcceptanceSet:
                 if in_acceptance_set(i, m, g, dual)
             ]
             assert sorted(js) == list(range(dual.k))
+
+    @pytest.mark.parametrize("pad", [F(0), F(1, 3)])
+    def test_explicit_copies_of_regular_grids_answer_alike(self, rng, pad):
+        # an explicit grid bisects its own ratios; its answers are the
+        # regular grid's, points on gradient values and clamped ones included
+        cases = [(fixtures.ex3(), 5), (fixtures.ex3(), 9)]
+        cases += [(fixtures.random_convex_spec(rng, rng.randint(3, 10)), rng.randint(2, 14)) for _ in range(25)]
+        for f, k in cases:
+            g = discrete_gradients(f)
+            if g.lo == g.hi:
+                continue
+            regular = regular_dual_grid((g.lo - pad, g.hi + pad), k)
+            explicit = DualGrid.from_points(regular.points())
+            w = witness_params(g, regular).w
+            slots = [(i, m) for i in range(g.n) for m in range(w + 1)]
+            for i, m in slots:
+                assert in_acceptance_set(i, m, g, explicit) == in_acceptance_set(i, m, g, regular)
+                assert dual_index(i, m, g, explicit) == dual_index(i, m, g, regular)
+            js = [dual_index(i, m, g, explicit) for i, m in slots if in_acceptance_set(i, m, g, explicit)]
+            assert sorted(js) == list(range(k))
