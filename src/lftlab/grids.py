@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegenerateGrid, InvalidK, NonConvexInput
-from .rational import Number, Vec, frac, nondecreasing, progression, reduced, split
+from .rational import Number, Vec, frac, lowest_terms, nondecreasing, progression, reduced, split
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,23 @@ class DualGrid:
         s0 = frac(pts[0])
         return cls(s0=s0, gamma_s=Fraction(0), k=len(pts), kind="adaptive", explicit=(s0, *pts[1:]))
 
+    @classmethod
+    def _of_sorted(cls, points: tuple[Fraction, ...]) -> "DualGrid":
+        """The ``from_points`` grid over points already reduced and sorted,
+        as the adaptive transform makes them: ``ratios`` is read off the
+        points' slots, with no ``frac``, ``split`` or sortedness pass. It
+        equals, hashes and pickles as the ``from_points`` grid does."""
+        g = object.__new__(cls)
+        g.__dict__.update(
+            s0=points[0],
+            gamma_s=Fraction(0),
+            k=len(points),
+            kind="adaptive",
+            explicit=points,
+            ratios=lowest_terms(points),
+        )
+        return g
+
     def point(self, j: int) -> Fraction:
         if self.kind == "adaptive":
             return self.explicit[j]
@@ -169,7 +186,7 @@ class FunctionSpec:
             grid=grid,
             samples=samples,
             closed_form=None,
-            ratios=([v.numerator for v in samples], [v.denominator for v in samples]),
+            ratios=lowest_terms(samples),
         )
         return f
 
@@ -214,9 +231,7 @@ class GradientVector:
         ``ratios`` holds their lowest terms, as the constructor's would."""
         c = tuple(map(reduced, *ratios))
         g = object.__new__(cls)
-        g.__dict__.update(
-            c=c, grid=grid, ratios=([v.numerator for v in c], [v.denominator for v in c])
-        )
+        g.__dict__.update(c=c, grid=grid, ratios=lowest_terms(c))
         return g
 
     @property

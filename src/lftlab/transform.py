@@ -19,8 +19,11 @@ builds a ``Fraction`` (``rational.reduced``), which normalizes anyway. The
 count function, ``_rule``, gives the rule's multiplicities without a sweep
 over the dual points: it is the rule kernel of the 1D routes and of every
 nested nD pass, which reads its grid once and counts every line with it.
-Each value s_j x_i - f_i is one integer fraction, made a ``Fraction`` only
-when the result is returned.
+The values are built per optimizer run, from those counts: index i's
+x_i and f_i are put over one denominator once for its whole run, and on a
+regular grid the run's numerators s_j x_i - f_i step by a constant over
+that denominator (``rational.reduced_steps``). Each value is one integer
+fraction, made a ``Fraction`` only when the result is returned.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import DegenerateGrid, InvalidK, NonConvexInput, OutOfRangeDual
 from .grids import DualGrid, FunctionSpec, GradientVector, RegularGrid
-from .rational import Number, Vec, frac, nondecreasing, reduced
+from .rational import Number, Vec, frac, nondecreasing, reduced, reduced_steps
 
 ADAPTIVE_VARIANTS = ("centered", "right", "left")
 
@@ -190,35 +193,49 @@ def optimizer_map(
     return _repeat_indices(_checked_counts(g.ratios, dual, clamp))
 
 
-def _conjugate_values(f: FunctionSpec, dual: DualGrid, idx: Sequence[int]) -> tuple:
-    """s_j x_i - f_i for i = idx[j], each one integer fraction made a
-    Fraction on return."""
+def _conjugate_values(f: FunctionSpec, dual: DualGrid, counts: Sequence[int]) -> tuple:
+    """s_j x_i - f_i for every dual point, walked as the rule's optimizer
+    runs: the ``counts[i]`` consecutive points from j on take index i.
+    Each value is one integer fraction, made a Fraction on return."""
     fn, fd = f.ratios
     a, dx, xd = f.grid.progression
-    # over ls[i] = lcm(xd, q_i): x_i = xs[i] / ls[i] and f_i = fs[i] / ls[i], so
-    # s x_i - f_i = (sn * xs[i] - fs[i] * sd) / (ls[i] * sd) for s = sn / sd
-    ls = [lcm(xd, q) for q in fd]
-    xs = [(a + i * dx) * (m // xd) for i, m in enumerate(ls)]
-    fs = [p * (m // q) for p, q, m in zip(fn, fd, ls)]
-    if dual.ratios is not None:
-        sn, sd = dual.ratios
-        nums = [n * xs[i] - fs[i] * d for n, d, i in zip(sn, sd, idx)]
-        dens = [ls[i] * d for d, i in zip(sd, idx)]
-    else:
-        # one denominator sd for all points s_j = (s0 + j * step) / sd
+    explicit = dual.ratios
+    if explicit is None:
         s0, step, sd = dual.progression
-        fs, ls = [v * sd for v in fs], [m * sd for m in ls]
-        sn = range(s0, s0 + dual.k * step, step) if step else repeat(s0, dual.k)
-        nums = [n * xs[i] - fs[i] for n, i in zip(sn, idx)]
-        dens = [ls[i] for i in idx]
-    return tuple(map(reduced, nums, dens))
+    else:
+        sn, sd = explicit
+    values, j = [], 0
+    append = values.append
+    for i, count in enumerate(counts):
+        if not count:
+            continue
+        # over m = lcm(xd, q_i): x_i = x / m and f_i = y / m, so
+        # s x_i - f_i = (sn * x - y * sd) / (m * sd) for s = sn / sd
+        q = fd[i]
+        m = lcm(xd, q)
+        x, y = (a + i * dx) * (m // xd), fn[i] * (m // q)
+        # one-point runs (every adaptive index, most at K < N) skip the
+        # loop and the run helper: measurably faster on those grids
+        if explicit is not None:
+            if count == 1:
+                append(reduced(sn[j] * x - y * sd[j], m * sd[j]))
+            else:
+                for t in range(j, j + count):
+                    append(reduced(sn[t] * x - y * sd[t], m * sd[t]))
+        elif count == 1:
+            append(reduced((s0 + j * step) * x - y * sd, m * sd))
+        else:
+            # the run's points (s0 + t * step) / sd share the denominator m * sd
+            values += reduced_steps((s0 + j * step) * x - y * sd, step * x, m * sd, count)
+        j += count
+    return tuple(values)
 
 
 def lft_regular(f: FunctionSpec, dual: DualGrid, clamp: bool = False) -> ConjugateResult:
     """Linear-time transform on a sorted regular dual grid."""
-    idx = _repeat_indices(_checked_counts(_gradients(f), dual, clamp))
-    values = _conjugate_values(f, dual, idx)
-    return ConjugateResult(dual=dual, values=values, optimizer_index=idx)
+    counts = _checked_counts(_gradients(f), dual, clamp)
+    values = _conjugate_values(f, dual, counts)
+    return ConjugateResult(dual=dual, values=values, optimizer_index=_repeat_indices(counts))
 
 
 def check_adaptive_variant(variant: str) -> None:
@@ -250,9 +267,9 @@ def _adaptive_points(c: Vec, variant: str) -> Vec:
 
 def lft_adaptive(f: FunctionSpec, variant: str = "centered") -> ConjugateResult:
     """Adaptive-dual transform; each dual point's optimizer is its own index."""
-    dual = DualGrid.from_points(map(reduced, *_adaptive_points(_gradients(f), variant)))
-    idx = tuple(range(f.n))
-    return ConjugateResult(dual=dual, values=_conjugate_values(f, dual, idx), optimizer_index=idx)
+    dual = DualGrid._of_sorted(tuple(map(reduced, *_adaptive_points(_gradients(f), variant))))
+    values = _conjugate_values(f, dual, [1] * f.n)
+    return ConjugateResult(dual=dual, values=values, optimizer_index=tuple(range(f.n)))
 
 
 def double_transform(f: FunctionSpec, k: Optional[int] = None) -> ConjugateResult:
