@@ -11,7 +11,6 @@ keeps the per-index formula it replaced, and the run loop must equal it
 for any counts, zero counts included.
 """
 
-import pickle
 import random
 from fractions import Fraction as F
 from itertools import repeat
@@ -38,6 +37,7 @@ from lftlab.transform import (
 )
 
 from test_fixtures import _digest, _pin
+from test_registers import rationals, same
 
 FLOATS = (2.5, 0.75, 0.125, 0.0625, 0.5, 1.75, 0.1 * 37)
 
@@ -158,14 +158,6 @@ def ref_values(f, dual, idx):
     return tuple(map(reduced, nums, dens))
 
 
-def _same(a, b):
-    return pickle.dumps(a, protocol=4) == pickle.dumps(b, protocol=4)
-
-
-def rationals(max_num, max_den):
-    return st.builds(F, st.integers(-max_num, max_num), st.integers(1, max_den))
-
-
 @st.composite
 def samples(draw):
     """Any samples, convex or not, ints, floats and Fractions, on a grid
@@ -191,11 +183,11 @@ def grids(draw):
 @given(f=samples(), dual=grids(), data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_runs_equal_the_per_index_formula(f, dual, data):
-    # any split of the K points into n runs, most of them empty
+    # any split of the K points into n runs, empty ones included
     cuts = sorted(data.draw(st.lists(st.integers(0, dual.k), min_size=f.n - 1, max_size=f.n - 1)))
     counts = [b - a for a, b in zip([0, *cuts], [*cuts, dual.k])]
     got = _conjugate_values(f, dual, counts)
-    assert _same(got, ref_values(f, dual, _repeat_indices(counts)))
+    assert same(got, ref_values(f, dual, _repeat_indices(counts)))
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -206,7 +198,7 @@ def test_rule_runs_equal_the_per_index_formula(case):
         for dual, clamp in plan:
             counts = _checked_counts(_gradients(f), dual, clamp)
             got = _conjugate_values(f, dual, counts)
-            assert _same(got, ref_values(f, dual, _repeat_indices(counts)))
+            assert same(got, ref_values(f, dual, _repeat_indices(counts)))
 
 
 def test_the_adaptive_grid_is_the_from_points_grid():
@@ -215,7 +207,7 @@ def test_the_adaptive_grid_is_the_from_points_grid():
             dual = lft_adaptive(f, v).dual
             built = DualGrid.from_points(dual.explicit)
             assert dual == built and hash(dual) == hash(built)
-            assert _same(dual, built)
+            assert same(dual, built)
             assert dual.ratios == built.ratios == split(dual.explicit)
 
 
