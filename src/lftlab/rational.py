@@ -8,9 +8,8 @@ gradient containers and explicit dual grids split their values once, when
 they are built, and a regular grid's points come from its ``progression``
 (``grids`` makes both); the slopes the kernel derives stay unreduced, since
 each use floor-divides, cross-multiplies or builds a ``Fraction`` through
-``reduced``, or ``reduced_steps`` for a run of numerators over one
-denominator: the one place where ints become a ``Fraction``. Both reduce
-by ``math.gcd`` as ``Fraction(n, d)`` does and fill the two slots
+``reduced``, the one place where two ints become a ``Fraction``: it
+reduces by ``math.gcd`` as ``Fraction(n, d)`` does and fills the two slots
 directly, without the constructor's type dispatch, and ``lowest_terms``
 reads those slots back. Serialized documents write rationals as "p/q"
 strings; floats convert exactly.
@@ -19,7 +18,6 @@ strings; floats convert exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm
 from operator import attrgetter, le, mul
 from typing import Iterable, Sequence, Union
@@ -48,29 +46,6 @@ def reduced(n: int, d: int) -> Fraction:
     f._numerator = n
     f._denominator = d
     return f
-
-
-def reduced_steps(num: int, step: int, den: int, count: int) -> list[Fraction]:
-    """``[reduced(num + t*step, den) for t in range(count)]``: a run of
-    numerators in arithmetic progression over one denominator."""
-    if den <= 0:
-        if not den and count:
-            raise ZeroDivisionError(f"Fraction({num}, 0)")
-        num, step, den = -num, -step, -den
-    out = []
-    append = out.append
-    for _ in repeat(None, count):
-        g = gcd(num, den)
-        f = _new(Fraction)
-        if g == 1:
-            f._numerator = num
-            f._denominator = den
-        else:
-            f._numerator = num // g
-            f._denominator = den // g
-        append(f)
-        num += step
-    return out
 
 
 def lowest_terms(values: Sequence[Fraction]) -> Vec:

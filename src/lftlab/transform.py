@@ -22,8 +22,8 @@ nested nD pass, which reads its grid once and counts every line with it.
 The values are built per optimizer run, from those counts: index i's
 x_i and f_i are put over one denominator once for its whole run, and on a
 regular grid the run's numerators s_j x_i - f_i step by a constant over
-that denominator (``rational.reduced_steps``). Each value is one integer
-fraction, made a ``Fraction`` only when the result is returned.
+that denominator. Each value is one integer fraction, made a ``Fraction``
+(``rational.reduced``) only when the result is returned.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import DegenerateGrid, InvalidK, NonConvexInput, OutOfRangeDual
 from .grids import DualGrid, FunctionSpec, GradientVector, RegularGrid
-from .rational import Number, Vec, frac, nondecreasing, reduced, reduced_steps
+from .rational import Number, Vec, frac, nondecreasing, reduced
 
 ADAPTIVE_VARIANTS = ("centered", "right", "left")
 
@@ -214,19 +214,24 @@ def _conjugate_values(f: FunctionSpec, dual: DualGrid, counts: Sequence[int]) ->
         q = fd[i]
         m = lcm(xd, q)
         x, y = (a + i * dx) * (m // xd), fn[i] * (m // q)
-        # one-point runs (every adaptive index, most at K < N) skip the
-        # loop and the run helper: measurably faster on those grids
         if explicit is not None:
+            # a one-point run (every lft_adaptive index) skips the loop: that
+            # alone is about 4 % of fast-1d's run_rel (BENCH_pr40.json)
             if count == 1:
                 append(reduced(sn[j] * x - y * sd[j], m * sd[j]))
             else:
                 for t in range(j, j + count):
                     append(reduced(sn[t] * x - y * sd[t], m * sd[t]))
-        elif count == 1:
-            append(reduced((s0 + j * step) * x - y * sd, m * sd))
         else:
-            # the run's points (s0 + t * step) / sd share the denominator m * sd
-            values += reduced_steps((s0 + j * step) * x - y * sd, step * x, m * sd, count)
+            # the run's points (s0 + t * step) / sd share the denominator m * sd,
+            # so its numerators step by step * x
+            num, den = (s0 + j * step) * x - y * sd, m * sd
+            append(reduced(num, den))
+            if count > 1:
+                dn = step * x
+                for _ in range(count - 1):
+                    num += dn
+                    append(reduced(num, den))
         j += count
     return tuple(values)
 

@@ -1,8 +1,7 @@
 """``rational.reduced``, the package's one two-int ``Fraction`` constructor,
 against ``Fraction(n, d)``: the same value, int slots, repr, hash and
-pickle bytes, and the same error on a zero denominator. ``reduced_steps``
-is ``reduced`` over a run of numerators, and ``lowest_terms`` reads the
-slots back as ``split`` would."""
+pickle bytes, and the same error on a zero denominator. ``lowest_terms``
+reads the slots back as ``split`` would."""
 
 import pickle
 from fractions import Fraction as F
@@ -10,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lftlab.rational import lowest_terms, reduced, reduced_steps, split
+from lftlab.rational import lowest_terms, reduced, split
 
 huge = st.integers(-(2**300), 2**300)
 numerators = st.one_of(st.integers(-50, 50), st.just(0), huge)
@@ -42,24 +41,6 @@ def test_zero_denominator_raises_as_fraction_does(n):
         F(n, 0)
     with pytest.raises(ZeroDivisionError) as got:
         reduced(n, 0)
-    assert str(got.value) == str(want.value)
-
-
-@given(num=numerators, step=st.one_of(st.just(0), numerators), den=denominators, count=st.integers(0, 12))
-@settings(max_examples=400, deadline=None)
-def test_reduced_steps_is_reduced_per_step(num, step, den, count):
-    got = reduced_steps(num, step, den, count)
-    want = [reduced(num + t * step, den) for t in range(count)]
-    assert pickle.dumps(got, protocol=4) == pickle.dumps(want, protocol=4)
-
-
-@given(num=numerators, step=numerators)
-def test_reduced_steps_over_zero_raises_as_reduced_does(num, step):
-    assert reduced_steps(num, step, 0, 0) == []
-    with pytest.raises(ZeroDivisionError) as want:
-        reduced(num, 0)
-    with pytest.raises(ZeroDivisionError) as got:
-        reduced_steps(num, step, 0, 3)
     assert str(got.value) == str(want.value)
 
 
