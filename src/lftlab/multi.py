@@ -375,31 +375,37 @@ def _cascade(f: TensorSamples, duals: Sequence) -> tuple[tuple[DualGrid, ...], l
     return tuple(grids), counts, origin, (shape, *scaled)
 
 
-def _centered(shape: tuple[int, ...], flat: Sequence, axis: int) -> tuple[list, list]:
-    """Each element's centered dual point along ``axis``, in row-major
-    order, as ratios (u, w) of ``transform._adaptive_points`` on its line's
-    differences, which ``_centered_step`` turns into points; w is 1 or 2
-    on ints. Every line must be discretely convex (``NonConvexSlice``)."""
-    n, stride = shape[axis], math.prod(shape[axis + 1 :])
-    us, ws = [None] * len(flat), [None] * len(flat)
-    for _, a, _, diffs in _lines(shape, flat, axis, check_convex=True):
-        run = slice(a, a + n * stride, stride)
-        us[run], ws[run] = _adaptive_points(diffs, "centered")
-    return us, ws
+def _centered(f: TensorSamples) -> list[tuple[list, list, int]]:
+    """Every element's centered dual point along each axis, from the input's
+    lines: per axis (us, ws, D), in row-major order, the ratios (u, w) of
+    ``transform._adaptive_points`` on each line's differences over the
+    samples' D; w is 1 or 2. Walks each line once, axis 0 first; every line
+    must be discretely convex (``NonConvexSlice``)."""
+    shape, (flat, D) = f.values.shape, f.lifted
+    out = []
+    for axis in range(f.d):
+        n, stride = shape[axis], math.prod(shape[axis + 1 :])
+        us, ws = [None] * len(flat), [None] * len(flat)
+        for _, a, _, diffs in _lines(shape, flat, axis, check_convex=True):
+            run = slice(a, a + n * stride, stride)
+            us[run], ws[run] = _adaptive_points(diffs, "centered")
+        out.append((us, ws, D))
+    return out
 
 
 def lft_nd_adaptive(f: TensorSamples) -> TensorConjugate:
-    """Nested per-slice centered adaptive passes; K = N and the optimizer of
-    each dual multi-point is the identically indexed primal point."""
-    shape = f.values.shape
-    flat, D = f.lifted
+    """Nested centered adaptive passes; K = N and the optimizer of each dual
+    multi-point is the identically indexed primal point. Each s_a is the
+    input's centered difference quotient along axis a (``_centered``), and
+    the value <s, x_j> - f(j): the simulator's adaptive rule, by its step."""
+    shape, (flat, D) = f.values.shape, f.lifted
+    centered = _centered(f)
     # K = N keeps every flat position fixed, so each axis's dual components
     # line up with the final multi-indices
     s_parts: list = [None] * f.d
     for axis in range(f.d - 1, -1, -1):
         idx = _coords(shape, axis, range(len(flat)))
-        centered = (*_centered(shape, flat, axis), D)
-        flat, D, s_parts[axis] = _centered_step(flat, idx, centered, D, f.grid.axes[axis])
+        flat, D, s_parts[axis] = _centered_step(flat, idx, centered[axis], D, f.grid.axes[axis])
     values = RatTensor(shape, _fractions([-v for v in flat], D))
     return TensorConjugate(
         values=values,

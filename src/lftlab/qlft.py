@@ -17,10 +17,10 @@ point from its local gradient registers and finishes garbage-free.
 The one-call runs compute on int words in the 1D kernel's integer forms:
 x_i = X_i / den on the grid's ``progression``, and each sample, gradient
 and centered point a (numerator, denominator) pair, the samples' from
-``FunctionSpec.ratios``, the gradients' from ``transform._slopes`` and the
-adaptive run's points from ``transform._adaptive_points``, so ``transform``
-alone decides how a 1D function's gradients and dual points become ints.
-Nondecreasing gradients are a run's one convexity check, and
+``FunctionSpec.ratios``, the gradients' from ``transform._gradients``
+and the adaptive run's points from ``transform._adaptive_points``, so
+``transform`` alone decides how a 1D function's gradients and dual points
+become ints. Nondecreasing gradients are a run's one convexity check, and
 post-selection counts on them with the rule kernel (``transform._rule``).
 s*x - f is ``_value``, with s and f over one denominator made from the
 branch's own: the dual grid's times the sample's in a regular run, the
@@ -55,8 +55,8 @@ from .errors import (
 )
 from .grids import DualGrid, FunctionSpec, _checked_ratios
 from .qstate import UNDEFINED, Amplitude, BasisLabel, QState, Schema, _schema, is_undefined
-from .rational import Vec, exact_sum, nondecreasing, reduced, split
-from .transform import _adaptive_points, _gradients, _rule, _slopes, regular_dual_grid
+from .rational import Vec, exact_sum, reduced, split
+from .transform import _adaptive_points, _gradients, _rule, regular_dual_grid
 
 
 @dataclass(frozen=True)
@@ -310,16 +310,13 @@ def _finish(state, steps, success, pass_acceptances, rng_seed=0, verification=No
 def _int_gradients(f: FunctionSpec, steps: list[StepRecord]) -> tuple:
     """A one-call run's superposition and gradient steps on int words:
     x_i = xs[i] / den on the grid's ``progression``, the samples f_i the
-    pairs fs[i] of ``f.ratios`` and the gradients the kernel's ratios c
-    (``transform._slopes``), held as pairs. The gradients are the run's one
-    convexity check; on fewer than 3 points or a decrease ``_gradients``
-    raises the kernel's exact error."""
+    pairs fs[i] of ``f.ratios`` and the gradients the kernel's checked
+    ratios c (``transform._gradients``), held as pairs. The gradients are
+    the run's one convexity check, with the kernel's exact error."""
     a, p, den = f.grid.progression
     xs = list(range(a, a + f.n * p, p))
     fs = list(zip(*f.ratios))
-    c = _slopes(f.ratios, f.grid.gamma)
-    if f.n < 3 or not nondecreasing(c):
-        _gradients(f)
+    c = _gradients(f)
     state = _superposed(xs, fs)
     _trace(steps, "superposition", state)
     g = list(zip(*c))

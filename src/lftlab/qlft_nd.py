@@ -16,16 +16,13 @@ carry none.
 
 Adaptive mode: the pass along an axis gives each branch s{axis}, the
 input's centered difference quotient along that axis at j (one-sided at a
-line end), and maps f with its optimizer by ``multi._centered_step``, the
-step ``multi.lft_nd_adaptive`` takes too. On the first pass s is the
-centered point of the line the pass transforms; on later passes it is a
-shortcut, since the partial transform's line may have another centered
-point. It is the shortcut of branches that carry neighbor rows and map
-each with their own optimizer, which leaves every row-center difference
-as in the input; so branches carry no rows. The two routes differ only in
-the points they pass that step: ``multi._centered`` gives every branch's
-point per axis from the input's lines, and gives ``multi.lft_nd_adaptive``
-its points from the exact partial transforms.
+line end), and maps f with its optimizer by ``multi._centered_step``. So
+fstar = <s, x_j> - f(j). Branches that carried neighbor rows and mapped
+each with their own optimizer would leave every row-center difference as
+in the input, so they carry no rows. ``multi.lft_nd_adaptive`` is the
+same rule: it takes the same points (``multi._centered``, every axis from
+the input's lines) through the same step, so its (dual point, value) at
+each index is the run's label there.
 
 Off the separable case neither mode is known to be correct, so every run
 is VERIFIED against the brute maximum (``multi.lft_nd_brute``'s core,
@@ -91,9 +88,7 @@ def _run_nd(f: TensorSamples, rng_seed: int, ks: Optional[tuple] = None) -> SimR
         f.require_convex_axes()
         duals, counts, _, _ = _cascade(f, ks)
     else:
-        # every branch's centered point per axis, from the input's lines;
-        # walking them axis 0 first is the convexity check
-        centered = [(*_centered(f.values.shape, flat, axis), D) for axis in range(f.d)]
+        centered = _centered(f)  # walking the input's lines is the convexity check
     state = _superposition(f.values.shape, flat)
     _trace(steps, "superposition", state)
     pass_accepts: list[Fraction] = []
@@ -165,10 +160,10 @@ def _regular_pass(
 
 def _adaptive_pass(state: QState, f: TensorSamples, axis: int, D: int, centered: tuple) -> tuple:
     """Each branch takes its centered dual point along ``axis`` and maps f
-    with its optimizer by ``multi._centered_step``. ``centered`` is
-    (us, ws, D0) of every element of the input (``multi._centered``), in
-    the row-major order of j that the adaptive states keep. The branch
-    gains s{axis} and the garbage i{axis}."""
+    with its optimizer by ``multi._centered_step``. ``centered`` is this
+    axis's (us, ws, D0) from ``multi._centered``, in the row-major order of
+    j that the adaptive states keep. The branch gains s{axis} and the
+    garbage i{axis}."""
     idx = [lab._values[0][axis] for lab, _ in state.entries]
     values = [lab._values[1] for lab, _ in state.entries]
     values, D, points = _centered_step(values, idx, centered, D, f.grid.axes[axis])

@@ -35,9 +35,9 @@ from test_fixtures import _digest, _pin
 from test_multi import _reference_brute
 
 
-def _nd_verify_inputs():
-    """The benchmark's nd-verify seed-1 coupled inputs and its run seed."""
-    rng = random.Random("nd-verify:1")
+def _nd_verify_inputs(seed=1):
+    """The benchmark's nd-verify coupled inputs and its run seed."""
+    rng = random.Random(f"nd-verify:{seed}")
     coupled2 = fixtures.random_convex_quadratic_nd(rng, d=2, n=16, coupling=2)
     coupled3 = fixtures.random_convex_quadratic_nd(rng, d=3, n=6, coupling=1)
     return coupled2, coupled3, rng.randrange(1 << 30)

@@ -301,16 +301,8 @@ class TestNdAdaptive:
         assert tuple(p[0] for p in res.dual_points) == ref.dual.points()
 
     def test_equality_at_own_index(self, rng):
-        # the centered points need convex intermediate lines
-        for _ in range(20):
-            f = fixtures.random_convex_quadratic_nd(rng, d=2, n=4, coupling=2)
-            try:
-                res = lft_nd_adaptive(f)
-                break
-            except NonConvexSlice:
-                continue
-        else:
-            raise AssertionError("no draw kept its intermediate lines convex")
+        f = fixtures.random_convex_quadratic_nd(rng, d=2, n=4, coupling=2)
+        res = lft_nd_adaptive(f)
         for idx in res.values.indices():
             s = res.dual_point(idx)
             x = f.grid.point(idx)
@@ -485,24 +477,27 @@ def _reference_brute(f, dual_points):
 
 
 def _reference_adaptive(f):
-    """The nested centered passes per element on Fractions, last axis first:
-    each line must have nonnegative second differences; its points are c_0,
-    the midpoints of neighboring gradients and c_{n-2}; g = v - s * x."""
-    t = dict(zip(f.values.indices(), f.values.flat))
-    s = {idx: [None] * f.d for idx in t}
-    for axis in reversed(range(f.d)):
+    """The adaptive conjugate in closed form on Fractions: s_a is the
+    input's centered difference quotient along axis a (c_0, the midpoints
+    of neighboring gradients and c_{n-2} on each line) and the value is
+    <s, x> - f. Input lines are checked axis 0 first; each must have
+    nonnegative second differences."""
+    s = {idx: [None] * f.d for idx in f.values.indices()}
+    for axis in range(f.d):
         for comp in complements(f.values.shape, axis):
-            idxs = [(*comp[:axis], i, *comp[axis:]) for i in range(f.grid.shape[axis])]
-            line = [t[idx] for idx in idxs]
+            idxs = [at(comp, axis, i) for i in range(f.grid.shape[axis])]
+            line = [f.values.get(idx) for idx in idxs]
             if any(u - 2 * v + w < 0 for u, v, w in zip(line, line[1:], line[2:])):
                 raise NonConvexSlice(f"axis {axis} line at {comp} is not discretely convex")
             c = [(b - a) / f.grid.gamma for a, b in zip(line, line[1:])]
             pts = [c[0], *((a + b) / 2 for a, b in zip(c, c[1:])), c[-1]]
-            for i, (idx, p) in enumerate(zip(idxs, pts)):
+            for idx, p in zip(idxs, pts):
                 s[idx][axis] = p
-                t[idx] = line[i] - p * f.grid.axes[axis].point(i)
     order = list(f.values.indices())
-    return tuple(-t[idx] for idx in order), tuple(tuple(s[idx]) for idx in order)
+    values = tuple(
+        sum(a * x for a, x in zip(s[idx], f.grid.point(idx))) - f.values.get(idx) for idx in order
+    )
+    return values, tuple(tuple(s[idx]) for idx in order)
 
 
 # small alphabets make ties between primal points common; the prime

@@ -26,6 +26,7 @@ from lftlab.qlft_nd import MATCH, MISMATCH, run_qlft_nd_adaptive, run_qlft_nd_re
 from lftlab.qstate import UNDEFINED, BasisLabel, QState, _schema, is_undefined, label
 
 from conftest import first_attempt_successes, reg_names
+from test_brute import _nd_verify_inputs
 from test_multi import (
     WIDE_PRIMES,
     _outcome,
@@ -328,16 +329,16 @@ class TestAdaptiveNd:
 
     def test_nonconvex_intermediate_line_is_judged_by_the_brute(self):
         # max(2, 1 - 2x + 2y) on the 3x3 grid over [0, 1]^2: its axis lines
-        # are convex, but the axis-1 pass leaves a nonconvex axis-0 line, so
-        # the classical nested construction refuses it; the run is still
-        # judged, each label against the brute maximum at its own s
+        # are convex, but the axis-1 pass leaves a nonconvex axis-0 line.
+        # Both routes take their points from the input's lines, so both run
+        # it and give the same labels; each is judged against the brute
+        # maximum at its own s
         grid = TensorGrid(axes=(fixtures.unit_grid(3), fixtures.unit_grid(3)))
         vals = (2, 2, 3, 2, 2, 2, 2, 2, 2)
         f = TensorSamples(grid=grid, values=RatTensor((3, 3), tuple(map(F, vals))))
-        with pytest.raises(NonConvexSlice, match=r"axis 0 line at \(1,\)"):
-            multi.lft_nd_adaptive(f)
         run = run_qlft_nd_adaptive(f)
         labels = [lab for lab, _ in run.final_state.entries]
+        assert _run_labels(f) == _classical_labels(f)
         brute = multi.lft_nd_brute(f, [lab.get("s") for lab in labels]).values.flat
         below = tuple(
             (lab.get("j"), lab.get("fstar"), b) for lab, b in zip(labels, brute) if lab.get("fstar") != b
@@ -348,6 +349,18 @@ class TestAdaptiveNd:
         assert v.value_mismatches == below
         assert [(j, fstar) for j, fstar, _ in below] == [((0, 1), F(-3, 2)), ((1, 2), F(-5, 2))]
         assert all(fstar < b for _, fstar, b in below)
+
+
+def _run_labels(f):
+    """An adaptive run's labels as (j, s, fstar), in order."""
+    run = run_qlft_nd_adaptive(f)
+    return [(lab.get("j"), lab.get("s"), lab.get("fstar")) for lab in run.final_state.labels()]
+
+
+def _classical_labels(f):
+    """``lft_nd_adaptive``'s (index, dual point, value), in row-major order."""
+    res = multi.lft_nd_adaptive(f)
+    return [(j, res.dual_point(j), res.values.get(j)) for j in res.values.indices()]
 
 
 def _centered_quotient(f, idx, axis):
@@ -380,22 +393,65 @@ class TestAdaptiveClosedForm:
         for f in self._cases():
             dims.add(f.d)
 
-            def labels():
-                run = run_qlft_nd_adaptive(f)
-                return [(lab.get("j"), lab.get("s"), lab.get("fstar")) for lab in run.final_state.labels()]
-
-            got = _outcome(labels)
-            assert [j for j, _, _ in got] == list(f.values.indices())
-            for j, s, fstar in got:
-                assert s == tuple(_centered_quotient(f, j, a) for a in range(f.d))
-                assert fstar == sum(a * x for a, x in zip(s, f.grid.point(j))) - f.values.get(j)
+            for route in (_run_labels, _classical_labels):
+                got = _outcome(lambda: route(f))
+                assert [j for j, _, _ in got] == list(f.values.indices())
+                for j, s, fstar in got:
+                    assert s == tuple(_centered_quotient(f, j, a) for a in range(f.d))
+                    assert fstar == sum(a * x for a, x in zip(s, f.grid.point(j))) - f.values.get(j)
         assert dims == {1, 2, 3}
 
 
+def _sweep_inputs():
+    """The adaptive CI sweep's inputs (scripts/nd_verification_sweep.py,
+    --instances 60 --n 8)."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        coupling = rng.choice([1, 2, 3])
+        yield fixtures.random_convex_quadratic_nd(rng, d=2, n=8, coupling=coupling)
+
+
+# the coupled 2D 16x16 and 3D 6x6x6 inputs of nd-verify, separable sums
+# on two and three axes
+ONE_RULE_CASES = {
+    "ci sweep": lambda: list(_sweep_inputs()),
+    "nd-verify seed 1": lambda: _nd_verify_inputs(1)[:2],
+    "nd-verify seed 20061": lambda: _nd_verify_inputs(20061)[:2],
+    "separable sums": lambda: [
+        fixtures.separable_sum(base, d=d, n=n)
+        for base in ("quadratic-ex1", "pwl-ex2", "pwl-ex3")
+        for d, n in ((2, 5), (3, 4))
+    ],
+}
+
+
+class TestOneAdaptiveRule:
+    """The classical adaptive route and the simulator take one rule: the
+    run's labels are ``lft_nd_adaptive``'s (dual point, value) at every
+    index, and only a line end can leave a value below the brute."""
+
+    @pytest.mark.parametrize("case", list(ONE_RULE_CASES))
+    def test_labels_equal_the_classical_route(self, case):
+        for f in ONE_RULE_CASES[case]():
+            assert _run_labels(f) == _classical_labels(f)
+
+    @pytest.mark.parametrize("case", list(ONE_RULE_CASES))
+    def test_interior_values_equal_the_brute(self, case):
+        for f in ONE_RULE_CASES[case]():
+            res = multi.lft_nd_adaptive(f)
+            brute = multi.lft_nd_brute(f, res.dual_points).values.flat
+            interior = [
+                pos for pos, j in enumerate(res.values.indices())
+                if all(0 < i < n - 1 for i, n in zip(j, f.grid.shape))
+            ]
+            assert interior
+            assert [res.values.flat[p] for p in interior] == [brute[p] for p in interior]
+
+
 class TestAdaptiveConvexityWalk:
-    """An adaptive run walks every input line once, and that walk is the
-    convexity check: its first NonConvexSlice is the one
-    ``require_convex_axes`` raises."""
+    """An adaptive run and ``lft_nd_adaptive`` walk every input line once,
+    and that walk is the convexity check: its first NonConvexSlice is the
+    one ``require_convex_axes`` raises."""
 
     def test_each_input_line_is_walked_once(self):
         f = _separable_4x4()
@@ -406,9 +462,11 @@ class TestAdaptiveConvexityWalk:
                 walked.append((axis, line[0], check_convex))
                 yield line
 
-        with mock.patch.object(multi, "_lines", counted):
-            run_qlft_nd_adaptive(f)
-        assert walked == [(axis, (c,), True) for axis in range(2) for c in range(4)]
+        for route in (run_qlft_nd_adaptive, multi.lft_nd_adaptive):
+            walked.clear()
+            with mock.patch.object(multi, "_lines", counted):
+                route(f)
+            assert walked == [(axis, (c,), True) for axis in range(2) for c in range(4)]
 
     def test_nonconvex_along_axis_1_names_the_first_line(self):
         # 8 x^2 plus a bump along axis 1 in row 1: every axis-0 line is
@@ -417,7 +475,8 @@ class TestAdaptiveConvexityWalk:
         vals = (0, 0, 0, 0, 8, 11, 9, 10, 32, 32, 32, 32)
         f = TensorSamples(grid=grid, values=RatTensor((3, 4), tuple(map(F, vals))))
         message = "axis 1 line at (1,) is not discretely convex"
-        for run in (f.require_convex_axes, lambda: run_qlft_nd_adaptive(f)):
+        routes = (f.require_convex_axes, lambda: run_qlft_nd_adaptive(f), lambda: multi.lft_nd_adaptive(f))
+        for run in routes:
             with pytest.raises(NonConvexSlice) as exc:
                 run()
             assert str(exc.value) == message
