@@ -23,10 +23,12 @@ division of those ints is exact by construction. A pass's shared dual range
 compares the lines' end slopes by integer cross products. Likewise
 optimizers are flat primal offsets inside, multi-indices on return,
 decoded one axis at a time. Each pass walks its lines once (``_lines``):
-their differences, or a nonconvex line's envelope slopes, as the
-numerator and denominator lists the 1D rule kernel reads (over D), span a
-canonical grid and go to ``transform._rule``, which scales the dual
-grid's integer form by gamma * D on ints once per pass.
+their differences, or a nonconvex line's envelope slopes, as the numerator
+and denominator lists the 1D rule kernel reads (over D), span a canonical
+grid and go to ``transform._rule``, which scales the dual grid's integer
+form by gamma * D on ints once per pass. Each value forms its s_j * x_i
+from the pass's K dual and n axis numerators (``_pass_factors``), so a
+pass's time and memory are linear in its elements.
 """
 
 from __future__ import annotations
@@ -186,20 +188,18 @@ def _lift(values: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple([a * per[q] for a, q in zip(nums, dens)]), D
 
 
-def _dual_products(dual: DualGrid, x_axis: RegularGrid, D: int):
-    """One pass's s_j * x_i table, indexed [j][i], over lcm(D, ds * dx),
-    with ds and dx the denominators of the dual points and of the axis
-    points. Returns that D, the rescale factor from the old D and the
-    table; row[1] - row[0] is s_j * gamma."""
+def _pass_factors(dual: DualGrid, x_axis: RegularGrid, D: int):
+    """One pass's factors of s_j * x_i over lcm(D, ds * dx), ds and dx the
+    dual and the axis points' denominators: that D, the rescale factor from
+    the old D, the K dual numerators su over it and the axis numerators
+    xs[i] = a0 + i * p = x_i * dx, a range; s_j * x_i is su[j] * xs[i]."""
     sn, sd = dual.point_ratios()
     ds = math.lcm(*sd)
-    duals = [n * (ds // d) for n, d in zip(sn, sd)]
     a0, p, dx = x_axis.progression
     D2 = math.lcm(D, ds * dx)
-    # gamma = p / dx and x_i = (a0 + i * p) / dx
     unit = D2 // (ds * dx)
-    sx = [[s * unit * (a0 + i * p) for i in range(x_axis.n)] for s in duals]
-    return D2, D2 // D, sx
+    su = [n * (ds // d) * unit for n, d in zip(sn, sd)]
+    return D2, D2 // D, su, range(a0, a0 + x_axis.n * p, p)
 
 
 def _fractions(flat: Sequence, D: int) -> tuple[Fraction, ...]:
@@ -278,7 +278,7 @@ def _pass(shape, scaled: Scaled, axis, x_axis, dual):
         dual = regular_dual_grid(_bracket(lines, D, x_axis.gamma), dual)
     k = dual.k
     new_shape = (*shape[:axis], k, *shape[axis + 1 :])
-    D2, scale, sx = _dual_products(dual, x_axis, D)
+    D2, scale, su, xs = _pass_factors(dual, x_axis, D)
     # the slopes stay over D, so the thresholds are s_j * gamma * D, gamma = p / dx
     _, p, dx = x_axis.progression
     rule = _rule(dual, (p * D, dx))
@@ -289,7 +289,7 @@ def _pass(shape, scaled: Scaled, axis, x_axis, dual):
         counts[comp] = rule(slopes)
         opt = _repeat_indices(counts[comp])
         run = slice(b, b + k * stride, stride)
-        out[run] = [line[i] * scale - row[i] for row, i in zip(sx, opt)]
+        out[run] = [line[i] * scale - su[j] * xs[i] for j, i in enumerate(opt)]
         taken[run] = [a + i * stride for i in opt]
     return new_shape, dual, (out, D2), counts, taken
 

@@ -53,7 +53,7 @@ from typing import Optional, Sequence
 
 from .errors import InvalidK
 from .grids import DualGrid
-from .multi import TensorSamples, _brute, _cascade, _centered, _centered_step, _components, _dual_products
+from .multi import TensorSamples, _brute, _cascade, _centered, _centered_step, _components, _pass_factors
 from .qlft import SimRun, StepRecord, _check_pow2, _finish, _keep, _read, _trace
 from .qstate import BasisLabel, QState, _schema
 from .rational import reduced
@@ -143,7 +143,7 @@ def _regular_pass(
     names = ("j", "f", f"s{axis}", *held.names[2:], f"i{axis}", f"m{axis}")
     schema = _schema(names, held.n_regs + 1)
     points = dual.points()
-    D, scale, sx = _dual_products(dual, f.grid.axes[axis], D)
+    D, scale, su, xs = _pass_factors(dual, f.grid.axes[axis], D)
     kept = []
     for lab, _ in state.entries:
         coords, value, *rest = lab._values
@@ -154,7 +154,7 @@ def _regular_pass(
                 continue
             j = firsts[i] + m
             new = (*coords[:axis], j, *coords[axis + 1 :])
-            kept.append(BasisLabel(schema, (new, value * scale - sx[j][i], points[j], *rest, i, m)))
+            kept.append(BasisLabel(schema, (new, value * scale - su[j] * xs[i], points[j], *rest, i, m)))
     return (*_keep(kept, len(state), w), D)
 
 

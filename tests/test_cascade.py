@@ -9,6 +9,7 @@ verification report fails here.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -35,7 +36,10 @@ def _long(n):
 
 def _deep():
     """A (24, 3, 3) tensor with a long first axis, convex on every line."""
-    return _tensor((24, 3, 3), lambda i, j, k: i * i + 2 * j * j + 3 * k * k + i * j - 2 * j * k + i * k, F(1, 23))
+    def value(i, j, k):
+        return i * i + 2 * j * j + 3 * k * k + i * j - 2 * j * k + i * k
+
+    return _tensor((24, 3, 3), value, F(1, 23))
 
 
 def _plans():
@@ -90,6 +94,32 @@ def test_regular_results_and_grids_are_pinned(case):
 @pytest.mark.parametrize("case", list(PINS_RUNS))
 def test_regular_runs_are_pinned(case):
     assert _pin([_digest(out) for out in _runs(case)]) == PINS_RUNS[case]
+
+
+def _regular_on_grids(f, ks):
+    grids = canonical_nd_dual_grids(f, ks)
+    return lambda: lft_nd_regular(f, grids)
+
+
+def _run(f, ks):
+    return lambda: run_qlft_nd_regular(f, ks)
+
+
+@pytest.mark.parametrize("route,sizes", [(_regular_on_grids, (512, 1024, 2048)), (_run, (512, 1024))])
+def test_a_pass_holds_no_product_table(route, sizes):
+    # at K = n, a K x n table of the products s_j x_i grows the peak 4x
+    # when n doubles; a pass that forms each product where a value reads
+    # it holds O(K + n) words per line, so the peak about doubles
+    peaks = []
+    for n in sizes:
+        call = route(_long(n), (2, n))
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert all(b < 3 * a for a, b in zip(peaks, peaks[1:])), peaks
 
 
 def test_the_concave_samples_are_the_ci_checks():
