@@ -42,7 +42,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import BruteCapExceeded, NonConvexSlice
 from .grids import DualGrid, FunctionSpec, RegularGrid
-from .rational import frac, reduced, split
+from .rational import format_rational, frac, reduced, split
 from .transform import ConjugateResult, _adaptive_points, _repeat_indices, _rule, regular_dual_grid
 
 MAX_BRUTE_POINTS = 1 << 20
@@ -92,7 +92,8 @@ class TensorGrid:
             raise ValueError("need at least one axis")
         gammas = {g.gamma for g in self.axes}
         if len(gammas) != 1:
-            raise ValueError(f"axes must share one spacing, got {sorted(gammas)}")
+            spacings = ", ".join(map(format_rational, sorted(gammas)))
+            raise ValueError(f"axes must share one spacing, got {spacings}")
 
     @property
     def d(self) -> int:
@@ -445,7 +446,8 @@ def lft_nd_brute(f: TensorSamples, dual_points: Sequence[tuple]) -> TensorConjug
     pts = [tuple(p) for p in dual_points]
     for s in pts:
         if len(s) != d:
-            raise ValueError(f"dual point {s} has {len(s)} components; the samples have {d} axes")
+            point = ", ".join(map(format_rational, s))
+            raise ValueError(f"dual point ({point}) has {len(s)} components; the samples have {d} axes")
     columns, comps, keys = _components(pts, d)
     values, rows = _brute(f, comps, keys)
     # components returned as ints when integral, else as given, floats as Fractions

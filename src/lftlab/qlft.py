@@ -14,27 +14,28 @@ pass acceptances and 0 when a pass rejected every branch.
 The adaptive pipeline is deterministic: each branch derives its own dual
 point from its local gradient registers and finishes garbage-free.
 
-The one-call runs compute on int words in the 1D kernel's integer forms:
-x_i = X_i / den on the grid's ``progression``, and each sample, gradient
-and centered point a (numerator, denominator) pair, the samples' from
-``FunctionSpec.ratios``, the gradients' from ``transform._gradients``
-and the adaptive run's points from ``transform._adaptive_points``, so
+The one-call runs compute on int words: x_i = X_i / den on the grid's
+``progression``, and each sample, gradient and centered point a
+(numerator, denominator) pair from ``FunctionSpec.ratios``,
+``transform._gradients`` and ``transform._adaptive_points``, so
 ``transform`` alone decides how a 1D function's gradients and dual points
-become ints. Nondecreasing gradients are a run's one convexity check, and
-post-selection counts on them with the rule kernel (``transform._rule``).
-s*x - f is ``_value``, with s and f over one denominator made from the
-branch's own: the dual grid's times the sample's in a regular run, the
-point's in an adaptive one. A ``Fraction`` is made once per final word,
-through ``rational.reduced``. The public steps
-(``prepare_superposition``, ``attach_gradients``, ``indicator_postselect``,
-``finalize_conjugate``) are the boundary for hand-built states of
-``Fraction`` or float words: each builds its output schema once, reads its
-registers at positions looked up by name once, and passes the words'
-integer ratios (``as_integer_ratio``, exact for floats) to int formulas:
-the slope ``_slope`` and s*x - f ``_value``. There an interior gradient c_i
-is one word, held by branch i as ``c_hi`` and by branch i + 1 as ``c_lo``,
-and post-selection checks the gathered ``c_hi`` words as ``GradientVector``
-does (``grids._checked_ratios``).
+become ints. Nondecreasing gradients are a run's one convexity check. A
+``Fraction`` is made once per final word, through ``rational.reduced``.
+The public steps (``prepare_superposition``, ``attach_gradients``,
+``indicator_postselect``, ``finalize_conjugate``) take hand-built states
+of ``Fraction`` or float words: each builds its output schema once, reads
+its registers by position once, and passes the words' integer ratios
+(``as_integer_ratio``, exact for floats) to ``_slope`` and ``_value``.
+There an interior gradient c_i is one word, held by branch i as ``c_hi``
+and by branch i + 1 as ``c_lo``, and post-selection checks the gathered
+``c_hi`` words as ``GradientVector`` does (``grids._checked_ratios``).
+
+The two routes share the superposition (``_superposed``), post-selection
+(``transform._rule``, ``_slots``, ``_keep``), s*x - f over one denominator
+(``_value``) and the run record (``_finish``). The gradient source, the
+word forms and the label builders stay two, as every merge measured
+slower: a run reads the kernel's gradients and int words once, where a
+step reads each hand-built word's ratios.
 """
 
 from __future__ import annotations
@@ -167,12 +168,6 @@ def _slope(x0, y0, x1, y1) -> Fraction:
     return reduced((h * g - e * k) * b * d, (c * b - a * d) * g * k)
 
 
-def _dual_value(sn: int, sd: int, x, f) -> Fraction:
-    """``_value`` at s = sn/sd for Fraction or float words x and f."""
-    (xn, xd), (fn, fd) = x.as_integer_ratio(), f.as_integer_ratio()
-    return _value(sn * fd, fn * sd, sd * fd, xn, xd)
-
-
 def _gather_gradients(state: QState) -> Vec:
     """Reassemble c_0..c_{n-2} from the branch gradient registers, as the
     ratios the rule kernel reads, split once and checked as a
@@ -280,9 +275,11 @@ def finalize_conjugate(state: QState, dual: DualGrid) -> QState:
     sn, sd = dual.point_ratios()
 
     def fin(lab: BasisLabel) -> BasisLabel:
+        # s_j = sn/sd and f = fn/fd, both over sd * fd
         v = lab._values
         j, x = v[pj], v[px]
-        return BasisLabel(out, (j, _dual_value(sn[j], sd[j], x, v[pf]), x, v[pm], v[pi]))
+        (xn, xd), (fn, fd) = x.as_integer_ratio(), v[pf].as_integer_ratio()
+        return BasisLabel(out, (j, _value(sn[j] * fd, fn * sd[j], sd[j] * fd, xn, xd), x, v[pm], v[pi]))
 
     return state.map_labels(fin)
 

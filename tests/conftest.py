@@ -27,6 +27,14 @@ def canonical_dual(f, k=None):
     return regular_dual_grid(nontrivial_dual_range(g), k or f.n)
 
 
+def raises_exactly(build, error, message):
+    """``build()`` raises ``error`` itself, not a subclass, with exactly
+    ``message``."""
+    with pytest.raises(error) as exc:
+        build()
+    assert (exc.type, str(exc.value)) == (error, message)
+
+
 def rule_index(c, s):
     """The clamped half-open gradient rule for one dual point, the per-point
     reference for ``optimizer_map``: 0 when s <= c_0, n-1 when s >= c_{n-2},

@@ -9,6 +9,10 @@ fresh directory.
 1D results and 2D samples in one interpreter and loads and checks them in
 another with another hash seed.
 
+"Scripts that drive the public API": ``scripts/reproduce_examples.py``
+prints the pinned worked-example tables below; the two sweep commands were
+``TestCiSweepTally``'s argv, which ``tests/test_qlft_nd.py`` runs.
+
 "README CLI block": every ``lftlab`` line of the README runs in a fresh
 process, then twice through ``cli.main`` in one interpreter, and each
 stdout equals its fresh one.
@@ -20,6 +24,7 @@ import json
 import os
 import pickle
 import random
+import runpy
 import shlex
 import subprocess
 import sys
@@ -96,6 +101,55 @@ def test_lft_against_the_brute(case, tmp_path, capsys):
     inst.write_text(json.dumps(doc))
     assert main(["lft", str(inst), *dual, "--brute"]) == 0
     assert '"brute_check": "MATCH"' in capsys.readouterr().out
+
+
+# scripts/reproduce_examples.py at its default seed, one print per line
+WORKED_EXAMPLES = """
+ex1 (quadratic)
+  samples                      1/2, 3/8, 3/8, 1/2, 3/4
+  gradients                    -1/2, 0, 1/2, 1
+  dual (regular)               -1/2, 0, 1/2, 1
+  conjugate (regular)          -1/2, -3/8, -1/8, 1/4
+  conjugate (brute)            -1/2, -3/8, -1/8, 1/4
+  dual (adaptive centered)     -1/2, -1/4, 1/4, 3/4, 1
+  conjugate (adaptive)         -1/2, -7/16, -1/4, 1/16, 1/4
+  W / nu / success             1 / 3/2 / 4/5
+  simulator                    attempts=2, p=4/5, values == classical
+  analog omega                 15/32
+
+ex2 (piecewise linear, W=1)
+  samples                      0, 0, 1/16, 3/16, 3/8
+  gradients                    0, 1/4, 1/2, 3/4
+  dual (regular)               0, 3/16, 3/8, 9/16, 3/4
+  conjugate (regular)          0, 3/64, 1/8, 15/64, 3/8
+  conjugate (brute)            0, 3/64, 1/8, 15/64, 3/8
+  dual (adaptive centered)     0, 1/8, 3/8, 5/8, 3/4
+  conjugate (adaptive)         0, 1/32, 1/8, 9/32, 3/8
+  W / nu / success             1 / 3/4 / 1
+  simulator                    attempts=1, p=1, values == classical
+  analog omega                 437/1440
+
+ex3 (piecewise linear, W=2)
+  samples                      0, 0, 1/8, 1/4, 1/2
+  gradients                    0, 1/2, 1/2, 1
+  dual (regular)               0, 1/4, 1/2, 3/4, 1
+  conjugate (regular)          0, 1/16, 1/8, 5/16, 1/2
+  conjugate (brute)            0, 1/16, 1/8, 5/16, 1/2
+  dual (adaptive centered)     0, 1/4, 1/2, 3/4, 1
+  conjugate (adaptive)         0, 1/16, 1/8, 5/16, 1/2
+  W / nu / success             2 / 1 / 1/2
+  simulator                    attempts=3, p=1/2, values == classical
+  analog omega                 47/160
+
+"""
+
+
+def test_reproduce_examples_prints_the_worked_example_tables(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["reproduce_examples.py"])
+    runpy.run_path(str(ROOT / "scripts" / "reproduce_examples.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 37
+    assert out == WORKED_EXAMPLES
 
 
 def _fresh(args, cwd, hash_seed=None):

@@ -204,3 +204,70 @@ def test_a_hardness_dimension_below_1_exits_1_naming_the_flag(argv):
         code = main(argv)
     d = argv[argv.index("--d") + 1]
     assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: --d must be at least 1, got {d}\n")
+
+
+ONE_D = {"kind": "builtin", "name": "quadratic-ex1", "params": {}}
+TWO_D = {"kind": "builtin", "name": "separable-sum", "params": {"d": 2, "n": 4}}
+MIXED_SPACINGS = {
+    "kind": "samples",
+    "grid": [{"x0": "0", "gamma_x": "1/2", "n": 2}, {"x0": "0", "gamma_x": "1", "n": 2}],
+    "samples": ["0", "0", "0", "0"],
+}
+
+
+@pytest.mark.parametrize(
+    "doc,argv,code,message",
+    [
+        (ONE_D, ["lft", "INSTANCE", "--dual", "list:"], 2, "dual grid needs at least one point, got none"),
+        (
+            ONE_D,
+            ["lft", "INSTANCE", "--dual", "list:a"],
+            1,
+            "bad --dual option 'list:a': Invalid literal for Fraction: 'a'",
+        ),
+        (ONE_D, ["lft", "INSTANCE", "--dual", "bogus"], 1, "bad --dual option 'bogus'"),
+        (TWO_D, ["lft", "INSTANCE", "--dual", "list:1,2"], 1, "--dual 'list:1,2' unsupported for tensors"),
+        (ONE_D, ["qlft", "INSTANCE", "--trials", "0"], 1, "--trials must be at least 1"),
+        (TWO_D, ["hardness", "rescale", "INSTANCE"], 1, "rescale expects a one-dimensional instance"),
+        (TWO_D, ["qlft", "INSTANCE", "--dual-size", "1"], 2, "need k >= 2 per axis"),
+        (
+            {"kind": "builtin", "name": "quadratic-ex1", "params": [1]},
+            ["lft", "INSTANCE"],
+            1,
+            "builtin 'params' must be an object",
+        ),
+        (
+            {"kind": "builtin", "name": "separable-sum", "params": {"base": "nope"}},
+            ["lft", "INSTANCE"],
+            1,
+            "bad builtin parameters {'base': 'nope'}: 'nope'",
+        ),
+        (
+            {"kind": "builtin", "name": "random-convex-quadratic", "params": {"d": 0}},
+            ["lft", "INSTANCE"],
+            1,
+            "need at least one axis",
+        ),
+        (MIXED_SPACINGS, ["lft", "INSTANCE"], 1, "axes must share one spacing, got 1/2, 1"),
+    ],
+    ids=[
+        "lft-empty-list",
+        "lft-list-not-rational",
+        "lft-unknown-dual",
+        "lft-nd-list",
+        "qlft-no-trials",
+        "rescale-nd",
+        "qlft-nd-k-1",
+        "params-not-object",
+        "unknown-base",
+        "no-axis",
+        "mixed-spacings",
+    ],
+)
+def test_an_input_check_exits_with_its_code_and_one_line(tmp_path, doc, argv, code, message):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        got = main([str(path) if a == "INSTANCE" else a for a in argv])
+    assert (got, out.getvalue(), err.getvalue()) == (code, "", f"error: {message}\n")

@@ -116,3 +116,27 @@ def test_the_pins_see_a_shared_axis_grid():
     assert shared == t.grid
     again = TensorSamples(grid=shared, values=t.values)
     assert _pin([_digest(again)]) != PINS_SUM["quadratic-ex1", 2, 4]
+
+
+
+# the closed forms on [0, 1] and their kinks
+CLOSED_FORMS = {
+    "quadratic-ex1": (fixtures.ex1_function, ()),
+    "pwl-ex2": (fixtures.ex2_function, (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))),
+    "pwl-ex3": (fixtures.ex3_function, (Fraction(1, 4), Fraction(3, 4))),
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORMS))
+def test_each_conjugate_is_the_maximum_over_the_unit_interval(name):
+    # s*x - f(x) is concave, so it peaks at an end, a kink or, for ex1, the
+    # stationary point (s + 3/4) / 2 where that lies in [0, 1]. s from -3 to
+    # 3 in eighths reaches every branch, the outer ones (ex1: s < -3/4 and
+    # s > 5/4; ex2 and ex3: s < 0) included
+    f, kinks = CLOSED_FORMS[name]
+    conjugate = fixtures.conjugate_of(name)
+    for s in (Fraction(k, 8) for k in range(-24, 25)):
+        xs = [0, *kinks, 1]
+        if name == "quadratic-ex1" and 0 <= (s + Fraction(3, 4)) / 2 <= 1:
+            xs.append((s + Fraction(3, 4)) / 2)
+        assert conjugate(s) == max(s * x - f(x) for x in xs), s

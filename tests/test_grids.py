@@ -15,12 +15,14 @@ from fractions import Fraction as F
 import pytest
 
 from lftlab import fixtures
+from lftlab.errors import DegenerateGrid, InvalidK
 from lftlab.grids import DualGrid, RegularGrid
 from lftlab.multi import canonical_nd_dual_grids, lft_nd_regular
 from lftlab.qlft import run_qlft_1d_regular
 from lftlab.qlft_nd import run_qlft_nd_regular
 from lftlab.transform import ADAPTIVE_VARIANTS, lft_adaptive, lft_regular, regular_dual_grid
 
+from conftest import raises_exactly
 from test_fixtures import _digest, _pin
 
 # an int, a float and a Fraction point; the first is also s0
@@ -107,3 +109,42 @@ def test_the_integer_form_gives_the_points(grid):
     if getattr(grid, "kind", "regular") == "regular":
         a, p, den = grid.progression
         assert [F(a + j * p, den) for j in range(len(points))] == points
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: RegularGrid(x0=0, gamma=0, n=3), DegenerateGrid, "grid spacing must be positive, got 0"),
+        (lambda: DualGrid(s0=0, gamma_s=1, k=0), InvalidK, "dual grid needs at least one point, got k=0"),
+        (lambda: DualGrid(s0=0, gamma_s=1, k=2, kind="bogus"), ValueError, "unknown dual grid kind 'bogus'"),
+        (lambda: DualGrid(s0=0, gamma_s=-1, k=2), InvalidK, "regular dual spacing must be nonnegative"),
+        (
+            lambda: DualGrid(s0=0, gamma_s=1, k=2, explicit=(0, 1)),
+            ValueError,
+            "regular dual grids are procedural, not explicit",
+        ),
+        (
+            lambda: DualGrid(s0=0, gamma_s=0, k=2, kind="adaptive"),
+            ValueError,
+            "adaptive dual grid needs an explicit point list of length k",
+        ),
+        (
+            lambda: DualGrid(s0=0, gamma_s=0, k=3, kind="adaptive", explicit=(0, 1)),
+            ValueError,
+            "adaptive dual grid needs an explicit point list of length k",
+        ),
+        (lambda: DualGrid.from_points([]), InvalidK, "dual grid needs at least one point, got none"),
+    ],
+    ids=[
+        "primal-spacing",
+        "dual-k-0",
+        "dual-kind",
+        "dual-negative-spacing",
+        "regular-explicit",
+        "adaptive-no-points",
+        "adaptive-short-points",
+        "from-no-points",
+    ],
+)
+def test_a_grid_rejects_bad_fields(build, error, message):
+    raises_exactly(build, error, message)

@@ -6,7 +6,7 @@ import pytest
 from lftlab import fixtures
 from lftlab import hardness
 from lftlab.errors import RecoveryFailed, ZeroXi
-from lftlab.grids import FunctionSpec, RegularGrid
+from lftlab.grids import DualGrid, FunctionSpec, RegularGrid
 from lftlab.hardness import (
     HiddenStringInstance,
     recover_via_point_queries,
@@ -16,9 +16,9 @@ from lftlab.hardness import (
     sample_conjugate_pair,
 )
 from lftlab.multi import lft_nd_brute
-from lftlab.transform import lft_regular
+from lftlab.transform import discrete_gradients, lft_regular, nontrivial_dual_range
 
-from conftest import canonical_dual
+from conftest import canonical_dual, raises_exactly
 
 
 class TestPointQueries:
@@ -101,6 +101,26 @@ class TestOracle:
             inst = HiddenStringInstance(z=(1, 0, 1), scale=scale)
             assert inst.evaluate(x) == _distance(inst, x)
             assert inst.query_counter == 1
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: HiddenStringInstance(z=()), "hidden string must be a nonempty 0/1 tuple"),
+        (lambda: HiddenStringInstance(z=(0, 2)), "hidden string must be a nonempty 0/1 tuple"),
+        (
+            lambda: recover_via_point_queries(HiddenStringInstance.for_sampling((1, 0))),
+            "point-query recovery expects the unscaled instance",
+        ),
+        (
+            lambda: sample_conjugate_pair(HiddenStringInstance.for_point_queries((1, 0))),
+            "sampling expects the 2^d-scaled instance",
+        ),
+    ],
+    ids=["empty-z", "z-not-bits", "point-queries-scaled", "sampling-unscaled"],
+)
+def test_an_instance_check_raises_its_message(build, message):
+    raises_exactly(build, ValueError, message)
 
 
 class TestSampling:
@@ -240,6 +260,29 @@ class TestRescaling:
             resc = lft_regular(r.rescaled, r.rescaled_dual)
             for ov, rv in zip(orig.values, resc.values):
                 assert ov == r.value_scale * rv
+
+    def test_explicit_grids_keep_w_and_map_values_exactly(self, ex3, rng):
+        # ex3's gradient range is [0, 1]; points outside it are clamped
+        cases = [(ex3, DualGrid.from_points([-1, 0, F(1, 3), F(1, 2), F(3, 4), 1, 2]))]
+        for _ in range(10):
+            f = fixtures.random_convex_spec(rng, rng.randint(4, 10))
+            lo, hi = nontrivial_dual_range(discrete_gradients(f))
+            points = sorted(lo + (hi - lo) * F(rng.randint(-2, 12), 10) for _ in range(rng.randint(1, 8)))
+            cases.append((f, DualGrid.from_points(points)))
+        for f, dual in cases:
+            try:
+                r = rescale_instance(f, dual)
+            except ZeroXi:
+                continue
+            s_scale = r.xi * f.grid.gamma
+            assert r.rescaled_dual == DualGrid.from_points([p / s_scale for p in dual.points()])
+            checks = rescaling_checks(r)
+            assert checks["w"] == checks["w_rescaled"] >= 1
+            assert checks["w_invariant"] and checks["mapping_exact"]
+            orig = lft_regular(f, dual, clamp=True).values
+            resc = lft_regular(r.rescaled, r.rescaled_dual, clamp=True).values
+            assert orig == tuple(r.value_scale * v for v in resc)
+        assert rescaling_checks(rescale_instance(*cases[0]))["w"] == 2
 
     def test_float_samples_map_exactly(self):
         floats = FunctionSpec(RegularGrid(0, F(1, 3), 4), (0.0, 0.1, 0.3, 0.7))

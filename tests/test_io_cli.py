@@ -20,7 +20,7 @@ from lftlab.io import (
 )
 from lftlab.multi import TensorSamples
 from lftlab.qlft import geometric_attempts, run_qlft_1d_regular
-from lftlab.qlft_nd import run_qlft_nd_regular
+from lftlab.qlft_nd import run_qlft_nd_adaptive, run_qlft_nd_regular
 
 
 class TestInstanceDocuments:
@@ -383,6 +383,36 @@ class TestCli:
         assert doc["verification"] == "MATCH"
         assert doc["pass_acceptances"] == ["1", "1"]
         assert [r["norm"] for r in doc["step_trace"]] == ["1"] * 4
+
+    @pytest.mark.parametrize(
+        "doc, status",
+        [
+            ({"kind": "builtin", "name": "separable-sum", "params": {"d": 2, "n": 4}}, "MATCH"),
+            # max(2, 1 - 2x + 2y) on [0, 1]^2: two labels fall below the brute
+            (
+                {
+                    "kind": "samples",
+                    "grid": [{"x0": "0", "gamma_x": "1/2", "n": 3}] * 2,
+                    "samples": ["2", "2", "3", "2", "2", "2", "2", "2", "2"],
+                },
+                "MISMATCH",
+            ),
+        ],
+        ids=["separable", "nonconvex-intermediate"],
+    )
+    def test_qlft_nd_adaptive_reports_the_runs_verification(self, tmp_path, doc, status):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(doc))
+        out = tmp_path / "res.json"
+        assert main(["--out", str(out), "qlft", str(inst), "--mode", "adaptive"]) == 0
+        got = json.loads(out.read_text())
+        report = run_qlft_nd_adaptive(load_instance(str(inst))).verification
+        assert report.status == status
+        assert [got["verification"], got["verification_missing"], got["verification_value_mismatches"]] == [
+            report.status,
+            len(report.missing),
+            len(report.value_mismatches),
+        ]
 
     def test_lft_tensor_adaptive_route(self, tmp_path):
         inst = tmp_path / "sep.json"

@@ -27,7 +27,7 @@ from lftlab.multi import (
 )
 from lftlab.transform import lft_adaptive, lft_regular, regular_dual_grid
 
-from conftest import canonical_dual
+from conftest import canonical_dual, raises_exactly
 from test_fixtures import _digest, _pin
 
 
@@ -628,3 +628,37 @@ class TestOneAxisBrute:
             for s, i in zip(dual.points(), res.optimizer_index):
                 if s == c[-1]:
                     assert i == c.index(c[-1])
+
+
+def _two_by_two():
+    grid = TensorGrid(axes=(fixtures.unit_grid(2),) * 2)
+    return TensorSamples(grid=grid, values=RatTensor((2, 2), (F(0),) * 4))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RatTensor((2, 2), (F(0),) * 3), "shape (2, 2) needs 4 values, got 3"),
+        (lambda: TensorGrid(axes=()), "need at least one axis"),
+        (
+            lambda: TensorGrid(axes=(fixtures.unit_grid(3), fixtures.unit_grid(2))),
+            "axes must share one spacing, got 1/2, 1",
+        ),
+        (
+            lambda: TensorSamples(grid=_two_by_two().grid, values=RatTensor((4,), (F(0),) * 4)),
+            "value shape (4,) does not match grid (2, 2)",
+        ),
+        (lambda: canonical_nd_dual_grids(_two_by_two(), [2]), "need one dual size per axis"),
+        (
+            lambda: lft_nd_regular(_two_by_two(), [regular_dual_grid((0, 1), 2)]),
+            "need one dual grid per axis",
+        ),
+        (
+            lambda: lft_nd_brute(_two_by_two(), [(F(1, 2),)]),
+            "dual point (1/2) has 1 components; the samples have 2 axes",
+        ),
+    ],
+    ids=["tensor-size", "no-axis", "mixed-spacings", "samples-shape", "sizes-count", "grids-count", "brute-point"],
+)
+def test_an_nd_input_check_raises_its_message(build, message):
+    raises_exactly(build, ValueError, message)

@@ -308,6 +308,13 @@ class TestFinalize:
             assert samples[x] + lab.get("fstar") == s * x
 
 
+    def test_steps_take_an_empty_state_to_an_empty_state(self):
+        # no branch to read registers from: the steps read them by name
+        empty = QState(entries=())
+        assert attach_gradients(empty) == empty
+        assert finalize_conjugate(empty, DualGrid.from_points([F(0)])) == empty
+
+
 class TestRegularRuns:
     def test_values_equal_classical(self, rng):
         for _ in range(15):

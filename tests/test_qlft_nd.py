@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 
 from lftlab import fixtures, multi, qlft_nd
-from lftlab.errors import NonConvexSlice, NotPowerOfTwo
+from lftlab.errors import InvalidK, NonConvexSlice, NotPowerOfTwo
 from lftlab.grids import DualGrid, FunctionSpec, RegularGrid
 from lftlab.multi import RatTensor, TensorGrid, TensorSamples, canonical_nd_dual_grids
 from lftlab.qlft import (
@@ -25,7 +25,7 @@ from lftlab.qlft import (
 from lftlab.qlft_nd import MATCH, MISMATCH, run_qlft_nd_adaptive, run_qlft_nd_regular
 from lftlab.qstate import UNDEFINED, BasisLabel, QState, _schema, is_undefined, label
 
-from conftest import first_attempt_successes, reg_names
+from conftest import first_attempt_successes, raises_exactly, reg_names
 from test_brute import _nd_verify_inputs
 from test_multi import (
     WIDE_PRIMES,
@@ -915,3 +915,13 @@ class TestCiSweepTally:
         pairs = (entry.split(":") for entry in SWEEP_ADAPTIVE_VALUES.split())
         assert found == {int(seed): (0, int(diffs)) for seed, diffs in pairs}
         assert len(found) == 48
+
+
+@pytest.mark.parametrize(
+    "ks, error, message",
+    [((4,), ValueError, "need one dual size per axis"), ((4, 1), InvalidK, "need k >= 2 per axis")],
+    ids=["count", "k-1"],
+)
+def test_regular_runs_check_their_sizes(ks, error, message):
+    four = fixtures.separable_sum("quadratic-ex1", d=2, n=4)
+    raises_exactly(lambda: run_qlft_nd_regular(four, ks), error, message)

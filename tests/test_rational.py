@@ -9,7 +9,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lftlab.rational import lowest_terms, reduced, split
+from lftlab.rational import frac, lowest_terms, reduced, split
+
+from conftest import raises_exactly
 
 huge = st.integers(-(2**300), 2**300)
 numerators = st.one_of(st.integers(-50, 50), st.just(0), huge)
@@ -49,3 +51,8 @@ def test_lowest_terms_is_split(values):
     got = lowest_terms(values)
     assert got == split(values)
     assert all(type(v) is int for v in got[0] + got[1])
+
+
+@pytest.mark.parametrize("value", [None, [1], (1, 2)])
+def test_frac_rejects_what_is_no_rational(value):
+    raises_exactly(lambda: frac(value), TypeError, f"cannot interpret {value!r} as a rational")

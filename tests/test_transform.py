@@ -20,7 +20,7 @@ from lftlab.transform import (
     regular_dual_grid,
 )
 
-from conftest import canonical_dual
+from conftest import canonical_dual, raises_exactly
 
 
 class TestDiscreteGradients:
@@ -78,6 +78,9 @@ class TestDualRangeAndGrid:
     def test_k_below_two_rejected(self):
         with pytest.raises(InvalidK):
             regular_dual_grid((F(0), F(1)), 1)
+
+    def test_reversed_range_rejected(self):
+        raises_exactly(lambda: regular_dual_grid((F(1), F(0)), 3), ValueError, "dual range is reversed")
 
 
 class TestOptimizerMap:

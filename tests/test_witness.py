@@ -14,7 +14,7 @@ from lftlab.witness import (
     witness_params,
 )
 
-from conftest import canonical_dual
+from conftest import canonical_dual, raises_exactly
 
 
 def test_ex2_witness(ex2):
@@ -49,6 +49,15 @@ def test_zero_spacing_rejected():
     g = discrete_gradients(f)
     with pytest.raises(ZeroSpacing):
         witness_params(g, canonical_dual(f, 2))
+
+
+def test_a_gradient_vector_without_its_grid_is_rejected():
+    g = GradientVector(c=(F(0), F(1), F(2)))
+    raises_exactly(
+        lambda: witness_params(g, regular_dual_grid((F(0), F(2)), 3)),
+        ValueError,
+        "gradient vector lacks its primal grid",
+    )
 
 
 def test_floor_formula_can_undercount_on_misaligned_gradients():
