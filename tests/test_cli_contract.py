@@ -249,6 +249,8 @@ MIXED_SPACINGS = {
             "need at least one axis",
         ),
         (MIXED_SPACINGS, ["lft", "INSTANCE"], 1, "axes must share one spacing, got 1/2, 1"),
+        (ONE_D, ["hardness", "point-queries", "--d", "3", "--z", "12"], 1, "--z must be a 0/1 string of length 3"),
+        (ONE_D, ["hardness", "sampling", "--d", "3", "--z", "1010"], 1, "--z must be a 0/1 string of length 3"),
     ],
     ids=[
         "lft-empty-list",
@@ -262,6 +264,8 @@ MIXED_SPACINGS = {
         "unknown-base",
         "no-axis",
         "mixed-spacings",
+        "point-queries-z-not-binary",
+        "sampling-z-too-long",
     ],
 )
 def test_an_input_check_exits_with_its_code_and_one_line(tmp_path, doc, argv, code, message):

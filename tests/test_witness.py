@@ -118,12 +118,13 @@ class TestAcceptanceSet:
     def test_index_bounds(self, ex3):
         g = discrete_gradients(ex3)
         dual = canonical_dual(ex3, 5)
-        with pytest.raises(IndexOutOfRange):
-            in_acceptance_set(-1, 0, g, dual)
-        with pytest.raises(IndexOutOfRange):
-            dual_index(5, 0, g, dual)
-        with pytest.raises(IndexOutOfRange):
-            dual_index(0, -1, g, dual)
+        # both checks, through both queries, with their exact messages
+        for query in (in_acceptance_set, dual_index):
+            for i in (-1, g.n):
+                message = f"index {i} outside [0, 5)"
+                raises_exactly(lambda: query(i, 0, g, dual), IndexOutOfRange, message)
+            message = "copy slot m must be nonnegative, got -1"
+            raises_exactly(lambda: query(0, -1, g, dual), IndexOutOfRange, message)
 
     def test_branch_values(self, ex3):
         g = discrete_gradients(ex3)
