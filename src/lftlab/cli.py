@@ -280,8 +280,6 @@ def cmd_hardness(args) -> int:
         return _fail(f"dimension {args.d} exceeds cap {HARDNESS_DIM_CAP}", 2)
     if args.sub == "point-queries":
         z = _parse_z(args.z, args.d)
-        if z is None:
-            return _fail(f"--z must be a 0/1 string of length {args.d}", 1)
         inst = HiddenStringInstance.for_point_queries(z)
         recovered = recover_via_point_queries(inst)
         doc = {
@@ -297,8 +295,6 @@ def cmd_hardness(args) -> int:
         z = _parse_z(args.z, args.d) if args.z else tuple(
             random.Random(seed ^ 0x5EED).randint(0, 1) for _ in range(args.d)
         )
-        if z is None:
-            return _fail(f"--z must be a 0/1 string of length {args.d}", 1)
         inst = HiddenStringInstance.for_sampling(z)
         out = recover_via_sampling(inst, t=args.t, rng_seed=seed)
         doc = {
@@ -333,9 +329,9 @@ def cmd_hardness(args) -> int:
     return 0
 
 
-def _parse_z(z: str, d: int):
+def _parse_z(z: str, d: int) -> tuple[int, ...]:
     if z is None or len(z) != d or any(ch not in "01" for ch in z):
-        return None
+        raise ParseError(f"--z must be a 0/1 string of length {d}")
     return tuple(int(ch) for ch in z)
 
 

@@ -295,19 +295,12 @@ def _pass(shape, scaled: Scaled, axis, x_axis, dual):
     return new_shape, dual, (out, D2), counts, taken
 
 
-def axis_bracket(values: RatTensor, axis: int, gamma: Fraction) -> tuple[Fraction, Fraction]:
-    """Shared dual range for one axis: the minimum first slope over all
-    lines up to the maximum last slope, over gamma. These are the slopes
-    the rule reads (``_lines``), a nonconvex line's envelope's, so the
-    range is never reversed."""
-    flat, D = _lift(values.flat)
-    return _bracket(list(_lines(values.shape, flat, axis, check_convex=False)), D, gamma)
-
-
 def _bracket(lines: list, D: int, gamma: Fraction) -> tuple[Fraction, Fraction]:
-    """``axis_bracket`` from one pass's ``_lines`` over D. The lines' end
-    slopes are compared by integer cross products; only the two extremes
-    become Fractions."""
+    """Shared dual range of one pass's ``_lines`` over D: the minimum first
+    slope over all lines up to the maximum last slope, over gamma. These are
+    the slopes the rule reads, a nonconvex line's envelope's, so the range
+    is never reversed. The end slopes are compared by integer cross
+    products; only the two extremes become Fractions."""
     ends = [(nums[0], dens[0], nums[-1], dens[-1]) for *_, (nums, dens) in lines]
     lo, lo_d, hi, hi_d = ends[0]
     for a, b, c, e in ends:
@@ -326,7 +319,7 @@ def canonical_nd_dual_grids(f: TensorSamples, ks: Sequence[int]) -> tuple[DualGr
     Pass order is the last axis first; each later bracket is computed from
     the exactly transformed intermediate tensor, convex or not. A range
     runs from the first to the last slope the rule reads on each line
-    (``axis_bracket``): a nonconvex line's are its envelope's.
+    (``_bracket``): a nonconvex line's are its envelope's.
     """
     if len(ks) != f.d:
         raise ValueError("need one dual size per axis")
@@ -359,7 +352,7 @@ def _cascade(f: TensorSamples, duals: Sequence) -> tuple[tuple[DualGrid, ...], l
     on every input.
 
     Each pass runs over ``duals[axis]``: a DualGrid, or the size of the
-    canonical grid spanning ``axis_bracket`` of the tensor that pass
+    canonical grid spanning ``_bracket`` of the tensor that pass
     receives. Every element carries the flat primal offset of the element
     it took (see ``_pass``), composed over the passes, so after the pass
     over axis 0 it is the optimizer. Returns the per-axis grids, the

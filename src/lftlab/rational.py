@@ -22,7 +22,6 @@ from math import gcd, lcm
 from operator import attrgetter, le, mul
 from typing import Iterable, Sequence, Union
 
-Rational = Union[Fraction, int]
 Vec = tuple[list[int], list[int]]  # numerators, positive denominators
 Number = Union[Fraction, int, float]
 _new = object.__new__

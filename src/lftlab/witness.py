@@ -49,21 +49,6 @@ def witness_params(g: GradientVector, dual: DualGrid) -> WitnessReport:
     return WitnessReport(w=w, nu=nu, success_probability=success, w_floor=w_floor)
 
 
-def _slot(i: int, m: int, g: GradientVector, dual: DualGrid) -> tuple[int, int]:
-    """First dual index and count of primal index i, in O(1) on a regular
-    grid: both depend only on c_0, c_{i-1}, c_i and c_{n-2}, so the rule
-    runs on that sub-vector, where index i sits at position 0, 2 or 4."""
-    if not 0 <= i < g.n:
-        raise IndexOutOfRange(f"index {i} outside [0, {g.n})")
-    if m < 0:
-        raise IndexOutOfRange(f"copy slot m must be nonnegative, got {m}")
-    cn, cd = g.ratios
-    pos = 0 if i == 0 else 4 if i == g.n - 1 else 2
-    at = (0, max(i - 1, 0), min(i, len(cn) - 1), -1)
-    counts = _rule(dual)(([cn[t] for t in at], [cd[t] for t in at]))
-    return sum(counts[:pos]), counts[pos]
-
-
 def in_acceptance_set(i: int, m: int, g: GradientVector, dual: DualGrid) -> bool:
     """True when copy m of index i corresponds to some dual point.
 
@@ -74,7 +59,7 @@ def in_acceptance_set(i: int, m: int, g: GradientVector, dual: DualGrid) -> bool
     floor((c_i - c_{i-1})/gamma_s) >= m+1 for interior i with the two
     boundary (m = 0) slots added.
     """
-    return m < _slot(i, m, g, dual)[1]
+    return dual_index(i, m, g, dual) is not None
 
 
 def dual_index(i: int, m: int, g: GradientVector, dual: DualGrid) -> Optional[int]:
@@ -82,7 +67,17 @@ def dual_index(i: int, m: int, g: GradientVector, dual: DualGrid) -> Optional[in
 
     Restricted to member pairs this enumerates [K] bijectively: the first
     copy of index i lands on the first dual point assigned to i, further
-    copies on the following dual indices.
+    copies on the following dual indices. O(1) on a regular grid: the
+    first index and the count depend only on c_0, c_{i-1}, c_i and
+    c_{n-2}, so the rule runs on that sub-vector, where index i sits at
+    position 0, 2 or 4.
     """
-    first, count = _slot(i, m, g, dual)
-    return first + m if m < count else None
+    if not 0 <= i < g.n:
+        raise IndexOutOfRange(f"index {i} outside [0, {g.n})")
+    if m < 0:
+        raise IndexOutOfRange(f"copy slot m must be nonnegative, got {m}")
+    cn, cd = g.ratios
+    pos = 0 if i == 0 else 4 if i == g.n - 1 else 2
+    at = (0, max(i - 1, 0), min(i, len(cn) - 1), -1)
+    counts = _rule(dual)(([cn[t] for t in at], [cd[t] for t in at]))
+    return sum(counts[:pos]) + m if m < counts[pos] else None

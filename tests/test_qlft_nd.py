@@ -242,8 +242,12 @@ class TestVerificationReporting:
         # everything) and its axis-0 gradient minimum sits only in the middle
         # column, so skipping the axis-1 transform would widen the bracket
         from lftlab.multi import RatTensor, TensorGrid, TensorSamples
-        from lftlab.multi import axis_bracket, axis_transform
+        from lftlab.multi import _bracket, _lift, _lines, axis_transform
         from lftlab.transform import regular_dual_grid
+
+        def axis_bracket(values, axis, gamma):
+            flat, D = _lift(values.flat)
+            return _bracket(list(_lines(values.shape, flat, axis, check_convex=False)), D, gamma)
 
         grid = TensorGrid(axes=(fixtures.unit_grid(3), fixtures.unit_grid(3)))
         vals = tuple(map(F, (0, 0, 1, 1, 0, 2, 3, 1, 4)))
