@@ -29,10 +29,9 @@ from .rational import format_rational, frac
 
 Instance = Union[FunctionSpec, TensorSamples]
 
+FIXTURES = ("quadratic-ex1", "pwl-ex2", "pwl-ex3")
 BUILTINS = (
-    "quadratic-ex1",
-    "pwl-ex2",
-    "pwl-ex3",
+    *FIXTURES,
     "hypercube-z",
     "separable-sum",
     "random-convex-quadratic",
@@ -116,7 +115,7 @@ def _int_param(params: dict, name: str, default: int) -> int:
 def _build(name, params: dict) -> Instance:
     if name not in BUILTINS:
         raise ParseError(f"unknown builtin {name!r}; choose from {BUILTINS}")
-    if name in ("quadratic-ex1", "pwl-ex2", "pwl-ex3"):
+    if name in FIXTURES:
         return sampled(name, n=_int_param(params, "n", 5))
     if name == "hypercube-z":
         z = params.get("z")
@@ -124,18 +123,22 @@ def _build(name, params: dict) -> Instance:
             raise ParseError("hypercube-z needs a 0/1 string parameter 'z'")
         bits = tuple(int(ch) for ch in z)
         scale = params.get("scale", "1")
-        scale_val = Fraction(2) ** len(bits) if scale == "2^d" else frac(scale)
+        try:
+            scale_val = Fraction(2) ** len(bits) if scale == "2^d" else frac(scale)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise ParseError(f"builtin parameter 'scale' must be a rational or '2^d', got {scale!r}") from exc
         return HiddenStringInstance(bits, scale_val).sample_tensor()
+    d = _int_param(params, "d", 2 if name == "separable-sum" else 1)
+    if d < 1:
+        raise ParseError(f"builtin parameter 'd' must be >= 1, got {d}")
     if name == "separable-sum":
-        return separable_sum(
-            base=params.get("base", "quadratic-ex1"),
-            d=_int_param(params, "d", 2),
-            n=_int_param(params, "n", 5),
-        )
+        base = params.get("base", "quadratic-ex1")
+        if base not in FIXTURES:
+            raise ParseError(f"builtin parameter 'base' must be one of {FIXTURES}, got {base!r}")
+        return separable_sum(base=base, d=d, n=_int_param(params, "n", 5))
     # random-convex-quadratic
     seed = _int_param(params, "seed", 0)
     n = _int_param(params, "n", 8)
-    d = _int_param(params, "d", 1)
     coupling = _int_param(params, "coupling", 1)
     if coupling < 0:
         raise ParseError(f"builtin parameter 'coupling' must be >= 0, got {coupling}")

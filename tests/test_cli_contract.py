@@ -240,17 +240,39 @@ MIXED_SPACINGS = {
             {"kind": "builtin", "name": "separable-sum", "params": {"base": "nope"}},
             ["lft", "INSTANCE"],
             1,
-            "bad builtin parameters {'base': 'nope'}: 'nope'",
+            "builtin parameter 'base' must be one of ('quadratic-ex1', 'pwl-ex2', 'pwl-ex3'), got 'nope'",
+        ),
+        (
+            {"kind": "builtin", "name": "separable-sum", "params": {"base": 3}},
+            ["lft", "INSTANCE"],
+            1,
+            "builtin parameter 'base' must be one of ('quadratic-ex1', 'pwl-ex2', 'pwl-ex3'), got 3",
         ),
         (
             {"kind": "builtin", "name": "random-convex-quadratic", "params": {"d": 0}},
             ["lft", "INSTANCE"],
             1,
-            "need at least one axis",
+            "builtin parameter 'd' must be >= 1, got 0",
+        ),
+        (
+            {"kind": "builtin", "name": "separable-sum", "params": {"d": "-1"}},
+            ["lft", "INSTANCE"],
+            1,
+            "builtin parameter 'd' must be >= 1, got -1",
+        ),
+        *(
+            (
+                {"kind": "builtin", "name": "hypercube-z", "params": {"z": "101", "scale": scale}},
+                ["lft", "INSTANCE"],
+                1,
+                f"builtin parameter 'scale' must be a rational or '2^d', got {scale!r}",
+            )
+            for scale in ("x", [1], "1/0")
         ),
         (MIXED_SPACINGS, ["lft", "INSTANCE"], 1, "axes must share one spacing, got 1/2, 1"),
         (ONE_D, ["hardness", "point-queries", "--d", "3", "--z", "12"], 1, "--z must be a 0/1 string of length 3"),
         (ONE_D, ["hardness", "sampling", "--d", "3", "--z", "1010"], 1, "--z must be a 0/1 string of length 3"),
+        (ONE_D, ["hardness", "point-queries", "--d", "3", "--z", "102"], 1, "--z must be a 0/1 string of length 3"),
     ],
     ids=[
         "lft-empty-list",
@@ -262,10 +284,16 @@ MIXED_SPACINGS = {
         "qlft-nd-k-1",
         "params-not-object",
         "unknown-base",
+        "base-not-a-name",
         "no-axis",
+        "separable-no-axis",
+        "scale-not-rational",
+        "scale-a-list",
+        "scale-over-zero",
         "mixed-spacings",
-        "point-queries-z-not-binary",
+        "point-queries-z-too-short",
         "sampling-z-too-long",
+        "point-queries-z-not-binary",
     ],
 )
 def test_an_input_check_exits_with_its_code_and_one_line(tmp_path, doc, argv, code, message):
