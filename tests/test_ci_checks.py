@@ -16,6 +16,10 @@ prints the pinned worked-example tables below; the two sweep commands were
 "README CLI block": every ``lftlab`` line of the README runs in a fresh
 process, then twice through ``cli.main`` in one interpreter, and each
 stdout equals its fresh one.
+
+"Benchmark oracle smoke run", its input digests: each workload's
+``perfbench/run.py --setup-probe`` at seed 1 and at the held-out seed 20061
+prints the digest of the inputs the benchmark was calibrated on.
 """
 
 import contextlib
@@ -255,6 +259,24 @@ def test_readme_cli_block(tmp_path, monkeypatch):
     [trials] = [args for args in lines if "--trials" in args]
     docs = [_fresh(["-m", "lftlab.cli", *trials], tmp_path, hash_seed=h) for h in (0, 1)]
     assert docs[0] == docs[1]
+
+
+BENCHMARK_INPUT_DIGESTS = {
+    ("fast-1d", 1): "00cce24dee222ce7",
+    ("sim-1d", 1): "10ae5028c4f96cf5",
+    ("nd-verify", 1): "a7de653950b1a8b8",
+    ("cli-small", 1): "f74001768de819ef",
+    ("fast-1d", 20061): "40d61e958e53b84d",
+    ("sim-1d", 20061): "707c58ba421f09d4",
+    ("nd-verify", 20061): "651a8042cb236efa",
+    ("cli-small", 20061): "e74052f0c3bbfd61",
+}
+
+
+@pytest.mark.parametrize("workload,seed", BENCHMARK_INPUT_DIGESTS)
+def test_benchmark_inputs_keep_their_digest(workload, seed):
+    probe = ["perfbench/run.py", "--workload", workload, "--seed", str(seed), "--setup-probe"]
+    assert json.loads(_fresh(probe, ROOT))["digest"] == BENCHMARK_INPUT_DIGESTS[workload, seed]
 
 
 if __name__ == "__main__":
