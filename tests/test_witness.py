@@ -118,7 +118,6 @@ class TestAcceptanceSet:
     def test_index_bounds(self, ex3):
         g = discrete_gradients(ex3)
         dual = canonical_dual(ex3, 5)
-        # both checks, through both queries, with their exact messages
         for query in (in_acceptance_set, dual_index):
             for i in (-1, g.n):
                 message = f"index {i} outside [0, 5)"
