@@ -292,7 +292,7 @@ def cmd_hardness(args) -> int:
         }
     elif args.sub == "sampling":
         seed = args.seed if args.seed is not None else _default_seed()
-        z = _parse_z(args.z, args.d) if args.z else tuple(
+        z = _parse_z(args.z, args.d) if args.z is not None else tuple(
             random.Random(seed ^ 0x5EED).randint(0, 1) for _ in range(args.d)
         )
         inst = HiddenStringInstance.for_sampling(z)
@@ -330,7 +330,7 @@ def cmd_hardness(args) -> int:
 
 
 def _parse_z(z: str, d: int) -> tuple[int, ...]:
-    if z is None or len(z) != d or any(ch not in "01" for ch in z):
+    if len(z) != d or any(ch not in "01" for ch in z):
         raise ParseError(f"--z must be a 0/1 string of length {d}")
     return tuple(int(ch) for ch in z)
 

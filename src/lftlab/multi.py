@@ -11,6 +11,8 @@ max, taken one axis at a time from the last, as one packed int key: with M
 primal points, its value times M plus M - 1 - its row-major offset. So a
 plain max breaks ties to the lexicographically smallest multi-index. Dual
 points that differ only on axis 0 share every table and take one max each.
+The core, ``_brute``, returns each point's largest key: ``lft_nd_brute``
+decodes it once per distinct point, the simulator's judge compares on ints.
 
 Every route computes on exact ints over a shared denominator, Fractions on
 return: samples, grid points and dual components are scaled to Python ints
@@ -442,7 +444,9 @@ def lft_nd_brute(f: TensorSamples, dual_points: Sequence[tuple]) -> TensorConjug
             point = ", ".join(map(format_rational, s))
             raise ValueError(f"dual point ({point}) has {len(s)} components; the samples have {d} axes")
     columns, comps, keys = _components(pts, d)
-    values, rows = _brute(f, comps, keys)
+    best, D, M = _brute(f, comps, keys)
+    value = {k: reduced(b // M, D) for k, b in dict(zip(keys, best)).items()}
+    values, rows = [value[k] for k in keys], [M - 1 - b % M for b in best]
     # components returned as ints when integral, else as given, floats as Fractions
     cols = [
         [n if q == 1 else c if isinstance(c, Fraction) else reduced(n, q) for c, (n, q) in zip(col, ratios)]
@@ -462,7 +466,7 @@ def _components(pts: Sequence[tuple], d: int) -> tuple[list, list, list]:
     indices; also each axis's column of components with their ratios."""
     columns, comps, ids = [], [], []
     for col in list(zip(*pts)) or [()] * d:
-        ratios = [c.as_integer_ratio() for c in col]
+        ratios = [(c._numerator, c._denominator) if isinstance(c, Fraction) else c.as_integer_ratio() for c in col]
         seen = {}
         ids.append([seen.setdefault(r, len(seen)) for r in ratios])
         comps.append([[n for n, _ in seen], [q for _, q in seen]])
@@ -489,11 +493,12 @@ def _products(s: int, a0: int, p: int, n: int, stride: int) -> range:
     return range(start, start + n * step, step)
 
 
-def _brute(f: TensorSamples, comps: Sequence[Sequence], keys: Sequence[tuple]) -> tuple[list, list]:
+def _brute(f: TensorSamples, comps: Sequence[Sequence], keys: Sequence[tuple]) -> tuple[list, int, int]:
     """``lft_nd_brute`` at the dual points keys[j] names: on axis a the
     component nums[c] / dens[c] of comps[a] = (nums, dens), c = keys[j][a].
-    Returns the values and the optimizers as flat primal offsets in
-    ``keys`` order; equal keys share one value.
+    Returns each point's largest packed key in ``keys`` order, with the
+    value denominator D and the key base M; ``lft_nd_brute`` decodes one
+    value per distinct point, so equal keys share one value object.
 
     Each candidate is one int key, value * M + (M - 1 - offset), with M
     the number of primal points, the value over D and the offset
@@ -522,17 +527,20 @@ def _brute(f: TensorSamples, comps: Sequence[Sequence], keys: Sequence[tuple]) -
     scaled = [[s * (ds // q) * unit for s, q in zip(*axis_comps)] for axis_comps in comps]
     # Rows of axes 0..d-2 are listed once: every suffix reads them again. A
     # last-axis row is made when read, once per component, the points being
-    # sorted by it; a one-axis brute keeps it a range and so holds O(N + K)
-    # words. maxima[a] holds the max over axes a.. for every primal prefix
-    # x_0..x_{a-1} and depends on s[a:] only: the tables of axes 1.. are
-    # built once per suffix s[1:], one per axis alive at a time, and axis 0
-    # takes one max per component.
+    # sorted by it, and meets g's rows, sliced once when d > 1; a one-axis
+    # brute keeps it a range and so holds O(N + K) words. maxima[a] holds
+    # the max over axes a.. for every primal prefix x_0..x_{a-1} and depends
+    # on s[a:] only: the tables of axes 1.. are built once per suffix s[1:],
+    # one per axis alive at a time, and axis 0 takes one max per component.
     terms = [[list(_products(s, *axis_pts[a])) for s in scaled[a]] for a in range(d - 1)]
+    last = f.grid.shape[-1]
+    rows = [flat[r : r + last] for r in range(0, M, last)] if d > 1 else None
     maxima = [None] * d + [flat]
-    values, rows = [None] * len(keys), [None] * len(keys)
+    best = [None] * len(keys)
     prev = (None,) * d
-    order = sorted(range(len(keys)), key=lambda j: keys[j][::-1])
-    for suffix, group in groupby(order, key=lambda j: keys[j][1:]):
+    heads, tails = [k[0] for k in keys], [k[1:] for k in keys]
+    order = sorted(range(len(keys)), key=[k[::-1] for k in keys].__getitem__)
+    for suffix, group in groupby(order, key=tails.__getitem__):
         top = d
         while top > 1 and suffix[top - 2] == prev[top - 2]:
             top -= 1
@@ -540,16 +548,15 @@ def _brute(f: TensorSamples, comps: Sequence[Sequence], keys: Sequence[tuple]) -
             c = suffix[a - 1]
             sx = terms[a][c] if a < d - 1 else list(_products(scaled[a][c], *axis_pts[a]))
             inner, n = maxima[a + 1], len(sx)
-            maxima[a] = [max(map(add, sx, inner[r : r + n])) for r in range(0, len(inner), n)]
+            blocks = rows if a == d - 1 else (inner[r : r + n] for r in range(0, len(inner), n))
+            maxima[a] = [max(map(add, sx, block)) for block in blocks]
         prev = suffix
-        for c, same in groupby(group, key=lambda j: keys[j][0]):
+        for c, same in groupby(group, key=heads.__getitem__):
             sx = terms[0][c] if d > 1 else _products(scaled[0][c], *axis_pts[0])
-            num, tie = divmod(max(map(add, sx, maxima[1])), M)
-            # a repeated point shares its value
-            value, row = reduced(num, D), M - 1 - tie
+            key = max(map(add, sx, maxima[1]))
             for j in same:
-                values[j], rows[j] = value, row
-    return values, rows
+                best[j] = key
+    return best, D, M
 
 
 def product_dual_points(duals: Sequence[DualGrid]) -> tuple[tuple[Fraction, ...], ...]:

@@ -30,8 +30,10 @@ is VERIFIED against the brute maximum (``multi.lft_nd_brute``'s core,
 regular run's per-axis grids, each adaptive label's own s registers, told
 apart per axis as ``lft_nd_brute`` tells them (``multi._components``). The
 judge reads the final labels' j, fstar and s words directly and the
-samples' lift, so it builds no brute result. The outcome is reported,
-never assumed: a MISMATCH is a finding, not a crash.
+samples' lift, so it builds no brute result: ``_brute`` gives each point's
+largest packed key and D, and fstar = p / q matches iff p * D equals
+(key // M) * q, on ints; only a reported mismatch makes a Fraction. The
+outcome is reported, never assumed: a MISMATCH is a finding, not a crash.
 
 Branches are the labels of one ``QState`` per step, with garbage i{axis}
 (and m{axis} in regular mode) per passed axis. Each step records its
@@ -128,17 +130,19 @@ def _regular_pass(
     state: QState, f: TensorSamples, axis: int, D: int, dual: DualGrid, line_counts: dict
 ) -> tuple[QState, Fraction, int]:
     """Expand w copy slots per branch, keep the (branch, slot m) pairs the
-    gates accept (slots m >= counts[i] fail membership and are not built),
-    and renormalize over the survivors, sorted by j. ``line_counts`` are
-    the cascade's counts of this pass, keyed by each line's fixed
-    coordinates. A kept pair becomes (j with the axis coordinate set to
-    the dual index, f mapped with the optimizer x_i, s{axis}, the registers
-    the branch held, i{axis}, m{axis}). Values arrive as ints over D and
-    leave over the returned denominator."""
-    n_axis = f.grid.shape[axis]
-    structure = {c: (k, list(accumulate(k, initial=0))) for c, k in line_counts.items()}
+    gates accept and renormalize over the survivors, sorted by j. The gates
+    are one cap per index i: slot m is kept iff m < counts[i] and, on a pass
+    with axes left, m < the in-range neighbors' counts; slots past the cap
+    are not built. ``line_counts`` are the cascade's counts of this pass,
+    keyed by each line's fixed coordinates. A kept pair becomes (j with the
+    axis coordinate set to the dual index, f mapped with the optimizer x_i,
+    s{axis}, the registers the branch held, i{axis}, m{axis}). Values
+    arrive as ints over D and leave over the returned denominator."""
+    caps = {}
+    for c, k in line_counts.items():
+        cap = [min(k[max(i - 1, 0) : i + 2]) for i in range(len(k))] if axis else k
+        caps[c] = cap, list(accumulate(k, initial=0))
     w = max(map(max, line_counts.values()))
-    three_point = axis > 0  # the gate reads the neighbors' counts, not their values
     held = state.entries[0][0].schema
     names = ("j", "f", f"s{axis}", *held.names[2:], f"i{axis}", f"m{axis}")
     schema = _schema(names, held.n_regs + 1)
@@ -147,11 +151,9 @@ def _regular_pass(
     kept = []
     for lab, _ in state.entries:
         coords, value, *rest = lab._values
-        counts, firsts = structure[coords[:axis] + coords[axis + 1 :]]
+        cap, firsts = caps[coords[:axis] + coords[axis + 1 :]]
         i = coords[axis]
-        for m in range(counts[i]):
-            if three_point and any(m >= counts[h] for h in (i - 1, i + 1) if 0 <= h < n_axis):
-                continue
+        for m in range(cap[i]):
             j = firsts[i] + m
             new = (*coords[:axis], j, *coords[axis + 1 :])
             kept.append(BasisLabel(schema, (new, value * scale - su[j] * xs[i], points[j], *rest, i, m)))
@@ -192,19 +194,19 @@ def _verify(f, duals, final_state, rng_seed) -> VerificationReport:
     got = {j: fstar for j, fstar, _ in rows}
     if duals is not None:
         keys = list(product(*(range(g.k) for g in duals)))
-        values, _ = _brute(f, [g.point_ratios() for g in duals], keys)
+        best, D, M = _brute(f, [g.point_ratios() for g in duals], keys)
     else:
         keys = [j for j, *_ in rows]
         _, comps, points = _components([s for *_, s in rows], f.d)
-        values, _ = _brute(f, comps, points)
-    expect = dict(zip(keys, values))
+        best, D, M = _brute(f, comps, points)
+    expect = dict(zip(keys, best))
     missing = tuple(sorted(set(expect) - set(got)))
     extra = tuple(sorted(set(got) - set(expect)))
-    mismatches = tuple(
-        (idx, got[idx], expect[idx])
-        for idx in sorted(set(got) & set(expect))
-        if got[idx] != expect[idx]
+    # fstar = p / q equals the brute value (key // M) / D iff p * D == (key // M) * q
+    wrong = sorted(
+        j for j, v in got.items() if j in expect and v._numerator * D != expect[j] // M * v._denominator
     )
+    mismatches = tuple((j, got[j], reduced(expect[j] // M, D)) for j in wrong)
     status = MATCH if not (missing or extra or mismatches) else MISMATCH
     return VerificationReport(
         status, missing, extra, mismatches, rng_seed, dual_grids=tuple(duals) if duals else ()

@@ -14,10 +14,11 @@ signs.
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
-from lftlab import fixtures
+from lftlab import fixtures, multi, qlft_nd
 from lftlab.grids import DualGrid, FunctionSpec, RegularGrid
 from lftlab.multi import (
     RatTensor,
@@ -28,7 +29,8 @@ from lftlab.multi import (
     lft_nd_brute,
     product_dual_points,
 )
-from lftlab.qlft_nd import run_qlft_nd_adaptive, run_qlft_nd_regular
+from lftlab.qlft_nd import MATCH, MISMATCH, run_qlft_nd_adaptive, run_qlft_nd_regular
+from lftlab.qstate import BasisLabel, QState
 from lftlab.transform import regular_dual_grid
 
 from test_fixtures import _digest, _pin
@@ -189,3 +191,81 @@ def test_a_point_repeated_apart_shares_one_value():
     assert len({res.optimizer[j] for j in (0, 2, 4, 5)}) == 1
     exact = [tuple(map(F, p)) for p in pts]
     assert (res.values.flat, res.optimizer) == _reference_brute(f, exact)
+
+
+# The simulator's judge (``qlft_nd._verify``) compares each label's fstar
+# with the brute's packed key on ints, and makes a Fraction only for a
+# value mismatch it reports.
+
+
+def _separable_run(mode):
+    """The nd-verify separable 16x16 run of ``mode``, its run seed and the
+    denominator D_run its negate step divides by, seen as the one
+    denominator ``qlft_nd.reduced`` is called with during the run."""
+    f = fixtures.separable_sum(base="quadratic-ex1", d=2, n=16)
+    seed = _nd_verify_inputs()[2]
+    dens, real = set(), qlft_nd.reduced
+
+    def reduced(n, d):
+        dens.add(d)
+        return real(n, d)
+
+    with mock.patch.object(qlft_nd, "reduced", reduced):
+        run = run_qlft_nd_regular(f, (16, 16), rng_seed=seed) if mode == "regular" else run_qlft_nd_adaptive(f)
+    assert run.verification.status == MATCH
+    (D_run,) = dens
+    return f, run, D_run
+
+
+def _judge(f, run, final_state):
+    return qlft_nd._verify(f, run.verification.dual_grids or None, final_state, run.verification.rng_seed)
+
+
+@pytest.mark.parametrize("mode", ["regular", "adaptive"])
+def test_a_matching_run_is_judged_without_a_fraction(mode):
+    f, run, _ = _separable_run(mode)
+    calls = []
+
+    def counting(module):
+        real = module.reduced
+        return lambda n, d: calls.append(module.__name__) or real(n, d)
+
+    with mock.patch.object(multi, "reduced", counting(multi)), mock.patch.object(qlft_nd, "reduced", counting(qlft_nd)):
+        report = _judge(f, run, run.final_state)
+    assert report == run.verification and report.status == MATCH
+    assert calls == []
+
+
+def _shift_by_one_over_d_run(fstar, D_run):
+    return fstar + F(1, D_run)
+
+
+def _another_denominator(fstar, D_run):
+    # fstar + 1 / (r q), r a prime dividing neither q nor D_run
+    r = 1_000_003
+    assert D_run % r and fstar.denominator % r
+    wrong = fstar + F(1, r * fstar.denominator)
+    assert wrong.denominator != fstar.denominator
+    return wrong
+
+
+@pytest.mark.parametrize("mode", ["regular", "adaptive"])
+@pytest.mark.parametrize("mutate", [_shift_by_one_over_d_run, _another_denominator])
+def test_a_mutated_label_is_exactly_one_value_mismatch(mode, mutate):
+    f, run, D_run = _separable_run(mode)
+    entries = list(run.final_state.entries)
+    # an interior label whose fstar is not an integer
+    at = next(t for t, (lab, _) in enumerate(entries) if min(lab.get("j")) > 0 and lab.get("fstar").denominator > 1)
+    lab, amp = entries[at]
+    j, fstar, s, *rest = lab.values
+    wrong = mutate(fstar, D_run)
+    entries[at] = (BasisLabel(lab.schema, (j, wrong, s, *rest)), amp)
+    report = _judge(f, run, QState(entries=tuple(entries)))
+    assert (report.status, report.missing, report.extra) == (MISMATCH, (), ())
+    ((idx, got, expect),) = report.value_mismatches
+    assert (idx, got) == (j, wrong)
+    # the label's s registers hold the dual point it names, in both modes
+    if mode == "regular":
+        assert s == tuple(g.point(i) for g, i in zip(report.dual_grids, j))
+    (brute,) = lft_nd_brute(f, [s]).values.flat
+    assert type(expect) is F and expect == brute == fstar

@@ -272,6 +272,7 @@ MIXED_SPACINGS = {
         (MIXED_SPACINGS, ["lft", "INSTANCE"], 1, "axes must share one spacing, got 1/2, 1"),
         (ONE_D, ["hardness", "point-queries", "--d", "3", "--z", "12"], 1, "--z must be a 0/1 string of length 3"),
         (ONE_D, ["hardness", "sampling", "--d", "3", "--z", "1010"], 1, "--z must be a 0/1 string of length 3"),
+        (ONE_D, ["hardness", "sampling", "--d", "2", "--z", ""], 1, "--z must be a 0/1 string of length 2"),
         (ONE_D, ["hardness", "point-queries", "--d", "3", "--z", "102"], 1, "--z must be a 0/1 string of length 3"),
     ],
     ids=[
@@ -293,6 +294,7 @@ MIXED_SPACINGS = {
         "mixed-spacings",
         "point-queries-z-too-short",
         "sampling-z-too-long",
+        "sampling-z-empty",
         "point-queries-z-not-binary",
     ],
 )
